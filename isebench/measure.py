@@ -87,9 +87,9 @@ def _calibration_seconds() -> float:
 def _on_host(work: Callable[[], T]) -> Tuple[T, float, float]:
     """Run *work*; return its result, its wall time and the host slowdown.
 
-    The slowdown is the calibration loop's mean time just before and just
+    The slowdown is the calibration workload's mean time just before and just
     after *work*, over its quiet-host reference.  The 2-CPU runner's speed
-    drifts by up to 1.7x, over seconds to minutes, with no steal time
+    drifts by up to 2.4x, over seconds to minutes, with no steal time
     recorded; dividing a wall time by the slowdown measured next to it gives
     the time at reference speed, which is what the benchmark reports.
     """

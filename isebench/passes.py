@@ -254,20 +254,20 @@ def _layers(
     close_s = own.get("batch.close", 0.0)
     # A store hit's elapsed time is its lookup, context and cut rebuild.
     rebuild_s = max(0.0, sum(i.elapsed_seconds for i in cached) - store_get_s - context_s)
+    # A fresh block's elapsed time is its enumerate call (in the pool, its
+    # search alone); the context was built before it.
+    search_s = fresh_s - lt_s
     if jobs == 1:
-        # In-process, a fresh block's elapsed time is the enumerate call
-        # (enumerator set-up plus search); its context was built before it.
-        search_s = fresh_s - lt_s
         attributed = (
             frontend_s + canon_s + context_s + store_get_s + rebuild_s
             + search_s + lt_s + score_s + close_s
         )
     else:
-        # Pool: elapsed is the worker task, which beyond the search decodes
-        # the graph and builds the worker-side context.  These are busy
-        # times summed over workers, so only the wall-clock spans add up.
-        search_s = stats.elapsed_seconds - lt_s
-        context_s += fresh_s - stats.elapsed_seconds
+        # The workers' `worker.block` spans also hold the worker-side
+        # context build.  These are busy times summed over workers, so only
+        # the wall-clock spans add up to the pass.
+        worker_s = sum(r["dur"] for r in records if r["name"] == "worker.block") / 1e6
+        context_s += max(0.0, worker_s - fresh_s)
         attributed = pass_s - own["pass"]
     batch_s = spans.total("batch.run")
     block_s = sum(i.elapsed_seconds for i in items)
