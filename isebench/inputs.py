@@ -1,8 +1,9 @@
 """Workload inputs and the correctness oracle of the ISE benchmark.
 
 A workload is a list of profiled basic blocks sent through the library's
-public ISE pipeline.  Set-up builds the blocks from the run's seed and the
-oracle every pass is checked against; none of it is timed as part of a pass.
+public ISE pipeline.  Set-up builds the blocks from the run's seed and, on
+the warm-store workload, fills the store; the oracle every pass is checked
+against is computed apart from it.  None of it is timed as part of a pass.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import random
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Set
 
@@ -148,13 +149,14 @@ class BlockOracle:
 
 @dataclass
 class Prepared:
-    """One set-up: the blocks, their oracle and the filled store, if any."""
+    """One set-up: the blocks, the filled store, if any, and the oracle."""
 
     workload: Workload
     blocks: List[BlockProfile]
-    oracle: List[BlockOracle]
-    exhaustive_s: float
     store_dir: Optional[Path] = None
+    oracle: List[BlockOracle] = field(default_factory=list)
+    #: Time of the exhaustive enumerations the oracle is built from.
+    exhaustive_s: float = 0.0
 
     def pass_blocks(self) -> Optional[List[BlockProfile]]:
         """Cold copies of the blocks for one pass (no cached hashes or
@@ -181,19 +183,23 @@ def fill_store(blocks: List[BlockProfile], out_dir: Path) -> Path:
 
 
 def prepare(workload: Workload, seed: int, out_dir: Path) -> Prepared:
-    """Build the inputs, compute the oracle and fill the store."""
+    """The set-up `setup_s` times: build the inputs and fill the store."""
     blocks = build_blocks(workload, seed)
-    oracle: List[BlockOracle] = []
-    exhaustive_s = 0.0
-    for block in blocks:
+    store_dir = fill_store(blocks, out_dir) if workload.warm_store else None
+    return Prepared(workload, blocks, store_dir)
+
+
+def build_oracle(prepared: Prepared) -> None:
+    """Compute the oracle of *prepared*'s blocks; none of it is in `setup_s`."""
+    for block in prepared.blocks:
         graph = block.graph
         start = time.perf_counter()
         exhaustive = enumerate_cuts_exhaustive(graph, CONSTRAINTS)
-        exhaustive_s += time.perf_counter() - start
+        prepared.exhaustive_s += time.perf_counter() - start
         fresh = None
-        if workload.warm_store:
+        if prepared.workload.warm_store:
             fresh = {cut.node_mask() for cut in enumerate_cuts(graph.copy(), CONSTRAINTS)}
-        oracle.append(
+        prepared.oracle.append(
             BlockOracle(
                 name=graph.name,
                 structural_hash=graph.structural_hash(),
@@ -202,8 +208,6 @@ def prepare(workload: Workload, seed: int, out_dir: Path) -> Prepared:
                 fresh=fresh,
             )
         )
-    store_dir = fill_store(blocks, out_dir) if workload.warm_store else None
-    return Prepared(workload, blocks, oracle, exhaustive_s, store_dir)
 
 
 def check_pass(

@@ -16,9 +16,10 @@ import sys
 import time
 import traceback
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, TypeVar
+from typing import Dict, List, Optional
 
-from inputs import WORKLOADS, Prepared, build_blocks, check_pass, prepare
+from host import on_host
+from inputs import WORKLOADS, Prepared, build_blocks, build_oracle, check_pass, prepare
 from passes import PassRun, run_traced, run_untraced
 
 from repro.obs.export import write_trace_file
@@ -37,19 +38,13 @@ MIN_PASSES_TRACED = 2
 #: Seconds a child process (import or peak-memory probe) may take.
 CHILD_TIMEOUT = 150
 
-#: Rounds of the host-speed calibration workload, and its time on the 2-CPU
-#: runner when the host is quiet (lowest of 400 samples: 7.05 ms).
-CALIBRATION_ROUNDS = 3
-CALIBRATION_REFERENCE_S = 0.007
-
-T = TypeVar("T")
-
 
 def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description="Cold `repro ise` passes over one workload.")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=20.0)
+    # Defaults to BENCHMARK.json's run_seconds, which the bounds were set on.
+    parser.add_argument("--seconds", type=float, default=None)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     # Internal: run one untraced pass in this fresh process and print its
     # peak resident set size.
@@ -60,55 +55,24 @@ def _parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
 
 def _child_env() -> Dict[str, str]:
     env = dict(os.environ)
-    env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
+    here = str(Path(__file__).resolve().parent)
+    paths = ["src", here, env.get("PYTHONPATH", "")]
+    env["PYTHONPATH"] = os.pathsep.join(path for path in paths if path)
     return env
 
 
-def _calibration_seconds() -> float:
-    """Time of a fixed pure-Python workload that never touches the library.
-
-    Its mix follows the search's own: big-integer masks, dict and set probes
-    and a sort.  It tracks the host's drift better than an arithmetic loop,
-    which misses the slowdowns that hit memory rather than the core.
-    """
-    start = time.perf_counter()
-    for _ in range(CALIBRATION_ROUNDS):
-        masks = [(i * 2654435761) & ((1 << 120) - 1) for i in range(4000)]
-        counts: Dict[int, int] = {}
-        union = 0
-        for mask in masks:
-            union |= mask & -mask
-            counts[mask % 4099] = counts.get(mask % 4099, 0) + (mask >> 64)
-        kept = {key for key, _ in sorted(counts.items(), key=lambda kv: kv[1])[::3]}
-        union ^= sum(1 for key in range(4099) if key in kept)
-    return time.perf_counter() - start
-
-
-def _on_host(work: Callable[[], T]) -> Tuple[T, float, float]:
-    """Run *work*; return its result, its wall time and the host slowdown.
-
-    The slowdown is the calibration workload's mean time just before and just
-    after *work*, over its quiet-host reference.  The 2-CPU runner's speed
-    drifts by up to 2.4x, over seconds to minutes, with no steal time
-    recorded; dividing a wall time by the slowdown measured next to it gives
-    the time at reference speed, which is what the benchmark reports.
-    """
-    before = _calibration_seconds()
-    start = time.perf_counter()
-    result = work()
-    elapsed = time.perf_counter() - start
-    after = _calibration_seconds()
-    return result, elapsed, (before + after) / (2 * CALIBRATION_REFERENCE_S)
-
-
-def _import_repro() -> None:
-    """A fresh interpreter importing the `repro` CLI."""
-    subprocess.run(
-        [sys.executable, "-c", "import repro.cli"],
+def _import_seconds() -> float:
+    """A fresh interpreter's import of the `repro` CLI, timed and calibrated
+    inside that interpreter (interpreter start-up is not counted)."""
+    done = subprocess.run(
+        [sys.executable, "-c", "import host; print(host.import_seconds())"],
         env=_child_env(),
         check=True,
+        capture_output=True,
+        text=True,
         timeout=CHILD_TIMEOUT,
     )
+    return float(done.stdout.strip().splitlines()[-1])
 
 
 def _peak_rss_mb(args: argparse.Namespace, store_dir: Optional[Path]) -> float:
@@ -131,7 +95,7 @@ def _peak_rss_mb(args: argparse.Namespace, store_dir: Optional[Path]) -> float:
 
 
 def _rss_probe(workload, seed: int, store: Optional[str]) -> int:
-    prepared = Prepared(workload, build_blocks(workload, seed), [], 0.0, Path(store) if store else None)
+    prepared = Prepared(workload, build_blocks(workload, seed), Path(store) if store else None)
     run_untraced(prepared)
     peak_kb = max(
         resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
@@ -151,10 +115,12 @@ def _lower_quartile(values: List[float]) -> float:
     Contention bursts on a shared host slow the passes inside them, and the
     calibration next to a pass catches a burst only in part; bursts never
     speed a pass up, so the lower quartile follows the code, not the bursts.
+    The inclusive method keeps it inside the observed range however few
+    passes a run fits in.
     """
     if len(values) < 2:
         return _median(values)
-    return statistics.quantiles(values, n=4)[0]
+    return statistics.quantiles(values, n=4, method="inclusive")[0]
 
 
 class Measurement:
@@ -226,7 +192,7 @@ def _measure(prepared: Prepared, seconds: float, trace: bool) -> Measurement:
         turn += 1
         gc.collect()  # each pass starts on a clean heap, as a fresh process would
         try:
-            run, _, slowdown = _on_host(lambda: (run_traced if traced else run_untraced)(prepared))
+            run, _, slowdown = on_host(lambda: (run_traced if traced else run_untraced)(prepared))
         except Exception:
             measurement.fail_pass()
             break
@@ -275,28 +241,30 @@ def main(argv: List[str]) -> int:
         return _rss_probe(workload, args.seed, args.store)
 
     declared = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = args.seconds if args.seconds is not None else float(declared["run_seconds"])
     out_dir = root / OUT_DIR
     out_dir.mkdir(exist_ok=True)
 
     # Set-up times, like pass times, are at reference host speed.
-    import_s, setup_s, exhaustive_s = [], [], []
+    import_s, setup_s = [], []
     setups: List[Prepared] = []
     try:
         for _ in range(SETUP_REPEATS):
-            _, seconds, slowdown = _on_host(_import_repro)
-            import_s.append(seconds / slowdown)
-            prepared, seconds, slowdown = _on_host(lambda: prepare(workload, args.seed, out_dir))
+            import_s.append(_import_seconds())
+            prepared, wall, slowdown = on_host(lambda: prepare(workload, args.seed, out_dir))
             setups.append(prepared)
-            setup_s.append(seconds / slowdown)
-            exhaustive_s.append(prepared.exhaustive_s / slowdown)
+            setup_s.append(wall / slowdown)
+        # The oracle is the benchmark's own work, not the user's: not in setup_s.
+        _, _, slowdown = on_host(lambda: build_oracle(prepared))
+        exhaustive_s = prepared.exhaustive_s / slowdown
         peak_rss_mb = _peak_rss_mb(args, prepared.store_dir)
-        m = _measure(prepared, args.seconds, bool(args.trace))
+        m = _measure(prepared, seconds, bool(args.trace))
     finally:
         for setup in setups:
             setup.discard()
 
     if args.trace:
-        values = _per_layer(m, _median(exhaustive_s)) if m.layers and m.untraced else {}
+        values = _per_layer(m, exhaustive_s) if m.layers and m.untraced else {}
         wanted = declared["per_layer"]
         trace_path = _export_trace(m, out_dir, args) if m.records else None
     else:

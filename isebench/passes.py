@@ -6,11 +6,13 @@ imports: the frontend (corpus workloads), then
 ContextCache and InSearchMemo, and, on the warm-store workload, a freshly
 opened ResultStore.
 
-A traced pass makes the same library calls one layer at a time, with
-driver-side spans around each call and the ``repro.obs`` recorder switched on
-for its block and pool spans.  Nothing inside the library is changed; the
-per-layer numbers come from those spans and from the counters the library
-already keeps (EnumerationStats, BatchItem, ContextCache, ResultStore.stats).
+A traced pass makes the same pipeline call with benchmark-side spans wrapped
+around the layer calls it makes (the runner's ``run`` and ``close``, the
+context cache's and store's ``get``, the batch module's ``canonical_form``)
+and the ``repro.obs`` recorder switched on for its block and pool spans.
+Nothing inside the library is changed; the per-layer numbers come from those
+spans and from the counters the library already keeps (EnumerationStats,
+BatchItem, ContextCache, ResultStore.stats).
 """
 
 from __future__ import annotations
@@ -20,25 +22,17 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from inputs import CONSTRAINTS, SELECTION, Prepared
 
-from repro import BatchRunner, EnumerationStats, ResultStore, canonical_form
+from repro import BatchRunner, EnumerationStats, ResultStore
 from repro.core.pruning import FULL_PRUNING
+from repro.engine import batch
 from repro.engine.batch import BatchItem
 from repro.engine.registry import DEFAULT_ALGORITHM
 from repro.frontend import corpus_block_profiles
-from repro.ise import (
-    BlockResult,
-    InstructionSetExtension,
-    PipelineResult,
-    identify_instruction_set_extension,
-    make_instruction,
-    score_cuts,
-    select_cuts,
-    total_software_cycles,
-)
+from repro.ise import PipelineResult, identify_instruction_set_extension
 from repro.obs import runtime as obs
 
 
@@ -75,7 +69,7 @@ def run_untraced(prepared: Prepared) -> PassRun:
 
 
 # --------------------------------------------------------------------------- #
-# Driver-side spans
+# Benchmark-side spans
 # --------------------------------------------------------------------------- #
 @dataclass
 class Span:
@@ -96,6 +90,8 @@ class Spans:
     def __init__(self) -> None:
         self.spans: List[Span] = []
         self._open: List[int] = []
+        #: (owner, attribute, the owner's own value before wrapping or None)
+        self._wrapped: List[Tuple[object, str, object]] = []
 
     @contextmanager
     def span(self, name: str) -> Iterator[None]:
@@ -110,14 +106,25 @@ class Spans:
             self._open.pop()
 
     def time_calls(self, owner: object, method: str, name: str) -> None:
-        """Record a span around every call of ``owner.method``."""
+        """Record a span around every call of ``owner.method``: an instance's
+        method or a module's function, until :meth:`restore`."""
         call = getattr(owner, method)
 
         def timed(*args, **kwargs):
             with self.span(name):
                 return call(*args, **kwargs)
 
+        self._wrapped.append((owner, method, vars(owner).get(method)))
         setattr(owner, method, timed)
+
+    def restore(self) -> None:
+        """Undo every :meth:`time_calls`, last first."""
+        while self._wrapped:
+            owner, method, own = self._wrapped.pop()
+            if own is None:
+                delattr(owner, method)
+            else:
+                setattr(owner, method, own)
 
     def total(self, name: str) -> float:
         return sum(s.seconds for s in self.spans if s.name == name)
@@ -149,42 +156,16 @@ class Spans:
         ]
 
 
-def _score_and_select(items: List[BatchItem], runner: BatchRunner) -> PipelineResult:
-    """The pipeline's scoring and selection step, over a finished batch."""
-    extension = InstructionSetExtension(application="application")
-    blocks: List[BlockResult] = []
-    for item in items:
-        if item.error is not None:
-            raise RuntimeError(f"enumeration failed for block {item.graph_name!r}: {item.error}")
-        context = item.context or runner.cache.get(item.graph, CONSTRAINTS)
-        software = total_software_cycles(context)
-        if item.result is None:
-            blocks.append(BlockResult(item.graph_name, item.execution_count, 0, software_cycles=software))
-            continue
-        selected = select_cuts(
-            score_cuts(item.result.cuts, context, execution_count=item.execution_count),
-            SELECTION,
-        )
-        blocks.append(
-            BlockResult(
-                graph_name=item.graph_name,
-                execution_count=item.execution_count,
-                num_candidate_cuts=len(item.result.cuts),
-                selected=selected,
-                software_cycles=software,
-                saved_cycles=sum(s.saved_cycles_per_execution for s in selected),
-            )
-        )
-        for scored in selected:
-            name = f"cust{len(extension.instructions)}"
-            extension.instructions.append(make_instruction(name, scored, context))
-    return PipelineResult(extension=extension, blocks=blocks)
-
-
 def run_traced(prepared: Prepared) -> PassRun:
-    """One cold pass made layer by layer under driver-side spans."""
+    """One cold pass through the same pipeline call, under benchmark-side spans.
+
+    The BatchRunner is built here, as the pipeline would build it, so its
+    methods and its cache's and store's ``get`` can be wrapped; the pipeline
+    does not close a runner it was given, so the pass closes it.
+    """
     jobs = prepared.workload.jobs
     blocks = prepared.pass_blocks()
+    items: List[BatchItem] = []
     spans = Spans()
     _, tracer = obs.activate()
     try:
@@ -200,21 +181,26 @@ def run_traced(prepared: Prepared) -> PassRun:
                 jobs=jobs,
                 store=store,
             )
+            spans.time_calls(runner, "run", "batch.run")
+            spans.time_calls(runner, "close", "batch.close")
             spans.time_calls(runner.cache, "get", "context.build")
-            forms = None
+            spans.time_calls(batch, "canonical_form", "canon")
             if store is not None:
                 spans.time_calls(store, "get", "store.get")
-                with spans.span("canon"):
-                    forms = [canonical_form(b.graph, CONSTRAINTS) for b in blocks]
             try:
-                with spans.span("batch.run"):
-                    items = runner.run(blocks, canonical_forms=forms).items
+                # The pipeline span's self time is scoring and selection.
+                with spans.span("pipeline"):
+                    result = identify_instruction_set_extension(
+                        blocks,
+                        CONSTRAINTS,
+                        selection=SELECTION,
+                        batch_runner=runner,
+                        progress=lambda item, done, total: items.append(item),
+                    )
             finally:
-                with spans.span("batch.close"):
-                    runner.close()
-            with spans.span("ise.score_select"):
-                result = _score_and_select(items, runner)
+                runner.close()
     finally:
+        spans.restore()
         obs.deactivate()
     records = spans.records() + list(tracer.records)
     layers = _layers(spans, records, items, result, runner, store, jobs)
@@ -250,10 +236,13 @@ def _layers(
     canon_s = own.get("canon", 0.0)
     context_s = own.get("context.build", 0.0)
     store_get_s = own.get("store.get", 0.0)
-    score_s = own.get("ise.score_select", 0.0)
+    score_s = own.get("pipeline", 0.0)
     close_s = own.get("batch.close", 0.0)
-    # A store hit's elapsed time is its lookup, context and cut rebuild.
-    rebuild_s = max(0.0, sum(i.elapsed_seconds for i in cached) - store_get_s - context_s)
+    # A store hit's elapsed time is its canonical form, lookup, context and
+    # cut rebuild.
+    rebuild_s = max(
+        0.0, sum(i.elapsed_seconds for i in cached) - canon_s - store_get_s - context_s
+    )
     # A fresh block's elapsed time is its enumerate call (in the pool, its
     # search alone); the context was built before it.
     search_s = fresh_s - lt_s

@@ -2,14 +2,16 @@
 
 Run from the repository root::
 
-    python3 isebench/run.py --workload corpus_ise --seed 1 --seconds 20 --trace 0
+    python3 isebench/run.py --workload corpus_ise --seed 1 --trace 0
 
+``--seconds`` defaults to ``run_seconds`` in ``BENCHMARK.json``.
 With ``--trace 0`` the run times untraced passes and reports the end-to-end
 metrics declared in ``BENCHMARK.json``; with ``--trace 1`` it alternates
 untraced and traced passes and reports the per-layer metrics.  Every pass is
-checked against the oracle built in set-up.  The last line of standard
-output is one JSON object: ``correct``, ``attempted``, ``failed`` (blocks)
-and ``metrics``.  See ``isebench/README.md`` for the metric definitions.
+checked against the oracle built before the passes.  The last line of
+standard output is one JSON object: ``correct``, ``attempted``, ``failed``
+(blocks) and ``metrics``.  See ``isebench/README.md`` for the metric
+definitions.
 """
 
 import sys
