@@ -120,7 +120,7 @@ _ALREADY_DOMINATED = CompletionResult(already_dominated=True, completions=(), lt
 #: arrays, completion steps).  The keys are drawn from one graph's own
 #: search space, which is usually far smaller, but a pathological block
 #: under a long-lived batch worker must not grow without bound — eviction
-#: is first-in, like the reachability index's forbidden-between memo.
+#: is first-in.
 REGION_CACHE_LIMIT = 32768
 
 
@@ -171,13 +171,6 @@ class EnumerationContext:
     _contrib: Optional[ContributionTables] = field(
         default=None, repr=False, compare=False
     )
-    #: The in-search memo this context's enumerations feed
-    #: (:class:`repro.memo.insearch.InSearchMemo`).  Assigned by the engine's
-    #: ``ContextCache`` so every context of one cache shares one memo; a
-    #: standalone context lazily creates a private memo on first use.  Typed
-    #: loosely to keep :mod:`repro.memo` out of this module's import graph.
-    insearch_memo: Optional[object] = field(default=None, repr=False, compare=False)
-    _insearch_view: Optional[object] = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -280,49 +273,6 @@ class EnumerationContext:
             tables = ContributionTables(self.reach, self.forbidden_mask)
             self._contrib = tables
         return tables
-
-    def insearch_view(self):
-        """This context's handle on the in-search memo, or ``None`` when off.
-
-        The view binds the context's block-shape domain, reachability index
-        and contribution tables once; it is revalidated here — mirroring
-        :attr:`contribution_tables` — whenever the attached memo or the
-        forbidden mask changed since it was built.  The import is deferred
-        because :mod:`repro.memo` imports this module at load time.
-        """
-        from ..memo.insearch import InSearchMemo, insearch_enabled
-
-        if not insearch_enabled():
-            if self._insearch_view is not None:
-                # Detach: restore private dominator caches so a disabled run
-                # (A/B baseline) cannot read memo-warmed shared state.
-                self._insearch_view = None
-                self._reachable_cache = {}
-                self._idom_cache = {}
-                self._completion_cache = {}
-            return None
-        view = self._insearch_view
-        if (
-            view is not None
-            and view.memo is self.insearch_memo
-            and view.forbidden_fingerprint == self.forbidden_mask
-        ):
-            return view
-        if self.insearch_memo is None:
-            self.insearch_memo = InSearchMemo()
-        view = self.insearch_memo.view_for(self)
-        self._insearch_view = view
-        # Re-point the dominator caches at the domain's shared dicts: the
-        # region-keyed machinery above then serves every same-shape block
-        # (and every context rebuilt for this shape) from one cache.  They
-        # stay plain dicts — the per-probe cost here dominates the search,
-        # so no counting wrapper is tolerable — which means dominator
-        # sharing is invisible to the hit/miss counters and shows up as a
-        # reduced ``lt_calls`` instead.
-        self._reachable_cache = view.domain.regions
-        self._idom_cache = view.domain.idoms
-        self._completion_cache = view.domain.completions
-        return view
 
     def reachable_avoiding(self, avoid_mask: int) -> int:
         """Vertices reachable from the source once *avoid_mask* is removed.

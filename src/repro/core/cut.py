@@ -37,20 +37,10 @@ class Cut:
     # ------------------------------------------------------------------ #
     @classmethod
     def from_mask(cls, context: EnumerationContext, node_mask: int) -> "Cut":
-        """Build a cut (computing its inputs and outputs) from a bit mask.
-
-        Consults the context's in-search memo first: on the enumerators'
-        acceptance path the profile of *node_mask* was just computed (and
-        cached) by the validity test, and the batch parent rebuilding cuts
-        from worker masks revisits the same masks across same-shape blocks.
-        """
-        view = context.insearch_view()
-        if view is not None:
-            inputs, outputs, _convex = view.cut_profile(node_mask)
-        else:
-            reach = context.reach
-            inputs = reach.cut_inputs_mask(node_mask)
-            outputs = reach.cut_outputs_mask(node_mask)
+        """Build a cut (computing its inputs and outputs) from a bit mask."""
+        reach = context.reach
+        inputs = reach.cut_inputs_mask(node_mask)
+        outputs = reach.cut_outputs_mask(node_mask)
         return cls(
             nodes=frozenset(ids_from_mask(node_mask)),
             inputs=frozenset(ids_from_mask(inputs)),

@@ -2,8 +2,9 @@
 
 Every pruning rule can be toggled individually so that the ablation benchmark
 (``benchmarks/bench_pruning_ablation.py``) can measure how much each one
-contributes, and so the test suite can verify that none of them changes the
-set of enumerated cuts (they only reduce the explored search space).
+contributes.  The rules are not pure optimizations: the configurations do
+not all report the same cuts (see :mod:`repro.core.incremental` for what the
+test suite checks instead).
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ class PruningConfig:
         the output budget is exhausted.
     output_input:
         Skip input candidates whose every pairing with the chosen output is
-        doomed: candidates with a forbidden vertex on some path to the output,
-        and candidates that force at least ``Nin`` additional forbidden
-        inputs.
+        doomed: candidates with a forbidden vertex, not already an input, on
+        some path to the output.
     input_input:
         Skip seed sets in which a newly added input postdominates an input
         that is already part of the seed (or vice versa).

@@ -31,13 +31,7 @@ class EnumerationStats:
     #: Wall time spent inside the Lengauer–Tarjan dominator kernel itself
     #: (fresh runs only — region-cache hits cost no kernel time).
     lt_seconds: float = 0.0
-    #: Hit/miss counters of the ReachabilityIndex forbidden-between memo
-    #: (bounded; see repro.dfg.reachability.FORBIDDEN_BETWEEN_CACHE_LIMIT).
-    forbidden_cache_hits: int = 0
-    forbidden_cache_misses: int = 0
-    #: Consultation counters of the in-search memo (repro.memo.insearch):
-    #: hits/misses of the per-domain verdict tables plus the entries evicted
-    #: from them while this run was active.  All zero when the memo is off.
+    #: Always 0 (the search has no memo); isebench/passes.py reads them under --trace 1.
     insearch_hits: int = 0
     insearch_misses: int = 0
     insearch_evictions: int = 0
@@ -56,8 +50,6 @@ class EnumerationStats:
         self.pick_input_calls += other.pick_input_calls
         self.elapsed_seconds += other.elapsed_seconds
         self.lt_seconds += other.lt_seconds
-        self.forbidden_cache_hits += other.forbidden_cache_hits
-        self.forbidden_cache_misses += other.forbidden_cache_misses
         self.insearch_hits += other.insearch_hits
         self.insearch_misses += other.insearch_misses
         self.insearch_evictions += other.insearch_evictions
@@ -77,19 +69,6 @@ class EnumerationStats:
         ]
         if self.lt_seconds:
             lines.append(f"LT kernel time      : {self.lt_seconds:.4f} s")
-        if self.forbidden_cache_hits or self.forbidden_cache_misses:
-            lines.append(
-                "forbidden-path cache: "
-                f"{self.forbidden_cache_hits} hits / "
-                f"{self.forbidden_cache_misses} misses"
-            )
-        if self.insearch_hits or self.insearch_misses:
-            lines.append(
-                "in-search memo      : "
-                f"{self.insearch_hits} hits / "
-                f"{self.insearch_misses} misses / "
-                f"{self.insearch_evictions} evicted"
-            )
         for rule in sorted(self.pruned):
             lines.append(f"pruned[{rule}]: {self.pruned[rule]}")
         return "\n".join(lines)

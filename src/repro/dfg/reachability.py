@@ -36,14 +36,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Set, Tuple
 
-from ..caching import BoundedMemo
 from .graph import DataFlowGraph
-
-#: Entry cap of the forbidden-between memo (see
-#: :meth:`ReachabilityIndex.forbidden_between_count`).  Under the batch
-#: runner a long-lived index services many enumerations; without a cap the
-#: memo grows with every distinct (input, output) pair ever probed.
-FORBIDDEN_BETWEEN_CACHE_LIMIT = 4096
 
 
 def mask_from_ids(ids: Iterable[int]) -> int:
@@ -103,19 +96,6 @@ class ReachabilityIndex:
         self._pred_mask: List[int] = [0] * self.num_nodes
         self._succ_mask: List[int] = [0] * self.num_nodes
         self._compute()
-        self._forbidden_between_cache: BoundedMemo[Tuple[int, int], int] = BoundedMemo(
-            FORBIDDEN_BETWEEN_CACHE_LIMIT
-        )
-
-    @property
-    def forbidden_cache_hits(self) -> int:
-        """Hits of the forbidden-between memo (surfaced in ``EnumerationStats``)."""
-        return self._forbidden_between_cache.hits
-
-    @property
-    def forbidden_cache_misses(self) -> int:
-        """Misses of the forbidden-between memo (surfaced in ``EnumerationStats``)."""
-        return self._forbidden_between_cache.misses
 
     # ------------------------------------------------------------------ #
     # Precomputation
@@ -265,32 +245,6 @@ class ReachabilityIndex:
         """
         interior = self._desc[u] & self._anc[w]
         return bool(interior & self.forbidden_mask)
-
-    def forbidden_between_count(self, u: int, w: int) -> int:
-        """Lower bound on extra inputs forced by forbidden predecessors.
-
-        Counts the distinct forbidden vertices that are predecessors of some
-        vertex of ``B({u}, w)`` without lying inside ``B({u}, w)`` themselves
-        and without being *u*.  Every such vertex necessarily becomes an input
-        of any cut that contains the whole of ``B({u}, w)`` (Section 5.3).
-
-        Memoised per (u, w) in a :class:`~repro.caching.BoundedMemo` capped
-        at :data:`FORBIDDEN_BETWEEN_CACHE_LIMIT` entries (first-in evicted)
-        so a long-lived index under the batch runner cannot grow without
-        bound; the memo's hit/miss counters are surfaced through
-        ``EnumerationStats``.
-        """
-        cached = self._forbidden_between_cache.get((u, w))
-        if cached is not None:
-            return cached
-        between = self.between_mask(1 << u, w)
-        forced = self.union_predecessors(between)
-        forced &= self.forbidden_mask
-        forced &= ~between
-        forced &= ~(1 << u)
-        count = forced.bit_count()
-        self._forbidden_between_cache.put((u, w), count)
-        return count
 
     # ------------------------------------------------------------------ #
     # Cut-oriented helpers (closure-backed)

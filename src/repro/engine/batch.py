@@ -118,7 +118,6 @@ from ..core.stats import EnumerationResult, EnumerationStats
 from ..dfg.graph import DataFlowGraph
 from ..dfg.serialization import graph_from_wire, graph_to_wire
 from ..memo.canon import CanonicalForm, canonical_form
-from ..memo.insearch import InSearchMemo
 from ..memo.store import ResultStore, StoredResult, request_fingerprint
 from ..obs import runtime as obs
 from ..workloads.suite import WorkloadSuite
@@ -193,12 +192,7 @@ class ContextCache:
     context while a renamed or edited graph does not.
     """
 
-    def __init__(
-        self,
-        max_entries: int = 64,
-        side: str = "parent",
-        insearch_memo: Optional[InSearchMemo] = None,
-    ) -> None:
+    def __init__(self, max_entries: int = 64, side: str = "parent") -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self.max_entries = max_entries
@@ -207,11 +201,6 @@ class ContextCache:
         self.side = side
         self.hits = 0
         self.misses = 0
-        #: The in-search memo shared by every context this cache serves.  It
-        #: outlives the contexts themselves: a context evicted and rebuilt
-        #: re-attaches to the same memo, and same-shape blocks land in the
-        #: same memo domain regardless of which context they ran under.
-        self.insearch = insearch_memo or InSearchMemo()
         self._entries: "OrderedDict[Tuple[str, Constraints], EnumerationContext]" = (
             OrderedDict()
         )
@@ -238,12 +227,10 @@ class ContextCache:
             self.hits += 1
             obs.metrics().inc("context_cache.hits_total", side=self.side)
             self._entries.move_to_end(key)
-            cached.insearch_memo = self.insearch
             return cached
         self.misses += 1
         obs.metrics().inc("context_cache.misses_total", side=self.side)
         context = EnumerationContext.build(graph, constraints)
-        context.insearch_memo = self.insearch
         self._entries[key] = context
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
@@ -850,11 +837,6 @@ class BatchRunner:
         metrics.inc("enum.lt_seconds_total", stats.lt_seconds)
         metrics.inc("enum.pick_output_calls_total", stats.pick_output_calls)
         metrics.inc("enum.pick_input_calls_total", stats.pick_input_calls)
-        metrics.inc("enum.forbidden_cache_hits_total", stats.forbidden_cache_hits)
-        metrics.inc("enum.forbidden_cache_misses_total", stats.forbidden_cache_misses)
-        metrics.inc("enum.insearch_hits_total", stats.insearch_hits)
-        metrics.inc("enum.insearch_misses_total", stats.insearch_misses)
-        metrics.inc("enum.insearch_evictions_total", stats.insearch_evictions)
         for rule, amount in stats.pruned.items():
             metrics.inc("enum.pruned_total", amount, rule=rule)
         metrics.observe("enum.block_seconds", stats.elapsed_seconds)

@@ -148,14 +148,6 @@ def identify_instruction_set_extension(
         invoked as each block's enumeration finishes (completion order).
     """
     constraints = constraints or Constraints()
-    runner = batch_runner or BatchRunner(
-        algorithm=algorithm,
-        constraints=constraints,
-        pruning=pruning,
-        jobs=jobs,
-        timeout=timeout,
-        store=store,
-    )
     block_list = list(blocks)
     with obs.tracer().span(
         "ise.pipeline",
@@ -163,76 +155,110 @@ def identify_instruction_set_extension(
         application=application_name,
         blocks=len(block_list),
     ) as pipeline_span:
-        # run() drains the stream (store write-back happens per chunk inside
-        # it) and restores input order: instruction naming below is
-        # deterministic.
-        try:
-            with obs.tracer().span("ise.enumerate", cat="ise"):
-                items = runner.run(block_list, progress=progress).items
-        finally:
-            if batch_runner is None:
-                runner.close()  # release the worker pool of a runner we own
-
-        extension = InstructionSetExtension(application=application_name)
-        block_results: List[BlockResult] = []
-        instruction_index = 0
-
-        with obs.tracer().span("ise.score_select", cat="ise"):
-            for item in items:
-                if item.error is not None:
-                    raise RuntimeError(
-                        f"enumeration failed for block {item.graph_name!r}: "
-                        f"{item.error}"
-                    )
-                context = item.context or runner.cache.get(item.graph, constraints)
-                if item.result is None:  # timed out: the block stays in software
-                    block_results.append(
-                        BlockResult(
-                            graph_name=item.graph_name,
-                            execution_count=item.execution_count,
-                            num_candidate_cuts=0,
-                            software_cycles=total_software_cycles(
-                                context, latency_model
-                            ),
-                        )
-                    )
-                    continue
-                scored = score_cuts(
-                    item.result.cuts,
-                    context,
-                    execution_count=item.execution_count,
-                    model=latency_model,
-                )
-                selected = select_cuts(scored, selection)
-                result = BlockResult(
-                    graph_name=item.graph_name,
-                    execution_count=item.execution_count,
-                    num_candidate_cuts=len(item.result.cuts),
-                    selected=selected,
-                    software_cycles=total_software_cycles(context, latency_model),
-                    saved_cycles=sum(s.saved_cycles_per_execution for s in selected),
-                )
-                block_results.append(result)
-                for scored_cut in selected:
-                    extension.instructions.append(
-                        make_instruction(
-                            f"cust{instruction_index}",
-                            scored_cut,
-                            context,
-                            latency_model,
-                        )
-                    )
-                    instruction_index += 1
-
-        outcome = PipelineResult(extension=extension, blocks=block_results)
+        # What the run builds and does not return (an owned runner, the
+        # per-block contexts, unselected cuts) is freed when the helper
+        # returns, so that teardown is charged to this span.
+        outcome = _enumerate_and_select(
+            batch_runner
+            or BatchRunner(
+                algorithm=algorithm,
+                constraints=constraints,
+                pruning=pruning,
+                jobs=jobs,
+                timeout=timeout,
+                store=store,
+            ),
+            block_list,
+            constraints,
+            selection,
+            latency_model,
+            application_name,
+            progress,
+            owns_runner=batch_runner is None,
+        )
         metrics = obs.metrics()
         metrics.inc(
-            "ise.instructions_selected_total", len(extension.instructions)
+            "ise.instructions_selected_total", len(outcome.extension.instructions)
         )
-        metrics.inc("ise.blocks_total", len(block_results))
+        metrics.inc("ise.blocks_total", len(outcome.blocks))
         metrics.set_gauge("ise.application_speedup", outcome.application_speedup)
         pipeline_span.note(
-            instructions=len(extension.instructions),
+            instructions=len(outcome.extension.instructions),
             speedup=round(outcome.application_speedup, 4),
         )
     return outcome
+
+
+def _enumerate_and_select(
+    runner: BatchRunner,
+    block_list: List[BlockProfile],
+    constraints: Constraints,
+    selection: SelectionConfig,
+    latency_model: LatencyModel,
+    application_name: str,
+    progress,
+    owns_runner: bool,
+) -> PipelineResult:
+    """Enumerate *block_list* with *runner*, then score and select per block."""
+    # run() drains the stream (store write-back happens per chunk inside
+    # it) and restores input order: instruction naming below is
+    # deterministic.
+    try:
+        with obs.tracer().span("ise.enumerate", cat="ise"):
+            items = runner.run(block_list, progress=progress).items
+    finally:
+        if owns_runner:
+            runner.close()  # release the worker pool of a runner we own
+
+    extension = InstructionSetExtension(application=application_name)
+    block_results: List[BlockResult] = []
+    instruction_index = 0
+
+    with obs.tracer().span("ise.score_select", cat="ise"):
+        for item in items:
+            if item.error is not None:
+                raise RuntimeError(
+                    f"enumeration failed for block {item.graph_name!r}: "
+                    f"{item.error}"
+                )
+            context = item.context or runner.cache.get(item.graph, constraints)
+            if item.result is None:  # timed out: the block stays in software
+                block_results.append(
+                    BlockResult(
+                        graph_name=item.graph_name,
+                        execution_count=item.execution_count,
+                        num_candidate_cuts=0,
+                        software_cycles=total_software_cycles(
+                            context, latency_model
+                        ),
+                    )
+                )
+                continue
+            scored = score_cuts(
+                item.result.cuts,
+                context,
+                execution_count=item.execution_count,
+                model=latency_model,
+            )
+            selected = select_cuts(scored, selection)
+            result = BlockResult(
+                graph_name=item.graph_name,
+                execution_count=item.execution_count,
+                num_candidate_cuts=len(item.result.cuts),
+                selected=selected,
+                software_cycles=total_software_cycles(context, latency_model),
+                saved_cycles=sum(s.saved_cycles_per_execution for s in selected),
+            )
+            block_results.append(result)
+            for scored_cut in selected:
+                extension.instructions.append(
+                    make_instruction(
+                        f"cust{instruction_index}",
+                        scored_cut,
+                        context,
+                        latency_model,
+                    )
+                )
+                instruction_index += 1
+
+    return PipelineResult(extension=extension, blocks=block_results)

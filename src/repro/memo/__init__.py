@@ -12,12 +12,7 @@ The repo's first persistence layer.  Three cooperating pieces:
   in-memory LRU front;
 * :mod:`repro.memo.dedup` — isomorphism-class deduplication over a workload:
   enumerate one representative per class and remap the cut bit masks through
-  the canonical permutations onto every member;
-* :mod:`repro.memo.insearch` — in-search memoization: bounded, domain-sharded
-  tables of cut-validity verdicts and contribution unions keyed on packed
-  subgraph masks, consulted by the enumerators mid-search so repeated local
-  structure (within one block or across same-shape blocks) is a dict probe
-  instead of a recomputation.
+  the canonical permutations onto every member.
 
 The engine's :class:`~repro.engine.batch.BatchRunner` consults a
 :class:`ResultStore` before dispatching work and writes results back
@@ -39,15 +34,6 @@ from .dedup import (
     group_by_isomorphism,
     iter_enumerate_deduplicated,
     remap_masks,
-)
-from .insearch import (
-    INSEARCH_ENV,
-    InSearchMemo,
-    InSearchView,
-    domain_key_for,
-    insearch_disabled,
-    insearch_enabled,
-    set_insearch_enabled,
 )
 from .store import (
     STORE_FORMAT_VERSION,
@@ -71,13 +57,6 @@ __all__ = [
     "group_by_isomorphism",
     "iter_enumerate_deduplicated",
     "remap_masks",
-    "INSEARCH_ENV",
-    "InSearchMemo",
-    "InSearchView",
-    "domain_key_for",
-    "insearch_disabled",
-    "insearch_enabled",
-    "set_insearch_enabled",
     "STORE_FORMAT_VERSION",
     "ResultStore",
     "StoredResult",

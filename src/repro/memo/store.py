@@ -49,9 +49,9 @@ def request_fingerprint(
 ) -> str:
     """Stable hash of everything besides the graph that shapes a result.
 
-    Combines the constraint fingerprint with the pruning configuration (a
-    pruning rule must never change the cut set, but fingerprinting it keeps
-    the store trustworthy even while debugging a pruning rule).
+    Combines the constraint fingerprint with the pruning configuration: the
+    configurations do not all report the same cuts (see
+    :mod:`repro.core.incremental`), so each gets its own entries.
     """
     payload = json.dumps(
         {
@@ -82,8 +82,6 @@ def stats_to_dict(stats: EnumerationStats) -> Dict[str, object]:
         "pruned": dict(stats.pruned),
         "elapsed_seconds": stats.elapsed_seconds,
         "lt_seconds": stats.lt_seconds,
-        "forbidden_cache_hits": stats.forbidden_cache_hits,
-        "forbidden_cache_misses": stats.forbidden_cache_misses,
         "insearch_hits": stats.insearch_hits,
         "insearch_misses": stats.insearch_misses,
         "insearch_evictions": stats.insearch_evictions,
@@ -102,8 +100,6 @@ def stats_from_dict(data: Dict[str, object]) -> EnumerationStats:
         pruned={str(k): int(v) for k, v in dict(data.get("pruned", {})).items()},
         elapsed_seconds=float(data.get("elapsed_seconds", 0.0)),
         lt_seconds=float(data.get("lt_seconds", 0.0)),
-        forbidden_cache_hits=int(data.get("forbidden_cache_hits", 0)),
-        forbidden_cache_misses=int(data.get("forbidden_cache_misses", 0)),
         insearch_hits=int(data.get("insearch_hits", 0)),
         insearch_misses=int(data.get("insearch_misses", 0)),
         insearch_evictions=int(data.get("insearch_evictions", 0)),

@@ -277,21 +277,9 @@ def format_run_report(
         "store.misses_total", 0
     )
     cache_sides = counter_by_label(document, "context_cache.hits_total", "side")
-    insearch_lookups = totals.get("enum.insearch_hits_total", 0) + totals.get(
-        "enum.insearch_misses_total", 0
-    )
-    if store_lookups or cache_sides or insearch_lookups:
+    if store_lookups or cache_sides:
         lines.append("")
         lines.append("memoization:")
-        if insearch_lookups:
-            lines.append(
-                "  in-search memo       : "
-                + _rate(
-                    totals.get("enum.insearch_hits_total", 0),
-                    totals.get("enum.insearch_misses_total", 0),
-                )
-                + f", {int(totals.get('enum.insearch_evictions_total', 0))} eviction(s)"
-            )
         if store_lookups:
             lines.append(
                 "  result store         : "

@@ -18,7 +18,6 @@ interleaving and min-of-N.  This module is the single implementation:
 
 from __future__ import annotations
 
-import gc
 import statistics
 import time
 from dataclasses import dataclass
@@ -68,28 +67,12 @@ def interleaved_timings(
     variants: Mapping[str, Callable[[], object]],
     repeats: int = DEFAULT_REPEATS,
     warmup: int = DEFAULT_WARMUP,
-    clock: Callable[[], float] = time.perf_counter,
-    gc_collect: bool = False,
-    gc_quiesce: bool = False,
 ) -> Dict[str, TimingResult]:
     """Time every variant min-of-*repeats*, one round-robin pass per repeat.
 
     Each repetition runs every variant once in declaration order, so slow
     drift (thermal throttling, a neighbour container waking up) biases no
     single variant.  Warmup rounds run every variant too.
-
-    *clock* defaults to wall time; pass ``time.process_time`` for
-    CPU-bound in-process comparisons on shared machines, where wall-clock
-    drift between rounds can exceed the effect being measured.
-
-    *gc_collect* collects pending garbage **outside** each timed window, so
-    a collection triggered by the *previous* round's garbage cannot land in
-    whichever variant runs next and fake an overhead.  *gc_quiesce*
-    additionally disables the cyclic GC inside the window (implies the
-    collect).  Beware of quiescing variant *comparisons* where one variant
-    allocates much more than the other: with the GC off, the heavier
-    variant pays disproportionate allocator costs that a normally-running
-    GC would amortize, skewing the ratio — prefer plain *gc_collect* there.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
@@ -101,17 +84,9 @@ def interleaved_timings(
     samples: Dict[str, List[float]] = {name: [] for name in variants}
     for _ in range(repeats):
         for name, fn in variants.items():
-            if gc_collect or gc_quiesce:
-                gc.collect()
-            if gc_quiesce:
-                gc.disable()
-            try:
-                start = clock()
-                fn()
-                samples[name].append(clock() - start)
-            finally:
-                if gc_quiesce:
-                    gc.enable()
+            start = time.perf_counter()
+            fn()
+            samples[name].append(time.perf_counter() - start)
     return {name: TimingResult.from_samples(values) for name, values in samples.items()}
 
 

@@ -6,12 +6,10 @@ Importing this package registers every repo benchmark with
 * :mod:`.engine` — the engine-stack gates (core hot path, batch dispatch,
   streaming scheduler, memo store, observability overhead);
 * :mod:`.frontend` — the compiler frontend;
-* :mod:`.insearch` — the in-search memoization A/B gates (repetition-corpus
-  speedup, non-repetitive overhead ceiling, bit-identity);
 * :mod:`.paper` — the paper-reproduction experiments (dominator kernel,
   Figure 4/5, pruning ablation, complexity scaling, ISE speedups);
 * :mod:`.selfcheck` — a millisecond-scale harness self-check (suite
   ``dev``), used by the tests and as the CONTRIBUTING example.
 """
 
-from . import engine, frontend, insearch, paper, selfcheck  # noqa: F401
+from . import engine, frontend, paper, selfcheck  # noqa: F401

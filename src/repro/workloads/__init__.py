@@ -15,12 +15,6 @@ from .mibench_like import (
     paper_scale_suite,
     size_cluster,
 )
-from .repetition import (
-    IDIOMS,
-    RepetitionBlockSpec,
-    generate_repetition_block,
-    repetition_suite,
-)
 from .suite import WorkloadSuite
 from .synthetic import (
     DEFAULT_OPCODE_MIX,
@@ -42,10 +36,6 @@ __all__ = [
     "paper_scale_suite",
     "size_cluster",
     "WorkloadSuite",
-    "IDIOMS",
-    "RepetitionBlockSpec",
-    "generate_repetition_block",
-    "repetition_suite",
     "DEFAULT_OPCODE_MIX",
     "SyntheticBlockSpec",
     "generate_basic_block",

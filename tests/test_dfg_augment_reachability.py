@@ -162,13 +162,3 @@ class TestReachability:
         assert reach.forbidden_on_path(addr, scaled)
         assert reach.forbidden_on_path(addr, total)
         assert not reach.forbidden_on_path(scaled, total)
-
-    def test_forbidden_between_count(self, loads_graph):
-        reach = ReachabilityInfo(loads_graph)
-        names = {loads_graph.node(v).name: v for v in loads_graph.node_ids()}
-        # Between 'scaled' and 'total' there is no forbidden predecessor
-        # besides possibly external constants.
-        count = reach.forbidden_between_count(names["scaled"], names["total"])
-        assert count >= 0
-        # The cache returns the same answer on the second call.
-        assert reach.forbidden_between_count(names["scaled"], names["total"]) == count

@@ -10,13 +10,14 @@ the ``ResultStore`` lifetime counters, and the ``--trace`` /
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 
 import pytest
 
 from repro.cli import main
-from repro.core import EnumerationStats
+from repro.core import Constraints, EnumerationStats, enumerate_cuts
 from repro.dfg.builder import diamond, linear_chain
 from repro.engine import BatchRunner
 from repro.memo.store import ResultStore, StoredResult
@@ -34,7 +35,12 @@ from repro.obs import (
     validate_trace_records,
     write_trace_file,
 )
-from repro.workloads import WorkloadSuite, build_kernel
+from repro.workloads import (
+    SyntheticBlockSpec,
+    WorkloadSuite,
+    build_kernel,
+    generate_basic_block,
+)
 from tests.conftest import make_random_dag
 
 
@@ -252,8 +258,6 @@ def _integer_stats(stats: EnumerationStats) -> dict:
         "lt_calls": stats.lt_calls,
         "pick_output_calls": stats.pick_output_calls,
         "pick_input_calls": stats.pick_input_calls,
-        "forbidden_cache_hits": stats.forbidden_cache_hits,
-        "forbidden_cache_misses": stats.forbidden_cache_misses,
         "pruned": dict(stats.pruned),
     }
 
@@ -312,6 +316,21 @@ class TestEngineIntegration:
             assert _integer_stats(seq_item.result.stats) == _integer_stats(
                 par_item.result.stats
             ), f"stats diverged for {seq_item.graph_name}"
+
+    def test_block_stats_do_not_depend_on_batch_history(self):
+        """A block reports the same counters whatever ran before it.
+
+        The twin has the original's structure under another name, so the
+        context cache builds it a fresh context; no search state may carry
+        over from the original's run and shrink the twin's ``lt_calls``.
+        """
+        constraints = Constraints(max_inputs=4, max_outputs=2)
+        original = generate_basic_block(SyntheticBlockSpec(num_operations=14, seed=3))
+        twin = original.copy(name=f"{original.name}_twin")
+        report = BatchRunner(constraints=constraints, jobs=1).run([original, twin])
+        alone = enumerate_cuts(twin, constraints)
+        assert alone.stats.lt_calls > 0
+        assert _integer_stats(report.items[1].result.stats) == _integer_stats(alone.stats)
 
     def test_disabled_obs_keeps_wire_format_plain(self, obs_suite):
         """With observability off, nothing must change on the pool wire."""
@@ -433,11 +452,22 @@ class TestStoreObservability:
             pruned={"connectedness": 6},
             elapsed_seconds=0.5,
             lt_seconds=0.125,
-            forbidden_cache_hits=8,
-            forbidden_cache_misses=9,
+            insearch_hits=8,
+            insearch_misses=9,
+            insearch_evictions=10,
         )
         clone = stats_from_dict(stats_to_dict(stats))
         assert clone == stats
+
+    def test_merge_adds_every_counter(self):
+        counters = [
+            f.name for f in dataclasses.fields(EnumerationStats) if f.name != "pruned"
+        ]
+        total = EnumerationStats(**{name: 1 for name in counters})
+        total.merge(EnumerationStats(**{name: 2 for name in counters}))
+        assert {name: getattr(total, name) for name in counters} == {
+            name: 3 for name in counters
+        }
 
 
 # --------------------------------------------------------------------------- #

@@ -14,8 +14,7 @@ optimisation may not change that relationship in either direction).
 
 The unit tests pin down the new machinery directly: the DAG dominator
 kernel against Lengauer–Tarjan, contribution-table invalidation on
-forbidden-fingerprint changes, the bounded forbidden-between memo with its
-hit/miss counters, and the ``REPRO_DEBUG_VALIDITY`` cross-check.
+forbidden-fingerprint changes, and the ``REPRO_DEBUG_VALIDITY`` cross-check.
 """
 
 from __future__ import annotations
@@ -30,8 +29,6 @@ from repro.core.context import EnumerationContext
 from repro.core.enumeration import enumerate_cuts_basic
 from repro.core.incremental import enumerate_cuts
 from repro.core.pruning import FULL_PRUNING, NO_PRUNING
-from repro.core.stats import EnumerationStats
-from repro.dfg import reachability
 from repro.dfg.builder import diamond, linear_chain
 from repro.dfg.reachability import ReachabilityIndex, mask_from_ids, popcount
 from repro.dominators.iterative import immediate_dominators_dag
@@ -225,40 +222,6 @@ class TestContributionTables:
         enumerate_cuts(graph, constraints, pruning=FULL_PRUNING, context=ctx)
         enumerate_cuts(graph, constraints, pruning=NO_PRUNING, context=ctx)
         assert ctx.contribution_tables is tables
-
-
-class TestBoundedForbiddenBetweenCache:
-    def test_cap_and_counters(self, monkeypatch):
-        monkeypatch.setattr(reachability, "FORBIDDEN_BETWEEN_CACHE_LIMIT", 4)
-        graph = make_random_dag(11, num_operations=12, memory_probability=0.4)
-        index = ReachabilityIndex(graph)
-        pairs = [
-            (u, w)
-            for u in graph.node_ids()
-            for w in graph.node_ids()
-            if u != w
-        ][:20]
-        for u, w in pairs:
-            index.forbidden_between_count(u, w)
-        assert len(index._forbidden_between_cache) <= 4
-        assert index.forbidden_cache_misses == len(pairs)
-        assert index.forbidden_cache_hits == 0
-        # A re-query of a resident entry is a hit and changes no counts.
-        resident = next(iter(index._forbidden_between_cache))
-        before = index.forbidden_between_count(*resident)
-        assert index.forbidden_cache_hits == 1
-        assert index.forbidden_between_count(*resident) == before
-
-    def test_counters_surface_in_enumeration_stats(self):
-        stats = EnumerationStats(forbidden_cache_hits=2, forbidden_cache_misses=3)
-        other = EnumerationStats(forbidden_cache_hits=1, forbidden_cache_misses=4)
-        stats.merge(other)
-        assert stats.forbidden_cache_hits == 3
-        assert stats.forbidden_cache_misses == 7
-        assert "forbidden-path cache" in stats.summary()
-        result = enumerate_cuts(diamond(), Constraints(max_inputs=4, max_outputs=2))
-        assert result.stats.forbidden_cache_hits >= 0
-        assert result.stats.forbidden_cache_misses >= 0
 
 
 class TestClosureHelpers:
