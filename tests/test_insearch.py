@@ -1,61 +1,28 @@
-"""In-search memoization guard-rails (:mod:`repro.memo.insearch`).
+"""The ``EnumerationStats.insearch_*`` counters.
 
-The memo must be invisible in the results: the randomized property test
-drives >= 100 graphs through every pruning variant three ways — memo
-disabled, a fresh private memo, and one memo shared across all graphs (the
-batch-engine configuration, where domains accumulate cross-block state) —
-and asserts bit-identical cut sets.  The unit tests pin the machinery
-directly: domain-key name-blindness, two-level eviction under pressure,
-counter monotonicity, the ``REPRO_DEBUG_VALIDITY`` hit revalidation (both
-that it runs and that it actually catches a poisoned entry), worker-resident
-memo warmth across chunks, sequential-vs-pool stats parity, serializer
-round-trips of the new counters, the :class:`~repro.caching.BoundedMemo`
-``raw_getter`` hot-path contract, and the CLI/environment kill switches.
+The search has no in-search memo, so these three fields are always zero;
+they stay on :class:`~repro.core.stats.EnumerationStats` because isebench
+reads them.  These tests pin what is left of them: the stored-result
+serializer keeps them, and a batch reports the same cuts and the same
+counters, zeros included, whether it runs in this process or in a worker
+pool, even when structurally identical blocks repeat under other names.
 """
 
 from __future__ import annotations
 
-import os
+import dataclasses
 
 import pytest
 
-from repro.caching import BoundedMemo
-from repro.cli import main
 from repro.core import Constraints
-from repro.core.context import EnumerationContext
-from repro.core.incremental import enumerate_cuts
-from repro.core.pruning import FULL_PRUNING, NO_PRUNING
 from repro.core.stats import EnumerationStats
-from repro.dfg.serialization import graph_to_wire
 from repro.engine import BatchRunner
-from repro.engine import batch as batch_mod
-from repro.memo.insearch import (
-    DEFAULT_TABLE_LIMIT,
-    INSEARCH_ENV,
-    InSearchMemo,
-    domain_key_for,
-    insearch_disabled,
-    insearch_enabled,
-    set_insearch_enabled,
-)
 from repro.memo.store import stats_from_dict, stats_to_dict
-from repro.workloads import generate_suite, repetition_suite
-from repro.workloads.repetition import RepetitionBlockSpec, generate_repetition_block
-from tests.conftest import make_random_dag
+from repro.workloads import build_kernel, generate_suite
 
 CONSTRAINTS = Constraints(max_inputs=4, max_outputs=2)
 
-PRUNING_VARIANTS = [FULL_PRUNING, NO_PRUNING] + [
-    FULL_PRUNING.disable(name) for name in FULL_PRUNING.enabled_names()
-]
-
-
-@pytest.fixture(autouse=True)
-def _memo_globals_restored():
-    """No test may leak the process-local force flag or the env switch."""
-    yield
-    set_insearch_enabled(None)
-    os.environ.pop(INSEARCH_ENV, None)
+INSEARCH_FIELDS = ("insearch_hits", "insearch_misses", "insearch_evictions")
 
 
 def _cut_keys(result):
@@ -65,229 +32,42 @@ def _cut_keys(result):
     )
 
 
-def _enumerate_shared(graph, pruning, memo, constraints=CONSTRAINTS):
-    """Enumerate with an externally owned memo (the batch-engine wiring)."""
-    context = EnumerationContext.build(graph, constraints)
-    context.insearch_memo = memo
-    return enumerate_cuts(graph, constraints, pruning, context=context)
-
-
-def _property_graphs():
-    """>= 100 graphs: random DAGs plus tiled idiom blocks (high repetition)."""
-    graphs = [make_random_dag(seed, num_operations=5 + seed % 5) for seed in range(96)]
-    graphs.extend(repetition_suite(copies_per_idiom=2, repetitions=3))
-    return graphs
-
-
-class TestBitIdentityProperty:
-    """Memo on/off/shared must agree bit for bit, every pruning variant."""
-
-    def test_memo_invisible_across_prunings_and_graphs(self):
-        shared = InSearchMemo()
-        checked = 0
-        for index, graph in enumerate(_property_graphs()):
-            # The two semantic extremes on every graph; the per-rule
-            # ablations on every other graph (same economy as
-            # test_perf_core's equivalence property).
-            variants = PRUNING_VARIANTS if index % 2 == 0 else PRUNING_VARIANTS[:2]
-            for pruning in variants:
-                with insearch_disabled():
-                    off = enumerate_cuts(graph, CONSTRAINTS, pruning)
-                fresh = enumerate_cuts(graph, CONSTRAINTS, pruning)
-                warm = _enumerate_shared(graph, pruning, shared)
-                baseline = _cut_keys(off)
-                assert _cut_keys(fresh) == baseline, (graph.name, pruning)
-                assert _cut_keys(warm) == baseline, (graph.name, pruning)
-                assert off.stats.insearch_hits == 0
-                assert off.stats.insearch_misses == 0
-                assert fresh.stats.insearch_hits + fresh.stats.insearch_misses > 0
-            checked += 1
-        assert checked >= 100
-        hits, misses, _ = shared.counters()
-        assert hits > 0 and misses > 0
-
-    def test_single_run_stats_match_memo_off(self):
-        """A standalone run's search-effort stats are memo-independent."""
-        graph = make_random_dag(11, num_operations=10)
-        with insearch_disabled():
-            off = enumerate_cuts(graph, CONSTRAINTS)
-        on = enumerate_cuts(graph, CONSTRAINTS)
-        assert on.stats.cuts_found == off.stats.cuts_found
-        assert on.stats.candidates_checked == off.stats.candidates_checked
-        assert on.stats.pick_output_calls == off.stats.pick_output_calls
-        assert on.stats.pick_input_calls == off.stats.pick_input_calls
-        assert on.stats.pruned == off.stats.pruned
-
-
-class TestDomainKeys:
-    def test_renamed_copies_share_a_domain(self):
-        spec = dict(idiom="mac", repetitions=4, num_external_inputs=3)
-        first = generate_repetition_block(RepetitionBlockSpec(name="a", **spec))
-        second = generate_repetition_block(RepetitionBlockSpec(name="b", **spec))
-        key_a = domain_key_for(EnumerationContext.build(first, CONSTRAINTS))
-        key_b = domain_key_for(EnumerationContext.build(second, CONSTRAINTS))
-        assert key_a == key_b
-
-    def test_different_structure_or_flags_split_domains(self):
-        base = RepetitionBlockSpec(idiom="mac", repetitions=4, name="a")
-        mac = generate_repetition_block(base)
-        unpack = generate_repetition_block(
-            RepetitionBlockSpec(idiom="unpack", repetitions=4, name="a")
-        )
-        key_mac = domain_key_for(EnumerationContext.build(mac, CONSTRAINTS))
-        key_unpack = domain_key_for(EnumerationContext.build(unpack, CONSTRAINTS))
-        assert key_mac != key_unpack
-
-        flipped = generate_repetition_block(base)
-        op_id = flipped.operation_nodes()[0]
-        flipped.set_live_out(op_id, not flipped.node(op_id).live_out)
-        key_flipped = domain_key_for(EnumerationContext.build(flipped, CONSTRAINTS))
-        assert key_flipped != key_mac
-
-    def test_shared_domain_yields_cross_block_hits(self):
-        """The second renamed copy must start warm, not cold."""
-        spec = dict(idiom="mix", repetitions=4)
-        memo = InSearchMemo()
-        first = _enumerate_shared(
-            generate_repetition_block(RepetitionBlockSpec(name="a", **spec)),
-            FULL_PRUNING,
-            memo,
-        )
-        second = _enumerate_shared(
-            generate_repetition_block(RepetitionBlockSpec(name="b", **spec)),
-            FULL_PRUNING,
-            memo,
-        )
-        assert len(memo) == 1
-        assert second.stats.insearch_hits > first.stats.insearch_hits
-        assert second.stats.insearch_misses == 0
-
-
-class TestEvictionUnderPressure:
-    def test_domain_lru_and_table_fifo_eviction(self):
-        memo = InSearchMemo(max_domains=2, table_limit=16)
-        graphs = [make_random_dag(seed, num_operations=8) for seed in range(4)]
-        baselines = []
-        with insearch_disabled():
-            for graph in graphs:
-                baselines.append(_cut_keys(enumerate_cuts(graph, CONSTRAINTS)))
-        previous = (0, 0, 0)
-        for _ in range(2):  # second pass re-creates the evicted domains
-            for graph, baseline in zip(graphs, baselines):
-                result = _enumerate_shared(graph, FULL_PRUNING, memo)
-                assert _cut_keys(result) == baseline, graph.name
-                current = memo.counters()
-                assert all(c >= p for c, p in zip(current, previous))
-                previous = current
-        assert len(memo) <= 2
-        hits, misses, evictions = memo.counters()
-        assert evictions > 0  # both domain retirement and table FIFO pressure
-        assert hits > 0 and misses > 0
-
-    def test_clear_retires_counters_without_regression(self):
-        memo = InSearchMemo(table_limit=64)
-        _enumerate_shared(make_random_dag(3, num_operations=8), FULL_PRUNING, memo)
-        before = memo.counters()
-        assert before[1] > 0
-        memo.clear()
-        assert len(memo) == 0
-        after = memo.counters()
-        assert after[0] == before[0] and after[1] == before[1]
-        assert after[2] >= before[2]
-
-    def test_rejects_degenerate_bounds(self):
-        with pytest.raises(ValueError):
-            InSearchMemo(max_domains=0)
-        with pytest.raises(ValueError):
-            BoundedMemo(0)
-
-
-class TestDebugValidation:
-    def test_hits_are_revalidated(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DEBUG_VALIDITY", "1")
-        memo = InSearchMemo()
-        graph = make_random_dag(21, num_operations=9)
-        cold = _enumerate_shared(graph, FULL_PRUNING, memo)
-        warm = _enumerate_shared(graph, FULL_PRUNING, memo)
-        assert _cut_keys(warm) == _cut_keys(cold)
-        assert warm.stats.insearch_hits > 0  # every one of them recomputed
-
-    def test_poisoned_entry_is_caught(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DEBUG_VALIDITY", "1")
-        memo = InSearchMemo()
-        graph = make_random_dag(22, num_operations=9)
-        _enumerate_shared(graph, FULL_PRUNING, memo)
-        (domain,) = (memo.domain(key) for key in list(memo._domains))
-        assert len(domain.profiles) > 0
-        for mask, _ in list(domain.profiles.items()):
-            domain.profiles.put(mask, (0, 0, False))
-        with pytest.raises(AssertionError, match="in-search memo"):
-            _enumerate_shared(graph, FULL_PRUNING, memo)
+def _counters(stats: EnumerationStats) -> dict:
+    """Every counter except the wall-clock timings."""
+    values = dataclasses.asdict(stats)
+    del values["elapsed_seconds"], values["lt_seconds"]
+    return values
 
 
 class TestBatchIntegration:
     @pytest.fixture()
     def suite(self):
-        suite = repetition_suite(copies_per_idiom=2, repetitions=4)
-        for graph in generate_suite(sizes=(10, 14), blocks_per_size=1, base_seed=31):
-            suite.add(graph)
+        suite = []
+        for graph in (
+            build_kernel("crc32_step"),
+            *generate_suite(sizes=(10, 14), blocks_per_size=1, base_seed=31),
+        ):
+            suite.append(graph)
+            suite.append(graph.copy(name=f"{graph.name}_copy"))
         return suite
 
     def test_sequential_vs_pool_parity(self, suite):
         sequential = BatchRunner(constraints=CONSTRAINTS, jobs=1).run(suite)
-        pooled = BatchRunner(constraints=CONSTRAINTS, jobs=2).run(suite)
+        with BatchRunner(constraints=CONSTRAINTS, jobs=2) as runner:
+            pooled = runner.run(suite)
+        assert len(sequential.items) == len(pooled.items) == len(suite)
         for seq_item, pool_item in zip(sequential.items, pooled.items):
+            assert seq_item.graph_name == pool_item.graph_name
             assert seq_item.ok and pool_item.ok
             assert _cut_keys(seq_item.result) == _cut_keys(pool_item.result)
+            assert _counters(seq_item.result.stats) == _counters(
+                pool_item.result.stats
+            ), seq_item.graph_name
         seq_stats = sequential.total_stats()
         pool_stats = pooled.total_stats()
-        # The consultation *count* is pure control flow, hence identical;
-        # the hit/miss split depends on which worker saw a shape first.
-        assert (
-            seq_stats.insearch_hits + seq_stats.insearch_misses
-            == pool_stats.insearch_hits + pool_stats.insearch_misses
-        )
-        assert seq_stats.insearch_hits > 0
-        assert pool_stats.insearch_hits + pool_stats.insearch_misses > 0
-
-    def test_worker_memo_persists_across_chunks(self):
-        """Two chunks through one worker process: the second starts warm."""
-        spec = dict(idiom="mac", repetitions=4)
-        blocks = [
-            generate_repetition_block(RepetitionBlockSpec(name=name, **spec))
-            for name in ("first", "second")
-        ]
-        monkey_cache = batch_mod._worker_cache
-        batch_mod._worker_cache = None  # fresh worker state for the test
-        try:
-            stats = []
-            for graph in blocks:
-                payload = (
-                    "poly-enum-incremental",
-                    CONSTRAINTS,
-                    None,
-                    ((graph.structural_hash(), graph_to_wire(graph)),),
-                    None,
-                )
-                (record,) = batch_mod._enumerate_chunk(payload)
-                assert "error" not in record and "missing" not in record
-                stats.append(record["stats"])
-            assert batch_mod._worker_cache is not None
-            assert stats[0].insearch_misses > 0
-            # The renamed copy arrived in a *different chunk* yet hit the
-            # worker-resident memo from the first chunk's domain.
-            assert stats[1].insearch_misses == 0
-            assert stats[1].insearch_hits > 0
-        finally:
-            batch_mod._worker_cache = monkey_cache
-
-    def test_disabled_run_reports_zero_traffic(self, suite):
-        with insearch_disabled():
-            report = BatchRunner(constraints=CONSTRAINTS, jobs=1).run(suite)
-        stats = report.total_stats()
-        assert stats.insearch_hits == 0
-        assert stats.insearch_misses == 0
-        assert stats.insearch_evictions == 0
+        assert seq_stats.lt_calls > 0
+        for name in INSEARCH_FIELDS:
+            assert getattr(seq_stats, name) == getattr(pool_stats, name) == 0
 
 
 class TestStatsSerialization:
@@ -299,91 +79,10 @@ class TestStatsSerialization:
         assert restored.insearch_hits == 7
         assert restored.insearch_misses == 5
         assert restored.insearch_evictions == 2
-
-    def test_merge_accumulates_new_counters(self):
-        total = EnumerationStats(insearch_hits=1, insearch_misses=2)
-        total.merge(EnumerationStats(insearch_hits=10, insearch_misses=20, insearch_evictions=4))
-        assert (total.insearch_hits, total.insearch_misses, total.insearch_evictions) == (
-            11,
-            22,
-            4,
-        )
-
-    def test_summary_mentions_memo_only_when_active(self):
-        assert "in-search memo" not in EnumerationStats().summary()
-        active = EnumerationStats(insearch_hits=1).summary()
-        assert "in-search memo" in active
-
-
-class TestBoundedMemoRawGetter:
-    def test_raw_getter_is_uncounted_and_survives_clear(self):
-        memo: BoundedMemo[int, str] = BoundedMemo(2)
-        getter = memo.raw_getter
-        memo.put(1, "one")
-        assert getter(1) == "one"
-        assert getter(2) is None
-        assert memo.hits == 0 and memo.misses == 0  # raw probes do not count
-        memo.clear()
-        assert getter(1) is None  # same dict object, now empty
-        memo.put(3, "three")
-        assert getter(3) == "three"
-
-    def test_writes_through_put_still_evict(self):
-        memo: BoundedMemo[int, int] = BoundedMemo(2)
-        getter = memo.raw_getter
-        for key in range(3):
-            memo.put(key, key)
-        assert memo.evictions == 1
-        assert getter(0) is None and getter(2) == 2
-
-
-class TestKillSwitches:
-    def test_env_and_force_precedence(self, monkeypatch):
-        monkeypatch.delenv(INSEARCH_ENV, raising=False)
-        assert insearch_enabled()  # module default resolved at import
-        set_insearch_enabled(False)
-        assert not insearch_enabled()
-        set_insearch_enabled(True)
-        assert insearch_enabled()
-        set_insearch_enabled(None)
-        with insearch_disabled():
-            assert not insearch_enabled()
-            assert os.environ.get(INSEARCH_ENV) == "1"
-        assert insearch_enabled()
-        assert os.environ.get(INSEARCH_ENV) is None
-
-    def test_cli_flag_disables_memo(self, monkeypatch, capsys):
-        monkeypatch.delenv(INSEARCH_ENV, raising=False)
-        assert main(["enumerate", "crc32_step", "--no-insearch-memo"]) == 0
-        # The flag must cover both this process and any future worker pool.
-        assert not insearch_enabled()
-        assert os.environ.get(INSEARCH_ENV) == "1"
-        capsys.readouterr()
-
-
-class TestRepetitionGenerator:
-    def test_suite_shape_and_names(self):
-        suite = repetition_suite(copies_per_idiom=3, repetitions=8)
-        assert len(suite) == 9
-        names = [graph.name for graph in suite]
-        assert len(set(names)) == len(names)
-        assert all(name.startswith("rep_") for name in names)
-
-    def test_unknown_idiom_rejected(self):
-        with pytest.raises((KeyError, ValueError)):
-            generate_repetition_block(RepetitionBlockSpec(idiom="nope", repetitions=2))
-
-    def test_copies_are_structurally_identical(self):
-        suite = repetition_suite(idioms=("unpack",), copies_per_idiom=2, repetitions=3)
-        first, second = list(suite)
-
-        def shape(graph):
-            return (
-                [(n.opcode, n.forbidden, n.live_out) for n in graph.nodes()],
-                sorted(graph.edges()),
-            )
-
-        # structural_hash covers the graph *name*, so renamed copies differ
-        # there by design; the wiring and flags must coincide exactly.
-        assert first.structural_hash() != second.structural_hash()
-        assert shape(first) == shape(second)
+        # A record written without the fields reads back as zeros.
+        legacy = stats_to_dict(stats)
+        for name in INSEARCH_FIELDS:
+            del legacy[name]
+        restored = stats_from_dict(legacy)
+        assert restored.cuts_found == 3
+        assert all(getattr(restored, name) == 0 for name in INSEARCH_FIELDS)
