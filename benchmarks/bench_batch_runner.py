@@ -2,14 +2,16 @@
 
 The engine's :class:`~repro.engine.batch.BatchRunner` drives every basic
 block of a workload through one enumeration algorithm, optionally across a
-persistent worker pool with chunked dispatch.  Three properties matter:
+persistent worker pool (one block per task).  Three properties matter:
 
 * **determinism** — ``jobs=2`` and forced-pool runs return bit-identical
   cuts (and identical ISE selections) to the sequential run (asserted);
-* **dispatch overhead** — a warmed forced-pool ``jobs=1`` run over the
-  frontend corpus must cost < 15% over the sequential run (``gate_max`` on
+* **dispatch overhead** — a forced-pool ``jobs=1`` run over the frontend
+  corpus must cost < 15% over the sequential run (``gate_max`` on
   ``dispatch_overhead``) — the honest, single-core-measurable proxy for
-  "parallelism can win";
+  "parallelism can win".  Every timed call starts from cold contexts, as
+  one ``repro ise`` call does: spawned workers, a fresh parent-side
+  ``ContextCache`` and a fresh sequential runner;
 * **throughput** — the ``jobs=2`` speedup is recorded for the trend; on
   machines with ``cpu_count >= 2`` it is asserted above 1.5x, on
   single-core containers there is no parallelism to buy, so it is skipped.

@@ -15,8 +15,8 @@ The hot path is organised around precomputation and incrementality:
 
 * the ``B({w}, o)`` contributions come from the context's
   :class:`~repro.core.context.ContributionTables` (one closure intersection
-  per (vertex, output) pair, computed once and shared across pruning
-  configurations and batch workers through the engine's context cache);
+  per (vertex, output) pair, computed once per context and shared across
+  pruning configurations through the engine's context cache);
 * the dominator queries go through the context's shared caches — one
   Lengauer–Tarjan run per distinct *reachable region*, answering the
   completion query of every output of that region;

@@ -35,12 +35,9 @@ from .reachability import (
     popcount,
 )
 from .serialization import (
-    WIRE_VERSION,
     dumps,
     graph_from_dict,
-    graph_from_wire,
     graph_to_dict,
-    graph_to_wire,
     load,
     loads,
     save,
@@ -82,9 +79,6 @@ __all__ = [
     "load",
     "graph_to_dict",
     "graph_from_dict",
-    "graph_to_wire",
-    "graph_from_wire",
-    "WIRE_VERSION",
     "ValidationError",
     "ValidationReport",
     "validate_graph",

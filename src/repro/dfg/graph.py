@@ -201,8 +201,7 @@ class DataFlowGraph:
         invalidate it.  Mutating a :class:`~repro.dfg.node.DFGNode` record
         directly bypasses the invalidation — use the setters.
 
-        This is the fingerprint of the engine's context cache, the batch
-        wire format and the worker-resident graph registries.
+        This is the fingerprint of the engine's context cache.
         """
         cached = self._structural_hash
         if cached is None:

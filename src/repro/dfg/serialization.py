@@ -25,32 +25,16 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union, cast
+from typing import Any, Dict, List, Tuple, Union, cast
 
 from .graph import DataFlowGraph
 from .opcodes import Opcode
-
-#: One node of the wire tuple: ``(opcode_value, name, forbidden, live_out,
-#: attr_pairs)`` — see :func:`graph_to_wire` for the layout contract.
-WireNode = Tuple[str, Optional[str], bool, bool, Tuple[Tuple[str, Any], ...]]
-
-#: The full wire tuple: ``(WIRE_VERSION, name, nodes, edges)``.
-WireGraph = Tuple[int, str, Tuple[WireNode, ...], Tuple[Tuple[int, int], ...]]
 
 #: Version of the DFG JSON schema written by :func:`graph_to_dict`.
 SCHEMA_VERSION = 1
 
 #: Schema versions :func:`graph_from_dict` knows how to read.
 SUPPORTED_SCHEMA_VERSIONS = frozenset({1})
-
-#: Version of the compact in-memory wire format (:func:`graph_to_wire`).
-WIRE_VERSION = 1
-
-#: Statically-extracted shape of the tuple :func:`graph_to_wire` builds,
-#: pinned by ``repro lint``'s wire-drift pass.  Changing the tuple layout
-#: requires bumping :data:`WIRE_VERSION` and recording the new hash here —
-#: old entries stay for provenance.
-GRAPH_TO_WIRE_SHAPE_HISTORY: Dict[int, str] = {1: "07aa5ebe74601b5b"}
 
 
 def graph_to_dict(graph: DataFlowGraph) -> Dict[str, object]:
@@ -113,65 +97,6 @@ def graph_from_dict(data: Dict[str, object]) -> DataFlowGraph:
         assert node_id == expected_id
     for src, dst in cast(List[Tuple[int, int]], data["edges"]):
         graph.add_edge(int(src), int(dst))
-    return graph
-
-
-# --------------------------------------------------------------------------- #
-# Compact wire format (process-to-process, not for disk)
-# --------------------------------------------------------------------------- #
-def graph_to_wire(graph: DataFlowGraph) -> WireGraph:
-    """Convert a DFG to a compact, picklable tuple.
-
-    The wire form is the hot-path sibling of :func:`graph_to_dict`: same
-    information, but plain nested tuples instead of a dictionary-of-
-    dictionaries document, so shipping a graph to a batch worker costs one
-    cheap pickle instead of a JSON encode/decode round-trip.  It is **not** a
-    storage format — it carries no self-describing field names and its layout
-    may change between versions (:data:`WIRE_VERSION` guards mismatches
-    within one process tree).
-
-    Layout::
-
-        (WIRE_VERSION, name,
-         ((opcode_value, node_name, forbidden, live_out, attr_pairs), ...),
-         ((src, dst), ...))
-    """
-    return (
-        WIRE_VERSION,
-        graph.name,
-        tuple(
-            (
-                node.opcode.value,
-                node.name,
-                node.forbidden,
-                node.live_out,
-                tuple(sorted(node.attributes.items())) if node.attributes else (),
-            )
-            for node in graph.nodes()
-        ),
-        tuple(sorted(graph.edges())),
-    )
-
-
-def graph_from_wire(wire: WireGraph) -> DataFlowGraph:
-    """Rebuild a DFG from :func:`graph_to_wire` output."""
-    version, name, nodes, edges = wire
-    if version != WIRE_VERSION:
-        raise ValueError(
-            f"graph {name!r}: unsupported DFG wire version {version!r} "
-            f"(this build speaks version {WIRE_VERSION})"
-        )
-    graph = DataFlowGraph(name=name)
-    for opcode_value, node_name, forbidden, live_out, attr_pairs in nodes:
-        graph.add_node(
-            Opcode(opcode_value),
-            name=node_name,
-            forbidden=forbidden,
-            live_out=live_out,
-            **dict(attr_pairs),
-        )
-    for src, dst in edges:
-        graph.add_edge(src, dst)
     return graph
 
 

@@ -8,59 +8,39 @@ graphs / profiled blocks), enumerates every block with one registry algorithm,
 and returns per-block results in input order plus aggregated statistics.
 
 Parallel runs (``jobs >= 2``, ``jobs="auto"``, or ``force_pool=True``) use a
-**persistent** ``ProcessPoolExecutor`` behind a streaming scheduler.  Three
-design decisions make the pool actually win against sub-40ms enumerations
-from the paper's polynomial-time enumerator:
+**persistent** ``ProcessPoolExecutor`` behind a streaming scheduler.  Each
+pool task is one block, as in the paper, which enumerates every basic block
+on its own: the parent sends the :class:`~repro.dfg.graph.DataFlowGraph`
+pickled as is, the worker builds the block's
+:class:`~repro.core.context.EnumerationContext`, enumerates, and returns the
+cut bit masks and statistics.  Workers keep nothing from one task to the
+next, so a block's counters never depend on what its worker ran before.  The
+parent rebuilds the :class:`~repro.core.cut.Cut` objects against a locally
+built context, so the results of a parallel run are bit-identical to a
+sequential run.
 
-* **Worker-resident state.**  Each worker process keeps a bounded registry of
-  deserialized graphs keyed by the parent's structural fingerprint, plus a
-  :class:`ContextCache` of prepared :class:`EnumerationContext` objects.  A
-  graph is shipped and deserialized once per worker, not once per block;
-  subsequent tasks refer to it by fingerprint only.  The parent tracks how
-  many copies of each graph it has shipped and stops attaching the graph
-  body once every worker can have seen it; a worker that nevertheless misses
-  a graph (registry eviction, unlucky task routing) reports ``missing`` and
-  the block is resubmitted with the body attached.
-* **Size-binned chunked dispatch.**  Blocks are binned by node count
-  (:data:`CHUNK_BIN_NODE_WIDTH` nodes per bin) and many same-bin blocks
-  travel in one task (up to :data:`MAX_CHUNK_BLOCKS`), so the per-task
-  executor overhead — pickling, queue wakeups, future bookkeeping — is
-  amortized across a chunk whose runtime stays predictable.  Workers stamp
-  per-block ``task_seconds`` inside the chunk, so over-budget accounting
-  stays per-block.
-* **Compact wire format.**  Graphs travel as plain nested tuples
-  (:func:`~repro.dfg.serialization.graph_to_wire`), and workers send back cut
-  bit masks and counters only — no JSON encode/decode anywhere on the hot
-  path.  The parent rebuilds the :class:`~repro.core.cut.Cut` objects
-  against a locally built context, so the results of a parallel run are
-  bit-identical to a sequential run.
-
-The scheduler streams: at most ``2 * jobs`` chunks are outstanding at any
-moment (so million-block suites never materialize every serialized graph up
-front), results are collected as they complete, and
-:meth:`BatchRunner.iter_run` yields each finished :class:`BatchItem`
-immediately — :meth:`BatchRunner.run` is a thin wrapper that drains the
-stream and restores input order.
+The scheduler streams: at most ``2 * jobs`` tasks are outstanding at any
+moment (so million-block suites are never pickled up front), results are
+collected as they complete, and :meth:`BatchRunner.iter_run` yields each
+finished :class:`BatchItem` immediately — :meth:`BatchRunner.run` is a thin
+wrapper that drains the stream and restores input order.
 
 Timeout semantics: a block's deadline is measured from the moment its task
-actually *starts*, never from submission — time spent waiting in the pool
-queue is not charged to the block.  A chunk of ``k`` blocks gets a combined
-``k * timeout`` running deadline; a multi-block chunk that blows it is
-re-split into single-block tasks (penalty-free) so the slow block is isolated
-and charged individually, exactly like a chunk of one.  A single block still
-running at its deadline is abandoned (``timed_out`` set, no result) and the
-worker pool is recycled; a block that *completes* over budget — measured by
-its own worker-side ``task_seconds`` stamp, even mid-chunk — keeps its result
-and is only flagged, matching sequential runs (which cannot be interrupted).
+is first observed *running*, never from submission — time spent waiting in
+the pool queue is not charged to the block.  A block still running at its
+deadline is abandoned (``timed_out`` set, no result) and the worker pool is
+recycled; the other blocks in flight are resubmitted penalty-free.  A block
+that *completes* over budget — measured by its worker-side ``task_seconds``
+stamp — keeps its result and is only flagged, matching sequential runs
+(which cannot be interrupted).
 
-When a worker process crashes (``BrokenProcessPool``) the in-flight chunks
+When a worker process crashes (``BrokenProcessPool``) the in-flight blocks
 are retried on a fresh pool.  A crash strike is charged only when the culprit
-is unambiguous — a sole single-block casualty, or exactly one single-block
-task observed *running* when the pool broke — and two strikes fail a block.
-Any crash event involving a multi-block chunk is inherently ambiguous: every
-casualty is re-split into single-block tasks and re-run one at a time
-(quarantine), penalty-free, which makes any repeat crash attributable.  A
-hard per-block encounter cap guarantees termination either way.
+is unambiguous — a sole casualty, or exactly one task observed *running*
+when the pool broke — and two strikes fail a block.  After an ambiguous
+crash every casualty is re-run one at a time (quarantine), penalty-free,
+which makes any repeat crash attributable.  A hard per-block encounter cap
+guarantees termination either way.
 
 Both execution paths apply one exception policy: any ``Exception`` raised by
 the algorithm is caught and recorded as ``item.error`` in the same
@@ -71,10 +51,9 @@ When a :class:`~repro.memo.store.ResultStore` is attached, the runner
 consults it *before* dispatching work — blocks whose isomorphism class was
 already enumerated (under the same algorithm and request fingerprint) are
 rebuilt from the stored canonical cut masks and marked ``cached`` — and
-writes freshly computed results back chunk by chunk as they complete (one
-:meth:`~repro.memo.store.ResultStore.put_many` call per finished chunk), so
-a crash in the middle of a suite loses none of the work already finished,
-and later runs (and runs on isomorphic blocks) become cache hits.
+writes each freshly computed result back as it completes, so a crash in the
+middle of a suite loses none of the work already finished, and later runs
+(and runs on isomorphic blocks) become cache hits.
 
 The pool is owned by the runner and survives across :meth:`BatchRunner.run`
 calls, so repeated runs (sweeps, benchmark loops, services) pay the worker
@@ -105,7 +84,6 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Set,
     Tuple,
     Union,
 )
@@ -116,7 +94,6 @@ from ..core.cut import Cut
 from ..core.pruning import FULL_PRUNING, PruningConfig
 from ..core.stats import EnumerationResult, EnumerationStats
 from ..dfg.graph import DataFlowGraph
-from ..dfg.serialization import graph_from_wire, graph_to_wire
 from ..memo.canon import CanonicalForm, canonical_form
 from ..memo.store import ResultStore, StoredResult, request_fingerprint
 from ..obs import runtime as obs
@@ -134,22 +111,6 @@ ProgressCallback = Callable[["BatchItem", int, int], None]
 #: ``jobs``: enough to keep every worker busy while the parent rebuilds the
 #: previous results, small enough that huge suites are serialized lazily.
 WINDOW_FACTOR = 2
-
-#: Width (in nodes) of one chunk size bin: blocks whose node counts fall in
-#: the same bin may share a chunk, so chunk runtimes stay predictable.
-CHUNK_BIN_NODE_WIDTH = 8
-
-#: Hard cap on blocks per chunk, whatever the auto sizing says.
-MAX_CHUNK_BLOCKS = 16
-
-#: Auto chunk sizing targets about this many chunks per worker, so the
-#: streaming window keeps every worker busy while chunks stay small enough
-#: for timely completion-order yielding.
-CHUNK_TARGET_PER_WORKER = 3
-
-#: Bound on the per-worker graph registry (graphs kept deserialized in each
-#: worker process, keyed by structural fingerprint).
-WORKER_GRAPH_REGISTRY_LIMIT = 256
 
 #: How long (seconds) to wait for the surviving futures of a broken pool to
 #: settle before classifying them.
@@ -192,13 +153,10 @@ class ContextCache:
     context while a renamed or edited graph does not.
     """
 
-    def __init__(self, max_entries: int = 64, side: str = "parent") -> None:
+    def __init__(self, max_entries: int = 64) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self.max_entries = max_entries
-        #: Which end of the pool this cache serves ("parent" or "worker") —
-        #: the ``side`` label of its observability counters.
-        self.side = side
         self.hits = 0
         self.misses = 0
         self._entries: "OrderedDict[Tuple[str, Constraints], EnumerationContext]" = (
@@ -211,25 +169,18 @@ class ContextCache:
         return graph.structural_hash()
 
     def get(
-        self,
-        graph: DataFlowGraph,
-        constraints: Optional[Constraints],
-        fingerprint: Optional[str] = None,
+        self, graph: DataFlowGraph, constraints: Optional[Constraints]
     ) -> EnumerationContext:
-        """Return a (possibly cached) context for *graph* under *constraints*.
-
-        *fingerprint* may be supplied when the caller already fingerprinted
-        the graph, to skip even the cached-hash lookup.
-        """
-        key = (fingerprint or self.fingerprint(graph), constraints or Constraints())
+        """Return a (possibly cached) context for *graph* under *constraints*."""
+        key = (self.fingerprint(graph), constraints or Constraints())
         cached = self._entries.get(key)
         if cached is not None:
             self.hits += 1
-            obs.metrics().inc("context_cache.hits_total", side=self.side)
+            obs.metrics().inc("context_cache.hits_total")
             self._entries.move_to_end(key)
             return cached
         self.misses += 1
-        obs.metrics().inc("context_cache.misses_total", side=self.side)
+        obs.metrics().inc("context_cache.misses_total")
         context = EnumerationContext.build(graph, constraints)
         self._entries[key] = context
         while len(self._entries) > self.max_entries:
@@ -369,32 +320,9 @@ def normalize_blocks(blocks: BatchInput) -> List[BatchItem]:
     ]
 
 
-def _size_bin(graph: DataFlowGraph) -> int:
-    """The chunking size bin of *graph* (node count bucket)."""
-    return graph.num_nodes // CHUNK_BIN_NODE_WIDTH
-
-
 # --------------------------------------------------------------------------- #
 # Worker side
 # --------------------------------------------------------------------------- #
-#: Per-process context cache reused across the tasks a worker executes.
-_worker_cache: Optional[ContextCache] = None
-
-#: Per-process registry of deserialized graphs, keyed by the parent's
-#: structural fingerprint.  Bounded LRU: a graph is deserialized once per
-#: worker and then referenced by fingerprint for the rest of the pool's life.
-_worker_graphs: "OrderedDict[str, DataFlowGraph]" = OrderedDict()
-
-
-#: Statically-extracted shape of the chunk result records produced by
-#: :func:`_enumerate_chunk` (every appended dict plus the return
-#: expressions), pinned by ``repro lint``'s wire-drift pass.  Changing the
-#: record layout requires bumping ``_ENUMERATE_CHUNK_SHAPE_VERSION`` and
-#: recording the new hash here — old entries stay for provenance.
-_ENUMERATE_CHUNK_SHAPE_VERSION = 1
-_ENUMERATE_CHUNK_SHAPE_HISTORY = {1: "dda190e6e754a264"}
-
-
 # repro-lint: worker-entry
 def _worker_ping(seconds: float) -> int:
     """Warm-up task: occupy a worker briefly so the pool actually spawns."""
@@ -403,150 +331,84 @@ def _worker_ping(seconds: float) -> int:
 
 
 # repro-lint: worker-entry
-def _enumerate_chunk(
+def _enumerate_block(
     payload: Tuple[
         str,
         Optional[Constraints],
         Optional[PruningConfig],
-        Tuple[Tuple[str, Optional[tuple]], ...],
+        DataFlowGraph,
         Optional[Tuple[str, int]],
     ],
-) -> Union[List[Dict[str, object]], Dict[str, object]]:
-    """Enumerate one chunk of blocks inside a worker process.
+) -> Dict[str, object]:
+    """Enumerate one block inside a worker process.
 
-    ``payload`` is ``(algorithm_name, constraints, pruning, blocks,
-    obs_config)`` where each block is ``(fingerprint, wire_or_None)`` — the
-    wire form is attached only when the parent believes this worker may not
-    have seen the graph yet; otherwise the worker resolves the fingerprint
-    in its registry.  ``obs_config`` is the parent's observability
-    activation (see :func:`repro.obs.runtime.ensure_worker`); payloads from
-    older callers may omit it.
+    ``payload`` is ``(algorithm_name, constraints, pruning, graph,
+    obs_config)``; ``obs_config`` is the parent's observability activation
+    (see :func:`repro.obs.runtime.ensure_worker`).  The block's context is
+    built here and dropped on return: nothing outlives the task.
 
-    Returns one compact, picklable summary per block, aligned with the
-    input: cut bit masks, statistics, algorithm label and the wall-clock
-    time the block actually ran (``task_seconds``, stamped per block *inside*
-    the chunk — the basis of the parent's over-budget accounting, which must
-    never charge queue wait or a sibling block's runtime to a block).  A
-    block whose graph is neither attached nor registered yields
-    ``{"missing": True}`` and the parent resubmits it with the body; a block
-    whose enumeration raises yields an ``{"error": ...}`` record without
-    poisoning its siblings.
-
-    With observability on, the per-block list is wrapped as
-    ``{"results": [...], "metrics": <wire>, "spans": <wire>}`` — the
-    worker's drained metric/span deltas ride back inside the chunk result
-    and are folded in by the parent's :meth:`BatchRunner._collect_chunk`.
+    Returns one picklable record: cut bit masks, statistics and algorithm
+    label — or ``error`` when the enumeration raised — plus the wall-clock
+    time the task ran (``task_seconds``, the basis of the parent's
+    over-budget accounting).  With observability on, the worker's drained
+    metric/span deltas ride along under ``metrics``/``spans``.
     """
-    global _worker_cache
-    algorithm_name, constraints, pruning, blocks = payload[:4]
-    obs.ensure_worker(payload[4] if len(payload) > 4 else None)
+    algorithm_name, constraints, pruning, graph, obs_config = payload
+    obs.ensure_worker(obs_config)
     algorithm = get_algorithm(algorithm_name)
-    results: List[Dict[str, object]] = []
     tracer = obs.tracer()
-    with tracer.span("worker.chunk", cat="pool", blocks=len(blocks)):
-        for fingerprint, wire in blocks:
-            task_start = time.perf_counter()
-            graph = _worker_graphs.get(fingerprint)
-            if graph is None:
-                if wire is None:
-                    results.append({"missing": True})
-                    continue
-                graph = graph_from_wire(wire)
-                _worker_graphs[fingerprint] = graph
-                while len(_worker_graphs) > WORKER_GRAPH_REGISTRY_LIMIT:
-                    _worker_graphs.popitem(last=False)
-            else:
-                _worker_graphs.move_to_end(fingerprint)
-            try:
-                with tracer.span("worker.block", cat="pool", graph=graph.name) as span:
-                    context = None
-                    if algorithm.capabilities.supports_context:
-                        if _worker_cache is None:
-                            _worker_cache = ContextCache(side="worker")
-                        context = _worker_cache.get(
-                            graph, constraints, fingerprint=fingerprint
-                        )
-                    result = algorithm.enumerate(
-                        EnumerationRequest(
-                            graph=graph,
-                            constraints=constraints,
-                            pruning=pruning,
-                            context=context,
-                        )
-                    )
-                    span.note(cuts=len(result.cuts))
-            except Exception as exc:  # same policy as the sequential path
-                results.append(
-                    {
-                        "error": f"{type(exc).__name__}: {exc}",
-                        "task_seconds": time.perf_counter() - task_start,
-                    }
+    start = time.perf_counter()
+    record: Dict[str, object]
+    with tracer.span("worker.chunk", cat="pool"):
+        try:
+            with tracer.span("worker.block", cat="pool", graph=graph.name) as span:
+                context = (
+                    EnumerationContext.build(graph, constraints)
+                    if algorithm.capabilities.supports_context
+                    else None
                 )
-                continue
-            results.append(
-                {
-                    "graph_name": result.graph_name,
-                    "algorithm": result.algorithm,
-                    "masks": [cut.node_mask() for cut in result.cuts],
-                    "stats": result.stats,
-                    "task_seconds": time.perf_counter() - task_start,
-                }
-            )
-    drained = obs.drain_worker()
-    if drained:
-        return {"results": results, **drained}
-    return results
+                result = algorithm.enumerate(
+                    EnumerationRequest(
+                        graph=graph,
+                        constraints=constraints,
+                        pruning=pruning,
+                        context=context,
+                    )
+                )
+                span.note(cuts=len(result.cuts))
+            record = {
+                "graph_name": result.graph_name,
+                "algorithm": result.algorithm,
+                "masks": [cut.node_mask() for cut in result.cuts],
+                "stats": result.stats,
+            }
+        except Exception as exc:  # same policy as the sequential path
+            record = {"error": f"{type(exc).__name__}: {exc}"}
+    record["task_seconds"] = time.perf_counter() - start
+    record.update(obs.drain_worker())
+    return record
 
 
 class _WorkerPool:
-    """A ``ProcessPoolExecutor`` plus its graph-shipping ledger.
-
-    The ledger tracks, per structural fingerprint, how many task payloads
-    carried the graph body to this pool.  Once ``jobs`` copies have shipped,
-    every worker *may* have registered the graph, so further chunks refer to
-    it by fingerprint alone; ``must_ship`` pins fingerprints a worker
-    reported missing (eviction or unlucky routing), forcing the body onto
-    every later shipment.  The ledger dies with the pool — fresh workers
-    have empty registries.
-    """
+    """A ``ProcessPoolExecutor`` that remembers whether it was shut down."""
 
     def __init__(self, executor: ProcessPoolExecutor, jobs: int) -> None:
         self.executor = executor
         self.jobs = jobs
-        self.shipped: Dict[str, int] = {}
-        self.must_ship: Set[str] = set()
         #: Set once the executor is shut down; a dead pool is never reused.
         self.dead = False
 
-    def submit_chunk(
+    def submit(
         self,
         algorithm: str,
         constraints: Optional[Constraints],
         pruning: Optional[PruningConfig],
-        chunk: List[BatchItem],
+        item: BatchItem,
     ) -> Future:
-        metrics = obs.metrics()
-        blocks = []
-        for item in chunk:
-            fingerprint = item.graph.structural_hash()
-            shipped_before = self.shipped.get(fingerprint, 0)
-            ship = fingerprint in self.must_ship or shipped_before < self.jobs
-            if ship:
-                self.shipped[fingerprint] = shipped_before + 1
-                metrics.inc("pool.graphs_shipped_total")
-                if shipped_before >= self.jobs:
-                    # Every worker could have seen this graph and one still
-                    # reported it missing — an eviction- or routing-driven
-                    # re-ship, worth watching separately.
-                    metrics.inc("pool.graph_reships_total")
-            blocks.append(
-                (fingerprint, graph_to_wire(item.graph) if ship else None)
-            )
-        metrics.inc("pool.chunks_dispatched_total")
-        metrics.inc("pool.blocks_dispatched_total", len(blocks))
+        obs.metrics().inc("pool.blocks_dispatched_total")
         return self.executor.submit(
-            _enumerate_chunk,
-            (algorithm, constraints, pruning, tuple(blocks), obs.worker_config()),
+            _enumerate_block,
+            (algorithm, constraints, pruning, item.graph, obs.worker_config()),
         )
 
     def discard(self) -> None:
@@ -603,16 +465,11 @@ class BatchRunner:
         Optional persistent :class:`~repro.memo.store.ResultStore`.  Blocks
         with a stored result (same canonical graph hash, algorithm and
         request fingerprint) skip enumeration entirely; fresh results are
-        written back chunk by chunk as they complete.
+        written back one by one as they complete.
     mp_context:
         Optional :mod:`multiprocessing` context for the worker pool (e.g.
         ``multiprocessing.get_context("fork")``); the platform default is
         used when omitted.
-    chunk_size:
-        Blocks per dispatched task: ``"auto"`` (default) targets
-        :data:`CHUNK_TARGET_PER_WORKER` chunks per worker capped at
-        :data:`MAX_CHUNK_BLOCKS`, an integer forces a fixed capacity
-        (``1`` restores task-per-block dispatch).
     force_pool:
         Route execution through the worker pool even at ``jobs=1``.  Used
         to measure dispatch overhead honestly (the benchmark gate) and to
@@ -636,19 +493,10 @@ class BatchRunner:
         context_cache: Optional[ContextCache] = None,
         store: Optional[ResultStore] = None,
         mp_context=None,
-        chunk_size: Union[int, str] = "auto",
         force_pool: bool = False,
     ) -> None:
         if timeout is not None and timeout <= 0:
             raise ValueError(f"timeout must be positive, got {timeout}")
-        if isinstance(chunk_size, str):
-            if chunk_size != "auto":
-                raise ValueError(
-                    f'chunk_size must be a positive integer or "auto", '
-                    f"got {chunk_size!r}"
-                )
-        elif chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         self.algorithm = get_algorithm(algorithm).name
         self.constraints = constraints or Constraints()
         self.pruning = pruning
@@ -657,7 +505,6 @@ class BatchRunner:
         self.cache = context_cache or ContextCache()
         self.store = store
         self.mp_context = mp_context
-        self.chunk_size = chunk_size
         self.force_pool = bool(force_pool)
         self._pool: Optional[_WorkerPool] = None
 
@@ -671,7 +518,9 @@ class BatchRunner:
         # max_workers is a cap: the executor spawns workers on demand, so a
         # jobs-sized pool never over-provisions for a short queue.
         executor = ProcessPoolExecutor(
-            max_workers=self.jobs, mp_context=self.mp_context
+            max_workers=self.jobs,
+            mp_context=self.mp_context,
+            initializer=obs.reset_worker,
         )
         return _WorkerPool(executor, self.jobs)
 
@@ -813,8 +662,8 @@ class BatchRunner:
 
         Runs in the parent only, on the single funnel every item passes
         through (sequential, pool and store-hit paths alike), so counters
-        are absorbed exactly once per block regardless of chunk re-splits,
-        crash retries or caching.  Cached items contribute their status
+        are absorbed exactly once per block regardless of deadline
+        resubmissions, crash retries or caching.  Cached items contribute their status
         only: their stats describe the original (already-counted) run.
         """
         metrics = obs.metrics()
@@ -853,7 +702,9 @@ class BatchRunner:
     ) -> Iterator[BatchItem]:
         """Stream *items* through the store front and the scheduler."""
         if self.store is None:
-            yield from self._stream(algorithm, pruning, items)
+            yield from self._execute(
+                algorithm, pruning, ((item, False) for item in items)
+            )
             return
 
         forms: Dict[int, CanonicalForm] = {}
@@ -892,37 +743,31 @@ class BatchRunner:
                     yield item, False  # leader: dispatch it
 
         deferred: List[BatchItem] = []
-        for group in self._stream_groups(
-            algorithm, pruning, classified(), total_hint=len(items)
-        ):
-            # One write-back per finished chunk, not per block.
-            self._write_back(group, pruning, forms)
-            for item in group:
+        for item in self._execute(algorithm, pruning, classified()):
+            if item.cached:
                 yield item
-                if item.cached:
-                    continue
-                key = self._store_key(forms[item.index], pruning)
-                waiting = followers_by_key.pop(key, [])
-                if not waiting:
-                    continue
-                if item.result is None:
-                    deferred.extend(waiting)
-                    continue
-                still_missing = self._resolve_from_store(waiting, pruning, forms)
-                for follower in waiting:
-                    if follower.result is not None:
-                        yield follower
-                deferred.extend(still_missing)
+                continue
+            self._write_back(item, pruning, forms)
+            yield item
+            key = self._store_key(forms[item.index], pruning)
+            waiting = followers_by_key.pop(key, [])
+            if not waiting:
+                continue
+            if item.result is None:
+                deferred.extend(waiting)
+                continue
+            still_missing = self._resolve_from_store(waiting, pruning, forms)
+            for follower in waiting:
+                if follower.result is not None:
+                    yield follower
+            deferred.extend(still_missing)
 
         if deferred:
-            for group in self._stream_groups(
-                algorithm,
-                pruning,
-                ((item, False) for item in deferred),
-                total_hint=len(deferred),
+            for item in self._execute(
+                algorithm, pruning, ((item, False) for item in deferred)
             ):
-                self._write_back(group, pruning, forms)
-                yield from group
+                self._write_back(item, pruning, forms)
+                yield item
 
     # ------------------------------------------------------------------ #
     # Memoization store integration
@@ -981,128 +826,56 @@ class BatchRunner:
 
     def _write_back(
         self,
-        computed: List[BatchItem],
+        item: BatchItem,
         pruning: Optional[PruningConfig],
         forms: Dict[int, CanonicalForm],
     ) -> None:
-        """Persist the results enumerated in this run (masks in canonical ids).
+        """Persist a result enumerated in this run (masks in canonical ids).
 
-        Cache hits and result-less items are skipped; everything else goes
-        to the store in one :meth:`~repro.memo.store.ResultStore.put_many`
-        batch.
+        Result-less items are skipped.
         """
         assert self.store is not None
-        fingerprint = request_fingerprint(self.constraints, pruning)
-        entries: List[Tuple[str, StoredResult]] = []
-        for item in computed:
-            if item.cached or item.result is None:
-                continue
-            form = forms[item.index]
-            entries.append(
-                (
-                    self._store_key(form, pruning),
-                    StoredResult(
-                        canonical_hash=form.hash,
-                        # The result's own label, not the registry name (see
-                        # the reconstruction in _resolve_from_store).
-                        algorithm=item.result.algorithm,
-                        fingerprint=fingerprint,
-                        masks=[
-                            form.to_canonical_mask(cut.node_mask())
-                            for cut in item.result.cuts
-                        ],
-                        stats=item.result.stats,
-                    ),
-                )
+        if item.result is None:
+            return
+        form = forms[item.index]
+        with obs.tracer().span("store.write_back", cat="store"):
+            self.store.put(
+                self._store_key(form, pruning),
+                StoredResult(
+                    canonical_hash=form.hash,
+                    # The result's own label, not the registry name (see the
+                    # reconstruction in _resolve_from_store).
+                    algorithm=item.result.algorithm,
+                    fingerprint=request_fingerprint(self.constraints, pruning),
+                    masks=[
+                        form.to_canonical_mask(cut.node_mask())
+                        for cut in item.result.cuts
+                    ],
+                    stats=item.result.stats,
+                ),
             )
-        if entries:
-            with obs.tracer().span(
-                "store.write_back", cat="store", entries=len(entries)
-            ):
-                self.store.put_many(entries)
 
     # ------------------------------------------------------------------ #
     # Execution paths
     # ------------------------------------------------------------------ #
-    def _stream(
-        self,
-        algorithm,
-        pruning: Optional[PruningConfig],
-        items: List[BatchItem],
-    ) -> Iterator[BatchItem]:
-        """Yield *items* as they finish, sequentially or through the pool."""
-        if not items:
-            return
-        for group in self._stream_groups(
-            algorithm,
-            pruning,
-            ((item, False) for item in items),
-            total_hint=len(items),
-        ):
-            yield from group
-
-    def _stream_groups(
+    def _execute(
         self,
         algorithm,
         pruning: Optional[PruningConfig],
         source: Iterator[Tuple[BatchItem, bool]],
-        total_hint: int,
-    ) -> Iterator[List[BatchItem]]:
-        """Yield finished blocks in groups from a lazy ``(item, resolved)`` source.
+    ) -> Iterator[BatchItem]:
+        """Yield finished blocks from a lazy ``(item, resolved)`` source.
 
         Already-resolved items (store hits) pass straight through; the rest
-        are enumerated.  A group is the natural completion unit — one
-        finished chunk in parallel mode, one block sequentially — and is the
-        granularity of store write-backs.  The source is pulled
-        incrementally, so store lookups and canonicalization interleave with
-        execution.
+        are enumerated.  The source is pulled incrementally, so store
+        lookups and canonicalization interleave with execution.
         """
         # Parallel-capable runs go through the pool even for a single
         # block: only the pool path can abandon a block that blows its
         # timeout.
         if self._uses_pool():
-            yield from self._stream_parallel(pruning, source, total_hint)
-        else:
-            for item in self._stream_sequential(algorithm, pruning, source):
-                yield [item]
-
-    def _chunk_capacity(self, total_hint: int) -> int:
-        """Blocks per chunk for a stream of roughly *total_hint* blocks."""
-        if not isinstance(self.chunk_size, str):
-            return int(self.chunk_size)
-        return max(
-            1,
-            min(
-                MAX_CHUNK_BLOCKS,
-                total_hint // (CHUNK_TARGET_PER_WORKER * self.jobs),
-            ),
-        )
-
-    @staticmethod
-    def _form_chunk(
-        staged: "deque[BatchItem]", capacity: int
-    ) -> List[BatchItem]:
-        """Pop the next chunk off *staged*: same-size-bin blocks, in order.
-
-        The head block anchors the chunk; the rest of the staging queue is
-        scanned for blocks in the same node-count bin (so chunk runtimes
-        stay predictable) and everything else keeps its relative order.
-        """
-        first = staged.popleft()
-        chunk = [first]
-        if capacity <= 1 or not staged:
-            return chunk
-        want = _size_bin(first.graph)
-        kept: "deque[BatchItem]" = deque()
-        while staged and len(chunk) < capacity:
-            candidate = staged.popleft()
-            if _size_bin(candidate.graph) == want:
-                chunk.append(candidate)
-            else:
-                kept.append(candidate)
-        while kept:
-            staged.appendleft(kept.pop())
-        return chunk
+            return self._stream_parallel(pruning, source)
+        return self._stream_sequential(algorithm, pruning, source)
 
     def _stream_sequential(
         self,
@@ -1144,96 +917,70 @@ class BatchRunner:
         self,
         pruning: Optional[PruningConfig],
         source: Iterator[Tuple[BatchItem, bool]],
-        total_hint: int,
-    ) -> Iterator[List[BatchItem]]:
-        """The streaming chunked scheduler (see the module docstring).
+    ) -> Iterator[BatchItem]:
+        """The streaming scheduler (see the module docstring).
 
-        Bounded submission window over a lazily pulled source, size-binned
-        chunk formation, as-completed collection, per-chunk deadlines
-        measured from actual task start (``len(chunk) * timeout``), re-split
-        retry of crashed or expired multi-block chunks, and pool recycling
-        when a deadline fires (a running task cannot be cancelled
-        cooperatively, so its worker must die).
+        Bounded submission window over a lazily pulled source, one block per
+        task, as-completed collection, per-block deadlines measured from
+        observed task start, crash retry, and pool recycling when a deadline
+        fires (a running task cannot be cancelled cooperatively, so its
+        worker must die).
         """
         jobs = self.jobs
         window = max(WINDOW_FACTOR * jobs, 2)
-        capacity = self._chunk_capacity(total_hint)
-        stage_limit = window * capacity
-        retry: "deque[List[BatchItem]]" = deque()  # crash/timeout/missing chunks
-        staged: "deque[BatchItem]" = deque()  # pulled misses awaiting dispatch
+        retry: "deque[BatchItem]" = deque()  # crash/deadline casualties
         crash_charges: Dict[int, int] = {}  # strikes: observed-running crashes
         crash_encounters: Dict[int, int] = {}  # any crash witnessed in flight
-        in_flight: Dict[Future, List[BatchItem]] = {}
+        in_flight: Dict[Future, BatchItem] = {}
         started: Dict[Future, float] = {}  # first observed running, monotonic
-        ready: List[BatchItem] = []  # store hits pulled from the source
         exhausted = False
         # Remaining tasks to run one-at-a-time after an ambiguous crash
-        # (nobody — or a whole chunk — was on the hook): isolation makes any
-        # repeat crash attributable, so innocents keep their clean record.
+        # (nobody was on the hook): isolation makes any repeat crash
+        # attributable, so innocents keep their clean record.
         quarantine = 0
         pool = self._checkout_pool()
         try:
             while True:
-                # Pull the source lazily into the staging queue: at most
-                # `stage_limit` staged misses (plus the in-flight chunks)
-                # exist at a time, so million-block suites are never
-                # materialized up front.
-                pulls = 0
-                while (
-                    not exhausted
-                    and pulls < stage_limit
-                    and len(staged) < stage_limit
-                ):
-                    entry = next(source, None)
-                    if entry is None:
-                        exhausted = True
-                        break
-                    pulls += 1
-                    item, resolved = entry
-                    if resolved:
-                        ready.append(item)
-                    else:
-                        staged.append(item)
-
-                # Top up the submission window with chunks.  Chunks are only
-                # formed once the staging queue can fill one (or the source
-                # is dry), so early blocks are not dispatched in fragments.
+                # Top up the submission window: retries first, then blocks
+                # pulled lazily from the source, so million-block suites are
+                # never materialized up front.  Store hits take no slot; at
+                # most `window` of them pass per round, so a run of hits
+                # flows without blocking on the tasks in flight.
+                hits: List[BatchItem] = []
                 limit = 1 if quarantine else window
-                while len(in_flight) < limit:
+                while len(in_flight) < limit and len(hits) < window:
                     if retry:
-                        chunk = retry.popleft()
-                    elif staged and (exhausted or len(staged) >= capacity):
-                        chunk = self._form_chunk(staged, capacity)
+                        item = retry.popleft()
                     else:
-                        break
+                        entry = None if exhausted else next(source, None)
+                        if entry is None:
+                            exhausted = True
+                            break
+                        item, resolved = entry
+                        if resolved:
+                            hits.append(item)
+                            continue
                     try:
-                        future = pool.submit_chunk(
-                            self.algorithm, self.constraints, pruning, chunk
+                        future = pool.submit(
+                            self.algorithm, self.constraints, pruning, item
                         )
                     except BrokenExecutor:
                         # The pool broke before we noticed; the in-flight
                         # futures (if any) surface the crash below.
-                        retry.appendleft(chunk)
+                        retry.appendleft(item)
                         break
-                    in_flight[future] = chunk
-
-                if ready:
-                    yield list(ready)
-                    ready.clear()
-                    if pulls >= stage_limit and not exhausted:
-                        # The pull cap — not capacity — ended the top-up: a
-                        # run of store hits is flowing.  Keep draining it
-                        # instead of blocking on the in-flight tasks.
-                        continue
+                    in_flight[future] = item
+                if hits:
+                    yield from hits
+                    continue
 
                 if not in_flight:
-                    if retry:  # broken pool with nothing left in flight
-                        pool.discard()
-                        pool = self._make_pool()
-                        continue
-                    if exhausted and not staged:
-                        break
-                    continue  # source (or the staged misses) still has blocks
+                    if not retry:
+                        break  # source exhausted, every block yielded
+                    # A broken pool with nothing left in flight.
+                    pool.discard()
+                    pool = self._make_pool()
+                    continue
 
                 tick = (
                     None
@@ -1242,20 +989,17 @@ class BatchRunner:
                 )
                 done, _ = wait(list(in_flight), timeout=tick, return_when=FIRST_COMPLETED)
 
-                # (chunk, was_observed_running) casualties of a broken pool.
-                crashed: List[Tuple[List[BatchItem], bool]] = []
+                finished: List[BatchItem] = []
+                # (item, was_observed_running) casualties of a broken pool.
+                crashed: List[Tuple[BatchItem, bool]] = []
                 for future in done:
-                    chunk = in_flight.pop(future)
+                    item = in_flight.pop(future)
                     was_running = started.pop(future, None) is not None
-                    outcome = self._collect_chunk(future, chunk, pool)
-                    if outcome is None:
-                        crashed.append((chunk, was_running))
+                    if self._collect(future, item):
+                        finished.append(item)
                     else:
-                        quarantine = max(quarantine - 1, 0)
-                        finished, requeue = outcome
-                        retry.extend(requeue)
-                        if finished:
-                            yield finished
+                        crashed.append((item, was_running))
+                quarantine = max(quarantine - len(finished), 0)
 
                 if crashed:
                     # The pool is broken: every other in-flight future fails
@@ -1263,16 +1007,11 @@ class BatchRunner:
                     # then rebuild the pool and retry the casualties.
                     if in_flight:
                         wait(list(in_flight), timeout=_BROKEN_POOL_DRAIN_SECONDS)
-                        for future, chunk in list(in_flight.items()):
-                            was_running = started.pop(future, None) is not None
-                            outcome = self._collect_chunk(future, chunk, pool)
-                            if outcome is None:
-                                crashed.append((chunk, was_running))
+                        for future, item in in_flight.items():
+                            if self._collect(future, item):
+                                finished.append(item)
                             else:
-                                finished, requeue = outcome
-                                retry.extend(requeue)
-                                if finished:
-                                    yield finished
+                                crashed.append((item, future in started))
                         in_flight.clear()
                         started.clear()
                     pool.discard()
@@ -1283,13 +1022,12 @@ class BatchRunner:
                     failed, isolate = self._triage_crash(
                         crashed, retry, crash_charges, crash_encounters
                     )
-                    for item in failed:
-                        quarantine = max(quarantine - 1, 0)
-                    if failed:
-                        yield failed
-                    quarantine += isolate
+                    quarantine = max(quarantine - len(failed), 0) + isolate
                     pool = self._make_pool()
+                    yield from finished
+                    yield from failed
                     continue
+                yield from finished
 
                 if not in_flight:
                     continue
@@ -1312,55 +1050,37 @@ class BatchRunner:
                 expired = [
                     future
                     for future, stamp in started.items()
-                    if now - stamp >= self.timeout * len(in_flight[future])
-                    and not future.done()
+                    if now - stamp >= self.timeout and not future.done()
                 ]
                 if not expired:
                     continue
+                settled: List[BatchItem] = []
                 for future in expired:
-                    chunk = in_flight.pop(future)
-                    stamp = started.pop(future)
-                    quarantine = max(quarantine - 1, 0)
+                    item = in_flight.pop(future)
+                    item.timed_out = True
+                    item.elapsed_seconds = now - started.pop(future)
+                    settled.append(item)
                     obs.metrics().inc("pool.deadline_expiries_total")
-                    if len(chunk) == 1:
-                        item = chunk[0]
-                        item.timed_out = True
-                        item.elapsed_seconds = now - stamp
-                        obs.tracer().instant(
-                            "pool.block_abandoned", cat="pool",
-                            graph=item.graph_name,
-                        )
-                        yield [item]
-                    else:
-                        # The chunk blew its combined budget but the slow
-                        # block is unknown: re-split into single-block tasks
-                        # (penalty-free) so each gets its own deadline.
-                        obs.metrics().inc(
-                            "pool.chunk_resplits_total", reason="deadline"
-                        )
-                        for item in chunk:
-                            retry.append([item])
+                    obs.tracer().instant(
+                        "pool.block_abandoned", cat="pool", graph=item.graph_name
+                    )
                 # A running task cannot be cancelled cooperatively: kill the
-                # workers and rebuild the pool.  Innocent in-flight chunks
+                # workers and rebuild the pool.  Innocent in-flight blocks
                 # are resubmitted with no penalty (results that landed
                 # between the wait() and now are kept as-is).
-                survivors: List[List[BatchItem]] = []
-                for future, chunk in list(in_flight.items()):
-                    if future.done():
-                        outcome = self._collect_chunk(future, chunk, pool)
-                        if outcome is not None:
-                            quarantine = max(quarantine - 1, 0)
-                            finished, requeue = outcome
-                            retry.extend(requeue)
-                            if finished:
-                                yield finished
-                            continue
-                    survivors.append(chunk)
+                survivors: List[BatchItem] = []
+                for future, item in in_flight.items():
+                    if future.done() and self._collect(future, item):
+                        settled.append(item)
+                    else:
+                        survivors.append(item)
+                quarantine = max(quarantine - len(settled), 0)
                 in_flight.clear()
                 started.clear()
                 pool.kill()
                 retry.extendleft(reversed(survivors))
                 pool = self._make_pool()
+                yield from settled
         finally:
             if in_flight:
                 # The consumer abandoned the stream with tasks still running.
@@ -1370,122 +1090,85 @@ class BatchRunner:
 
     @staticmethod
     def _triage_crash(
-        crashed: List[Tuple[List[BatchItem], bool]],
-        retry: "deque[List[BatchItem]]",
+        crashed: List[Tuple[BatchItem, bool]],
+        retry: "deque[BatchItem]",
         charges: Dict[int, int],
         encounters: Dict[int, int],
     ) -> Tuple[List[BatchItem], int]:
         """Requeue or fail the casualties of one broken-pool event.
 
         A strike (*charges*) is issued only when the culprit is unambiguous:
-        every casualty was a single-block task, and the event had a sole
-        casualty or exactly one task observed *running* when the pool broke.
-        Everyone else is requeued penalty-free, so one poison block can
-        never burn an innocent neighbour's retry — not even a slow innocent
-        running right next to it.  Ambiguous crashes — several suspects, or
-        any multi-block chunk among the casualties — charge nobody and
-        requeue every casualty block as a *single-block* task run in
-        isolation (the second number returned), so a repeat crash has
-        exactly one suspect.  The *encounters* cap bounds the worst case per
-        block, so the stream always terminates.  Returns the items whose
-        error was just sealed, plus the quarantine count.
+        the event had a sole casualty or exactly one task observed *running*
+        when the pool broke.  Everyone else is requeued penalty-free, so one
+        poison block can never burn an innocent neighbour's retry — not even
+        a slow innocent running right next to it.  Ambiguous crashes charge
+        nobody and requeue every casualty to run in isolation (the second
+        number returned), so a repeat crash has exactly one suspect.  The
+        *encounters* cap bounds the worst case per block, so the stream
+        always terminates.  Returns the items whose error was just sealed,
+        plus the quarantine count.
         """
-        singles_only = all(len(chunk) == 1 for chunk, _ in crashed)
         suspects = sum(1 for _, was_running in crashed if was_running)
-        attributable = singles_only and (len(crashed) == 1 or suspects == 1)
-        for chunk, _ in crashed:
-            if len(chunk) > 1:
-                obs.metrics().inc("pool.chunk_resplits_total", reason="crash")
+        attributable = len(crashed) == 1 or suspects == 1
         failed: List[BatchItem] = []
-        requeued: List[List[BatchItem]] = []
-        for chunk, was_running in crashed:
-            for item in chunk:
-                encounters[item.index] = encounters.get(item.index, 0) + 1
-                if attributable and (was_running or len(crashed) == 1):
-                    charges[item.index] = charges.get(item.index, 0) + 1
-                if charges.get(item.index, 0) >= _MAX_CRASH_CHARGES:
-                    item.error = (
-                        "BrokenProcessPool: worker process crashed "
-                        f"{_MAX_CRASH_CHARGES} times while running this block"
-                    )
-                    failed.append(item)
-                elif encounters[item.index] >= _MAX_CRASH_ENCOUNTERS:
-                    item.error = (
-                        "BrokenProcessPool: worker pool crashed "
-                        f"{_MAX_CRASH_ENCOUNTERS} times with this block in flight"
-                    )
-                    failed.append(item)
-                else:
-                    requeued.append([item])
+        requeued: List[BatchItem] = []
+        for item, was_running in crashed:
+            encounters[item.index] = encounters.get(item.index, 0) + 1
+            if attributable and (was_running or len(crashed) == 1):
+                charges[item.index] = charges.get(item.index, 0) + 1
+            if charges.get(item.index, 0) >= _MAX_CRASH_CHARGES:
+                item.error = (
+                    "BrokenProcessPool: worker process crashed "
+                    f"{_MAX_CRASH_CHARGES} times while running this block"
+                )
+                failed.append(item)
+            elif encounters[item.index] >= _MAX_CRASH_ENCOUNTERS:
+                item.error = (
+                    "BrokenProcessPool: worker pool crashed "
+                    f"{_MAX_CRASH_ENCOUNTERS} times with this block in flight"
+                )
+                failed.append(item)
+            else:
+                requeued.append(item)
         retry.extendleft(reversed(requeued))
         return failed, (0 if attributable else len(requeued))
 
-    def _collect_chunk(
-        self,
-        future: Future,
-        chunk: List[BatchItem],
-        pool: _WorkerPool,
-    ) -> Optional[Tuple[List[BatchItem], List[List[BatchItem]]]]:
-        """Turn a finished chunk future into its items, or report a worker death.
+    def _collect(self, future: Future, item: BatchItem) -> bool:
+        """Fill *item* from its finished task; ``False`` if the worker died.
 
-        Returns ``(finished, requeue)`` — the items ready to be yielded
-        (successes, worker errors, completed-over-budget) and the
-        single-block tasks to resubmit (blocks whose graph the worker was
-        missing) — or ``None`` when the worker died and the caller must
-        triage the whole chunk for the crash-retry pass.
+        A worker error, a completed-over-budget result and a failure outside
+        the worker's harness all count as finished; a worker death leaves
+        the item untouched for the crash-retry pass.
         """
         try:
-            payloads = future.result(timeout=0)
+            record = future.result(timeout=0)
         except (BrokenExecutor, CancelledError, FuturesTimeoutError):
-            return None
+            return False
         except Exception as exc:
-            # A failure outside the worker's per-block harness (e.g. an
-            # unpicklable payload): charge it to every block of the chunk,
-            # in the same "TypeName: message" form.
-            message = f"{type(exc).__name__}: {exc}"
-            for item in chunk:
-                item.error = message
-            return list(chunk), []
-        if isinstance(payloads, dict):
-            # Observability-enabled worker: the per-block list rides inside a
-            # wrapper dict next to the worker's drained metric/span deltas.
-            obs.absorb_worker_payload(payloads)
-            payloads = payloads["results"]
-        finished: List[BatchItem] = []
-        requeue: List[List[BatchItem]] = []
-        for item, payload in zip(chunk, payloads):
-            if payload.get("missing"):
-                # The worker never saw this graph (registry eviction or
-                # unlucky routing): pin the body onto future shipments and
-                # resubmit the block alone.
-                pool.must_ship.add(item.graph.structural_hash())
-                obs.metrics().inc("pool.graph_missing_total")
-                requeue.append([item])
-                continue
-            error = payload.get("error")
-            if error is not None:
-                item.error = str(error)
-                item.elapsed_seconds = float(payload.get("task_seconds", 0.0))
-                finished.append(item)
-                continue
-            item.context = self.cache.get(item.graph, self.constraints)
-            item.result = EnumerationResult(
-                cuts=[Cut.from_mask(item.context, mask) for mask in payload["masks"]],
-                stats=payload["stats"],
-                graph_name=payload["graph_name"],
-                algorithm=payload["algorithm"],
-            )
-            item.elapsed_seconds = payload["stats"].elapsed_seconds
-            if (
-                self.timeout is not None
-                and float(payload.get("task_seconds", 0.0)) > self.timeout
-            ):
-                # Completed over budget — mid-chunk or between two scheduler
-                # ticks: keep the result, flag the overrun — identical to
-                # sequential semantics.
-                item.timed_out = True
-            finished.append(item)
-        return finished, requeue
+            # A failure outside the worker's harness (e.g. an unpicklable
+            # payload), in the same "TypeName: message" form.
+            item.error = f"{type(exc).__name__}: {exc}"
+            return True
+        obs.absorb_worker_payload(record)
+        error = record.get("error")
+        if error is not None:
+            item.error = str(error)
+            item.elapsed_seconds = float(record["task_seconds"])
+            return True
+        item.context = self.cache.get(item.graph, self.constraints)
+        stats = record["stats"]
+        item.result = EnumerationResult(
+            cuts=[Cut.from_mask(item.context, mask) for mask in record["masks"]],
+            stats=stats,
+            graph_name=record["graph_name"],
+            algorithm=record["algorithm"],
+        )
+        item.elapsed_seconds = stats.elapsed_seconds
+        if self.timeout is not None and record["task_seconds"] > self.timeout:
+            # Completed over budget between two scheduler ticks: keep the
+            # result, flag the overrun — identical to sequential semantics.
+            item.timed_out = True
+        return True
 
 
 def enumerate_batch(

@@ -200,7 +200,7 @@ def _enumerate_and_select(
     owns_runner: bool,
 ) -> PipelineResult:
     """Enumerate *block_list* with *runner*, then score and select per block."""
-    # run() drains the stream (store write-back happens per chunk inside
+    # run() drains the stream (store write-back happens per block inside
     # it) and restores input order: instruction naming below is
     # deterministic.
     try:

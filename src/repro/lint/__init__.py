@@ -1,6 +1,6 @@
 """Domain-aware static analysis for the repro codebase (``repro lint``).
 
-A small pass framework (pure stdlib: ``ast`` + ``re``) with five passes
+A small pass framework (pure stdlib: ``ast`` + ``re``) with four passes
 encoding invariants that generic linters cannot see:
 
 * ``field-drift`` — hand-written dataclass serializers must cover every
@@ -8,11 +8,10 @@ encoding invariants that generic linters cannot see:
 * ``hot-path-impure-call`` / ``hot-loop-closure`` / ``hot-loop-attr`` —
   purity and hoisting discipline in the enumeration hot modules;
 * ``worker-shared-state`` — code reachable from pool worker entry points
-  must not write non-allowlisted module-level state;
+  must not write module-level state (the allowlist holds only the
+  observability recorders);
 * ``obs-global-access`` — instrumentation goes through the ``repro.obs``
-  runtime accessors, never the private recorder globals;
-* ``wire-drift`` / ``wire-shape-config`` — wire producers carry pinned
-  shape hashes and require version bumps on change.
+  runtime accessors, never the private recorder globals.
 
 Suppress a finding with a trailing ``# repro-lint: disable=<rule>`` comment
 (line scope) or the same comment alone on a line (file scope).

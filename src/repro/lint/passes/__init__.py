@@ -9,11 +9,10 @@ from __future__ import annotations
 
 from typing import List
 
-from .base import FilePass, ProjectPass, canonical_dump
+from .base import FilePass, ProjectPass
 from .field_drift import FieldDriftPass
 from .hot_path import HOT_MODULE_PREFIXES, HOT_MODULES, HotPathPass, is_hot_module
 from .obs_discipline import ObsDisciplinePass
-from .wire_drift import WireDriftPass, shape_hash
 from .worker_state import WORKER_STATE_ALLOWLIST, WorkerStatePass
 
 __all__ = [
@@ -22,15 +21,12 @@ __all__ = [
     "FieldDriftPass",
     "HotPathPass",
     "ObsDisciplinePass",
-    "WireDriftPass",
     "WorkerStatePass",
     "HOT_MODULES",
     "HOT_MODULE_PREFIXES",
     "WORKER_STATE_ALLOWLIST",
     "all_passes",
-    "canonical_dump",
     "is_hot_module",
-    "shape_hash",
 ]
 
 
@@ -40,6 +36,5 @@ def all_passes() -> List[FilePass]:
         FieldDriftPass(),
         HotPathPass(),
         ObsDisciplinePass(),
-        WireDriftPass(),
         WorkerStatePass(),
     ]

@@ -10,9 +10,7 @@ Two kinds of pass exist:
 
 The helpers below are the vocabulary every domain pass is built from:
 dotted-name rendering of attribute chains, import tables with relative
-import resolution, dataclass field extraction, and a canonical AST dump
-whose hash is stable across Python 3.10–3.12 (the wire-drift pass pins
-those hashes in source).
+import resolution, and dataclass field extraction.
 """
 
 from __future__ import annotations
@@ -182,92 +180,8 @@ def annotation_names(node: Optional[ast.AST]) -> List[str]:
 
 
 # --------------------------------------------------------------------------- #
-# Canonical AST dump (wire-shape hashing)
+# Loops and stores
 # --------------------------------------------------------------------------- #
-def canonical_dump(node: ast.AST) -> str:
-    """Compact, version-stable structural dump of an expression.
-
-    Unlike :func:`ast.dump`, the output covers only the facts a wire-shape
-    check cares about (node kinds, names, attribute chains, literal values,
-    keyword names) and is rendered identically on every supported CPython,
-    so the hashes pinned in source survive interpreter upgrades.
-    """
-    if isinstance(node, ast.Constant):
-        return f"K({node.value!r})"
-    if isinstance(node, ast.Name):
-        return f"N({node.id})"
-    if isinstance(node, ast.Attribute):
-        return f"A({canonical_dump(node.value)}.{node.attr})"
-    if isinstance(node, ast.Tuple):
-        return "T(" + ",".join(canonical_dump(e) for e in node.elts) + ")"
-    if isinstance(node, ast.List):
-        return "L(" + ",".join(canonical_dump(e) for e in node.elts) + ")"
-    if isinstance(node, ast.Set):
-        return "S(" + ",".join(canonical_dump(e) for e in node.elts) + ")"
-    if isinstance(node, ast.Dict):
-        entries = []
-        for key, value in zip(node.keys, node.values):
-            rendered_key = "**" if key is None else canonical_dump(key)
-            entries.append(f"{rendered_key}:{canonical_dump(value)}")
-        return "D(" + ",".join(entries) + ")"
-    if isinstance(node, ast.Call):
-        parts = [canonical_dump(node.func)]
-        parts.extend(canonical_dump(arg) for arg in node.args)
-        parts.extend(
-            f"{keyword.arg or '**'}={canonical_dump(keyword.value)}"
-            for keyword in node.keywords
-        )
-        return "C(" + ";".join(parts) + ")"
-    if isinstance(node, ast.Starred):
-        return f"*{canonical_dump(node.value)}"
-    if isinstance(node, (ast.GeneratorExp, ast.ListComp, ast.SetComp)):
-        kind = type(node).__name__[0]
-        pieces = [canonical_dump(node.elt)]
-        for comp in node.generators:
-            pieces.append(
-                f"for:{canonical_dump(comp.target)}:in:{canonical_dump(comp.iter)}"
-            )
-            pieces.extend(f"if:{canonical_dump(test)}" for test in comp.ifs)
-        return f"G{kind}(" + ";".join(pieces) + ")"
-    if isinstance(node, ast.IfExp):
-        return (
-            f"IF({canonical_dump(node.test)};{canonical_dump(node.body)};"
-            f"{canonical_dump(node.orelse)})"
-        )
-    if isinstance(node, ast.BoolOp):
-        op = type(node.op).__name__
-        return f"B({op};" + ";".join(canonical_dump(v) for v in node.values) + ")"
-    if isinstance(node, ast.BinOp):
-        return (
-            f"O({type(node.op).__name__};{canonical_dump(node.left)};"
-            f"{canonical_dump(node.right)})"
-        )
-    if isinstance(node, ast.UnaryOp):
-        return f"U({type(node.op).__name__};{canonical_dump(node.operand)})"
-    if isinstance(node, ast.Compare):
-        parts = [canonical_dump(node.left)]
-        for op, comparator in zip(node.ops, node.comparators):
-            parts.append(f"{type(op).__name__}:{canonical_dump(comparator)}")
-        return "CMP(" + ";".join(parts) + ")"
-    if isinstance(node, ast.Subscript):
-        return f"I({canonical_dump(node.value)}[{canonical_dump(node.slice)}])"
-    if isinstance(node, ast.Slice):
-        parts = [
-            "" if part is None else canonical_dump(part)
-            for part in (node.lower, node.upper, node.step)
-        ]
-        return "SL(" + ":".join(parts) + ")"
-    if isinstance(node, ast.JoinedStr):
-        return "F(" + ",".join(canonical_dump(v) for v in node.values) + ")"
-    if isinstance(node, ast.FormattedValue):
-        return f"FV({canonical_dump(node.value)})"
-    # Statements / anything unexpected: structural recursion over children.
-    children = ",".join(
-        canonical_dump(child) for child in ast.iter_child_nodes(node)
-    )
-    return f"X[{type(node).__name__}]({children})"
-
-
 def collect_loops(tree: ast.AST) -> List[ast.stmt]:
     """Every ``for``/``while`` statement in *tree*, outermost first."""
     return [

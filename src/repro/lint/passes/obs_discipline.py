@@ -10,7 +10,7 @@ Two access patterns break that contract:
   (``from repro.obs.runtime import _metrics``,
   ``runtime._tracer.span(...)``) — the reader captures whatever recorder
   was installed at import time and silently misses later ``activate()`` /
-  ``deactivate()`` swaps (worker processes swap recorders per chunk);
+  ``deactivate()`` swaps (worker processes swap recorders between tasks);
 * calling an accessor at module import time
   (``METRICS = obs.metrics()`` at top level) — same freeze, one level up.
 

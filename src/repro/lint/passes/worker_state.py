@@ -1,17 +1,18 @@
 """Worker shared-state race detector (``worker-shared-state``).
 
-The PR 6 worker pool keeps *deliberate* worker-resident state (the
-per-process graph registry and context cache).  Everything else that code
-running inside a pool worker touches must be worker-local: a write to
-module-level mutable state looks correct under ``fork`` on Linux (the child
-sees a copy), silently diverges from the parent, and breaks outright under
-``spawn`` — the classic cross-process aliasing bug.
+Pool workers are stateless: each task builds what it needs and drops it on
+return, and the only deliberate worker-resident state is the pair of
+observability recorders.  Everything else that code running inside a pool
+worker touches must be worker-local: a write to module-level mutable state
+looks correct under ``fork`` on Linux (the child sees a copy), silently
+diverges from the parent, and breaks outright under ``spawn`` — the classic
+cross-process aliasing bug.
 
 The pass:
 
 1. finds the worker entry points — functions whose ``def`` line (or the
    line above) carries a ``# repro-lint: worker-entry`` marker comment
-   (``repro.engine.batch._enumerate_chunk`` and ``_worker_ping`` in this
+   (``repro.engine.batch._enumerate_block`` and ``_worker_ping`` in this
    repo);
 2. computes the statically-resolvable call graph reachable from them,
    following same-module calls, ``from x import f`` calls, module-alias
@@ -43,13 +44,8 @@ from .base import ProjectPass, dotted_name, import_table
 #: per-process *by design*.
 WORKER_STATE_ALLOWLIST = frozenset(
     {
-        # PR 6 worker-resident registries: graphs and contexts are cached
-        # per worker process on purpose (shipped once, referenced by
-        # fingerprint afterwards).
-        "repro.engine.batch:_worker_cache",
-        "repro.engine.batch:_worker_graphs",
-        # PR 7 worker-local observability recorders: activated per worker by
-        # ensure_worker(), drained back to the parent inside chunk results.
+        # Worker-local observability recorders: activated per worker by
+        # ensure_worker(), drained back to the parent inside task results.
         "repro.obs.runtime:_metrics",
         "repro.obs.runtime:_tracer",
     }

@@ -31,7 +31,7 @@ import tempfile
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from ..core.constraints import Constraints
 from ..core.pruning import PruningConfig
@@ -292,42 +292,6 @@ class ResultStore:
         self._remember(key, result)
         self.stats.writes += 1
         obs.metrics().inc("store.puts_total")
-
-    def put_many(self, entries: Sequence[Tuple[str, StoredResult]]) -> int:
-        """Insert a batch of ``(key, result)`` pairs; returns the count written.
-
-        The batch sibling of :meth:`put`, used by the engine's chunked
-        scheduler to write one chunk's results back in a single call.  Each
-        entry is still written atomically (temp file + ``os.replace``), but
-        the per-entry Python overhead (directory probing, LRU bookkeeping)
-        is paid once per batch where possible.
-        """
-        made_dirs = set()
-        for key, result in entries:
-            path = self.path_of(key)
-            parent = path.parent
-            if parent not in made_dirs:
-                parent.mkdir(parents=True, exist_ok=True)
-                made_dirs.add(parent)
-            text = json.dumps(result.to_payload(), sort_keys=True)
-            handle, temp_name = tempfile.mkstemp(
-                prefix=f".{key[:8]}-", suffix=".tmp", dir=parent
-            )
-            try:
-                with os.fdopen(handle, "w", encoding="utf-8") as stream:
-                    stream.write(text)
-                os.replace(temp_name, path)
-            except BaseException:
-                try:
-                    os.unlink(temp_name)
-                except OSError:
-                    pass
-                raise
-            self._remember(key, result)
-            self.stats.writes += 1
-        if entries:
-            obs.metrics().inc("store.puts_total", len(entries))
-        return len(entries)
 
     def _remember(self, key: str, result: StoredResult) -> None:
         if self.max_memory_entries == 0:

@@ -7,22 +7,21 @@ is :mod:`repro.obs.trace`).  Design constraints, in order:
   the parent and each pool worker — owns a private registry; a worker
   periodically takes a :meth:`MetricsRegistry.snapshot_wire` (which *resets*
   its registry, so snapshots are deltas) and ships it back inside the
-  engine's chunk result, where the parent folds it in with
+  engine's task result, where the parent folds it in with
   :meth:`MetricsRegistry.merge_wire`.  No locks, no shared state, and a
   crashed worker loses at most one un-shipped delta.
-* **Plain-tuple wire form.**  Snapshots are nested tuples of primitives,
-  exactly like :func:`repro.dfg.serialization.graph_to_wire` — cheap to
-  pickle and structurally versioned (:data:`METRICS_WIRE_VERSION`).
+* **Plain-tuple wire form.**  Snapshots are nested tuples of primitives —
+  cheap to pickle and structurally versioned (:data:`METRICS_WIRE_VERSION`).
 * **Merge rules**: counters add, gauges keep the incoming value
   (last-write-wins), histograms add bucket-wise (the bucket bounds must
   match — a mismatch raises, it is a programming error, not data).
 
 Metric naming convention (documented in the README): ``subsystem.name``,
 with counters suffixed ``_total`` (``enum.lt_calls_total``,
-``pool.chunks_dispatched_total``), gauges plain (``run.wall_seconds``) and
+``pool.blocks_dispatched_total``), gauges plain (``run.wall_seconds``) and
 histograms named after the measured quantity (``enum.block_seconds``).
 Label keys are free-form but low-cardinality (``algorithm``, ``status``,
-``rule``, ``side``).
+``rule``).
 """
 
 from __future__ import annotations
@@ -163,9 +162,8 @@ class MetricsRegistry:
     def snapshot_wire(self, reset: bool = False) -> tuple:
         """Compact picklable snapshot; with ``reset=True`` it is a delta.
 
-        The result contains only primitives and tuples (the
-        ``graph_to_wire`` idiom), so it travels cheaply inside the engine's
-        chunk payloads.
+        The result contains only primitives and tuples, so it travels
+        cheaply inside the engine's task results.
         """
         wire = (
             "metrics",

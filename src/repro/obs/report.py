@@ -276,8 +276,9 @@ def format_run_report(
     store_lookups = totals.get("store.hits_total", 0) + totals.get(
         "store.misses_total", 0
     )
-    cache_sides = counter_by_label(document, "context_cache.hits_total", "side")
-    if store_lookups or cache_sides:
+    cache_hits = totals.get("context_cache.hits_total", 0)
+    cache_misses = totals.get("context_cache.misses_total", 0)
+    if store_lookups or cache_hits or cache_misses:
         lines.append("")
         lines.append("memoization:")
         if store_lookups:
@@ -287,37 +288,20 @@ def format_run_report(
                 + f", {int(totals.get('store.puts_total', 0))} put(s)"
                 + f", {int(totals.get('store.evictions_total', 0))} LRU eviction(s)"
             )
-        misses_by_side = counter_by_label(
-            document, "context_cache.misses_total", "side"
-        )
-        for side in sorted(set(cache_sides) | set(misses_by_side)):
+        if cache_hits or cache_misses:
             lines.append(
-                f"  context cache ({side:<6s}): "
-                + _rate(cache_sides.get(side, 0), misses_by_side.get(side, 0))
+                "  context cache        : " + _rate(cache_hits, cache_misses)
             )
 
     # --- pool -------------------------------------------------------------- #
-    if totals.get("pool.chunks_dispatched_total"):
+    if totals.get("pool.blocks_dispatched_total"):
         lines.append("")
-        resplits = counter_by_label(document, "pool.chunk_resplits_total", "reason")
         lines.append("worker pool:")
         lines.append(
-            f"  chunks dispatched    : {int(totals.get('pool.chunks_dispatched_total', 0))}"
-        )
-        lines.append(
-            f"  graph bodies shipped : {int(totals.get('pool.graphs_shipped_total', 0))}"
-            f" (+{int(totals.get('pool.graph_reships_total', 0))} re-ship(s))"
+            f"  blocks dispatched    : {int(totals.get('pool.blocks_dispatched_total', 0))}"
         )
         lines.append(
             f"  deadline expiries    : {int(totals.get('pool.deadline_expiries_total', 0))}"
-        )
-        lines.append(
-            "  chunk re-splits      : "
-            + (
-                ", ".join(f"{k}={int(v)}" for k, v in sorted(resplits.items()))
-                if resplits
-                else "0"
-            )
         )
         lines.append(
             f"  crash recoveries     : {int(totals.get('pool.crash_recoveries_total', 0))}"

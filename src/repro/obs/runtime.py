@@ -4,7 +4,7 @@ Instrumented code everywhere in the tree (engine, memo store, ISE pipeline,
 frontend) asks this module for the current recorder:
 
     from ..obs import runtime as obs
-    obs.metrics().inc("pool.chunks_dispatched_total")
+    obs.metrics().inc("pool.blocks_dispatched_total")
     with obs.tracer().span("batch.run", jobs=2):
         ...
 
@@ -16,9 +16,9 @@ sense that matters next to a graph enumeration.
 Activation is explicit (:func:`activate` / :func:`deactivate`), done by the
 CLI when ``--trace`` or ``--metrics-json`` is passed, by tests, and — inside
 pool workers — by :func:`ensure_worker`, driven by the small config tuple the
-engine ships inside each chunk payload.  Worker-side recorders are drained
-per chunk (:func:`drain_worker`): snapshots are *deltas*, riding back to the
-parent inside the chunk result, where the engine merges them.
+engine ships inside each task payload.  Worker-side recorders are drained
+per task (:func:`drain_worker`): snapshots are *deltas*, riding back to the
+parent inside the task's result record, where the engine merges them.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Dict, Optional, Tuple, Union
 from .metrics import NULL_METRICS, MetricsRegistry, NullMetrics
 from .trace import NULL_TRACER, NullTracer, Tracer
 
-#: Version tag of the worker activation config shipped in chunk payloads.
+#: Version tag of the worker activation config shipped in task payloads.
 _WORKER_CONFIG_VERSION = 1
 
 _metrics: Optional[MetricsRegistry] = None
@@ -69,8 +69,21 @@ def deactivate() -> None:
 
 
 # --------------------------------------------------------------------------- #
-# Worker-side lifecycle (driven by the engine's chunk payloads)
+# Worker-side lifecycle (driven by the engine's task payloads)
 # --------------------------------------------------------------------------- #
+# repro-lint: worker-entry
+def reset_worker() -> None:
+    """Pool-worker initializer: start every worker with no recorders.
+
+    A worker forked from an observing parent inherits copies of the parent's
+    live registry and tracer, holding everything recorded before the fork;
+    draining those would ship the parent's own counts back to it.
+    :func:`ensure_worker` activates fresh recorders on the first observed
+    task instead.
+    """
+    deactivate()
+
+
 def worker_config() -> Optional[Tuple[str, int]]:
     """The activation config to ship to pool workers (None when disabled)."""
     if not enabled():
@@ -82,7 +95,7 @@ def ensure_worker(config: Optional[Tuple[str, int]]) -> None:
     """Apply the parent's activation *config* inside a pool worker.
 
     Activates a fresh worker-local registry/tracer the first time an
-    observability-enabled chunk arrives, and deactivates (dropping any
+    observability-enabled task arrives, and deactivates (dropping any
     stale, never-drained records) when the parent stopped observing —
     workers are long-lived and must follow the parent's current session.
     """

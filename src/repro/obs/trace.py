@@ -1,8 +1,9 @@
 """Structured run tracing: spans with start/end/attrs, process-merge, sinks.
 
 A *span* is one named, timed region of the run — ``cli.ise`` wrapping a whole
-command, ``batch.run`` wrapping a batch, ``worker.chunk`` wrapping one chunk
-inside a pool worker, ``enumerate`` wrapping one block.  Spans carry:
+command, ``batch.run`` wrapping a batch, ``worker.chunk`` wrapping one pool
+task inside a worker (one block per task), ``worker.block`` and
+``enum.block`` wrapping one block's enumeration.  Spans carry:
 
 * ``ts`` — wall-clock start in **microseconds since the Unix epoch** (so
   records from different processes on one machine line up on a shared
@@ -14,7 +15,7 @@ inside a pool worker, ``enumerate`` wrapping one block.  Spans carry:
 * ``args`` — free-form primitive attributes (graph name, cut count, ...).
 
 Worker processes record spans into their own tracer and ship them back as
-plain tuples (:meth:`Tracer.wire_records`) inside the engine's chunk results;
+plain tuples (:meth:`Tracer.wire_records`) inside the engine's task results;
 the parent folds them in with :meth:`Tracer.merge_wire`.  Sinks — the JSONL
 file and the Chrome trace-event export — live in :mod:`repro.obs.export`.
 

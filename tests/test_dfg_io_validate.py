@@ -1,12 +1,12 @@
 """Tests for DOT/JSON serialization and graph validation."""
 
 import json
+import pickle
 
 import pytest
 from hypothesis import given
 
 from repro.dfg import (
-    WIRE_VERSION,
     DataFlowGraph,
     DFGBuilder,
     Opcode,
@@ -14,9 +14,7 @@ from repro.dfg import (
     dumps,
     from_dot,
     graph_from_dict,
-    graph_from_wire,
     graph_to_dict,
-    graph_to_wire,
     load,
     loads,
     save,
@@ -85,17 +83,23 @@ class TestJsonSerialization:
             graph_from_dict(data)
 
 
+def _over_the_wire(graph: DataFlowGraph) -> DataFlowGraph:
+    """What a batch worker receives: the graph pickled as is."""
+    return pickle.loads(pickle.dumps(graph))
+
+
 class TestWireFormat:
-    """The compact tuple format that ships graphs to batch workers."""
+    """The pool ships each graph pickled; workers return cut masks indexed
+    by node id, so the round trip must keep ids, flags and structure."""
 
     def test_wire_round_trip_matches_json_document(self, diamond_graph):
-        rebuilt = graph_from_wire(graph_to_wire(diamond_graph))
+        rebuilt = _over_the_wire(diamond_graph)
         assert graph_to_dict(rebuilt) == graph_to_dict(diamond_graph)
 
     @given(dag_seeds)
     def test_wire_round_trip_random(self, seed):
         graph = make_random_dag(seed, num_operations=8)
-        rebuilt = graph_from_wire(graph_to_wire(graph))
+        rebuilt = _over_the_wire(graph)
         assert rebuilt.name == graph.name
         assert rebuilt.num_nodes == graph.num_nodes
         assert set(rebuilt.edges()) == set(graph.edges())
@@ -110,21 +114,15 @@ class TestWireFormat:
         op = graph.add_node(Opcode.ADD, name="sum", live_out=True, weight=3)
         graph.add_edge(a, op)
         graph.set_forbidden(op, True)
-        rebuilt = graph_from_wire(graph_to_wire(graph))
+        rebuilt = _over_the_wire(graph)
         assert rebuilt.node(op).attributes == {"weight": 3}
         assert rebuilt.node(op).forbidden
         assert rebuilt.node(op).live_out
         assert graph_to_dict(rebuilt) == graph_to_dict(graph)
 
     def test_wire_round_trip_preserves_structural_hash(self, loads_graph):
-        rebuilt = graph_from_wire(graph_to_wire(loads_graph))
+        rebuilt = _over_the_wire(loads_graph)
         assert rebuilt.structural_hash() == loads_graph.structural_hash()
-
-    def test_wire_version_mismatch_rejected(self, diamond_graph):
-        version, name, nodes, edges = graph_to_wire(diamond_graph)
-        assert version == WIRE_VERSION
-        with pytest.raises(ValueError, match="wire version"):
-            graph_from_wire((WIRE_VERSION + 1, name, nodes, edges))
 
 
 class TestValidation:

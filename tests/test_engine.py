@@ -305,7 +305,7 @@ class TestPipelineParallel:
 
 
 # --------------------------------------------------------------------------- #
-# jobs="auto" and chunked dispatch
+# jobs="auto" and pool dispatch
 # --------------------------------------------------------------------------- #
 class TestJobsAuto:
     def test_resolve_jobs_auto_is_cpu_count_clamped_to_one(self):
@@ -329,38 +329,14 @@ class TestJobsAuto:
         assert report.items[0].ok
         runner.close()
 
-    def test_runner_rejects_bad_chunk_size(self):
-        with pytest.raises(ValueError, match="chunk_size"):
-            BatchRunner(chunk_size=0)
-        with pytest.raises(ValueError, match="chunk_size"):
-            BatchRunner(chunk_size="huge")
-
 
 class TestChunkedDispatch:
-    """Bit-identity of the chunked pool path against the sequential path."""
-
-    @pytest.mark.parametrize("chunk_size", [1, 3, 16, "auto"])
-    def test_bit_identity_across_chunk_sizes(
-        self, batch_suite, default_constraints, chunk_size
-    ):
-        """Chunk capacities of one block, a bin boundary, the whole suite
-        and the auto heuristic all reproduce the sequential run exactly."""
-        sequential = BatchRunner(constraints=default_constraints, jobs=1).run(
-            batch_suite
-        )
-        with BatchRunner(
-            constraints=default_constraints, jobs=2, chunk_size=chunk_size
-        ) as runner:
-            parallel = runner.run(batch_suite)
-        for seq_item, par_item in zip(sequential.items, parallel.items):
-            assert seq_item.graph_name == par_item.graph_name
-            assert par_item.ok, f"{par_item.graph_name}: {par_item.error}"
-            assert _cut_keys(seq_item.result) == _cut_keys(par_item.result)
+    """The pool path against the sequential path, one block per task."""
 
     def test_forced_pool_at_one_job_matches_sequential(
         self, batch_suite, default_constraints
     ):
-        """force_pool=True routes jobs=1 through the chunked pool — the
+        """force_pool=True routes jobs=1 through the pool — the
         dispatch-overhead benchmark configuration — without changing a bit."""
         sequential = BatchRunner(constraints=default_constraints, jobs=1).run(
             batch_suite
@@ -377,11 +353,9 @@ class TestChunkedDispatch:
     def test_pool_persists_across_runs_and_results_stay_identical(
         self, batch_suite, default_constraints
     ):
-        """The second run reuses the warmed pool (worker-resident graphs and
-        contexts) and still reproduces the first run bit for bit."""
-        with BatchRunner(
-            constraints=default_constraints, jobs=2, chunk_size=2
-        ) as runner:
+        """The second run reuses the warmed pool and still reproduces the
+        first run bit for bit."""
+        with BatchRunner(constraints=default_constraints, jobs=2) as runner:
             runner.warm_pool()
             assert runner._pool is not None
             pool = runner._pool
@@ -396,15 +370,14 @@ class TestChunkedDispatch:
     def test_worker_error_inside_chunk_does_not_poison_siblings(
         self, default_constraints
     ):
-        """A block that raises mid-chunk is reported on exactly that item;
-        the other blocks of the same chunk keep their results."""
+        """A block that raises in a worker is reported on exactly that item;
+        the blocks around it keep their results."""
         big = make_random_dag(3, num_operations=30, memory_probability=0.0)
         blocks = [diamond(), big, linear_chain(4), build_kernel("bitcount")]
         with BatchRunner(
             algorithm="brute-force",
             constraints=default_constraints,
             jobs=2,
-            chunk_size=4,
         ) as runner:
             report = runner.run(blocks)
         assert not report.items[1].ok

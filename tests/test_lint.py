@@ -1,4 +1,4 @@
-"""Tests of the ``repro lint`` framework and its five domain passes.
+"""Tests of the ``repro lint`` framework and its four domain passes.
 
 Every rule has a known-good and a known-bad fixture; the bad fixture must
 trigger *exactly* its intended rule id (no collateral findings), so the
@@ -9,7 +9,6 @@ self-check (``repro lint src tests benchmarks``) stays clean.
 
 from __future__ import annotations
 
-import ast
 import json
 import re
 import subprocess
@@ -27,7 +26,7 @@ from repro.lint import (
     run_lint,
 )
 from repro.lint.engine import Suppressions, changed_lines, module_name_for
-from repro.lint.passes import all_passes, shape_hash
+from repro.lint.passes import all_passes
 
 
 def write_fixture(root: Path, relpath: str, source: str) -> Path:
@@ -334,10 +333,9 @@ def test_worker_state_clean_when_state_is_local(tmp_path):
 
 
 def test_worker_state_allowlist_is_honoured():
-    # The real batch/obs worker-resident registries are deliberately
-    # allowlisted: the repo tree must stay clean with the default allowlist
-    # even though the pass reaches their writes (see the explicit-allowlist
-    # assertion below).
+    # The obs recorders are the only deliberate worker-resident state: the
+    # repo tree must stay clean with the default allowlist even though the
+    # pass reaches their writes (see the explicit-allowlist assertion below).
     from repro.lint.engine import Project, collect_files, load_file
     from repro.lint.passes.worker_state import WorkerStatePass
 
@@ -354,7 +352,7 @@ def test_worker_state_allowlist_is_honoured():
         match = re.search(r"state '([^']+)'", diagnostic.message)
         assert match is not None
         flagged.add(match.group(1))
-    assert {"_worker_cache", "_worker_graphs", "_metrics", "_tracer"} <= flagged
+    assert flagged == {"_metrics", "_tracer"}
 
 
 # --------------------------------------------------------------------------- #
@@ -421,111 +419,6 @@ def test_obs_accessor_at_call_site_is_clean(tmp_path):
         """,
     )
     assert rules_found(tmp_path) == {}
-
-
-# --------------------------------------------------------------------------- #
-# wire-drift
-# --------------------------------------------------------------------------- #
-WIRE_TEMPLATE = """
-    WIRE_VERSION = {version}
-
-    GRAPH_TO_WIRE_SHAPE_HISTORY = {history}
-
-
-    def graph_to_wire(graph):
-        return (
-            WIRE_VERSION,
-            graph.name,
-            tuple(node.opcode for node in graph.nodes()),
-        )
-"""
-
-
-def wire_fixture_hash() -> str:
-    tree = ast.parse(
-        textwrap.dedent(WIRE_TEMPLATE.format(version=1, history="{}"))
-    )
-    func = next(
-        node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
-    )
-    return shape_hash(func)
-
-
-def test_wire_drift_clean_when_hash_recorded(tmp_path):
-    pinned = wire_fixture_hash()
-    write_fixture(
-        tmp_path,
-        "good_wire.py",
-        WIRE_TEMPLATE.format(version=1, history=f'{{1: "{pinned}"}}'),
-    )
-    assert rules_found(tmp_path) == {}
-
-
-def test_wire_drift_fires_on_unbumped_shape_change(tmp_path):
-    write_fixture(
-        tmp_path,
-        "bad_wire.py",
-        WIRE_TEMPLATE.format(version=1, history='{1: "0123456789abcdef"}'),
-    )
-    report = run_lint([str(tmp_path)])
-    assert [d.rule for d in report.diagnostics] == ["wire-drift"]
-    assert "without a version bump" in report.diagnostics[0].message
-
-
-def test_wire_drift_fires_on_bump_without_recorded_hash(tmp_path):
-    pinned = wire_fixture_hash()
-    write_fixture(
-        tmp_path,
-        "bad_wire_bump.py",
-        WIRE_TEMPLATE.format(version=2, history=f'{{1: "{pinned}"}}'),
-    )
-    report = run_lint([str(tmp_path)])
-    assert [d.rule for d in report.diagnostics] == ["wire-drift"]
-    assert "no recorded shape hash" in report.diagnostics[0].message
-
-
-def test_wire_shape_config_on_malformed_pin(tmp_path):
-    write_fixture(
-        tmp_path,
-        "bad_wire_config.py",
-        """
-        WIRE_VERSION = 1
-
-        GRAPH_TO_WIRE_SHAPE_HISTORY = {1: "aa"}
-        """,
-    )
-    report = run_lint([str(tmp_path)])
-    assert [d.rule for d in report.diagnostics] == ["wire-shape-config"]
-    assert "does not exist" in report.diagnostics[0].message
-
-
-def test_real_wire_pins_match_current_shapes():
-    """The pinned hashes in the tree match what the pass computes today."""
-    import repro.dfg.serialization as serialization
-    import repro.engine.batch as batch
-
-    for module, func_name, history, version in (
-        (
-            serialization,
-            "graph_to_wire",
-            serialization.GRAPH_TO_WIRE_SHAPE_HISTORY,
-            serialization.WIRE_VERSION,
-        ),
-        (
-            batch,
-            "_enumerate_chunk",
-            batch._ENUMERATE_CHUNK_SHAPE_HISTORY,
-            batch._ENUMERATE_CHUNK_SHAPE_VERSION,
-        ),
-    ):
-        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
-        func = next(
-            node
-            for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and node.name == func_name
-        )
-        assert history[version] == shape_hash(func)
 
 
 # --------------------------------------------------------------------------- #

@@ -3,7 +3,7 @@
 Covers the merge semantics of the metrics registry (label sets, histogram
 bucket merges, snapshot/merge wire round-trips), trace-record schema
 validation and file round-trips, the worker-snapshot path through the
-chunked pool (including the sequential-vs-pool stats-parity guarantee),
+worker pool (including the sequential-vs-pool stats-parity guarantee),
 the ``ResultStore`` lifetime counters, and the ``--trace`` /
 ``--metrics-json`` / ``metrics`` CLI surface.
 """
@@ -130,12 +130,12 @@ class TestMetricsRegistry:
     def test_snapshot_reset_yields_deltas_not_totals(self):
         worker = MetricsRegistry()
         parent = MetricsRegistry()
-        worker.inc("pool.chunks_dispatched_total", 2)
+        worker.inc("pool.blocks_dispatched_total", 2)
         parent.merge_wire(worker.snapshot_wire(reset=True))
-        worker.inc("pool.chunks_dispatched_total", 1)
+        worker.inc("pool.blocks_dispatched_total", 1)
         parent.merge_wire(worker.snapshot_wire(reset=True))
-        # Totals would double-count the first chunk; deltas add to 3 exactly.
-        assert parent.counter("pool.chunks_dispatched_total") == 3
+        # Totals would double-count the first drain; deltas add to 3 exactly.
+        assert parent.counter("pool.blocks_dispatched_total") == 3
 
     def test_merge_wire_gauges_last_write_wins(self):
         a = MetricsRegistry()
@@ -250,15 +250,12 @@ class TestExport:
 # Engine integration: worker snapshots and stats parity
 # --------------------------------------------------------------------------- #
 def _integer_stats(stats: EnumerationStats) -> dict:
-    """The deterministic portion of the counters (timings excluded)."""
+    """The deterministic portion of the counters: every integer field and
+    the per-rule ``pruned`` counts (timings excluded)."""
     return {
-        "cuts_found": stats.cuts_found,
-        "duplicates": stats.duplicates,
-        "candidates_checked": stats.candidates_checked,
-        "lt_calls": stats.lt_calls,
-        "pick_output_calls": stats.pick_output_calls,
-        "pick_input_calls": stats.pick_input_calls,
-        "pruned": dict(stats.pruned),
+        spec.name: getattr(stats, spec.name)
+        for spec in dataclasses.fields(stats)
+        if not isinstance(getattr(stats, spec.name), float)
     }
 
 
@@ -285,12 +282,11 @@ class TestEngineIntegration:
         obs_runtime.deactivate()
 
         registry, recorder = obs_runtime.activate()
-        with BatchRunner(jobs=2, chunk_size=3) as runner:
+        with BatchRunner(jobs=2) as runner:
             runner.run(obs_suite)
         assert registry.counter_series("enum.cuts_found_total") == sequential
         assert registry.counter_total("enum.blocks_total") == sequential_blocks
-        assert registry.counter("pool.graphs_shipped_total") >= len(obs_suite)
-        assert registry.counter("pool.chunks_dispatched_total") >= 1
+        assert registry.counter("pool.blocks_dispatched_total") == len(obs_suite)
         # Worker spans crossed the wire and carry the *worker's* pid.
         worker_spans = [
             r for r in recorder.records if r["name"] == "worker.block"
@@ -299,16 +295,17 @@ class TestEngineIntegration:
         assert all(r["pid"] != os.getpid() for r in worker_spans)
         assert validate_trace_records(recorder.records) == []
 
-    @pytest.mark.parametrize("chunk_size", [1, 3, "auto"])
-    def test_stats_parity_sequential_vs_pool(self, obs_suite, chunk_size):
-        """Per-block EnumerationStats survive chunked dispatch bit for bit.
+    @pytest.mark.parametrize("jobs", [1, 3, "auto"])
+    def test_stats_parity_sequential_vs_pool(self, obs_suite, jobs):
+        """Per-block EnumerationStats survive the pool bit for bit, whatever
+        its size (``jobs=1`` is a forced one-worker pool).
 
         This is the guarantee that makes the parent-side metrics absorption
-        exact: re-splits, retries and worker-resident caching must neither
-        drop nor double-merge any counter.
+        exact: deadline resubmissions and crash retries must neither drop
+        nor double-merge any counter.
         """
         sequential = BatchRunner(jobs=1).run(obs_suite)
-        with BatchRunner(jobs=2, chunk_size=chunk_size) as runner:
+        with BatchRunner(jobs=jobs, force_pool=True) as runner:
             parallel = runner.run(obs_suite)
         for seq_item, par_item in zip(sequential.items, parallel.items):
             assert seq_item.graph_name == par_item.graph_name
@@ -332,11 +329,35 @@ class TestEngineIntegration:
         assert alone.stats.lt_calls > 0
         assert _integer_stats(report.items[1].result.stats) == _integer_stats(alone.stats)
 
+    def test_pool_block_stats_do_not_depend_on_worker_history(self):
+        """A pooled block reports the same counters on a reused pool.
+
+        Workers keep nothing between tasks, so the second run of the same
+        blocks through one persistent pool must count exactly what the
+        first run and a sequential run count (``lt_calls`` included).
+        """
+        constraints = Constraints(max_inputs=4, max_outputs=2)
+        blocks = [
+            generate_basic_block(SyntheticBlockSpec(num_operations=14, seed=seed))
+            for seed in range(4)
+        ]
+        sequential = BatchRunner(constraints=constraints, jobs=1).run(blocks)
+        with BatchRunner(constraints=constraints, jobs=1, force_pool=True) as runner:
+            first = runner.run(blocks)
+            second = runner.run(blocks)
+        for seq_item, first_item, second_item in zip(
+            sequential.items, first.items, second.items
+        ):
+            expected = _integer_stats(seq_item.result.stats)
+            assert expected["lt_calls"] > 0
+            assert _integer_stats(first_item.result.stats) == expected
+            assert _integer_stats(second_item.result.stats) == expected
+
     def test_disabled_obs_keeps_wire_format_plain(self, obs_suite):
         """With observability off, nothing must change on the pool wire."""
         assert not obs_runtime.enabled()
         assert obs_runtime.worker_config() is None
-        with BatchRunner(jobs=2, chunk_size=3) as runner:
+        with BatchRunner(jobs=2) as runner:
             report = runner.run(obs_suite)
         assert all(item.ok for item in report.items)
 

@@ -418,20 +418,10 @@ def test_iter_enumerate_deduplicated_streams_whole_classes():
 
 
 # --------------------------------------------------------------------------- #
-# Chunked dispatch: deadlines, crash re-split, streaming semantics
+# Uniform blocks: deadlines, crash isolation, streaming semantics
 # --------------------------------------------------------------------------- #
-#: Over the per-block BUDGET, far under a multi-block chunk's combined budget.
-MID_SLEEP = 1.2 * BUDGET
-
-
-def _mid_sleepy_run(request):
-    """Sleeps just past the per-block budget on ``*over*`` blocks."""
-    time.sleep(MID_SLEEP if "over" in request.graph.name else FAST_SLEEP)
-    return get_algorithm("exhaustive").enumerate(request)
-
-
 def _uniform_chain_blocks(count: int, slow_index=None, slow_prefix="slow"):
-    """*count* identically sized blocks (one size bin), distinct names."""
+    """*count* identically sized blocks with distinct names."""
     blocks = []
     for position in range(count):
         graph = linear_chain(4)
@@ -449,9 +439,9 @@ class TestChunkDeadlines:
     def test_expired_chunk_is_resplit_and_only_the_slow_block_times_out(
         self, registered
     ):
-        """A chunk whose combined ``len(chunk) * timeout`` budget expires is
-        re-split into single-block tasks: the slow block is isolated and
-        abandoned on its own deadline, its chunk-mates complete untouched."""
+        """Six same-sized blocks at jobs=2: the slow block is abandoned on
+        its own deadline, and the blocks queued or running beside it
+        complete untouched."""
         registered("test-chunk-sleeper", _sleepy_run)
         blocks = _uniform_chain_blocks(6, slow_index=2)
         with BatchRunner(
@@ -459,7 +449,6 @@ class TestChunkDeadlines:
             constraints=Constraints(max_inputs=3, max_outputs=2),
             jobs=2,
             timeout=BUDGET,
-            chunk_size=3,
             mp_context=_fork_context(),
         ) as runner:
             report = runner.run(blocks)
@@ -471,37 +460,10 @@ class TestChunkDeadlines:
                 continue
             assert item.ok, f"{item.graph_name} failed: {item.error}"
             assert not item.timed_out, (
-                f"{item.graph_name} falsely timed out (chunk-mate's runtime "
+                f"{item.graph_name} falsely timed out (a neighbour's runtime "
                 "or queue wait charged against its deadline)"
             )
         assert report.failures() == [slow]
-
-    def test_block_completing_over_budget_inside_chunk_is_flagged_result_kept(
-        self, registered
-    ):
-        """Per-block ``task_seconds`` stamps survive chunking: a block that
-        finishes past its own budget — while the chunk stays within its
-        combined budget — keeps its result and is flagged, and its
-        chunk-mates are not."""
-        registered("test-chunk-mid-sleeper", _mid_sleepy_run)
-        blocks = _uniform_chain_blocks(4, slow_index=1, slow_prefix="over")
-        with BatchRunner(
-            algorithm="test-chunk-mid-sleeper",
-            constraints=Constraints(max_inputs=3, max_outputs=2),
-            jobs=2,
-            timeout=BUDGET,
-            chunk_size=4,
-            mp_context=_fork_context(),
-        ) as runner:
-            report = runner.run(blocks)
-        over = report.items[1]
-        assert over.ok and over.timed_out  # completed over budget, kept
-        for item in report.items:
-            if item.index == 1:
-                continue
-            assert item.ok and not item.timed_out, (
-                f"{item.graph_name}: ok={item.ok} timed_out={item.timed_out}"
-            )
 
 
 @needs_fork
@@ -509,9 +471,9 @@ class TestChunkCrashRecovery:
     def test_crash_mid_chunk_is_resplit_and_suite_completes(
         self, registered, tmp_path
     ):
-        """A worker crash inside a multi-block chunk re-splits every casualty
-        into single-block retries (penalty-free); the poison block succeeds
-        on its isolated retry and the whole suite completes."""
+        """A worker crash among eight blocks in flight is retried
+        penalty-free; the poison block succeeds on its retry and the whole
+        suite completes."""
         sentinel = tmp_path / "crashed-once"
         registered("test-chunk-crasher", _make_crasher(sentinel, always=False))
         blocks = _uniform_chain_blocks(8, slow_index=3, slow_prefix="poison")
@@ -519,7 +481,6 @@ class TestChunkCrashRecovery:
             algorithm="test-chunk-crasher",
             constraints=Constraints(max_inputs=3, max_outputs=2),
             jobs=2,
-            chunk_size=4,
             mp_context=_fork_context(),
         ) as runner:
             report = runner.run(blocks)
@@ -532,9 +493,8 @@ class TestChunkCrashRecovery:
     def test_always_crashing_block_in_chunk_fails_alone(
         self, registered, tmp_path
     ):
-        """After the ambiguous mid-chunk crash, isolation makes the repeat
-        crashes attributable: only the poison block is failed, every
-        chunk-mate finishes with a result."""
+        """Repeat crashes are attributed to the poison block alone: it is
+        failed, and every other block finishes with a result."""
         sentinel = tmp_path / "crashed-always"
         registered("test-chunk-crasher-always", _make_crasher(sentinel, always=True))
         blocks = _uniform_chain_blocks(8, slow_index=3, slow_prefix="poison")
@@ -542,7 +502,6 @@ class TestChunkCrashRecovery:
             algorithm="test-chunk-crasher-always",
             constraints=Constraints(max_inputs=3, max_outputs=2),
             jobs=2,
-            chunk_size=4,
             mp_context=_fork_context(),
         ) as runner:
             report = runner.run(blocks)
@@ -561,7 +520,7 @@ class TestChunkedStreaming:
         graphs = _small_suite(8)
         constraints = Constraints(max_inputs=3, max_outputs=2)
         reference = BatchRunner(constraints=constraints, jobs=1).run(graphs)
-        with BatchRunner(constraints=constraints, jobs=2, chunk_size=3) as runner:
+        with BatchRunner(constraints=constraints, jobs=2) as runner:
             streamed = list(runner.iter_run(graphs))
         assert sorted(item.index for item in streamed) == list(range(len(graphs)))
         streamed.sort(key=lambda item: item.index)
@@ -570,21 +529,17 @@ class TestChunkedStreaming:
             assert _cut_keys(ref_item.result) == _cut_keys(item.result)
 
     def test_chunked_store_run_writes_back_and_serves_warm_hits(self, tmp_path):
-        """The per-chunk batched write-back persists every fresh result; a
-        second run over the same store is served entirely from cache and
-        stays bit-identical."""
+        """The per-block write-back persists every fresh result; a second
+        run over the same store is served entirely from cache and stays
+        bit-identical."""
         graphs = _small_suite(6)
         constraints = Constraints(max_inputs=3, max_outputs=2)
         reference = BatchRunner(constraints=constraints, jobs=1).run(graphs)
         store = ResultStore(tmp_path / "cache")
-        with BatchRunner(
-            constraints=constraints, jobs=2, chunk_size=3, store=store
-        ) as runner:
+        with BatchRunner(constraints=constraints, jobs=2, store=store) as runner:
             cold = runner.run(graphs)
         assert store.stats.writes == len(graphs)
-        with BatchRunner(
-            constraints=constraints, jobs=2, chunk_size=3, store=store
-        ) as runner:
+        with BatchRunner(constraints=constraints, jobs=2, store=store) as runner:
             warm = runner.run(graphs)
         assert all(item.cached for item in warm.items)
         for ref_item, cold_item, warm_item in zip(
