@@ -24,6 +24,7 @@ from repro.engine import (
     resolve_jobs,
     unregister_algorithm,
 )
+from repro.engine.batch import WINDOW_FACTOR
 from repro.ise import BlockProfile, identify_instruction_set_extension
 from repro.workloads import WorkloadSuite, build_kernel
 from tests.conftest import make_random_dag
@@ -332,6 +333,27 @@ class TestJobsAuto:
 
 class TestChunkedDispatch:
     """The pool path against the sequential path, one block per task."""
+
+    @pytest.mark.parametrize("run_length", [1, 3, 16, "auto"])
+    def test_bit_identity_across_chunk_sizes(
+        self, batch_suite, default_constraints, run_length
+    ):
+        """Runs of one block, fewer blocks than the in-flight window, the
+        window exactly ("auto": WINDOW_FACTOR * jobs) and twice the suite
+        (so the window refills as results return) all reproduce the
+        sequential run exactly."""
+        jobs = 2
+        length = WINDOW_FACTOR * jobs if run_length == "auto" else run_length
+        graphs = list(batch_suite)
+        blocks = [graphs[i % len(graphs)] for i in range(length)]
+        sequential = BatchRunner(constraints=default_constraints, jobs=1).run(blocks)
+        with BatchRunner(constraints=default_constraints, jobs=jobs) as runner:
+            parallel = runner.run(blocks)
+        assert len(parallel.items) == length
+        for seq_item, par_item in zip(sequential.items, parallel.items):
+            assert seq_item.graph_name == par_item.graph_name
+            assert par_item.ok, f"{par_item.graph_name}: {par_item.error}"
+            assert _cut_keys(seq_item.result) == _cut_keys(par_item.result)
 
     def test_forced_pool_at_one_job_matches_sequential(
         self, batch_suite, default_constraints
