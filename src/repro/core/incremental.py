@@ -16,10 +16,14 @@ The hot path is organised around precomputation and incrementality:
 * the ``B({w}, o)`` contributions come from the context's
   :class:`~repro.core.context.ContributionTables` (one closure intersection
   per (vertex, output) pair, computed once per context and shared across
-  pruning configurations through the engine's context cache);
+  pruning configurations through the engine's context cache); ``B(I, o)``
+  for a newly picked output is one AND of the inputs' descendant union,
+  formed once per PICK-OUTPUT call, with ``o`` and its ancestors;
 * the dominator queries go through the context's shared caches — one
-  Lengauer–Tarjan run per distinct *reachable region*, answering the
-  completion query of every output of that region;
+  dominator array per distinct *reachable region*, answering the
+  completion query of every output of that region, and derived from the
+  array of the input set one vertex smaller (the full kernel runs only when
+  no such set is cached);
 * the postdominator pair-loops of the admissibility and input–input checks
   are single mask intersections against precomputed comparability masks;
 * the per-cut acceptance test derives inputs, outputs and convexity in one
@@ -98,12 +102,20 @@ class IncrementalEnumerator:
         # Candidate outputs in topological order: picking outputs
         # ancestors-first guarantees every output set can be selected without
         # tripping the output-output pruning.
-        topo_positions = {
-            v: i for i, v in enumerate(self.ctx.augmented.graph.topological_order())
-        }
         self._output_candidates: List[int] = sorted(
-            self.ctx.candidate_nodes, key=lambda v: topo_positions[v]
+            self.ctx.candidate_nodes, key=self.ctx.topo_position.__getitem__
         )
+        reach = self.ctx.reach
+        not_source = ~(1 << self.ctx.source)
+        # Per output o: o and its ancestors, the window that cuts a union of
+        # descendant rows down to B(I, o); and the ancestors other than the
+        # source in ascending id order, the seed-set candidates of o.
+        self._closed_ancestors: Dict[int, int] = {}
+        self._seed_lists: Dict[int, List[int]] = {}
+        for output in self._output_candidates:
+            ancestors = reach.ancestors_mask(output)
+            self._closed_ancestors[output] = ancestors | (1 << output)
+            self._seed_lists[output] = ids_from_mask(ancestors & not_source)
         self._forbidden_succ_mask = self._nodes_with_forbidden_successor()
         # Postdominator comparability rows: bit u of row v set iff u
         # (post)dominates v or vice versa.  Replaces the pair-loops of the
@@ -148,8 +160,17 @@ class IncrementalEnumerator:
         self.stats.pick_output_calls += 1
         ctx = self.ctx
         reach = ctx.reach
-        tables = self._tables
         comparable = self._postdom_comparable
+        closed_ancestors = self._closed_ancestors
+        # Invariants of the candidate loop: B(I, o) is the union of the
+        # inputs' descendant rows cut down to o and its ancestors, and o is
+        # dominated by I (Condition 1 of Definition 5) iff removing I leaves
+        # o unreachable from the source.
+        if inputs_mask:
+            input_descendants = reach.union_descendants(inputs_mask)
+            region = ctx.reachable_avoiding(inputs_mask)
+        else:
+            input_descendants = region = 0
 
         has_internal_outputs = False
         require_connected = ctx.constraints.connected_only
@@ -186,12 +207,8 @@ class IncrementalEnumerator:
                     continue
 
             new_outputs_mask = outputs_mask | (1 << output)
-            if inputs_mask:
-                new_body_mask = body_mask | tables.between_union(inputs_mask, output)
-            else:
-                new_body_mask = body_mask
-
-            if inputs_mask and ctx.dominated_by(inputs_mask, output):
+            new_body_mask = body_mask | (input_descendants & closed_ancestors[output])
+            if inputs_mask and not (region >> output) & 1:
                 self._check_cut(
                     inputs_mask,
                     new_outputs_mask,
@@ -290,7 +307,9 @@ class IncrementalEnumerator:
 
         if nin_left > 1:
             # Extend the seed set with another ancestor of the output.
-            for seed in self._seed_candidates(output, inputs_mask):
+            for seed in self._seed_lists[output]:
+                if (inputs_mask >> seed) & 1:
+                    continue
                 if output_input and forbidden_interiors[seed] & ~inputs_mask:
                     count_pruned("output_input_forbidden_path")
                     continue
@@ -311,14 +330,6 @@ class IncrementalEnumerator:
                     nin_left - 1,
                     nout_left,
                 )
-
-    def _seed_candidates(self, output: int, inputs_mask: int) -> List[int]:
-        """Ancestors of *output* usable as additional seed-set members."""
-        ctx = self.ctx
-        ancestors = ctx.ancestors_mask(output)
-        ancestors &= ~(1 << ctx.source)
-        ancestors &= ~inputs_mask
-        return ids_from_mask(ancestors)
 
     # ------------------------------------------------------------------ #
     # Pruning predicates (Section 5.3)

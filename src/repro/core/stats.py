@@ -15,21 +15,24 @@ class EnumerationStats:
     """Counters collected while enumerating cuts.
 
     The counters mirror the quantities the paper discusses: the number of
-    Lengauer–Tarjan invocations (the kernel that takes "at least 70% of the
-    time"), the number of candidate cuts submitted to the validity check, and
-    how many branches each pruning rule removed.
+    dominator computations (the Lengauer–Tarjan kernel that takes "at least
+    70% of the time"), the number of candidate cuts submitted to the validity
+    check, and how many branches each pruning rule removed.
     """
 
     cuts_found: int = 0
     duplicates: int = 0
     candidates_checked: int = 0
+    #: Fresh immediate-dominator arrays the search produced, one per newly
+    #: met reachable region: derived from a one-vertex-smaller input set's
+    #: array or computed by the full kernel (cache hits count nothing).
     lt_calls: int = 0
     pick_output_calls: int = 0
     pick_input_calls: int = 0
     pruned: Dict[str, int] = field(default_factory=dict)
     elapsed_seconds: float = 0.0
-    #: Wall time spent inside the Lengauer–Tarjan dominator kernel itself
-    #: (fresh runs only — region-cache hits cost no kernel time).
+    #: Wall time spent producing the ``lt_calls`` fresh arrays, derived or
+    #: full (region-cache hits cost no kernel time).
     lt_seconds: float = 0.0
     #: Always 0 (the search has no memo); isebench/passes.py reads them under --trace 1.
     insearch_hits: int = 0

@@ -4,6 +4,12 @@ The paper relies on Lengauer–Tarjan for speed; this module provides the
 simpler iterative algorithm as an independent cross-check.  The tests compare
 the two implementations (and ``networkx.immediate_dominators``) on random
 DAGs, which guards against subtle bugs in the performance-oriented code.
+
+It also holds the dominator layer of the enumeration hot path, which exploits
+acyclicity: :func:`immediate_dominators_dag` solves a reduced DAG in one
+topological sweep, and :func:`derive_immediate_dominators` updates such a
+solution when one more vertex is removed, recomputing only that vertex's
+descendants.
 """
 
 from __future__ import annotations
@@ -110,11 +116,12 @@ def immediate_dominators_dag(
     sweep: when a vertex is visited, all of its predecessors already carry
     their final immediate dominator, and ``idom(v)`` is the nearest common
     dominator-tree ancestor of the reachable, non-removed predecessors
-    (found by depth-climbing).  This is the dominator kernel of the
-    enumeration hot path — data-flow graphs are acyclic by construction, a
-    caller-supplied topological order and predecessor lists replace the
-    per-call depth-first searches of the general algorithms, and no
-    iteration-to-fixpoint is needed.
+    (found by depth-climbing).  Data-flow graphs are acyclic by
+    construction, a caller-supplied topological order and predecessor lists
+    replace the per-call depth-first searches of the general algorithms, and
+    no iteration-to-fixpoint is needed.  The enumeration hot path runs it
+    only as the base case of :func:`derive_immediate_dominators`, for an
+    input set none of whose one-vertex-smaller subsets has been solved.
 
     Same contract as
     :func:`repro.dominators.lengauer_tarjan.immediate_dominators`: returns
@@ -147,4 +154,55 @@ def immediate_dominators_dag(
         if new_idom is not None:
             idom[v] = new_idom
             depth[v] = depth[new_idom] + 1
+    return idom
+
+
+def derive_immediate_dominators(
+    parent_idom: Sequence[Optional[int]],
+    vertex: int,
+    descendants: Sequence[int],
+    predecessor_lists: Sequence[Sequence[int]],
+    topo_position: Sequence[int],
+) -> List[Optional[int]]:
+    """The ``idom`` list of ``G ∖ (I ∪ {vertex})`` from that of ``G ∖ I``.
+
+    *parent_idom* is the result of :func:`immediate_dominators_dag` (or of
+    this function) for the removed set ``I``; *descendants* lists every
+    descendant of *vertex* in topological order, and *topo_position* maps a
+    vertex id to its index in that order.  Removing *vertex* cannot change
+    any path to a vertex that is not one of its descendants, so every other
+    entry is copied unchanged.  The descendants are re-solved in topological
+    order exactly as the full sweep would: each gets the nearest common
+    dominator of its surviving predecessors (found by climbing topological
+    positions, since an immediate dominator always precedes its vertex), or
+    ``None`` if no predecessor survives.  Vertices already ``None`` in the
+    parent — removed or unreachable — stay ``None``.
+
+    The result equals ``immediate_dominators_dag(..., removed_mask=I | 1 <<
+    vertex)``; the tests assert it on random DAGs.  Removing an already
+    unreachable vertex returns a copy of *parent_idom*.
+    """
+    if parent_idom[vertex] == vertex:
+        raise ValueError("the root vertex may not be removed")
+    idom = list(parent_idom)
+    if idom[vertex] is None:
+        return idom
+    idom[vertex] = None
+    for v in descendants:
+        if idom[v] is None:  # removed or unreachable before this removal
+            continue
+        new_idom: Optional[int] = None
+        for pred in predecessor_lists[v]:
+            if idom[pred] is None:  # removed or unreachable predecessor
+                continue
+            if new_idom is None:
+                new_idom = pred
+                continue
+            a, b = new_idom, pred
+            while a != b:
+                if topo_position[a] < topo_position[b]:
+                    a, b = b, a
+                a = idom[a]  # type: ignore[assignment]
+            new_idom = a
+        idom[v] = new_idom
     return idom

@@ -13,12 +13,15 @@ legitimately differ on a few borderline cuts of some graphs; the
 optimisation may not change that relationship in either direction).
 
 The unit tests pin down the new machinery directly: the DAG dominator
-kernel against Lengauer–Tarjan, contribution-table invalidation on
-forbidden-fingerprint changes, and the ``REPRO_DEBUG_VALIDITY`` cross-check.
+kernel against Lengauer–Tarjan, the derivation of each input set's region and
+dominator array from a one-vertex-smaller parent against full recomputation,
+contribution-table invalidation on forbidden-fingerprint changes, and the
+``REPRO_DEBUG_VALIDITY`` cross-check.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -30,8 +33,10 @@ from repro.core.enumeration import enumerate_cuts_basic
 from repro.core.incremental import enumerate_cuts
 from repro.core.pruning import FULL_PRUNING, NO_PRUNING
 from repro.dfg.builder import diamond, linear_chain
-from repro.dfg.reachability import ReachabilityIndex, mask_from_ids, popcount
-from repro.dominators.iterative import immediate_dominators_dag
+from repro.dfg.graph import DataFlowGraph
+from repro.dfg.reachability import ReachabilityIndex, ids_from_mask, mask_from_ids, popcount
+from repro.dominators import reachable_mask_avoiding
+from repro.dominators.iterative import derive_immediate_dominators, immediate_dominators_dag
 from repro.dominators.lengauer_tarjan import immediate_dominators
 from repro.frontend.corpus import build_corpus_suite
 from repro.workloads import (
@@ -52,6 +57,53 @@ def _cut_keys(result):
         (cut.sorted_nodes(), tuple(sorted(cut.inputs)), tuple(sorted(cut.outputs)))
         for cut in result.cuts
     )
+
+
+def _integer_stats(stats):
+    """Every integer ``EnumerationStats`` field plus the per-rule prune counts."""
+    return {
+        spec.name: getattr(stats, spec.name)
+        for spec in dataclasses.fields(stats)
+        if not isinstance(getattr(stats, spec.name), float)
+    }
+
+
+def _count_calls(monkeypatch, name, function):
+    """Wrap ``repro.core.context.<name>`` (which is *function*) and return
+    the list that gets one entry per call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return function(*args, **kwargs)
+
+    monkeypatch.setattr(f"repro.core.context.{name}", counted)
+    return calls
+
+
+def _renumbered(graph, rng):
+    """An isomorphic copy of *graph* whose vertex ids are in random order.
+
+    The ids of the generators' graphs already follow a topological order;
+    shuffling them keeps an id-for-position mix-up from passing unnoticed.
+    """
+    order = list(graph.node_ids())
+    rng.shuffle(order)
+    clone = DataFlowGraph(name=graph.name)
+    new_id = {}
+    for vertex in order:
+        node = graph.node(vertex)
+        new_id[vertex] = clone.add_node(
+            node.opcode,
+            name=node.name,
+            forbidden=node.forbidden,
+            live_out=node.live_out,
+            **node.attributes,
+        )
+    for vertex in graph.node_ids():
+        for succ in graph.successors(vertex):
+            clone.add_edge(new_id[vertex], new_id[succ])
+    return clone
 
 
 def _property_graphs():
@@ -168,13 +220,142 @@ class TestDagDominatorKernel:
                 removed_mask=1 << ctx.source,
             )
 
-    def test_shared_region_cache_counts_one_kernel_run_per_region(self):
+    def test_derivation_matches_full_recomputation_on_growing_input_sets(self):
+        rng = random.Random(11)
+        constraints = Constraints(max_inputs=4, max_outputs=2)
+        unreachable_removals = leaf_removals = 0
+        for seed in range(30):
+            graph = _renumbered(make_random_dag(seed, num_operations=9), rng)
+            ctx = EnumerationContext.build(graph, constraints)
+            num_nodes, source = ctx.num_nodes, ctx.source
+            reach = ctx.reach
+
+            def solve_through_context(inputs_mask):
+                """The context's region and dominator array for *inputs_mask*."""
+                region = ctx.reachable_avoiding(inputs_mask)
+                output = max(ids_from_mask(region), key=ctx.topo_position.__getitem__)
+                if output != source:
+                    ctx.dominator_completions_for(inputs_mask, output)
+                return region, ctx._idom_cache.get(region)
+
+            def check_removal(removed, idom, vertex):
+                """Remove *vertex* from the solved set *removed* and compare."""
+                grown = removed | (1 << vertex)
+                assert removed in ctx._reachable_cache  # so the region is derived
+                full = immediate_dominators_dag(
+                    ctx.topo_order, ctx.predecessor_lists, source, removed_mask=grown
+                )
+                region, context_idom = solve_through_context(grown)
+                assert region == reachable_mask_avoiding(
+                    num_nodes, ctx.successor_lists, source, avoid_mask=grown
+                )
+                assert context_idom == (None if region == 1 << source else full)
+                descendants = reach.descendants_mask(vertex)
+                derived = derive_immediate_dominators(
+                    idom,
+                    vertex,
+                    [v for v in ctx.topo_order if (descendants >> v) & 1],
+                    ctx.predecessor_lists,
+                    ctx.topo_position,
+                )
+                assert derived == full
+                return grown, derived
+
+            for _ in range(6):
+                removed = 0
+                solve_through_context(removed)
+                idom = immediate_dominators_dag(
+                    ctx.topo_order, ctx.predecessor_lists, source
+                )
+                others = [v for v in range(num_nodes) if v != source]
+                for vertex in rng.sample(others, 5):
+                    removed, idom = check_removal(removed, idom, vertex)
+                    # A vertex the removals have cut off from the source.
+                    region = ctx.reachable_avoiding(removed)
+                    cut_off = [
+                        v
+                        for v in others
+                        if not (region >> v) & 1 and not (removed >> v) & 1
+                    ]
+                    if cut_off:
+                        removed, idom = check_removal(removed, idom, rng.choice(cut_off))
+                        unreachable_removals += 1
+                # The sink has no descendants: only its own entry changes.
+                if not (removed >> ctx.sink) & 1:
+                    assert reach.descendants_mask(ctx.sink) == 0
+                    removed, idom = check_removal(removed, idom, ctx.sink)
+                    leaf_removals += 1
+        assert unreachable_removals >= 20
+        assert leaf_removals >= 20
+
+    def test_derivation_rejects_removed_root(self):
+        ctx = EnumerationContext.build(diamond(), Constraints())
+        idom = immediate_dominators_dag(
+            ctx.topo_order, ctx.predecessor_lists, ctx.source
+        )
+        with pytest.raises(ValueError, match="root"):
+            derive_immediate_dominators(
+                idom, ctx.source, [], ctx.predecessor_lists, ctx.topo_position
+            )
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            tree_dfg(4),
+            generate_basic_block(SyntheticBlockSpec(num_operations=30, seed=0)),
+        ],
+        ids=lambda graph: graph.name,
+    )
+    def test_fallback_paths_match_the_default_path(self, graph, monkeypatch):
+        constraints = Constraints(max_inputs=4, max_outputs=2)
+        default = enumerate_cuts(graph, constraints)
+        full_runs = _count_calls(
+            monkeypatch, "immediate_dominators_dag", immediate_dominators_dag
+        )
+        derived_runs = _count_calls(
+            monkeypatch, "derive_immediate_dominators", derive_immediate_dominators
+        )
+
+        # Derivation off: every region is swept, every array a full kernel run.
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                EnumerationContext,
+                "_derivation_parent",
+                staticmethod(lambda mask, lookup: None),
+            )
+            underived = enumerate_cuts(graph, constraints)
+        assert not derived_runs
+        assert len(full_runs) == underived.stats.lt_calls
+        assert _cut_keys(underived) == _cut_keys(default)
+        assert _integer_stats(underived.stats) == _integer_stats(default.stats)
+
+        # A tiny cache: first-in evictions drop parents, so some arrays fall
+        # back to the full kernel.  Evicted regions are solved again and each
+        # fresh array counts, so only ``lt_calls`` may exceed the default.
+        full_runs.clear()
+        monkeypatch.setattr("repro.core.context.REGION_CACHE_LIMIT", 8)
+        evicting = enumerate_cuts(graph, constraints)
+        assert _cut_keys(evicting) == _cut_keys(default)
+        assert len(full_runs) > 1 and derived_runs
+        assert evicting.stats.lt_calls == len(full_runs) + len(derived_runs)
+        assert evicting.stats.lt_calls >= default.stats.lt_calls
+        expected = dict(_integer_stats(default.stats), lt_calls=evicting.stats.lt_calls)
+        assert _integer_stats(evicting.stats) == expected
+
+    def test_shared_region_cache_counts_one_kernel_run_per_region(self, monkeypatch):
         constraints = Constraints(max_inputs=4, max_outputs=2)
         graph = diamond()
         ctx = EnumerationContext.build(graph, constraints)
+        full_runs = _count_calls(
+            monkeypatch, "immediate_dominators_dag", immediate_dominators_dag
+        )
         first = enumerate_cuts(graph, constraints, context=ctx)
         assert first.stats.lt_calls > 0
         assert ctx.lt_calls_performed == first.stats.lt_calls
+        # One count per distinct region, whether its array was derived from a
+        # parent or computed in full; only the empty input set has no parent.
+        assert first.stats.lt_calls == len(ctx._idom_cache)
+        assert len(full_runs) == 1 < first.stats.lt_calls
         # A second run over the warm context reuses every dominator array.
         second = enumerate_cuts(graph, constraints, context=ctx)
         assert second.stats.lt_calls == 0
