@@ -1,7 +1,9 @@
 """Shared fixtures and helpers for the benchmark harness.
 
-Every benchmark file reproduces one experiment of the paper (see DESIGN.md's
-experiment index).  The graphs are scaled to sizes a pure-Python
+Every benchmark file is the pytest entry point of one benchmark registered
+with the ``repro.perf`` harness: an experiment of the paper or a regression
+guard of the engine (the README's Benchmarking section; ``repro bench list``
+prints the index).  The graphs are scaled to sizes a pure-Python
 implementation can enumerate in seconds; the quantities that matter for the
 reproduction are the *shapes*: polynomial vs. exponential growth, which
 algorithm wins where, and how the pruning rules and the dominator kernel

@@ -672,7 +672,7 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
     print(f"total size      : {info['total_bytes']} bytes")
     lifetime = store.lifetime_stats()
     if lifetime.lookups or lifetime.writes:
-        # Cumulative hit/miss/put/evict counters persisted by past runs
+        # Cumulative hit/miss/put counters persisted by past runs
         # (every command flushes its deltas on exit), so operators see the
         # cache's actual effectiveness, not just its disk footprint.
         print(f"lifetime        : {lifetime.summary()}")

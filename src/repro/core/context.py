@@ -10,21 +10,16 @@ every enumeration algorithm and by the validity checks.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, TypeVar
+from typing import List, Optional
 
 from ..dfg.augment import AugmentedDFG, augment
 from ..dfg.graph import DataFlowGraph
 from ..dfg.opcodes import is_memory
 from ..dfg.reachability import ReachabilityIndex, mask_from_ids
 from ..dominators.dominator_tree import DominatorTree
-from ..dominators.iterative import derive_immediate_dominators, immediate_dominators_dag
-from ..dominators.multi_vertex import CompletionResult, completions_from_idom
 from ..dominators.postdominators import dominator_tree_of, postdominator_tree_of
 from .constraints import Constraints
-
-T = TypeVar("T")
 
 
 def effective_forbidden(node, constraints: Constraints) -> bool:
@@ -46,96 +41,18 @@ def effective_forbidden(node, constraints: Constraints) -> bool:
     return forbidden
 
 
-class ContributionTables:
-    """Precomputed per-(vertex, output) contribution masks.
-
-    For a candidate output ``o`` the incremental enumerator repeatedly needs
-    ``B({w}, o)`` — the vertices a candidate input ``w`` contributes to the
-    cut body — and the *forbidden interior* of the ``(w, o)`` pair, which
-    drives the output–input pruning of Section 5.3.  Both are pure
-    intersections of closure rows, so this class materialises them once per
-    output (lazily, on first query) and serves every later query with a list
-    index.
-
-    The forbidden interiors depend on the forbidden set, so the tables carry
-    the forbidden-set fingerprint they were built against;
-    :meth:`EnumerationContext.contribution_tables` rebuilds them whenever the
-    context's fingerprint no longer matches.  Because contexts are shared
-    through the engine's ``ContextCache`` (whose key ignores the pruning
-    configuration) and per-process in the batch workers, one set of tables
-    serves every pruning variant and every repeated run on the same block.
-    """
-
-    def __init__(self, reach: ReachabilityIndex, forbidden_mask: int) -> None:
-        self.reach = reach
-        self.forbidden_fingerprint = forbidden_mask
-        self._between: Dict[int, List[int]] = {}
-        self._forbidden_interior: Dict[int, List[int]] = {}
-
-    # ------------------------------------------------------------------ #
-    def between_table(self, output: int) -> List[int]:
-        """Per-vertex ``B({w}, output)`` masks (row ``w`` of the table)."""
-        rows = self._between.get(output)
-        if rows is None:
-            reach = self.reach
-            window = reach.ancestors_mask(output) | (1 << output)
-            rows = [reach.descendants_mask(v) & window for v in range(reach.num_nodes)]
-            self._between[output] = rows
-        return rows
-
-    def forbidden_interior_table(self, output: int) -> List[int]:
-        """Per-vertex masks of forbidden vertices strictly between ``w`` and *output*."""
-        rows = self._forbidden_interior.get(output)
-        if rows is None:
-            reach = self.reach
-            window = reach.ancestors_mask(output) & self.forbidden_fingerprint
-            rows = [reach.descendants_mask(v) & window for v in range(reach.num_nodes)]
-            self._forbidden_interior[output] = rows
-        return rows
-
-    # ------------------------------------------------------------------ #
-    def between(self, vertex: int, output: int) -> int:
-        """``B({vertex}, output)`` from the precomputed table."""
-        return self.between_table(output)[vertex]
-
-    def forbidden_interior(self, vertex: int, output: int) -> int:
-        """Forbidden vertices on some path strictly between *vertex* and *output*."""
-        return self.forbidden_interior_table(output)[vertex]
-
-
-#: Shared "the seed already blocks every path" completion step.  The
-#: dataclass is frozen and the completion sequence an immutable tuple, so
-#: handing one instance to every caller in the process is safe.
-_ALREADY_DOMINATED = CompletionResult(already_dominated=True, completions=(), lt_calls=0)
-
-#: Entry cap of each per-context dominator cache (reachable regions, idom
-#: arrays, completion steps).  The keys are drawn from one graph's own
-#: search space, which is usually far smaller, but a pathological block
-#: under a long-lived batch worker must not grow without bound — eviction
-#: is first-in.
-REGION_CACHE_LIMIT = 32768
-
-
-@dataclass
+@dataclass(frozen=True)
 class EnumerationContext:
     """Precomputed view of a basic block, ready for cut enumeration.
 
-    Use :meth:`build` to construct one; the attributes are then read-only by
-    convention.  On top of the static precomputation the context owns the
-    *shared dominator-query caches* of the enumeration hot path: reachable
-    regions per input mask, one immediate-dominator array per reachable
-    region (one array answers the completion query of every output of that
-    region), and the per-(region, output) completion steps derived from them.
-
-    The search grows input sets one vertex at a time, so a new set ``I``
-    usually has a solved parent ``I ∖ {v}`` in the caches.  Its region and
-    dominator array are then derived from the parent's by re-solving only
-    the descendants of ``v``; the frontier sweep and the full single-pass
-    kernel are the base case, for the empty set or when no parent is cached
-    (at most ``Nin`` probes decide).  Keeping these caches on the context —
-    rather than inside one enumerator instance — lets repeated runs over the
-    same block (pruning ablations, batch re-runs, warm ``ContextCache``
-    hits) skip the dominator layer entirely.
+    Use :meth:`build` to construct one.  A context holds only what
+    :meth:`build` computes from the graph and the constraints, and no
+    enumeration writes to it: the search's own memo (reachable regions,
+    dominator arrays, completion steps and ``B({w}, o)`` rows) lives on the
+    :class:`~repro.core.incremental.IncrementalEnumerator` of one run and is
+    freed when that run returns.  So one context can serve any number of
+    runs (pruning variants, batch re-runs, ``ContextCache`` hits), and each
+    run counts exactly what a run on a fresh context counts.
     """
 
     constraints: Constraints
@@ -153,27 +70,6 @@ class EnumerationContext:
     topo_order: List[int] = field(default_factory=list)
     #: Index of each vertex id in :attr:`topo_order`.
     topo_position: List[int] = field(default_factory=list)
-    #: Fresh immediate-dominator arrays produced through this context, derived
-    #: or full (cache misses only); enumerators report per-run deltas of it.
-    lt_calls_performed: int = field(default=0, compare=False)
-    #: Wall time spent producing those fresh arrays, in seconds — the
-    #: denominator of the paper's "at least 70% of the time" claim.
-    lt_seconds_performed: float = field(default=0.0, compare=False)
-    _reachable_cache: Dict[int, int] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    _idom_cache: Dict[int, List[Optional[int]]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    _completion_cache: Dict[Tuple[int, int], CompletionResult] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    _descendant_lists: Dict[int, List[int]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    _contrib: Optional[ContributionTables] = field(
-        default=None, repr=False, compare=False
-    )
 
     # ------------------------------------------------------------------ #
     @classmethod
@@ -263,168 +159,6 @@ class EnumerationContext:
     def ancestors_mask(self, node_id: int) -> int:
         """Ancestor mask of *node_id* in the augmented graph."""
         return self.reach.ancestors_mask(node_id)
-
-    # ------------------------------------------------------------------ #
-    # Shared hot-path caches
-    # ------------------------------------------------------------------ #
-    @property
-    def contribution_tables(self) -> ContributionTables:
-        """The per-(vertex, output) contribution tables, fingerprint-checked.
-
-        Rebuilt automatically when the context's forbidden mask no longer
-        matches the fingerprint the tables were computed against (the
-        forbidden interiors bake the forbidden set into their rows).
-        """
-        tables = self._contrib
-        if tables is None or tables.forbidden_fingerprint != self.forbidden_mask:
-            tables = ContributionTables(self.reach, self.forbidden_mask)
-            self._contrib = tables
-        return tables
-
-    def reachable_avoiding(self, avoid_mask: int) -> int:
-        """Vertices reachable from the source once *avoid_mask* is removed.
-
-        Memoised on the context: two input sets that leave the same
-        reachable region induce the same reduced graph, so this mask doubles
-        as the key of the shared dominator cache.  When the region of a
-        one-vertex-smaller subset ``avoid_mask ∖ {v}`` is cached, the region
-        is derived from it: only descendants of ``v`` can drop out, and each
-        is re-tested against its packed predecessor row in topological
-        order.  Otherwise it is computed as a frontier sweep over the packed
-        successor rows — one row union per level instead of one Python
-        iteration per edge.
-        """
-        cached = self._reachable_cache.get(avoid_mask)
-        if cached is None:
-            parent = self._derivation_parent(avoid_mask, self._reachable_cache.get)
-            if parent is not None:
-                vertex, cached = parent
-                if (cached >> vertex) & 1:
-                    cached ^= 1 << vertex
-                    pred_rows = self.reach.predecessor_rows()
-                    for v in self._descendants_in_order(vertex):
-                        if (cached >> v) & 1 and not pred_rows[v] & cached:
-                            cached ^= 1 << v
-            elif (avoid_mask >> self.source) & 1:
-                cached = 0
-            else:
-                source = self.source
-                rows = self.reach.successor_rows()
-                seen = 1 << source
-                frontier = rows[source] & ~avoid_mask
-                while frontier:
-                    seen |= frontier
-                    grown = 0
-                    while frontier:
-                        low = frontier & -frontier
-                        grown |= rows[low.bit_length() - 1]
-                        frontier ^= low
-                    frontier = grown & ~avoid_mask & ~seen
-                cached = seen
-            if len(self._reachable_cache) >= REGION_CACHE_LIMIT:
-                self._reachable_cache.pop(next(iter(self._reachable_cache)))
-            self._reachable_cache[avoid_mask] = cached
-        return cached
-
-    def dominator_completions_for(
-        self, inputs_mask: int, output: int
-    ) -> Tuple[CompletionResult, int]:
-        """Memoised Dubrova reduction step for ``(current inputs, output)``.
-
-        Returns the completion step plus the number of fresh dominator
-        arrays it produced (0 on any cache hit, else 1).  The dominator
-        arrays are keyed by the *reachable region* the input set leaves
-        behind, and one array serves every output of that region — the
-        optimisation that collapses the enumeration's kernel count from one
-        per (input set, output) pair to one per distinct region.  A fresh
-        array is derived from the array of a solved one-vertex-smaller
-        subset ``inputs_mask ∖ {v}`` by
-        :func:`~repro.dominators.iterative.derive_immediate_dominators`;
-        only when no such subset is cached does the full single-pass kernel
-        run.  Both count as one ``lt_calls`` and are timed in
-        ``lt_seconds``.
-        """
-        reachable = self.reachable_avoiding(inputs_mask)
-        if not ((reachable >> output) & 1):
-            return _ALREADY_DOMINATED, 0
-        key = (reachable, output)
-        cached = self._completion_cache.get(key)
-        if cached is not None:
-            return cached, 0
-        idom = self._idom_cache.get(reachable)
-        fresh_lt_calls = 0
-        if idom is None:
-            kernel_start = time.perf_counter()
-            parent = self._derivation_parent(inputs_mask, self._solved_idom)
-            if parent is None:
-                # Base case (the empty set, or a parent lost to eviction).
-                # DFGs are acyclic, so the single-pass DAG kernel replaces
-                # the general Lengauer–Tarjan run.
-                idom = immediate_dominators_dag(
-                    self.topo_order,
-                    self.predecessor_lists,
-                    self.source,
-                    removed_mask=inputs_mask,
-                )
-            else:
-                vertex, parent_idom = parent
-                idom = derive_immediate_dominators(
-                    parent_idom,
-                    vertex,
-                    self._descendants_in_order(vertex),
-                    self.predecessor_lists,
-                    self.topo_position,
-                )
-            self.lt_seconds_performed += time.perf_counter() - kernel_start
-            if len(self._idom_cache) >= REGION_CACHE_LIMIT:
-                self._idom_cache.pop(next(iter(self._idom_cache)))
-            self._idom_cache[reachable] = idom
-            fresh_lt_calls = 1
-            self.lt_calls_performed += 1
-        step = completions_from_idom(idom, self.source, output)
-        if len(self._completion_cache) >= REGION_CACHE_LIMIT:
-            self._completion_cache.pop(next(iter(self._completion_cache)))
-        self._completion_cache[key] = step
-        return step, fresh_lt_calls
-
-    # ------------------------------------------------------------------ #
-    # Derivation from a one-vertex-smaller input set
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _derivation_parent(
-        mask: int, lookup: Callable[[int], Optional[T]]
-    ) -> Optional[Tuple[int, T]]:
-        """``(v, lookup(mask ∖ {v}))`` for the lowest ``v`` whose lookup hits.
-
-        ``None`` when no one-vertex-smaller subset of *mask* is solved (always
-        for the empty mask): the callers then fall back to the base case.
-        """
-        rest = mask
-        while rest:
-            low = rest & -rest
-            found = lookup(mask ^ low)
-            if found is not None:
-                return low.bit_length() - 1, found
-            rest ^= low
-        return None
-
-    def _solved_idom(self, inputs_mask: int) -> Optional[List[Optional[int]]]:
-        """The cached dominator array of *inputs_mask*'s region, if any."""
-        region = self._reachable_cache.get(inputs_mask)
-        return None if region is None else self._idom_cache.get(region)
-
-    def _descendants_in_order(self, vertex: int) -> List[int]:
-        """Descendants of *vertex* in topological order (built on first use)."""
-        listed = self._descendant_lists.get(vertex)
-        if listed is None:
-            descendants = self.reach.descendants_mask(vertex)
-            listed = [
-                v
-                for v in self.topo_order[self.topo_position[vertex] + 1 :]
-                if (descendants >> v) & 1
-            ]
-            self._descendant_lists[vertex] = listed
-        return listed
 
     def graph_name(self) -> str:
         """Name of the underlying basic block."""

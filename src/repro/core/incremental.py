@@ -11,19 +11,22 @@ the search lies on a path contributed earlier.  Because the body is a Python
 integer bit mask, "saving the old tail of S" (Section 5.4) is free — the
 recursion simply keeps the previous mask.
 
-The hot path is organised around precomputation and incrementality:
+The hot path is organised around precomputation and incrementality.  The
+read-only :class:`~repro.core.context.EnumerationContext` supplies the
+closure, the postdominator tree and the topological order; everything the
+search memoises lives on the :class:`IncrementalEnumerator` of one run, so a
+run never depends on what ran before it on the same context, and its memo is
+freed when it returns:
 
-* the ``B({w}, o)`` contributions come from the context's
-  :class:`~repro.core.context.ContributionTables` (one closure intersection
-  per (vertex, output) pair, computed once per context and shared across
-  pruning configurations through the engine's context cache); ``B(I, o)``
-  for a newly picked output is one AND of the inputs' descendant union,
-  formed once per PICK-OUTPUT call, with ``o`` and its ancestors;
-* the dominator queries go through the context's shared caches — one
-  dominator array per distinct *reachable region*, answering the
-  completion query of every output of that region, and derived from the
-  array of the input set one vertex smaller (the full kernel runs only when
-  no such set is cached);
+* the ``B({w}, o)`` contributions and the forbidden interiors of the
+  Section 5.3 output-input test are closure intersections, materialised as
+  one row per vertex the first time the run picks inputs for output ``o``;
+  ``B(I, o)`` for a newly picked output is one AND of the inputs' descendant
+  union, formed once per PICK-OUTPUT call, with ``o`` and its ancestors;
+* the dominator queries go through the run's caches — one dominator array
+  per distinct *reachable region*, answering the completion query of every
+  output of that region, and derived from the array of the input set one
+  vertex smaller (the full kernel runs only when no such set is cached);
 * the postdominator pair-loops of the admissibility and input–input checks
   are single mask intersections against precomputed comparability masks;
 * the per-cut acceptance test derives inputs, outputs and convexity in one
@@ -46,10 +49,13 @@ The ablation benchmark measures how much search each rule removes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import time
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 from ..dfg.graph import DataFlowGraph
 from ..dfg.reachability import ids_from_mask
+from ..dominators.iterative import derive_immediate_dominators, immediate_dominators_dag
+from ..dominators.multi_vertex import CompletionResult, completions_from_idom
 from .constraints import Constraints
 from .context import EnumerationContext
 from .cut import Cut
@@ -58,6 +64,19 @@ from .stats import EnumerationResult, EnumerationStats, Stopwatch
 from .validity import _cut_depth, _is_connected_mask, check_cut_mask, debug_validation_enabled
 
 ALGORITHM_NAME = "poly-enum-incremental"
+
+T = TypeVar("T")
+
+#: Shared "the seed already blocks every path" completion step.  The
+#: dataclass is frozen and the completion sequence an immutable tuple, so
+#: handing one instance to every caller in the process is safe.
+_ALREADY_DOMINATED = CompletionResult(already_dominated=True, completions=(), lt_calls=0)
+
+#: Entry cap of each per-run dominator cache (reachable regions, idom
+#: arrays, completion steps).  The keys are drawn from one graph's own
+#: search space, which is usually far smaller, but one run on a
+#: pathological block must not grow without bound — eviction is first-in.
+REGION_CACHE_LIMIT = 32768
 
 
 def enumerate_cuts(
@@ -77,7 +96,12 @@ def enumerate_cuts(
 
 
 class IncrementalEnumerator:
-    """Stateful implementation of ``POLY-ENUM-INCR`` (Figure 3)."""
+    """Stateful implementation of ``POLY-ENUM-INCR`` (Figure 3).
+
+    One instance is one run.  It reads the shared, read-only context and
+    keeps the search's memo to itself, so its counters never depend on
+    earlier runs over the same context.
+    """
 
     def __init__(
         self,
@@ -94,10 +118,17 @@ class IncrementalEnumerator:
         # Search-state dedup: the same (inputs, outputs, body) state is
         # reached through many different orderings of the same choices; the
         # set collapses those orderings without changing the reachable
-        # states.  (The dominator/contribution memoisation lives on the
-        # context and is shared across runs.)
+        # states.
         self._visited_states: set = set()
-        self._tables = self.ctx.contribution_tables
+        # The run's memo, filled on demand: the reachable region per input
+        # mask, one dominator array per region, the completion step per
+        # (region, output), each vertex's descendants in topological order,
+        # and per output the (B({w}, o), forbidden interior) rows.
+        self._reachable_cache: Dict[int, int] = {}
+        self._idom_cache: Dict[int, List[Optional[int]]] = {}
+        self._completion_cache: Dict[Tuple[int, int], CompletionResult] = {}
+        self._descendant_lists: Dict[int, List[int]] = {}
+        self._contribution_rows: Dict[int, Tuple[List[int], List[int]]] = {}
         self._debug_validate = debug_validation_enabled()
         # Candidate outputs in topological order: picking outputs
         # ancestors-first guarantees every output set can be selected without
@@ -128,7 +159,6 @@ class IncrementalEnumerator:
     # ------------------------------------------------------------------ #
     def run(self) -> EnumerationResult:
         """Execute the search and return the enumeration result."""
-        lt_seconds_before = self.ctx.lt_seconds_performed
         with Stopwatch(self.stats):
             self._pick_output(
                 inputs_mask=0,
@@ -138,7 +168,6 @@ class IncrementalEnumerator:
                 nout_left=self.ctx.max_outputs,
             )
         self.stats.cuts_found = len(self._found)
-        self.stats.lt_seconds = self.ctx.lt_seconds_performed - lt_seconds_before
         return EnumerationResult(
             cuts=list(self._found.values()),
             stats=self.stats,
@@ -168,7 +197,7 @@ class IncrementalEnumerator:
         # o unreachable from the source.
         if inputs_mask:
             input_descendants = reach.union_descendants(inputs_mask)
-            region = ctx.reachable_avoiding(inputs_mask)
+            region = self.reachable_avoiding(inputs_mask)
         else:
             input_descendants = region = 0
 
@@ -239,8 +268,6 @@ class IncrementalEnumerator:
         nout_left: int,
     ) -> None:
         self.stats.pick_input_calls += 1
-        ctx = self.ctx
-        tables = self._tables
         comparable = self._postdom_comparable
 
         state = (inputs_mask, outputs_mask, body_mask, output)
@@ -248,8 +275,7 @@ class IncrementalEnumerator:
             return
         self._visited_states.add(state)
 
-        step, fresh_lt_calls = ctx.dominator_completions_for(inputs_mask, output)
-        self.stats.lt_calls += fresh_lt_calls
+        step = self.dominator_completions_for(inputs_mask, output)
 
         if step.already_dominated:
             self._check_cut(
@@ -261,10 +287,10 @@ class IncrementalEnumerator:
         input_input = self.pruning.input_input
         prune_while_building = self.pruning.prune_while_building
         count_pruned = self.stats.count_pruned
-        source = ctx.source
+        source = self.ctx.source
         # Both candidate loops below test the same two prunings against the
-        # fixed *output*, so the per-(vertex, output) table rows are fetched
-        # once here and indexed per candidate.
+        # fixed *output*, so the per-(vertex, output) rows are fetched once
+        # here and indexed per candidate.
         #
         # Output-input pruning (Section 5.3): a forbidden vertex lying on a
         # path from the candidate input to the output ends up inside the
@@ -280,8 +306,7 @@ class IncrementalEnumerator:
         #
         # Input-input pruning: chosen seed-set members may not postdominate
         # one another (one AND against the comparability row).
-        forbidden_interiors = tables.forbidden_interior_table(output)
-        between_row = tables.between_table(output)
+        between_row, forbidden_interiors = self._contributions(output)
         for completion in step.completions:
             if completion == source or (inputs_mask >> completion) & 1:
                 continue
@@ -330,6 +355,166 @@ class IncrementalEnumerator:
                     nin_left - 1,
                     nout_left,
                 )
+
+    # ------------------------------------------------------------------ #
+    # The run's memo: contribution rows and dominator queries
+    # ------------------------------------------------------------------ #
+    def _contributions(self, output: int) -> Tuple[List[int], List[int]]:
+        """Per-vertex ``B({w}, output)`` rows and forbidden-interior rows.
+
+        Row ``w`` of the first list is ``B({w}, output)``, the vertices on
+        some path from ``w`` to *output*; row ``w`` of the second holds the
+        forbidden vertices strictly between them.  Both are closure
+        intersections, built for every vertex on the first query.
+        """
+        rows = self._contribution_rows.get(output)
+        if rows is None:
+            ctx = self.ctx
+            descendants_mask = ctx.reach.descendants_mask
+            window = self._closed_ancestors[output]
+            forbidden_ancestors = ctx.reach.ancestors_mask(output) & ctx.forbidden_mask
+            between = [descendants_mask(v) & window for v in range(ctx.num_nodes)]
+            rows = (between, [row & forbidden_ancestors for row in between])
+            self._contribution_rows[output] = rows
+        return rows
+
+    def reachable_avoiding(self, avoid_mask: int) -> int:
+        """Vertices reachable from the source once *avoid_mask* is removed.
+
+        Memoised per run: two input sets that leave the same reachable
+        region induce the same reduced graph, so this mask doubles as the
+        key of the dominator cache.  When the region of a one-vertex-smaller
+        subset ``avoid_mask ∖ {v}`` is cached, the region is derived from
+        it: only descendants of ``v`` can drop out, and each is re-tested
+        against its packed predecessor row in topological order.  Otherwise
+        it is computed as a frontier sweep over the packed successor rows —
+        one row union per level instead of one Python iteration per edge.
+        """
+        cached = self._reachable_cache.get(avoid_mask)
+        if cached is None:
+            ctx = self.ctx
+            parent = self._derivation_parent(avoid_mask, self._reachable_cache.get)
+            if parent is not None:
+                vertex, cached = parent
+                if (cached >> vertex) & 1:
+                    cached ^= 1 << vertex
+                    pred_rows = ctx.reach.predecessor_rows()
+                    for v in self._descendants_in_order(vertex):
+                        if (cached >> v) & 1 and not pred_rows[v] & cached:
+                            cached ^= 1 << v
+            elif (avoid_mask >> ctx.source) & 1:
+                cached = 0
+            else:
+                source = ctx.source
+                rows = ctx.reach.successor_rows()
+                seen = 1 << source
+                frontier = rows[source] & ~avoid_mask
+                while frontier:
+                    seen |= frontier
+                    grown = 0
+                    while frontier:
+                        low = frontier & -frontier
+                        grown |= rows[low.bit_length() - 1]
+                        frontier ^= low
+                    frontier = grown & ~avoid_mask & ~seen
+                cached = seen
+            if len(self._reachable_cache) >= REGION_CACHE_LIMIT:
+                self._reachable_cache.pop(next(iter(self._reachable_cache)))
+            self._reachable_cache[avoid_mask] = cached
+        return cached
+
+    def dominator_completions_for(self, inputs_mask: int, output: int) -> CompletionResult:
+        """Memoised Dubrova reduction step for ``(current inputs, output)``.
+
+        The dominator arrays are keyed by the *reachable region* the input
+        set leaves behind, and one array serves every output of that region
+        — the optimisation that collapses the enumeration's kernel count
+        from one per (input set, output) pair to one per distinct region.
+        A fresh array is derived from the array of a solved
+        one-vertex-smaller subset ``inputs_mask ∖ {v}`` by
+        :func:`~repro.dominators.iterative.derive_immediate_dominators`;
+        only when no such subset is cached does the full single-pass kernel
+        run.  Each fresh array, derived or full, adds one to the run's
+        ``lt_calls`` and its production time to ``lt_seconds``.
+        """
+        reachable = self.reachable_avoiding(inputs_mask)
+        if not ((reachable >> output) & 1):
+            return _ALREADY_DOMINATED
+        key = (reachable, output)
+        cached = self._completion_cache.get(key)
+        if cached is not None:
+            return cached
+        ctx = self.ctx
+        idom = self._idom_cache.get(reachable)
+        if idom is None:
+            kernel_start = time.perf_counter()
+            parent = self._derivation_parent(inputs_mask, self._solved_idom)
+            if parent is None:
+                # Base case (the empty set, or a parent lost to eviction).
+                # DFGs are acyclic, so the single-pass DAG kernel replaces
+                # the general Lengauer–Tarjan run.
+                idom = immediate_dominators_dag(
+                    ctx.topo_order,
+                    ctx.predecessor_lists,
+                    ctx.source,
+                    removed_mask=inputs_mask,
+                )
+            else:
+                vertex, parent_idom = parent
+                idom = derive_immediate_dominators(
+                    parent_idom,
+                    vertex,
+                    self._descendants_in_order(vertex),
+                    ctx.predecessor_lists,
+                    ctx.topo_position,
+                )
+            self.stats.lt_seconds += time.perf_counter() - kernel_start
+            self.stats.lt_calls += 1
+            if len(self._idom_cache) >= REGION_CACHE_LIMIT:
+                self._idom_cache.pop(next(iter(self._idom_cache)))
+            self._idom_cache[reachable] = idom
+        step = completions_from_idom(idom, ctx.source, output)
+        if len(self._completion_cache) >= REGION_CACHE_LIMIT:
+            self._completion_cache.pop(next(iter(self._completion_cache)))
+        self._completion_cache[key] = step
+        return step
+
+    @staticmethod
+    def _derivation_parent(
+        mask: int, lookup: Callable[[int], Optional[T]]
+    ) -> Optional[Tuple[int, T]]:
+        """``(v, lookup(mask ∖ {v}))`` for the lowest ``v`` whose lookup hits.
+
+        ``None`` when no one-vertex-smaller subset of *mask* is solved (always
+        for the empty mask): the callers then fall back to the base case.
+        """
+        rest = mask
+        while rest:
+            low = rest & -rest
+            found = lookup(mask ^ low)
+            if found is not None:
+                return low.bit_length() - 1, found
+            rest ^= low
+        return None
+
+    def _solved_idom(self, inputs_mask: int) -> Optional[List[Optional[int]]]:
+        """The cached dominator array of *inputs_mask*'s region, if any."""
+        region = self._reachable_cache.get(inputs_mask)
+        return None if region is None else self._idom_cache.get(region)
+
+    def _descendants_in_order(self, vertex: int) -> List[int]:
+        """Descendants of *vertex* in topological order (built on first use)."""
+        listed = self._descendant_lists.get(vertex)
+        if listed is None:
+            ctx = self.ctx
+            descendants = ctx.reach.descendants_mask(vertex)
+            listed = [
+                v
+                for v in ctx.topo_order[ctx.topo_position[vertex] + 1 :]
+                if (descendants >> v) & 1
+            ]
+            self._descendant_lists[vertex] = listed
+        return listed
 
     # ------------------------------------------------------------------ #
     # Pruning predicates (Section 5.3)

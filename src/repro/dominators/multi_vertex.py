@@ -47,8 +47,9 @@ class DominatorSearchStats:
 @dataclass(frozen=True)
 class CompletionResult:
     """Result of one Dubrova reduction step.  Immutable: instances are
-    memoised on shared :class:`~repro.core.context.EnumerationContext`
-    caches and served to many enumeration runs.
+    memoised in the completion cache of an
+    :class:`~repro.core.incremental.IncrementalEnumerator` run and served to
+    every later query of the same (region, output) pair.
 
     Attributes
     ----------

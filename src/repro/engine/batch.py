@@ -144,19 +144,23 @@ def resolve_jobs(jobs: Union[int, str]) -> int:
     return count
 
 
+#: Entry cap of a runner's :class:`ContextCache`; eviction is least
+#: recently used.
+CONTEXT_CACHE_LIMIT = 64
+
+
 class ContextCache:
     """Bounded LRU cache of :class:`EnumerationContext` objects.
 
     Keys combine the *structure* of the graph — its cached
     :meth:`~repro.dfg.graph.DataFlowGraph.structural_hash` — with the
     constraints, so two graph objects with identical content share one
-    context while a renamed or edited graph does not.
+    context while a renamed or edited graph does not.  Contexts are
+    read-only (each enumeration keeps its search memo to itself), so a hit
+    shares only immutable data and never changes what a run counts.
     """
 
-    def __init__(self, max_entries: int = 64) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_entries = max_entries
+    def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
         self._entries: "OrderedDict[Tuple[str, Constraints], EnumerationContext]" = (
@@ -183,7 +187,7 @@ class ContextCache:
         obs.metrics().inc("context_cache.misses_total")
         context = EnumerationContext.build(graph, constraints)
         self._entries[key] = context
-        while len(self._entries) > self.max_entries:
+        while len(self._entries) > CONTEXT_CACHE_LIMIT:
             self._entries.popitem(last=False)
         return context
 
@@ -458,9 +462,6 @@ class BatchRunner:
         Optional per-block wall-clock budget in seconds, measured from the
         moment the block's task starts running — queue wait is never charged
         (see the module docstring for the exact semantics).
-    context_cache:
-        Parent-side context cache to share across runs; one is created per
-        runner by default.
     store:
         Optional persistent :class:`~repro.memo.store.ResultStore`.  Blocks
         with a stored result (same canonical graph hash, algorithm and
@@ -490,7 +491,6 @@ class BatchRunner:
         pruning: Optional[PruningConfig] = None,
         jobs: Union[int, str] = 1,
         timeout: Optional[float] = None,
-        context_cache: Optional[ContextCache] = None,
         store: Optional[ResultStore] = None,
         mp_context=None,
         force_pool: bool = False,
@@ -502,7 +502,7 @@ class BatchRunner:
         self.pruning = pruning
         self.jobs = resolve_jobs(jobs)
         self.timeout = timeout
-        self.cache = context_cache or ContextCache()
+        self.cache = ContextCache()
         self.store = store
         self.mp_context = mp_context
         self.force_pool = bool(force_pool)
@@ -803,17 +803,12 @@ class BatchRunner:
                 pending.append(item)
                 continue
             item.context = self.cache.get(item.graph, self.constraints)
-            # Copy the stats: the stored object is shared by the store's LRU
-            # front and every other hit on this key, and EnumerationStats is
-            # mutated in place by merge().
-            stats = EnumerationStats()
-            stats.merge(stored.stats)
             item.result = EnumerationResult(
                 cuts=[
                     Cut.from_mask(item.context, form.from_canonical_mask(mask))
                     for mask in stored.masks
                 ],
-                stats=stats,
+                stats=stored.stats,
                 graph_name=item.graph_name,
                 # The label the algorithm itself emitted (it may differ from
                 # the registry name, e.g. "exhaustive-pruned"), so a warm run

@@ -50,7 +50,7 @@ DEFAULT_ALGORITHM = "poly-enum-incremental"
 #: graph (the equivalence test-suite asserts this); ``paper-enumerable``
 #: algorithms return the input/output-identified subset reachable by the
 #: paper's construction (the two polynomial variants may differ on a few
-#: borderline cuts, see EXPERIMENTS.md); ``connected`` restricts to
+#: borderline cuts, see ``tests/test_perf_core.py``); ``connected`` restricts to
 #: connected bodies.  Every algorithm's result is a subset of ``all-valid``.
 SEMANTICS_PAPER = "paper-enumerable"
 SEMANTICS_ALL_VALID = "all-valid"

@@ -142,7 +142,7 @@ def identify_instruction_set_extension(
         blocks — including isomorphic ones — skip enumeration.
     batch_runner:
         Pre-configured runner to use instead of building one from the
-        preceding arguments (e.g. to share a context cache across calls).
+        preceding arguments (e.g. to reuse its worker pool across calls).
     progress:
         Optional per-block callback ``progress(item, completed, total)``,
         invoked as each block's enumeration finishes (completion order).

@@ -8,8 +8,7 @@ The repo's first persistence layer.  Three cooperating pieces:
   permutation into the canonical id space;
 * :mod:`repro.memo.store` — a disk-backed, content-addressed result store
   keyed by ``(canonical hash, algorithm, request fingerprint)``, with a
-  versioned JSON entry format, sharded directories, atomic writes and an
-  in-memory LRU front;
+  versioned JSON entry format, sharded directories and atomic writes;
 * :mod:`repro.memo.dedup` — isomorphism-class deduplication over a workload:
   enumerate one representative per class and remap the cut bit masks through
   the canonical permutations onto every member.

@@ -19,7 +19,8 @@ Storage layout and format:
   :class:`~repro.memo.canon.CanonicalForm` permutations);
 * writes are atomic (temp file + ``os.replace``) so a crashed or concurrent
   writer can never leave a torn entry;
-* a bounded in-memory LRU front absorbs repeated lookups within a process.
+* every lookup reads and decodes its entry from disk, so each hit gets its
+  own :class:`StoredResult`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import hashlib
 import json
 import os
 import tempfile
-from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Union
@@ -150,7 +150,6 @@ class StoreStats:
     misses: int = 0
     writes: int = 0
     invalid: int = 0  # undecodable or wrong-version entries encountered
-    evictions: int = 0  # in-memory LRU front evictions
 
     @property
     def lookups(self) -> int:
@@ -164,8 +163,7 @@ class StoreStats:
         return (
             f"{self.lookups} lookup(s): {self.hits} hit(s), "
             f"{self.misses} miss(es) (hit rate {self.hit_rate:.1%}), "
-            f"{self.writes} write(s), {self.invalid} invalid entr(y/ies), "
-            f"{self.evictions} LRU eviction(s)"
+            f"{self.writes} write(s), {self.invalid} invalid entr(y/ies)"
         )
 
     def to_dict(self) -> Dict[str, int]:
@@ -174,16 +172,18 @@ class StoreStats:
             "misses": self.misses,
             "writes": self.writes,
             "invalid": self.invalid,
-            "evictions": self.evictions,
         }
 
     def add_dict(self, data: Dict[str, object]) -> None:
-        """Accumulate a :meth:`to_dict`-shaped mapping into these counters."""
+        """Accumulate a :meth:`to_dict`-shaped mapping into these counters.
+
+        Keys it does not know (such as the ``evictions`` count that sidecars
+        written by older versions carry) are ignored.
+        """
         self.hits += int(data.get("hits", 0))
         self.misses += int(data.get("misses", 0))
         self.writes += int(data.get("writes", 0))
         self.invalid += int(data.get("invalid", 0))
-        self.evictions += int(data.get("evictions", 0))
 
 
 class ResultStore:
@@ -193,19 +193,11 @@ class ResultStore:
     ----------
     root:
         Directory holding the store (created lazily on first write).
-    max_memory_entries:
-        Size of the in-memory LRU front (``0`` disables it).
     """
 
-    def __init__(
-        self, root: Union[str, Path], max_memory_entries: int = 256
-    ) -> None:
-        if max_memory_entries < 0:
-            raise ValueError("max_memory_entries must be >= 0")
+    def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root).expanduser()
-        self.max_memory_entries = max_memory_entries
         self.stats = StoreStats()
-        self._memory: "OrderedDict[str, StoredResult]" = OrderedDict()
         self._persisted = StoreStats()  # counters already flushed to the sidecar
 
     # ------------------------------------------------------------------ #
@@ -240,11 +232,6 @@ class ResultStore:
 
     def get(self, key: str) -> Optional[StoredResult]:
         """Return the stored result for *key*, or ``None`` on a miss."""
-        cached = self._memory.get(key)
-        if cached is not None:
-            self._memory.move_to_end(key)
-            self._count_hit()
-            return cached
         path = self.path_of(key)
         try:
             text = path.read_text(encoding="utf-8")
@@ -267,7 +254,6 @@ class ResultStore:
         except (KeyError, TypeError, ValueError):
             self._count_miss(invalid=True)
             return None
-        self._remember(key, result)
         self._count_hit()
         return result
 
@@ -289,19 +275,8 @@ class ResultStore:
             except OSError:
                 pass
             raise
-        self._remember(key, result)
         self.stats.writes += 1
         obs.metrics().inc("store.puts_total")
-
-    def _remember(self, key: str, result: StoredResult) -> None:
-        if self.max_memory_entries == 0:
-            return
-        self._memory[key] = result
-        self._memory.move_to_end(key)
-        while len(self._memory) > self.max_memory_entries:
-            self._memory.popitem(last=False)
-            self.stats.evictions += 1
-            obs.metrics().inc("store.evictions_total")
 
     # ------------------------------------------------------------------ #
     # Lifetime statistics (cross-run sidecar)
@@ -416,7 +391,6 @@ class ResultStore:
                     shard.rmdir()
                 except OSError:
                     pass
-        self._memory.clear()
         return len(entries)
 
     def __len__(self) -> int:

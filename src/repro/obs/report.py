@@ -286,7 +286,6 @@ def format_run_report(
                 "  result store         : "
                 + _rate(totals.get("store.hits_total", 0), totals.get("store.misses_total", 0))
                 + f", {int(totals.get('store.puts_total', 0))} put(s)"
-                + f", {int(totals.get('store.evictions_total', 0))} LRU eviction(s)"
             )
         if cache_hits or cache_misses:
             lines.append(

@@ -1,9 +1,9 @@
 """Legacy-record shim: lift pre-schema ``BENCH_*.json`` files onto ``repro-bench-1``.
 
-Four committed records predate the unified schema (BENCH_core_baseline,
-BENCH_frontend, BENCH_memo, BENCH_obs; BENCH_core, BENCH_batch_runner and
-BENCH_streaming were re-baselined onto the native schema), each with its
-own ad-hoc layout.  This shim reads them so
+Three committed records predate the unified schema (BENCH_core_baseline,
+BENCH_frontend, BENCH_memo; BENCH_core, BENCH_batch_runner, BENCH_streaming
+and BENCH_obs were re-baselined onto the native schema), each with its own
+ad-hoc layout.  This shim reads them so
 
 * ``repro bench compare --against-committed`` can gate fresh runs against
   them without waiting for a re-baselining commit, and

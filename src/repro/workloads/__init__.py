@@ -3,8 +3,8 @@
 MiBench itself is not redistributable here, so the suite is synthesised from
 (a) hand-written DFGs of the kernels MiBench is built around, (b) a seeded
 random basic-block generator with embedded-code statistics, and (c) the
-tree-shaped worst-case graphs of Figure 4.  See DESIGN.md for the substitution
-rationale.
+tree-shaped worst-case graphs of Figure 4.  See :mod:`repro.workloads.mibench_like`
+for the substitution rationale.
 """
 
 from .kernels import KERNEL_FACTORIES, all_kernels, build_kernel, kernel_names

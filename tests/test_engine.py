@@ -158,8 +158,9 @@ class TestContextCache:
         b = cache.get(diamond_graph, Constraints(max_inputs=4, max_outputs=2))
         assert a is not b and cache.misses == 2
 
-    def test_bounded(self, default_constraints):
-        cache = ContextCache(max_entries=2)
+    def test_bounded(self, default_constraints, monkeypatch):
+        monkeypatch.setattr("repro.engine.batch.CONTEXT_CACHE_LIMIT", 2)
+        cache = ContextCache()
         for size in (2, 3, 4, 5):
             cache.get(linear_chain(size), default_constraints)
         assert len(cache) == 2

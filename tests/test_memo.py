@@ -187,7 +187,7 @@ class TestResultStore:
         assert info["total_bytes"] > 0
 
     def test_unknown_format_version_is_a_miss(self, tmp_path):
-        store = ResultStore(tmp_path / "cache", max_memory_entries=0)
+        store = ResultStore(tmp_path / "cache")
         key = ResultStore.make_key("b" * 64, "x", "y")
         store.put(key, self._entry())
         payload = json.loads(store.path_of(key).read_text())
@@ -197,7 +197,7 @@ class TestResultStore:
         assert store.stats.invalid == 1
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
-        store = ResultStore(tmp_path / "cache", max_memory_entries=0)
+        store = ResultStore(tmp_path / "cache")
         key = ResultStore.make_key("d" * 64, "x", "y")
         store.put(key, self._entry())
         store.path_of(key).write_text("{ not json")
@@ -231,15 +231,6 @@ class TestResultStore:
         foreign.write_text("keep me")
         assert store.clear() == 1
         assert foreign.exists()
-
-    def test_memory_lru_bound(self, tmp_path):
-        store = ResultStore(tmp_path / "cache", max_memory_entries=2)
-        keys = [ResultStore.make_key(f"{i}" * 64, "x", "y") for i in range(4)]
-        for key in keys:
-            store.put(key, self._entry())
-        assert len(store._memory) == 2
-        # Evicted entries are still served from disk.
-        assert store.get(keys[0]) is not None
 
     def test_stats_dict_roundtrip(self):
         stats = EnumerationStats(cuts_found=3, lt_calls=9, elapsed_seconds=0.5)

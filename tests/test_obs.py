@@ -20,6 +20,7 @@ from repro.cli import main
 from repro.core import Constraints, EnumerationStats, enumerate_cuts
 from repro.dfg.builder import diamond, linear_chain
 from repro.engine import BatchRunner
+from repro.frontend.corpus import build_corpus_suite
 from repro.memo.store import ResultStore, StoredResult
 from repro.obs import (
     METRICS_SCHEMA,
@@ -329,6 +330,29 @@ class TestEngineIntegration:
         assert alone.stats.lt_calls > 0
         assert _integer_stats(report.items[1].result.stats) == _integer_stats(alone.stats)
 
+    def test_sequential_rerun_counts_like_the_first_run(self):
+        """Re-running one sequential runner over the same blocks counts again.
+
+        The runner's context cache serves the second run the contexts of
+        the first; contexts are read-only, so every block's integer counters
+        (``lt_calls`` included) equal its first run's and a pooled run's.
+        """
+        constraints = Constraints(max_inputs=4, max_outputs=2)
+        blocks = list(build_corpus_suite(profile=False))[:6]
+        runner = BatchRunner(constraints=constraints, jobs=1)
+        first = runner.run(blocks)
+        second = runner.run(blocks)
+        assert runner.cache.hits == len(blocks)
+        with BatchRunner(constraints=constraints, jobs=2) as pool_runner:
+            pooled = pool_runner.run(blocks)
+        for first_item, second_item, pooled_item in zip(
+            first.items, second.items, pooled.items
+        ):
+            expected = _integer_stats(first_item.result.stats)
+            assert expected["lt_calls"] > 0
+            assert _integer_stats(second_item.result.stats) == expected
+            assert _integer_stats(pooled_item.result.stats) == expected
+
     def test_pool_block_stats_do_not_depend_on_worker_history(self):
         """A pooled block reports the same counters on a reused pool.
 
@@ -412,14 +436,6 @@ class TestStoreObservability:
         assert registry.counter("store.hits_total") == 1
         assert registry.counter("store.puts_total") == 1
 
-    def test_eviction_metric(self, tmp_path):
-        registry, _ = obs_runtime.activate()
-        store = ResultStore(tmp_path / "cache", max_memory_entries=2)
-        for i in range(4):
-            store.put(ResultStore.make_key(f"{i}" * 64, "x", "y"), self._entry())
-        assert store.stats.evictions == 2
-        assert registry.counter("store.evictions_total") == 2
-
     def test_lifetime_stats_accumulate_across_instances(self, tmp_path):
         root = tmp_path / "cache"
         key = ResultStore.make_key("b" * 64, "x", "y")
@@ -442,6 +458,24 @@ class TestStoreObservability:
         third = ResultStore(root)
         persisted = third.lifetime_stats()
         assert persisted.lookups == 2 and persisted.writes == 1
+
+    def test_sidecar_with_evictions_key_still_loads(self, tmp_path):
+        """Sidecars written while the store had an LRU front carry an
+        ``evictions`` count; they load, and the next flush drops it."""
+        root = tmp_path / "cache"
+        root.mkdir()
+        sidecar = root / ResultStore.STATS_SIDECAR
+        sidecar.write_text(
+            json.dumps({"hits": 3, "misses": 2, "writes": 2, "invalid": 1, "evictions": 5})
+        )
+        store = ResultStore(root)
+        lifetime = store.lifetime_stats()
+        assert (lifetime.hits, lifetime.misses, lifetime.writes, lifetime.invalid) == (3, 2, 2, 1)
+        assert store.get(ResultStore.make_key("e" * 64, "x", "y")) is None
+        store.persist_stats()
+        assert json.loads(sidecar.read_text()) == {
+            "hits": 3, "misses": 3, "writes": 2, "invalid": 1
+        }
 
     def test_clear_removes_lifetime_sidecar(self, tmp_path):
         root = tmp_path / "cache"

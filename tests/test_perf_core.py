@@ -15,8 +15,9 @@ optimisation may not change that relationship in either direction).
 The unit tests pin down the new machinery directly: the DAG dominator
 kernel against Lengauer–Tarjan, the derivation of each input set's region and
 dominator array from a one-vertex-smaller parent against full recomputation,
-contribution-table invalidation on forbidden-fingerprint changes, and the
-``REPRO_DEBUG_VALIDITY`` cross-check.
+the contribution rows against their reachability definition, the
+``REPRO_DEBUG_VALIDITY`` cross-check, and that a run leaves its context
+untouched, so a second run on it counts exactly what the first did.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from repro.baselines.legacy_incremental import enumerate_cuts_legacy
 from repro.core import Constraints
 from repro.core.context import EnumerationContext
 from repro.core.enumeration import enumerate_cuts_basic
-from repro.core.incremental import enumerate_cuts
+from repro.core.incremental import IncrementalEnumerator, enumerate_cuts
 from repro.core.pruning import FULL_PRUNING, NO_PRUNING
-from repro.dfg.builder import diamond, linear_chain
+from repro.dfg.builder import diamond
 from repro.dfg.graph import DataFlowGraph
 from repro.dfg.reachability import ReachabilityIndex, ids_from_mask, mask_from_ids, popcount
 from repro.dominators import reachable_mask_avoiding
@@ -69,15 +70,15 @@ def _integer_stats(stats):
 
 
 def _count_calls(monkeypatch, name, function):
-    """Wrap ``repro.core.context.<name>`` (which is *function*) and return
-    the list that gets one entry per call."""
+    """Wrap ``repro.core.incremental.<name>`` (which is *function*) and
+    return the list that gets one entry per call."""
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(1)
         return function(*args, **kwargs)
 
-    monkeypatch.setattr(f"repro.core.context.{name}", counted)
+    monkeypatch.setattr(f"repro.core.incremental.{name}", counted)
     return calls
 
 
@@ -227,29 +228,30 @@ class TestDagDominatorKernel:
         for seed in range(30):
             graph = _renumbered(make_random_dag(seed, num_operations=9), rng)
             ctx = EnumerationContext.build(graph, constraints)
+            enumerator = IncrementalEnumerator(graph, constraints, context=ctx)
             num_nodes, source = ctx.num_nodes, ctx.source
             reach = ctx.reach
 
-            def solve_through_context(inputs_mask):
-                """The context's region and dominator array for *inputs_mask*."""
-                region = ctx.reachable_avoiding(inputs_mask)
+            def solve_through_enumerator(inputs_mask):
+                """The enumerator's region and dominator array for *inputs_mask*."""
+                region = enumerator.reachable_avoiding(inputs_mask)
                 output = max(ids_from_mask(region), key=ctx.topo_position.__getitem__)
                 if output != source:
-                    ctx.dominator_completions_for(inputs_mask, output)
-                return region, ctx._idom_cache.get(region)
+                    enumerator.dominator_completions_for(inputs_mask, output)
+                return region, enumerator._idom_cache.get(region)
 
             def check_removal(removed, idom, vertex):
                 """Remove *vertex* from the solved set *removed* and compare."""
                 grown = removed | (1 << vertex)
-                assert removed in ctx._reachable_cache  # so the region is derived
+                assert removed in enumerator._reachable_cache  # so the region is derived
                 full = immediate_dominators_dag(
                     ctx.topo_order, ctx.predecessor_lists, source, removed_mask=grown
                 )
-                region, context_idom = solve_through_context(grown)
+                region, cached_idom = solve_through_enumerator(grown)
                 assert region == reachable_mask_avoiding(
                     num_nodes, ctx.successor_lists, source, avoid_mask=grown
                 )
-                assert context_idom == (None if region == 1 << source else full)
+                assert cached_idom == (None if region == 1 << source else full)
                 descendants = reach.descendants_mask(vertex)
                 derived = derive_immediate_dominators(
                     idom,
@@ -263,7 +265,7 @@ class TestDagDominatorKernel:
 
             for _ in range(6):
                 removed = 0
-                solve_through_context(removed)
+                solve_through_enumerator(removed)
                 idom = immediate_dominators_dag(
                     ctx.topo_order, ctx.predecessor_lists, source
                 )
@@ -271,7 +273,7 @@ class TestDagDominatorKernel:
                 for vertex in rng.sample(others, 5):
                     removed, idom = check_removal(removed, idom, vertex)
                     # A vertex the removals have cut off from the source.
-                    region = ctx.reachable_avoiding(removed)
+                    region = enumerator.reachable_avoiding(removed)
                     cut_off = [
                         v
                         for v in others
@@ -319,7 +321,7 @@ class TestDagDominatorKernel:
         # Derivation off: every region is swept, every array a full kernel run.
         with monkeypatch.context() as patch:
             patch.setattr(
-                EnumerationContext,
+                IncrementalEnumerator,
                 "_derivation_parent",
                 staticmethod(lambda mask, lookup: None),
             )
@@ -333,7 +335,7 @@ class TestDagDominatorKernel:
         # back to the full kernel.  Evicted regions are solved again and each
         # fresh array counts, so only ``lt_calls`` may exceed the default.
         full_runs.clear()
-        monkeypatch.setattr("repro.core.context.REGION_CACHE_LIMIT", 8)
+        monkeypatch.setattr("repro.core.incremental.REGION_CACHE_LIMIT", 8)
         evicting = enumerate_cuts(graph, constraints)
         assert _cut_keys(evicting) == _cut_keys(default)
         assert len(full_runs) > 1 and derived_runs
@@ -349,16 +351,22 @@ class TestDagDominatorKernel:
         full_runs = _count_calls(
             monkeypatch, "immediate_dominators_dag", immediate_dominators_dag
         )
-        first = enumerate_cuts(graph, constraints, context=ctx)
+        derived_runs = _count_calls(
+            monkeypatch, "derive_immediate_dominators", derive_immediate_dominators
+        )
+        enumerator = IncrementalEnumerator(graph, constraints, context=ctx)
+        first = enumerator.run()
         assert first.stats.lt_calls > 0
-        assert ctx.lt_calls_performed == first.stats.lt_calls
+        assert first.stats.lt_calls == len(full_runs) + len(derived_runs)
         # One count per distinct region, whether its array was derived from a
         # parent or computed in full; only the empty input set has no parent.
-        assert first.stats.lt_calls == len(ctx._idom_cache)
+        assert first.stats.lt_calls == len(enumerator._idom_cache)
         assert len(full_runs) == 1 < first.stats.lt_calls
-        # A second run over the warm context reuses every dominator array.
+        # A second run over the same context solves every region again: the
+        # dominator arrays belonged to the first run, not to the context.
         second = enumerate_cuts(graph, constraints, context=ctx)
-        assert second.stats.lt_calls == 0
+        assert _integer_stats(second.stats) == _integer_stats(first.stats)
+        assert len(full_runs) == 2
         assert _cut_keys(second) == _cut_keys(first)
 
 
@@ -367,42 +375,61 @@ class TestContributionTables:
         constraints = Constraints(max_inputs=4, max_outputs=2)
         graph = make_random_dag(3, num_operations=10)
         ctx = EnumerationContext.build(graph, constraints)
-        tables = ctx.contribution_tables
+        enumerator = IncrementalEnumerator(graph, constraints, context=ctx)
+        reach = ctx.reach
+        forbidden_rows = 0
         for output in ctx.candidate_nodes:
+            rows = enumerator._contributions(output)
+            assert enumerator._contributions(output) is rows  # built once
+            between, forbidden_interiors = rows
             for vertex in range(ctx.num_nodes):
-                assert tables.between(vertex, output) == ctx.reach.between_mask(
-                    1 << vertex, output
+                assert between[vertex] == reach.between_mask(1 << vertex, output)
+                assert forbidden_interiors[vertex] == (
+                    reach.descendants_mask(vertex)
+                    & reach.ancestors_mask(output)
+                    & ctx.forbidden_mask
                 )
-
-    def test_invalidated_when_forbidden_fingerprint_changes(self):
-        constraints = Constraints(max_inputs=4, max_outputs=2)
-        graph = linear_chain(4)
-        ctx = EnumerationContext.build(graph, constraints)
-        tables = ctx.contribution_tables
-        assert ctx.contribution_tables is tables  # stable while unchanged
-        output = ctx.candidate_nodes[-1]
-        interior_before = tables.forbidden_interior_table(output)
-
-        # Forbid an interior vertex of the chain, as a constraint rebuild
-        # would: the fingerprint no longer matches, so the tables rebuild.
-        newly_forbidden = ctx.candidate_nodes[1]
-        ctx.forbidden_mask |= 1 << newly_forbidden
-        rebuilt = ctx.contribution_tables
-        assert rebuilt is not tables
-        assert rebuilt.forbidden_fingerprint == ctx.forbidden_mask
-        interior_after = rebuilt.forbidden_interior_table(output)
-        assert interior_after != interior_before
-        source_row = interior_after[ctx.candidate_nodes[0]]
-        assert (source_row >> newly_forbidden) & 1
+                forbidden_rows += forbidden_interiors[vertex] != 0
+        assert forbidden_rows > 0
 
     def test_shared_across_pruning_configs_via_context(self):
+        """One context serves every pruning variant, and no run writes to it.
+
+        The contribution rows and the dominator caches belong to each run's
+        enumerator, so after any number of runs the context's fields are
+        the very objects :meth:`EnumerationContext.build` made.
+        """
         constraints = Constraints(max_inputs=3, max_outputs=2)
         graph = diamond()
         ctx = EnumerationContext.build(graph, constraints)
-        tables = ctx.contribution_tables
+        before = {spec.name: getattr(ctx, spec.name) for spec in dataclasses.fields(ctx)}
         enumerate_cuts(graph, constraints, pruning=FULL_PRUNING, context=ctx)
         enumerate_cuts(graph, constraints, pruning=NO_PRUNING, context=ctx)
-        assert ctx.contribution_tables is tables
+        for name, value in before.items():
+            assert getattr(ctx, name) is value, name
+        for gone in ("lt_calls_performed", "lt_seconds_performed", "contribution_tables"):
+            assert not hasattr(ctx, gone), gone
+
+
+class TestStatelessContext:
+    """A run's counters do not depend on earlier runs over its context."""
+
+    def test_second_run_on_one_context_counts_like_the_first(self):
+        constraints = Constraints(max_inputs=4, max_outputs=2)
+        graph = tree_dfg(4)
+        ctx = EnumerationContext.build(graph, constraints)
+        first = enumerate_cuts(graph, constraints, context=ctx)
+        second = enumerate_cuts(graph, constraints, context=ctx)
+        assert first.stats.lt_calls > 0
+        assert _cut_keys(second) == _cut_keys(first)
+        assert _integer_stats(second.stats) == _integer_stats(first.stats)
+        for result in (first, second):
+            assert result.stats.lt_seconds > 0
+
+    def test_context_is_read_only(self):
+        ctx = EnumerationContext.build(diamond(), Constraints())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ctx.forbidden_mask = 0
 
 
 class TestClosureHelpers:

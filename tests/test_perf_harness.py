@@ -51,18 +51,17 @@ from repro.perf.schema import NOISE_SIGMAS, check_gates
 RECORDS_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 
 #: Every pre-schema committed record the legacy shim must keep ingesting.
-#: (BENCH_core, BENCH_batch_runner and BENCH_streaming are absent: they were
-#: re-baselined through the harness and are now native records;
+#: (BENCH_core, BENCH_batch_runner, BENCH_streaming and BENCH_obs are absent:
+#: they were re-baselined through the harness and are now native records;
 #: BENCH_core_baseline.json keeps the nested families layout covered.)
 LEGACY_STEMS = (
     "core_baseline",
     "frontend",
     "memo",
-    "obs",
 )
 
 #: Committed records already on the native schema.
-NATIVE_STEMS = ("batch_runner", "core", "streaming")
+NATIVE_STEMS = ("batch_runner", "core", "obs", "streaming")
 
 
 def make_record(
