@@ -237,7 +237,7 @@ def compare_on_suite(
                         algorithm=entry.name,
                         num_operations=len(item.graph.operation_nodes()),
                         num_edges=item.graph.num_edges,
-                        cuts_found=len(item.result.cuts),
+                        cuts_found=len(item.result),
                         elapsed_seconds=item.elapsed_seconds,
                         work_units=_work_units(item.result),
                         cluster=cluster_of(item.graph) if cluster_of else "",
@@ -278,7 +278,7 @@ def compare_on_suite(
                     algorithm=entry.name,
                     num_operations=len(graph.operation_nodes()),
                     num_edges=graph.num_edges,
-                    cuts_found=len(last_result.cuts),
+                    cuts_found=len(last_result),
                     elapsed_seconds=best_elapsed,
                     work_units=_work_units(last_result),
                     cluster=cluster,

@@ -109,7 +109,7 @@ def count_cuts_by_constraint(
         rows.append(
             {
                 "constraints": label,
-                "cuts": len(result.cuts),
+                "cuts": len(result),
                 "elapsed_seconds": result.stats.elapsed_seconds,
                 "lt_calls": result.stats.lt_calls,
                 "candidates": result.stats.candidates_checked,

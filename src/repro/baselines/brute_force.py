@@ -9,11 +9,10 @@ compared against.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from ..core.constraints import Constraints
 from ..core.context import EnumerationContext
-from ..core.cut import Cut
 from ..core.stats import EnumerationResult, EnumerationStats, Stopwatch
 from ..core.validity import (
     enumerable_by_paper_algorithm,
@@ -56,7 +55,7 @@ def enumerate_cuts_brute_force(
         )
 
     stats = EnumerationStats()
-    found: Dict[int, Cut] = {}
+    found: List[int] = []
     accept = enumerable_by_paper_algorithm if paper_semantics else is_valid_cut_mask
 
     with Stopwatch(stats):
@@ -67,14 +66,15 @@ def enumerate_cuts_brute_force(
                     mask |= 1 << vertex
                 stats.candidates_checked += 1
                 if accept(ctx, mask):
-                    found[mask] = Cut.from_mask(ctx, mask)
+                    found.append(mask)
 
     stats.cuts_found = len(found)
     return EnumerationResult(
-        cuts=list(found.values()),
+        masks=found,
         stats=stats,
         graph_name=graph.name,
         algorithm=ALGORITHM_NAME + ("-paper-semantics" if paper_semantics else ""),
+        context=ctx,
     )
 
 
@@ -93,17 +93,13 @@ def count_excluded_by_technical_condition(
     ctx = EnumerationContext.build(graph, constraints)
     full = enumerate_cuts_brute_force(graph, constraints, context=ctx)
     technical = sum(
-        1
-        for cut in full.cuts
-        if satisfies_technical_condition(ctx, cut.node_mask())
+        1 for mask in full.masks if satisfies_technical_condition(ctx, mask)
     )
     identified = sum(
-        1
-        for cut in full.cuts
-        if enumerable_by_paper_algorithm(ctx, cut.node_mask())
+        1 for mask in full.masks if enumerable_by_paper_algorithm(ctx, mask)
     )
     return {
-        "valid_cuts": len(full.cuts),
+        "valid_cuts": len(full),
         "technical_condition": technical,
         "paper_enumerable": identified,
     }

@@ -18,7 +18,6 @@ from typing import Dict, Optional
 
 from ..core.constraints import Constraints
 from ..core.context import EnumerationContext
-from ..core.cut import Cut
 from ..core.incremental import enumerate_cuts
 from ..core.stats import EnumerationResult, EnumerationStats, Stopwatch
 from ..core.validity import is_valid_cut_mask
@@ -55,17 +54,18 @@ def enumerate_connected_cuts(
         return _single_output_cones(graph, ctx)
     result = enumerate_cuts(graph, connected_constraints, context=ctx)
     return EnumerationResult(
-        cuts=result.cuts,
+        masks=result.masks,
         stats=result.stats,
         graph_name=graph.name,
         algorithm=ALGORITHM_NAME,
+        context=ctx,
     )
 
 
 def _single_output_cones(graph: DataFlowGraph, ctx: EnumerationContext) -> EnumerationResult:
     """Grow single-output connected cuts upwards from every candidate output."""
     stats = EnumerationStats()
-    found: Dict[int, Cut] = {}
+    found: Dict[int, None] = {}  # accepted masks, discovery order
 
     with Stopwatch(stats):
         for output in ctx.candidate_nodes:
@@ -74,10 +74,11 @@ def _single_output_cones(graph: DataFlowGraph, ctx: EnumerationContext) -> Enume
 
     stats.cuts_found = len(found)
     return EnumerationResult(
-        cuts=list(found.values()),
+        masks=list(found),
         stats=stats,
         graph_name=graph.name,
         algorithm=ALGORITHM_NAME,
+        context=ctx,
     )
 
 
@@ -86,7 +87,7 @@ def _grow(
     output: int,
     body_mask: int,
     stats: EnumerationStats,
-    found: Dict[int, Cut],
+    found: Dict[int, None],
     visited: set,
 ) -> None:
     """Recursively extend *body_mask* with predecessors of its members."""
@@ -99,7 +100,7 @@ def _grow(
         # Only keep cuts where the chosen vertex is the unique output.
         outputs = ctx.reach.cut_outputs_mask(body_mask)
         if outputs == (1 << output):
-            found[body_mask] = Cut.from_mask(ctx, body_mask)
+            found[body_mask] = None
 
     # Candidate extensions: predecessors of current members that are allowed
     # and not yet included.  The input budget only bounds the *final* cut, so

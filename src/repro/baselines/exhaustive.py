@@ -29,7 +29,6 @@ from typing import Dict, List, Optional
 
 from ..core.constraints import Constraints
 from ..core.context import EnumerationContext
-from ..core.cut import Cut
 from ..core.stats import EnumerationResult, EnumerationStats, Stopwatch
 from ..core.validity import is_valid_cut_mask
 from ..dfg.graph import DataFlowGraph
@@ -65,7 +64,7 @@ class _ExhaustiveSearch:
         self.ctx = ctx
         self.use_pruning = use_pruning
         self.stats = EnumerationStats()
-        self.found: Dict[int, Cut] = {}
+        self.found: Dict[int, None] = {}  # accepted masks, discovery order
         # Reverse topological order restricted to candidate vertices:
         # successors are decided before their producers.
         topo = ctx.augmented.graph.topological_order()
@@ -91,10 +90,11 @@ class _ExhaustiveSearch:
             sys.setrecursionlimit(old_limit)
         self.stats.cuts_found = len(self.found)
         return EnumerationResult(
-            cuts=list(self.found.values()),
+            masks=list(self.found),
             stats=self.stats,
             graph_name=graph_name,
             algorithm=ALGORITHM_NAME if self.use_pruning else ALGORITHM_NAME + "-no-pruning",
+            context=self.ctx,
         )
 
     # ------------------------------------------------------------------ #
@@ -191,4 +191,4 @@ class _ExhaustiveSearch:
             self.stats.duplicates += 1
             return
         if is_valid_cut_mask(self.ctx, included_mask):
-            self.found[included_mask] = Cut.from_mask(self.ctx, included_mask)
+            self.found[included_mask] = None

@@ -29,7 +29,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.constraints import Constraints
 from ..core.context import EnumerationContext
-from ..core.cut import Cut
 from ..core.pruning import FULL_PRUNING, PruningConfig
 from ..core.stats import EnumerationResult, EnumerationStats, Stopwatch
 from ..core.validity import _cut_depth, _is_connected_mask
@@ -166,7 +165,7 @@ class LegacyIncrementalEnumerator:
         self.ctx = context or EnumerationContext.build(graph, constraints)
         self.pruning = pruning
         self.stats = EnumerationStats()
-        self._found: Dict[int, Cut] = {}
+        self._found: Dict[int, None] = {}  # accepted masks, discovery order
         # Per-run memoisation only: the old implementation rebuilt these for
         # every enumeration, even on a warm, shared context.
         self._completion_cache: Dict[Tuple[int, int], object] = {}
@@ -193,10 +192,11 @@ class LegacyIncrementalEnumerator:
             )
         self.stats.cuts_found = len(self._found)
         return EnumerationResult(
-            cuts=list(self._found.values()),
+            masks=list(self._found),
             stats=self.stats,
             graph_name=self.graph.name,
             algorithm=ALGORITHM_NAME,
+            context=self.ctx,
         )
 
     # ------------------------------------------------------------------ #
@@ -483,4 +483,4 @@ class LegacyIncrementalEnumerator:
             return
         if not _check_cut_valid(ctx, effective):
             return
-        self._found[effective] = Cut.from_mask(ctx, effective)
+        self._found[effective] = None

@@ -15,7 +15,7 @@ rules) and :class:`EnumerationResult`/:class:`EnumerationStats`.
 
 from .constraints import PAPER_DEFAULT_CONSTRAINTS, Constraints
 from .context import EnumerationContext
-from .cut import Cut, between_mask, build_body_mask, cut_inputs_mask, cut_outputs_mask
+from .cut import Cut, build_body_mask
 from .enumeration import enumerate_cuts_basic
 from .incremental import IncrementalEnumerator, enumerate_cuts
 from .pruning import FULL_PRUNING, NO_PRUNING, PruningConfig
@@ -36,9 +36,6 @@ __all__ = [
     "EnumerationContext",
     "Cut",
     "build_body_mask",
-    "between_mask",
-    "cut_inputs_mask",
-    "cut_outputs_mask",
     "enumerate_cuts_basic",
     "IncrementalEnumerator",
     "enumerate_cuts",

@@ -3,9 +3,11 @@
 The paper's Section 5.4 lists the data structures kept by the implementation:
 adjacency lists and matrix, path-presence information annotated with forbidden
 vertices, and the dominator/postdominator trees.  :class:`EnumerationContext`
-bundles all of them, derived once from a :class:`~repro.dfg.graph.DataFlowGraph`
-and a :class:`~repro.core.constraints.Constraints` object, and is shared by
-every enumeration algorithm and by the validity checks.
+bundles all of them but the dominator tree, which no search reads (each run
+derives the dominator arrays of its own input sets).  It is derived once from
+a :class:`~repro.dfg.graph.DataFlowGraph` and a
+:class:`~repro.core.constraints.Constraints` object, and is shared by every
+enumeration algorithm and by the validity checks.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from ..dfg.graph import DataFlowGraph
 from ..dfg.opcodes import is_memory
 from ..dfg.reachability import ReachabilityIndex, mask_from_ids
 from ..dominators.dominator_tree import DominatorTree
-from ..dominators.postdominators import dominator_tree_of, postdominator_tree_of
+from ..dominators.postdominators import postdominator_tree_of
 from .constraints import Constraints
 
 
@@ -59,14 +61,12 @@ class EnumerationContext:
     original_graph: DataFlowGraph
     augmented: AugmentedDFG
     reach: ReachabilityIndex
-    dom_tree: DominatorTree
     postdom_tree: DominatorTree
     successor_lists: List[List[int]] = field(default_factory=list)
     predecessor_lists: List[List[int]] = field(default_factory=list)
     forbidden_mask: int = 0
     candidate_mask: int = 0
     candidate_nodes: List[int] = field(default_factory=list)
-    depths: List[int] = field(default_factory=list)
     topo_order: List[int] = field(default_factory=list)
     #: Index of each vertex id in :attr:`topo_order`.
     topo_position: List[int] = field(default_factory=list)
@@ -85,7 +85,6 @@ class EnumerationContext:
 
         augmented = augment(working)
         reach = ReachabilityIndex(augmented.graph, forbidden=augmented.forbidden)
-        dom_tree = dominator_tree_of(augmented)
         postdom_tree = postdominator_tree_of(augmented)
 
         num_nodes = augmented.graph.num_nodes
@@ -97,7 +96,6 @@ class EnumerationContext:
             v for v in augmented.original_node_ids() if v not in augmented.forbidden
         ]
         candidate_mask = mask_from_ids(candidate_nodes)
-        depths = augmented.graph.all_depths()
         topo_order = list(augmented.graph.topological_order())
         topo_position = [0] * num_nodes
         for position, vertex in enumerate(topo_order):
@@ -108,14 +106,12 @@ class EnumerationContext:
             original_graph=graph,
             augmented=augmented,
             reach=reach,
-            dom_tree=dom_tree,
             postdom_tree=postdom_tree,
             successor_lists=successor_lists,
             predecessor_lists=predecessor_lists,
             forbidden_mask=forbidden_mask,
             candidate_mask=candidate_mask,
             candidate_nodes=candidate_nodes,
-            depths=depths,
             topo_order=topo_order,
             topo_position=topo_position,
         )

@@ -2,9 +2,9 @@
 
 A *cut* is a set of vertices of the data-flow graph; its *inputs* are the
 vertices outside the cut that feed it, its *outputs* are the cut vertices
-with at least one consumer outside.  The enumeration algorithms manipulate
-cuts as integer bit masks for speed; :class:`Cut` is the user-facing,
-hashable, immutable wrapper built from those masks.
+with at least one consumer outside.  Enumerators, results, the batch engine,
+the store and the ISE scorer keep cuts as integer bit masks; :class:`Cut` is
+the user-facing, hashable, immutable wrapper, built from a mask on demand.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .context import EnumerationContext
 
 @dataclass(frozen=True)
 class Cut:
-    """An immutable convex cut (candidate custom instruction).
+    """An immutable convex cut (candidate custom instruction), built from a bit mask.
 
     Equality and hashing consider only the vertex set, so cuts can be stored
     in sets and dictionaries regardless of how they were discovered.
@@ -102,58 +102,26 @@ class Cut:
         Computed constructively as the inputs that reach *output* through a
         path whose interior lies entirely inside the cut.
         """
+        from .validity import _input_reaches_inside  # validity imports this module
+
         ctx = self._require_context(context)
         if output not in self.outputs and output not in self.nodes:
             raise ValueError(f"vertex {output} is not part of the cut")
         mask = self.node_mask()
-        reach = ctx.reach
-        result = set()
-        for input_vertex in self.inputs:
-            # Walk from the input, only through cut vertices, looking for output.
-            frontier = [
-                succ
-                for succ in ctx.successor_lists[input_vertex]
-                if (mask >> succ) & 1
-            ]
-            seen = set(frontier)
-            found = output in seen
-            while frontier and not found:
-                vertex = frontier.pop()
-                if vertex == output:
-                    found = True
-                    break
-                for succ in ctx.successor_lists[vertex]:
-                    if (mask >> succ) & 1 and succ not in seen:
-                        seen.add(succ)
-                        frontier.append(succ)
-            if found or output in seen:
-                result.add(input_vertex)
-        return frozenset(result)
+        return frozenset(v for v in self.inputs if _input_reaches_inside(ctx, mask, v, output))
 
     def is_connected(self, context: Optional[EnumerationContext] = None) -> bool:
         """Definition 4: single output, or every pair of outputs shares an input."""
+        from .validity import _is_connected_mask
+
         ctx = self._require_context(context)
-        outputs = sorted(self.outputs)
-        if len(outputs) <= 1:
-            return True
-        inputs_per_output = {o: self.inputs_to_output(o, ctx) for o in outputs}
-        for i, first in enumerate(outputs):
-            for second in outputs[i + 1 :]:
-                if not (inputs_per_output[first] & inputs_per_output[second]):
-                    return False
-        return True
+        return _is_connected_mask(ctx, self.node_mask(), mask_from_ids(self.outputs))
 
     def depth(self, context: Optional[EnumerationContext] = None) -> int:
         """Longest path (in vertices) through the cut — the latency proxy of [9, 10]."""
-        ctx = self._require_context(context)
-        mask = self.node_mask()
-        order = [v for v in ctx.augmented.graph.topological_order() if (mask >> v) & 1]
-        longest = {v: 1 for v in order}
-        for v in order:
-            for succ in ctx.successor_lists[v]:
-                if (mask >> succ) & 1:
-                    longest[succ] = max(longest[succ], longest[v] + 1)
-        return max(longest.values()) if longest else 0
+        from .validity import _cut_depth
+
+        return _cut_depth(self._require_context(context), self.node_mask())
 
     def contains(self, node_id: int) -> bool:
         """``True`` if *node_id* belongs to the cut."""
@@ -181,21 +149,6 @@ class Cut:
 # ---------------------------------------------------------------------- #
 # Mask-level primitives shared by the enumerators and the validity checks
 # ---------------------------------------------------------------------- #
-def cut_inputs_mask(context: EnumerationContext, node_mask: int) -> int:
-    """``I(S)`` as a mask (Definition 1)."""
-    return context.reach.cut_inputs_mask(node_mask)
-
-
-def cut_outputs_mask(context: EnumerationContext, node_mask: int) -> int:
-    """``O(S)`` as a mask (Definition 1)."""
-    return context.reach.cut_outputs_mask(node_mask)
-
-
-def between_mask(context: EnumerationContext, sources_mask: int, target: int) -> int:
-    """``B(V, w)`` as a mask (Definition 6)."""
-    return context.reach.between_mask(sources_mask, target)
-
-
 def build_body_mask(context: EnumerationContext, inputs_mask: int, outputs_mask: int) -> int:
     """Theorem 3 construction: ``S = ∪_{o ∈ O} B(I, o) \\ I`` as a mask."""
     body = 0

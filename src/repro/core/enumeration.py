@@ -24,7 +24,6 @@ from ..dominators.multi_vertex import (
 )
 from .constraints import Constraints
 from .context import EnumerationContext
-from .cut import Cut
 from .stats import EnumerationResult, EnumerationStats, Stopwatch
 from .validity import is_valid_cut_mask
 
@@ -55,7 +54,7 @@ def enumerate_cuts_basic(
     """
     ctx = context or EnumerationContext.build(graph, constraints)
     stats = EnumerationStats()
-    found: Dict[int, Cut] = {}
+    found: Dict[int, None] = {}  # accepted masks, discovery order
 
     with Stopwatch(stats):
         dominators_of = _precompute_dominators(ctx, stats)
@@ -73,10 +72,11 @@ def enumerate_cuts_basic(
 
     stats.cuts_found = len(found)
     return EnumerationResult(
-        cuts=list(found.values()),
+        masks=list(found),
         stats=stats,
         graph_name=graph.name,
         algorithm=ALGORITHM_NAME,
+        context=ctx,
     )
 
 
@@ -122,7 +122,7 @@ def _do_enum(
     chosen: Tuple[int, ...],
     nout_left: int,
     stats: EnumerationStats,
-    found: Dict[int, Cut],
+    found: Dict[int, None],
 ) -> None:
     """``DO-ENUM`` of Figure 2."""
     stats.pick_output_calls += 1
@@ -175,7 +175,7 @@ def _maybe_record(
     inputs_mask: int,
     outputs_mask: int,
     stats: EnumerationStats,
-    found: Dict[int, Cut],
+    found: Dict[int, None],
 ) -> None:
     """Record the constructed body if it is a valid cut with the chosen outputs.
 
@@ -196,4 +196,4 @@ def _maybe_record(
         return
     if not is_valid_cut_mask(ctx, effective):
         return
-    found[effective] = Cut.from_mask(ctx, effective)
+    found[effective] = None

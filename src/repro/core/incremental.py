@@ -58,7 +58,6 @@ from ..dominators.iterative import derive_immediate_dominators, immediate_domina
 from ..dominators.multi_vertex import CompletionResult, completions_from_idom
 from .constraints import Constraints
 from .context import EnumerationContext
-from .cut import Cut
 from .pruning import FULL_PRUNING, PruningConfig
 from .stats import EnumerationResult, EnumerationStats, Stopwatch
 from .validity import _cut_depth, _is_connected_mask, check_cut_mask, debug_validation_enabled
@@ -114,7 +113,7 @@ class IncrementalEnumerator:
         self.ctx = context or EnumerationContext.build(graph, constraints)
         self.pruning = pruning
         self.stats = EnumerationStats()
-        self._found: Dict[int, Cut] = {}
+        self._found: Dict[int, None] = {}  # accepted cut masks, discovery order
         # Search-state dedup: the same (inputs, outputs, body) state is
         # reached through many different orderings of the same choices; the
         # set collapses those orderings without changing the reachable
@@ -169,10 +168,11 @@ class IncrementalEnumerator:
             )
         self.stats.cuts_found = len(self._found)
         return EnumerationResult(
-            cuts=list(self._found.values()),
+            masks=list(self._found),
             stats=self.stats,
             graph_name=self.graph.name,
             algorithm=ALGORITHM_NAME,
+            context=self.ctx,
         )
 
     # ------------------------------------------------------------------ #
@@ -618,4 +618,4 @@ class IncrementalEnumerator:
             )
         if not valid:
             return
-        self._found[effective] = Cut.from_mask(ctx, effective)
+        self._found[effective] = None

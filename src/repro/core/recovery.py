@@ -23,7 +23,7 @@ property-based tests measure how close the combination
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Iterable, List, Optional, Set
 
 from ..dfg.reachability import iterate_mask
 from .context import EnumerationContext
@@ -69,17 +69,18 @@ def recover_excluded_cuts(
     list of Cut
         Only the *new* cuts (the input cuts are not repeated).
     """
-    known: Set[int] = set()
-    frontier: List[int] = []
-    for cut in cuts:
-        mask = cut.node_mask()
-        known.add(mask)
-        frontier.append(mask)
+    masks = _recover_masks(context, [cut.node_mask() for cut in cuts], max_extra)
+    return EnumerationResult(masks=masks, context=context).cuts
 
-    recovered: Dict[int, Cut] = {}
+
+def _recover_masks(ctx: EnumerationContext, masks: List[int], limit: Optional[int]) -> List[int]:
+    """:func:`recover_excluded_cuts` on vertex bit masks."""
+    known: Set[int] = set(masks)
+    frontier: List[int] = list(masks)
+    recovered: List[int] = []
     while frontier:
         mask = frontier.pop()
-        for vertex in head_vertices(context, mask):
+        for vertex in head_vertices(ctx, mask):
             reduced = mask & ~(1 << vertex)
             if reduced == 0 or reduced in known:
                 continue
@@ -88,27 +89,27 @@ def recover_excluded_cuts(
             # to further reductions that are valid again, so always keep
             # exploring from it.
             frontier.append(reduced)
-            if is_valid_cut_mask(context, reduced):
-                recovered[reduced] = Cut.from_mask(context, reduced)
-                if max_extra is not None and len(recovered) >= max_extra:
-                    return list(recovered.values())
-    return list(recovered.values())
+            if is_valid_cut_mask(ctx, reduced):
+                recovered.append(reduced)
+                if limit is not None and len(recovered) >= limit:
+                    return recovered
+    return recovered
 
 
 def enumerate_with_recovery(result: EnumerationResult, context: EnumerationContext) -> EnumerationResult:
     """Augment an enumeration result with the recovered cuts.
 
-    Returns a new :class:`EnumerationResult` whose ``cuts`` list contains the
+    Returns a new :class:`EnumerationResult` whose ``masks`` list contains the
     original cuts followed by the recovered ones, and whose algorithm name is
     tagged with ``+recovery``.
     """
-    extra = recover_excluded_cuts(context, result.cuts)
-    combined = list(result.cuts) + extra
+    combined = result.masks + _recover_masks(context, result.masks, None)
     stats = result.stats
     stats.cuts_found = len(combined)
     return EnumerationResult(
-        cuts=combined,
+        masks=combined,
         stats=stats,
         graph_name=result.graph_name,
         algorithm=f"{result.algorithm}+recovery",
+        context=context,
     )

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, Iterator, List, Optional, Set
+from functools import cached_property
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Set
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from .cut import Cut
+from ..dfg.reachability import ids_from_mask
+from .context import EnumerationContext
+from .cut import Cut
 
 
 @dataclass
@@ -81,38 +83,53 @@ class EnumerationStats:
 class EnumerationResult:
     """Outcome of a cut enumeration run.
 
+    The result holds the cuts as vertex bit masks, which the batch engine,
+    the store and the ISE scorer read; :attr:`cuts` builds ``Cut`` objects.
+
     Attributes
     ----------
-    cuts:
-        The distinct valid cuts, in discovery order.
+    masks:
+        The distinct valid cuts as vertex bit masks, in discovery order.
     stats:
         Search statistics.
     graph_name:
         Name of the graph that was enumerated (for reports).
     algorithm:
         Identifier of the algorithm that produced the result.
+    context:
+        The context whose vertex ids the masks use; :attr:`cuts` needs it.
     """
 
-    cuts: List["Cut"] = field(default_factory=list)
+    masks: List[int] = field(default_factory=list)
     stats: EnumerationStats = field(default_factory=EnumerationStats)
     graph_name: str = ""
     algorithm: str = ""
+    context: Optional[EnumerationContext] = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def cuts(self) -> List[Cut]:
+        """The cuts, in discovery order, built from :attr:`masks` on first access."""
+        if not self.masks:
+            return []
+        if self.context is None:
+            raise ValueError("building Cut objects requires the result's context")
+        return [Cut.from_mask(self.context, mask) for mask in self.masks]
 
     def __len__(self) -> int:
-        return len(self.cuts)
+        return len(self.masks)
 
-    def __iter__(self) -> Iterator["Cut"]:
+    def __iter__(self) -> Iterator[Cut]:
         return iter(self.cuts)
 
     def node_sets(self) -> Set[FrozenSet[int]]:
         """The cuts as a set of frozen vertex-id sets (order-independent)."""
-        return {cut.nodes for cut in self.cuts}
+        return {frozenset(ids_from_mask(mask)) for mask in self.masks}
 
-    def largest(self, count: int = 1) -> List["Cut"]:
+    def largest(self, count: int = 1) -> List[Cut]:
         """The *count* largest cuts by number of vertices."""
         return sorted(self.cuts, key=lambda cut: len(cut.nodes), reverse=True)[:count]
 
-    def filter(self, predicate: Callable[["Cut"], bool]) -> List["Cut"]:
+    def filter(self, predicate: Callable[[Cut], bool]) -> List[Cut]:
         """Cuts satisfying *predicate*."""
         return [cut for cut in self.cuts if predicate(cut)]
 

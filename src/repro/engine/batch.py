@@ -15,8 +15,9 @@ pickled as is, the worker builds the block's
 :class:`~repro.core.context.EnumerationContext`, enumerates, and returns the
 cut bit masks and statistics.  Workers keep nothing from one task to the
 next, so a block's counters never depend on what its worker ran before.  The
-parent rebuilds the :class:`~repro.core.cut.Cut` objects against a locally
-built context, so the results of a parallel run are bit-identical to a
+parent binds the masks to a locally built context, and
+:class:`~repro.core.cut.Cut` objects are built only if someone reads
+``result.cuts``, so the results of a parallel run are bit-identical to a
 sequential run.
 
 The scheduler streams: at most ``2 * jobs`` tasks are outstanding at any
@@ -50,7 +51,7 @@ and ``jobs=2``.
 When a :class:`~repro.memo.store.ResultStore` is attached, the runner
 consults it *before* dispatching work — blocks whose isomorphism class was
 already enumerated (under the same algorithm and request fingerprint) are
-rebuilt from the stored canonical cut masks and marked ``cached`` — and
+remapped from the stored canonical cut masks and marked ``cached`` — and
 writes each freshly computed result back as it completes, so a crash in the
 middle of a suite loses none of the work already finished, and later runs
 (and runs on isomorphic blocks) become cache hits.
@@ -90,7 +91,6 @@ from typing import (
 
 from ..core.constraints import Constraints
 from ..core.context import EnumerationContext
-from ..core.cut import Cut
 from ..core.pruning import FULL_PRUNING, PruningConfig
 from ..core.stats import EnumerationResult, EnumerationStats
 from ..dfg.graph import DataFlowGraph
@@ -108,7 +108,7 @@ BatchInput = Union[WorkloadSuite, Iterable[BlockLike]]
 ProgressCallback = Callable[["BatchItem", int, int], None]
 
 #: Outstanding-task window of the streaming scheduler, as a multiple of
-#: ``jobs``: enough to keep every worker busy while the parent rebuilds the
+#: ``jobs``: enough to keep every worker busy while the parent collects the
 #: previous results, small enough that huge suites are serialized lazily.
 WINDOW_FACTOR = 2
 
@@ -208,7 +208,7 @@ class BatchItem:
     elapsed_seconds: float = 0.0
     timed_out: bool = False
     error: Optional[str] = None
-    #: ``True`` when the result was rebuilt from the memoization store
+    #: ``True`` when the result was served from the memoization store
     #: instead of being enumerated in this run.
     cached: bool = False
     #: ``True`` when the result was remapped from an isomorphic block's run
@@ -256,7 +256,7 @@ class BatchReport:
 
     def total_cuts(self) -> int:
         """Number of cuts found across all successful blocks."""
-        return sum(len(item.result.cuts) for item in self.items if item.ok)
+        return sum(len(item.result) for item in self.items if item.ok)
 
     def total_stats(self) -> EnumerationStats:
         """Aggregated search statistics of the successful blocks."""
@@ -379,11 +379,11 @@ def _enumerate_block(
                         context=context,
                     )
                 )
-                span.note(cuts=len(result.cuts))
+                span.note(cuts=len(result))
             record = {
                 "graph_name": result.graph_name,
                 "algorithm": result.algorithm,
-                "masks": [cut.node_mask() for cut in result.cuts],
+                "masks": result.masks,
                 "stats": result.stats,
             }
         except Exception as exc:  # same policy as the sequential path
@@ -804,16 +804,14 @@ class BatchRunner:
                 continue
             item.context = self.cache.get(item.graph, self.constraints)
             item.result = EnumerationResult(
-                cuts=[
-                    Cut.from_mask(item.context, form.from_canonical_mask(mask))
-                    for mask in stored.masks
-                ],
+                masks=[form.from_canonical_mask(mask) for mask in stored.masks],
                 stats=stored.stats,
                 graph_name=item.graph_name,
                 # The label the algorithm itself emitted (it may differ from
                 # the registry name, e.g. "exhaustive-pruned"), so a warm run
                 # reproduces the cold run's reports byte-for-byte.
                 algorithm=stored.algorithm,
+                context=item.context,
             )
             item.cached = True
             item.elapsed_seconds = time.perf_counter() - start
@@ -842,10 +840,7 @@ class BatchRunner:
                     # reconstruction in _resolve_from_store).
                     algorithm=item.result.algorithm,
                     fingerprint=request_fingerprint(self.constraints, pruning),
-                    masks=[
-                        form.to_canonical_mask(cut.node_mask())
-                        for cut in item.result.cuts
-                    ],
+                    masks=[form.to_canonical_mask(mask) for mask in item.result.masks],
                     stats=item.result.stats,
                 ),
             )
@@ -897,7 +892,7 @@ class BatchRunner:
                             context=context,
                         )
                     )
-                    span.note(cuts=len(item.result.cuts))
+                    span.note(cuts=len(item.result))
                 except Exception as exc:  # same policy as the parallel path
                     item.error = f"{type(exc).__name__}: {exc}"
                     span.note(error=item.error)
@@ -1153,10 +1148,11 @@ class BatchRunner:
         item.context = self.cache.get(item.graph, self.constraints)
         stats = record["stats"]
         item.result = EnumerationResult(
-            cuts=[Cut.from_mask(item.context, mask) for mask in record["masks"]],
+            masks=record["masks"],
             stats=stats,
             graph_name=record["graph_name"],
             algorithm=record["algorithm"],
+            context=item.context,
         )
         item.elapsed_seconds = stats.elapsed_seconds
         if self.timeout is not None and record["task_seconds"] > self.timeout:

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict
+from typing import NamedTuple
 
 from ..core.context import EnumerationContext
 from ..core.cut import Cut
-from ..dfg.opcodes import hardware_latency, software_latency
+from ..dfg.opcodes import area_cost, hardware_latency, software_latency
+from ..dfg.reachability import ids_from_mask
 
 
 @dataclass(frozen=True)
@@ -56,45 +57,95 @@ class LatencyModel:
     # ------------------------------------------------------------------ #
     def software_cost(self, cut: Cut, context: EnumerationContext) -> float:
         """Cycles spent by the baseline processor executing the cut's operations."""
-        graph = context.augmented.graph
-        return sum(software_latency(graph.node(v).opcode) for v in cut.nodes)
+        return CutCosts(context, self).score(cut.node_mask()).software_cycles
 
     def hardware_critical_path(self, cut: Cut, context: EnumerationContext) -> float:
         """Normalised delay of the longest path through the cut's datapath."""
-        graph = context.augmented.graph
-        mask = cut.node_mask()
-        order = [v for v in graph.topological_order() if (mask >> v) & 1]
-        finish: Dict[int, float] = {}
-        longest = 0.0
-        for vertex in order:
-            delay = hardware_latency(graph.node(vertex).opcode)
-            start = 0.0
-            for pred in context.predecessor_lists[vertex]:
-                if (mask >> pred) & 1 and finish.get(pred, 0.0) > start:
-                    start = finish[pred]
-            finish[vertex] = start + delay
-            if finish[vertex] > longest:
-                longest = finish[vertex]
-        return longest
+        return CutCosts(context, self).score(cut.node_mask()).critical_path
 
     def hardware_cost(self, cut: Cut, context: EnumerationContext) -> float:
         """Cycles the custom instruction takes, including I/O transfer overhead."""
-        critical = self.hardware_critical_path(cut, context)
-        granularity = self.hw_cycle_granularity
-        compute_cycles = max(
-            granularity, math.ceil(critical / granularity) * granularity
-        )
-        extra_reads = max(0, cut.num_inputs - self.base_isa_read_ports)
-        extra_writes = max(0, cut.num_outputs - self.base_isa_write_ports)
-        transfer_cycles = self.cycles_per_extra_transfer * (extra_reads + extra_writes)
-        return compute_cycles + transfer_cycles
+        return CutCosts(context, self).score(cut.node_mask()).hardware_cycles
 
     def saved_cycles(self, cut: Cut, context: EnumerationContext) -> float:
         """Cycles saved each time the custom instruction replaces the cut."""
-        return self.software_cost(cut, context) - self.hardware_cost(cut, context)
+        return CutCosts(context, self).score(cut.node_mask()).saved_cycles_per_execution
 
 
 DEFAULT_LATENCY_MODEL = LatencyModel()
+
+
+class MaskScore(NamedTuple):
+    """Merit of a cut given as a bit mask: ``ScoredCut``'s fields, plus the critical path."""
+
+    mask: int
+    saved_cycles_per_execution: float
+    weighted_gain: float
+    hardware_cycles: float
+    software_cycles: float
+    area: float
+    critical_path: float
+
+
+class CutCosts:
+    """Per-vertex cost tables of one block, built once, that price cuts from their masks.
+
+    The library's one cost implementation: the :class:`LatencyModel` methods,
+    :func:`cut_area` and :mod:`repro.ise.speedup` all go through it.
+    """
+
+    def __init__(self, context: EnumerationContext, model: LatencyModel = DEFAULT_LATENCY_MODEL):
+        opcodes = [context.augmented.graph.node(v).opcode for v in range(context.num_nodes)]
+        self._software = [software_latency(op) for op in opcodes]
+        self._delay = [hardware_latency(op) for op in opcodes]
+        self._area = [area_cost(op) for op in opcodes]
+        self._pred_rows = context.reach.predecessor_rows()
+        self._succ_rows = context.reach.successor_rows()
+        self._topo_position = context.topo_position
+        self._model = model
+        self._finish = [0.0] * context.num_nodes  # scratch: a cut writes before it reads
+
+    def score(self, mask: int, execution_count: float = 1.0) -> MaskScore:
+        """Cost and merit of the cut *mask*, in one topological pass over its vertices.
+
+        A vertex's datapath result is ready its delay after the latest of its
+        predecessors in the cut; ``|I(S)|`` and ``|O(S)|`` come from the
+        packed predecessor and successor rows.
+        """
+        software, delay, area_of = self._software, self._delay, self._area
+        pred_rows, succ_rows, finish = self._pred_rows, self._succ_rows, self._finish
+        order = ids_from_mask(mask)
+        order.sort(key=self._topo_position.__getitem__)
+        outside = ~mask
+        software_cycles = critical = area = 0.0
+        preds = outputs = 0
+        for vertex in order:
+            software_cycles += software[vertex]
+            area += area_of[vertex]
+            row = pred_rows[vertex]
+            preds |= row
+            start = 0.0
+            inner = row & mask
+            while inner:
+                low = inner & -inner
+                ready = finish[low.bit_length() - 1]
+                if ready > start:
+                    start = ready
+                inner ^= low
+            end = finish[vertex] = start + delay[vertex]
+            if end > critical:
+                critical = end
+            if succ_rows[vertex] & outside:
+                outputs += 1
+        model = self._model
+        granularity = model.hw_cycle_granularity
+        transfers = max(0, (preds & outside).bit_count() - model.base_isa_read_ports)
+        transfers += max(0, outputs - model.base_isa_write_ports)
+        hardware = max(granularity, math.ceil(critical / granularity) * granularity)
+        hardware += model.cycles_per_extra_transfer * transfers
+        saved = software_cycles - hardware
+        gain = saved * execution_count
+        return MaskScore(mask, saved, gain, hardware, software_cycles, area, critical)
 
 
 def total_software_cycles(context: EnumerationContext, model: LatencyModel = DEFAULT_LATENCY_MODEL) -> float:
@@ -107,7 +158,4 @@ def total_software_cycles(context: EnumerationContext, model: LatencyModel = DEF
 
 def cut_area(cut: Cut, context: EnumerationContext) -> float:
     """Relative silicon area of the cut's datapath (sum of operator areas)."""
-    from ..dfg.opcodes import area_cost
-
-    graph = context.augmented.graph
-    return sum(area_cost(graph.node(v).opcode) for v in cut.nodes)
+    return CutCosts(context).score(cut.node_mask()).area

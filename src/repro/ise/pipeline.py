@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Union
 
 from ..core.constraints import Constraints
+from ..core.cut import Cut
 from ..core.pruning import FULL_PRUNING, PruningConfig
 from ..dfg.graph import DataFlowGraph
 from ..engine.batch import BatchRunner
@@ -24,7 +25,7 @@ from ..obs import runtime as obs
 from .isa import InstructionSetExtension, make_instruction
 from .latency import DEFAULT_LATENCY_MODEL, LatencyModel, total_software_cycles
 from .selection import SelectionConfig, select_cuts
-from .speedup import ScoredCut, score_cuts
+from .speedup import ScoredCut, score_masks
 
 
 @dataclass
@@ -234,17 +235,20 @@ def _enumerate_and_select(
                     )
                 )
                 continue
-            scored = score_cuts(
-                item.result.cuts,
+            scored = score_masks(
+                item.result.masks,
                 context,
                 execution_count=item.execution_count,
                 model=latency_model,
             )
-            selected = select_cuts(scored, selection)
+            selected = [  # only the selected cuts become Cut objects
+                ScoredCut.from_score(Cut.from_mask(context, score.mask), score)
+                for score in select_cuts(scored, selection)
+            ]
             result = BlockResult(
                 graph_name=item.graph_name,
                 execution_count=item.execution_count,
-                num_candidate_cuts=len(item.result.cuts),
+                num_candidate_cuts=len(item.result),
                 selected=selected,
                 software_cycles=total_software_cycles(context, latency_model),
                 saved_cycles=sum(s.saved_cycles_per_execution for s in selected),

@@ -12,16 +12,19 @@ allowed (the paper cites [15] on this), so the standard approaches are:
   gain density (gain per unit area) when an area budget is the binding
   constraint, which corresponds to the classic fractional-knapsack heuristic.
 
-Both operate on :class:`~repro.ise.speedup.ScoredCut` objects and return the
-selected subset in selection order.
+Both take scored cut masks (:class:`~repro.ise.latency.MaskScore`) or
+:class:`~repro.ise.speedup.ScoredCut` objects, test overlap with one AND of
+vertex masks, and return the selected subset in selection order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, TypeVar
 
-from .speedup import ScoredCut
+from ..dfg.reachability import ids_from_mask
+from .latency import MaskScore
+from .speedup import ScoredCut, gain_density
 
 
 @dataclass(frozen=True)
@@ -46,42 +49,43 @@ class SelectionConfig:
     by_density: bool = False
 
 
+Scored = TypeVar("Scored", MaskScore, ScoredCut)
+
+
 def select_cuts(
-    scored_cuts: Iterable[ScoredCut],
+    scored_cuts: Iterable[Scored],
     config: SelectionConfig = SelectionConfig(),
-) -> List[ScoredCut]:
+) -> List[Scored]:
     """Greedy non-overlapping selection of custom instructions.
 
     The input does not need to be sorted; cuts with non-positive gain are
     never selected.
     """
     candidates = [entry for entry in scored_cuts if entry.weighted_gain > 0]
-    # Ties are broken by the cut's vertex set, not by list position, so the
-    # selection is independent of discovery order — a result rebuilt from the
-    # memoization store (whose cuts may arrive in an isomorphic writer's
-    # order) selects the same instructions as a direct enumeration.
+    # Ties are broken by the cut's ascending vertex ids, not by list position,
+    # so the selection is independent of discovery order — a result served
+    # from the memoization store (whose cuts may arrive in an isomorphic
+    # writer's order) selects the same instructions as a direct enumeration.
     if config.by_density:
-        candidates.sort(
-            key=lambda entry: (-entry.gain_per_area, entry.cut.sorted_nodes())
-        )
+        density = lambda entry: gain_density(entry.weighted_gain, entry.area)
+        candidates.sort(key=lambda entry: (-density(entry), ids_from_mask(entry.mask)))
     else:
-        candidates.sort(
-            key=lambda entry: (-entry.weighted_gain, entry.cut.sorted_nodes())
-        )
+        candidates.sort(key=lambda entry: (-entry.weighted_gain, ids_from_mask(entry.mask)))
 
-    selected: List[ScoredCut] = []
-    used_vertices: set = set()
+    selected: List[Scored] = []
+    used_mask = 0
     remaining_area = config.area_budget
 
     for entry in candidates:
         if config.max_instructions is not None and len(selected) >= config.max_instructions:
             break
-        if entry.cut.nodes & used_vertices:
+        mask = entry.mask
+        if mask & used_mask:
             continue
         if remaining_area is not None and entry.area > remaining_area:
             continue
         selected.append(entry)
-        used_vertices |= entry.cut.nodes
+        used_mask |= mask
         if remaining_area is not None:
             remaining_area -= entry.area
     return selected

@@ -5,6 +5,9 @@ candidate custom instructions, following the merit function used in the
 optimal ISE identification literature the paper builds on: the gain of a cut
 is the number of cycles it saves per execution of its basic block, weighted by
 how often the block executes.
+
+Scoring runs on cut bit masks (:func:`score_masks`); :func:`score_cut` and
+:func:`score_cuts` wrap it for :class:`~repro.core.cut.Cut` objects.
 """
 
 from __future__ import annotations
@@ -14,7 +17,14 @@ from typing import Iterable, List
 
 from ..core.context import EnumerationContext
 from ..core.cut import Cut
-from .latency import DEFAULT_LATENCY_MODEL, LatencyModel, cut_area, total_software_cycles
+from .latency import DEFAULT_LATENCY_MODEL, CutCosts, LatencyModel, MaskScore, total_software_cycles
+
+
+def gain_density(weighted_gain: float, area: float) -> float:
+    """Weighted gain per unit of area (infinite for a free, profitable cut)."""
+    if area <= 0:
+        return float("inf") if weighted_gain > 0 else 0.0
+    return weighted_gain / area
 
 
 @dataclass(frozen=True)
@@ -42,12 +52,32 @@ class ScoredCut:
     software_cycles: float
     area: float
 
+    @classmethod
+    def from_score(cls, cut: Cut, score: MaskScore) -> "ScoredCut":
+        """Attach the merit *score* of *cut*'s mask to *cut*."""
+        return cls(cut, *score[1:6])
+
+    @property
+    def mask(self) -> int:
+        """The cut as a vertex bit mask."""
+        return self.cut.node_mask()
+
     @property
     def gain_per_area(self) -> float:
         """Merit density used by the area-constrained selection heuristics."""
-        if self.area <= 0:
-            return float("inf") if self.weighted_gain > 0 else 0.0
-        return self.weighted_gain / self.area
+        return gain_density(self.weighted_gain, self.area)
+
+
+def score_masks(
+    masks: Iterable[int],
+    context: EnumerationContext,
+    execution_count: float = 1.0,
+    model: LatencyModel = DEFAULT_LATENCY_MODEL,
+) -> List[MaskScore]:
+    """Merit of the profitable cuts among *masks* (vertex bit masks), in input order."""
+    score = CutCosts(context, model).score
+    scores = (score(mask, execution_count) for mask in masks)
+    return [entry for entry in scores if entry.saved_cycles_per_execution > 0]
 
 
 def score_cut(
@@ -57,17 +87,7 @@ def score_cut(
     model: LatencyModel = DEFAULT_LATENCY_MODEL,
 ) -> ScoredCut:
     """Estimate the merit of a single cut."""
-    software = model.software_cost(cut, context)
-    hardware = model.hardware_cost(cut, context)
-    saved = software - hardware
-    return ScoredCut(
-        cut=cut,
-        saved_cycles_per_execution=saved,
-        weighted_gain=saved * execution_count,
-        hardware_cycles=hardware,
-        software_cycles=software,
-        area=cut_area(cut, context),
-    )
+    return score_cuts([cut], context, execution_count, model, keep_only_profitable=False)[0]
 
 
 def score_cuts(
@@ -78,10 +98,8 @@ def score_cuts(
     keep_only_profitable: bool = True,
 ) -> List[ScoredCut]:
     """Score a collection of cuts and sort them by decreasing weighted gain."""
-    scored = [
-        score_cut(cut, context, execution_count=execution_count, model=model)
-        for cut in cuts
-    ]
+    score = CutCosts(context, model).score
+    scored = [ScoredCut.from_score(cut, score(cut.node_mask(), execution_count)) for cut in cuts]
     if keep_only_profitable:
         scored = [entry for entry in scored if entry.saved_cycles_per_execution > 0]
     scored.sort(key=lambda entry: entry.weighted_gain, reverse=True)

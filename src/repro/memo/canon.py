@@ -35,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.constraints import Constraints
@@ -80,19 +81,30 @@ class CanonicalForm:
     # ------------------------------------------------------------------ #
     def to_canonical_mask(self, mask: int) -> int:
         """Remap a vertex bit mask from graph ids into canonical ids."""
-        result = 0
-        for node_id in range(self.num_nodes):
-            if (mask >> node_id) & 1:
-                result |= 1 << self.permutation[node_id]
-        return result
+        return _remap(mask, self._bit_tables[0])
 
     def from_canonical_mask(self, mask: int) -> int:
         """Remap a vertex bit mask from canonical ids back into graph ids."""
-        result = 0
-        for node_id in range(self.num_nodes):
-            if (mask >> self.permutation[node_id]) & 1:
-                result |= 1 << node_id
-        return result
+        return _remap(mask, self._bit_tables[1])
+
+    @cached_property
+    def _bit_tables(self) -> Tuple[List[int], List[int]]:
+        """``1 << image`` per vertex id, for the permutation and its inverse."""
+        inverse = [0] * self.num_nodes
+        for node_id, image in enumerate(self.permutation):
+            inverse[image] = 1 << node_id
+        return [1 << image for image in self.permutation], inverse
+
+
+def _remap(mask: int, images: List[int]) -> int:
+    """OR of ``images[v]`` over the set bits ``v`` of *mask* below ``len(images)``."""
+    mask &= (1 << len(images)) - 1
+    result = 0
+    while mask:
+        low = mask & -mask
+        result |= images[low.bit_length() - 1]
+        mask ^= low
+    return result
 
 
 # --------------------------------------------------------------------------- #

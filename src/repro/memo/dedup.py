@@ -168,8 +168,6 @@ def _stream_classes(runner, items, classes, forms, store):
     representative, so downstream consumers see completed work without
     waiting for the whole workload.
     """
-    from ..core.cut import Cut
-
     representatives = [items[cls.representative] for cls in classes]
     rep_stream = runner.iter_run(
         [(item.graph, item.execution_count) for item in representatives],
@@ -198,20 +196,19 @@ def _stream_classes(runner, items, classes, forms, store):
                     yield items[index]
             continue
         rep_form = forms[cls.representative]
-        rep_masks = [cut.node_mask() for cut in rep_item.result.cuts]
         for index in cls.members:
             if index == cls.representative:
                 continue
             member = items[index]
             member.context = runner.cache.get(member.graph, runner.constraints)
-            local_masks = remap_masks(rep_masks, rep_form, forms[index])
             stats = EnumerationStats()
             stats.merge(rep_item.result.stats)
             member.result = EnumerationResult(
-                cuts=[Cut.from_mask(member.context, mask) for mask in local_masks],
+                masks=remap_masks(rep_item.result.masks, rep_form, forms[index]),
                 stats=stats,
                 graph_name=member.graph_name,
                 algorithm=rep_item.result.algorithm,
+                context=member.context,
             )
             member.deduplicated = True
             member.elapsed_seconds = 0.0

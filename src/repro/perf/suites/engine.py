@@ -148,7 +148,7 @@ def _core_measure(state: object) -> MeasureOutput:
                 "legacy_seconds": round(legacy_seconds, 6),
                 "speedup_vs_legacy": speedup,
                 "lt_calls": new_result.stats.lt_calls,
-                "cuts": len(new_result.cuts),
+                "cuts": len(new_result),
             }
             if graph.num_nodes <= MAX_BASIC_NODES:
                 _, basic_result = _timed_fresh_context(enumerate_cuts_basic, graph)

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from repro.core import Constraints, EnumerationContext
+from repro.core import Constraints, Cut, EnumerationContext
 from repro.dfg import DataFlowGraph, DFGBuilder, Opcode
 from repro.dfg.builder import diamond, linear_chain
 
@@ -129,3 +130,37 @@ io_constraints = st.sampled_from(
      Constraints(max_inputs=3, max_outputs=2),
      Constraints(max_inputs=4, max_outputs=2)]
 )
+
+
+# --------------------------------------------------------------------------- #
+# Mask-native results: counting Cut builds, recorded corpus values
+# --------------------------------------------------------------------------- #
+@pytest.fixture
+def cut_builds(monkeypatch):
+    """The mask of every ``Cut.from_mask`` call made in this process while the test runs."""
+    calls = []
+    build = Cut.from_mask.__func__
+
+    def counting(cls, context, node_mask):
+        calls.append(node_mask)
+        return build(cls, context, node_mask)
+
+    monkeypatch.setattr(Cut, "from_mask", classmethod(counting))
+    return calls
+
+
+#: :func:`corpus_fingerprint` of the frontend corpus as CPython 3.11 compiles
+#: it: the corpus that the recorded expected values in the tests describe.
+RECORDED_CORPUS = "38e7200b80fb118e"
+
+
+def corpus_fingerprint(graphs) -> str:
+    """Short hash over the structural hashes of *graphs*, in order."""
+    joined = "".join(graph.structural_hash() for graph in graphs)
+    return hashlib.sha256(joined.encode()).hexdigest()[:16]
+
+
+def skip_unless_recorded_corpus(graphs) -> None:
+    """Skip the rest of a test whose expected values describe another corpus."""
+    if corpus_fingerprint(graphs) != RECORDED_CORPUS:
+        pytest.skip("the recorded values describe the corpus as CPython 3.11 compiles it")

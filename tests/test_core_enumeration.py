@@ -1,5 +1,8 @@
 """Tests of the two polynomial enumeration algorithms on known graphs."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.baselines import enumerate_cuts_brute_force, enumerate_cuts_exhaustive
@@ -12,7 +15,12 @@ from repro.core import (
     enumerate_cuts_basic,
 )
 from repro.dfg.builder import linear_chain
+from repro.dfg.reachability import ids_from_mask
+from repro.engine import available_algorithms, get_algorithm
+from repro.engine.registry import EnumerationRequest
+from repro.frontend.corpus import build_corpus_suite
 from repro.workloads.trees import tree_dfg
+from tests.conftest import skip_unless_recorded_corpus
 
 
 class TestChainCounts:
@@ -173,3 +181,65 @@ class TestStatistics:
         result = enumerate_cuts_basic(diamond_graph, default_constraints)
         assert result.algorithm == "poly-enum-basic"
         assert result.stats.candidates_checked > 0
+
+
+#: Per algorithm, the first 16 hex digits of a SHA-256 over every corpus
+#: block's ``json.dumps([name, cuts])``, each cut as (sorted nodes, inputs,
+#: outputs) in discovery order, recorded when every enumerator still built
+#: each Cut eagerly.
+EAGER_CUT_DIGESTS = {
+    "brute-force": "c3144c51648e658c",
+    "connected-only": "3d9e5817a7d6190e",
+    "exhaustive": "98da052c254d5863",
+    "poly-enum-basic": "1344cdb359ba0ff4",
+    "poly-enum-incremental": "a0bd72275cb09478",
+    "poly-enum-incremental-legacy": "a0bd72275cb09478",
+}
+
+
+class TestMaskNativeResults:
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return list(build_corpus_suite(profile=False))
+
+    @pytest.mark.parametrize("name", available_algorithms())
+    def test_lazy_cuts_equal_the_eager_lists(self, name, corpus, cut_builds):
+        constraints = Constraints(max_inputs=4, max_outputs=2)
+        algorithm = get_algorithm(name)
+        limit = algorithm.capabilities.max_candidate_nodes
+        digest = hashlib.sha256()
+        for graph in corpus:
+            context = EnumerationContext.build(graph, constraints)
+            if limit is not None and len(context.candidate_nodes) > limit:
+                continue
+            result = algorithm.enumerate(
+                EnumerationRequest(
+                    graph=graph,
+                    constraints=constraints,
+                    context=context if algorithm.capabilities.supports_context else None,
+                )
+            )
+            # The size and the vertex sets come from the masks alone.
+            assert len(result) == len(result.masks) == result.stats.cuts_found
+            assert result.node_sets() == {frozenset(ids_from_mask(m)) for m in result.masks}
+            assert cut_builds == []
+            cuts = result.cuts
+            assert cut_builds == result.masks and result.cuts is cuts
+            cut_builds.clear()
+            reach = result.context.reach
+            for cut, mask in zip(cuts, result.masks):
+                assert cut.nodes == frozenset(ids_from_mask(mask))
+                assert cut.inputs == frozenset(ids_from_mask(reach.cut_inputs_mask(mask)))
+                assert cut.outputs == frozenset(ids_from_mask(reach.cut_outputs_mask(mask)))
+                assert cut.graph_name == graph.name
+            rows = [(sorted(c.nodes), sorted(c.inputs), sorted(c.outputs)) for c in cuts]
+            digest.update(json.dumps([graph.name, rows]).encode())
+        skip_unless_recorded_corpus(corpus)
+        assert digest.hexdigest()[:16] == EAGER_CUT_DIGESTS[name]
+
+    def test_empty_result_needs_no_context(self):
+        from repro.core.stats import EnumerationResult
+
+        assert EnumerationResult().cuts == []
+        with pytest.raises(ValueError, match="context"):
+            EnumerationResult(masks=[0b10]).cuts

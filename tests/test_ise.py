@@ -1,11 +1,16 @@
 """Tests for the instruction-set-extension layer (latency, speedup, selection, pipeline)."""
 
 
+import math
+
 import pytest
 from hypothesis import given
 
+from repro.baselines import enumerate_cuts_exhaustive
 from repro.core import Constraints, EnumerationContext, enumerate_cuts
-from repro.dfg.opcodes import software_latency
+from repro.core.validity import check_cut_mask
+from repro.dfg.opcodes import area_cost, hardware_latency, software_latency
+from repro.frontend.corpus import build_corpus_suite, corpus_block_profiles
 from repro.ise import (
     DEFAULT_LATENCY_MODEL,
     BlockProfile,
@@ -22,8 +27,12 @@ from repro.ise import (
     selection_covers,
     total_software_cycles,
 )
-from repro.workloads.kernels import build_kernel
-from tests.conftest import dag_seeds, make_random_dag
+from repro.ise.latency import CutCosts
+from repro.ise.speedup import score_masks
+from repro.memo import ResultStore
+from repro.workloads.kernels import all_kernels, build_kernel
+from repro.workloads.trees import tree_dfg
+from tests.conftest import dag_seeds, make_random_dag, skip_unless_recorded_corpus
 
 
 @pytest.fixture
@@ -206,3 +215,170 @@ class TestPipeline:
             blocks, selection=SelectionConfig(max_instructions=0)
         )
         assert result.application_speedup == pytest.approx(1.0)
+
+
+# --------------------------------------------------------------------------- #
+# Mask scoring, selection on masks, Cut objects only for the selection
+# --------------------------------------------------------------------------- #
+CONSTRAINTS = Constraints(max_inputs=4, max_outputs=2)
+
+
+def _reference(context, cut, model):
+    """(software, hardware, area, critical path) of *cut*, from the definitions."""
+    graph = context.augmented.graph
+    opcode = {v: graph.node(v).opcode for v in cut.nodes}
+    software = sum(software_latency(opcode[v]) for v in cut.nodes)
+    area = sum(area_cost(opcode[v]) for v in cut.nodes)
+    finish = {}
+
+    def ready(vertex):  # longest path of the induced subgraph ending at vertex
+        if vertex not in finish:
+            inside = [p for p in graph.predecessors(vertex) if p in cut.nodes]
+            latest = max((ready(p) for p in inside), default=0.0)
+            finish[vertex] = latest + hardware_latency(opcode[vertex])
+        return finish[vertex]
+
+    critical = max(ready(v) for v in cut.nodes)
+    report = check_cut_mask(context, cut.node_mask())
+    step = model.hw_cycle_granularity
+    transfers = max(0, report.num_inputs - model.base_isa_read_ports) + max(
+        0, report.num_outputs - model.base_isa_write_ports
+    )
+    hardware = max(step, math.ceil(critical / step) * step)
+    hardware += model.cycles_per_extra_transfer * transfers
+    return software, hardware, area, critical
+
+
+@pytest.fixture(scope="module")
+def every_cut():
+    """Every valid cut of the corpus blocks, the 11 kernels and tree_dfg(4)."""
+    graphs = list(build_corpus_suite(profile=False)) + all_kernels() + [tree_dfg(4)]
+    pairs = []
+    for graph in graphs:
+        context = EnumerationContext.build(graph, CONSTRAINTS)
+        pairs.append((context, enumerate_cuts_exhaustive(graph, CONSTRAINTS, context=context)))
+    return pairs
+
+
+class TestMaskScorer:
+    @pytest.mark.parametrize(
+        "model",
+        [
+            DEFAULT_LATENCY_MODEL,
+            LatencyModel(
+                base_isa_read_ports=1,
+                base_isa_write_ports=0,
+                cycles_per_extra_transfer=0.5,
+                hw_cycle_granularity=0.25,
+            ),
+        ],
+    )
+    def test_matches_the_definitions_on_every_cut(self, every_cut, model):
+        checked = 0
+        for context, result in every_cut:
+            costs = CutCosts(context, model)
+            for cut in result.cuts:
+                software, hardware, area, critical = _reference(context, cut, model)
+                score = costs.score(cut.node_mask(), execution_count=3.0)
+                assert score.mask == cut.node_mask()
+                assert score.software_cycles == software
+                assert score.hardware_cycles == hardware
+                assert score.critical_path == critical
+                assert score.saved_cycles_per_execution == software - hardware
+                assert score.weighted_gain == (software - hardware) * 3.0
+                assert math.isclose(score.area, area)
+                checked += 1
+        assert checked == 517 + 785 + 119
+
+    def test_cut_adapters_wrap_the_mask_scorer(self, every_cut):
+        model = DEFAULT_LATENCY_MODEL
+        for context, result in every_cut[::4]:
+            costs = CutCosts(context, model)
+            for cut in result.cuts[:5]:
+                score = costs.score(cut.node_mask(), execution_count=2.0)
+                scored = score_cut(cut, context, execution_count=2.0)
+                assert scored.cut is cut
+                assert (
+                    scored.saved_cycles_per_execution,
+                    scored.weighted_gain,
+                    scored.hardware_cycles,
+                    scored.software_cycles,
+                    scored.area,
+                ) == score[1:6]
+                assert model.software_cost(cut, context) == score.software_cycles
+                assert model.hardware_critical_path(cut, context) == score.critical_path
+                assert model.hardware_cost(cut, context) == score.hardware_cycles
+                assert model.saved_cycles(cut, context) == score.saved_cycles_per_execution
+                assert cut_area(cut, context) == score.area
+
+    def test_score_masks_keeps_the_profitable_cuts_in_order(self, every_cut):
+        for context, result in every_cut:
+            costs = CutCosts(context)
+            everything = [costs.score(mask, 5.0) for mask in result.masks]
+            expected = [s for s in everything if s.saved_cycles_per_execution > 0]
+            assert score_masks(result.masks, context, execution_count=5.0) == expected
+
+
+#: Vertex sets the pipeline selected per corpus block (blocks not listed
+#: selected nothing), recorded when scoring and selection still ran on Cut
+#: objects.
+RECORDED_SELECTIONS = {
+    "by_density": {
+        "adler32_step__b0": [[4], [7]],
+        "bit_reverse8__b0": [[2, 4, 6, 7, 8], [10, 12, 14, 15, 16], [18, 20, 22, 23, 24]],
+        "checksum_loop__b1": [[2, 4, 5]],
+        "clamp_diff__b0": [[10, 12, 14, 15, 16, 17, 18, 19, 20], [4, 6, 7]],
+        "crc32_step__b0": [[2, 4, 5], [6, 8]],
+        "fir_tap4__b0": [[3], [7], [11], [15]],
+        "popcount32__b0": [[7, 9, 10, 11], [13, 14], [2, 4, 5], [18]],
+        "saturating_add__b0": [[4, 6, 8, 9, 10, 11, 12, 13, 14]],
+        "xorshift32__b0": [[5, 7, 8, 10, 11, 12], [2, 3]],
+    },
+    "area_budget": {
+        "bit_reverse8__b0": [[2, 4, 6, 7, 8]],
+        "checksum_loop__b1": [[2, 4, 5]],
+        "crc32_step__b0": [[2, 4, 5, 6, 8, 9, 10]],
+        "popcount32__b0": [[7, 9, 10, 11]],
+        "xorshift32__b0": [[5, 7, 8, 10, 11, 12]],
+    },
+}
+RECORDED_CONFIGS = {
+    "by_density": SelectionConfig(max_instructions=4, by_density=True),
+    "area_budget": SelectionConfig(area_budget=2.5),
+}
+
+
+class TestMaskSelection:
+    @pytest.mark.parametrize("label", sorted(RECORDED_CONFIGS))
+    def test_selected_sets_are_unchanged(self, label):
+        config = RECORDED_CONFIGS[label]
+        blocks = corpus_block_profiles()
+        result = identify_instruction_set_extension(blocks, CONSTRAINTS, selection=config)
+        picked = {b.graph_name: [sorted(s.cut.nodes) for s in b.selected] for b in result.blocks}
+        assert any(picked.values())
+        # Selecting over scored Cut objects picks the same sets.
+        for block in blocks:
+            context = EnumerationContext.build(block.graph, CONSTRAINTS)
+            cuts = enumerate_cuts(block.graph, CONSTRAINTS, context=context).cuts
+            chosen = select_cuts(score_cuts(cuts, context, block.execution_count), config)
+            assert [sorted(s.cut.nodes) for s in chosen] == picked[block.graph.name]
+        skip_unless_recorded_corpus([block.graph for block in blocks])
+        expected = RECORDED_SELECTIONS[label]
+        assert picked == {name: expected.get(name, []) for name in picked}
+
+    @pytest.mark.parametrize("run", ["jobs=1", "jobs=2", "store"])
+    def test_only_the_selected_cuts_are_built(self, run, cut_builds, tmp_path):
+        blocks = corpus_block_profiles()
+        options = {"jobs": 2} if run == "jobs=2" else {}
+        if run == "store":
+            identify_instruction_set_extension(
+                blocks, CONSTRAINTS, store=ResultStore(tmp_path / "store")
+            )
+            cut_builds.clear()
+            options["store"] = ResultStore(tmp_path / "store")
+        result = identify_instruction_set_extension(blocks, CONSTRAINTS, **options)
+        if run == "store":
+            assert options["store"].stats.hits == len(blocks)
+        selected = [entry.cut.node_mask() for b in result.blocks for entry in b.selected]
+        assert len(result.extension.instructions) > 0
+        assert cut_builds == selected

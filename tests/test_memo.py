@@ -29,6 +29,7 @@ from repro.memo import (
 from repro.memo.store import STORE_FORMAT_VERSION
 from repro.workloads.kernels import build_kernel
 from repro.workloads.synthetic import SyntheticBlockSpec, generate_basic_block
+from repro.workloads.trees import tree_dfg
 
 CONSTRAINTS = Constraints(max_inputs=4, max_outputs=2)
 
@@ -134,6 +135,26 @@ class TestCanonicalForm:
         form = canonical_form(graph)
         for mask in (0, 1, 0b1010, (1 << graph.num_nodes) - 1):
             assert form.from_canonical_mask(form.to_canonical_mask(mask)) == mask
+
+    def test_mask_remap_matches_the_permutation_on_random_masks(self):
+        rng = random.Random(11)
+        graphs = _random_graphs()
+        graphs += [_shuffled(graph, seed)[0] for seed, graph in enumerate(graphs)]
+        forms = [canonical_form(graph, CONSTRAINTS) for graph in graphs]
+        fallback = canonical_form(tree_dfg(3), backtrack_budget=0)
+        assert not fallback.complete
+        for form in forms + [fallback]:
+            n, permutation = form.num_nodes, form.permutation
+            for _ in range(40):
+                mask = rng.getrandbits(n)
+                canonical = form.to_canonical_mask(mask)
+                assert canonical == sum(1 << permutation[v] for v in range(n) if mask >> v & 1)
+                assert form.from_canonical_mask(canonical) == mask
+                assert form.from_canonical_mask(mask) == sum(
+                    1 << v for v in range(n) if mask >> permutation[v] & 1
+                )
+                # Bits past the graph's vertices are dropped, as before.
+                assert form.to_canonical_mask(mask | (1 << (n + 3))) == canonical
 
     def test_budget_fallback_is_flagged_and_deterministic(self):
         graph = build_kernel("crc32_step")
