@@ -18,8 +18,7 @@ search memoises lives on the :class:`IncrementalEnumerator` of one run, so a
 run never depends on what ran before it on the same context, and its memo is
 freed when it returns:
 
-* the ``B({w}, o)`` contributions and the forbidden interiors of the
-  Section 5.3 output-input test are closure intersections, materialised as
+* the ``B({w}, o)`` contributions are closure intersections, materialised as
   one row per vertex the first time the run picks inputs for output ``o``;
   ``B(I, o)`` for a newly picked output is one AND of the inputs' descendant
   union, formed once per PICK-OUTPUT call, with ``o`` and its ancestors;
@@ -27,8 +26,13 @@ freed when it returns:
   per distinct *reachable region*, answering the completion query of every
   output of that region, and derived from the array of the input set one
   vertex smaller (the full kernel runs only when no such set is cached);
-* the postdominator pair-loops of the admissibility and input–input checks
-  are single mask intersections against precomputed comparability masks;
+* each test of PICK-OUTPUT and of the PICK-INPUTS seed loop is one mask per
+  search state (postdominator comparability is a union of precomputed rows),
+  and only the surviving candidates are expanded, in the same order;
+* under the last output, the budget bound of prune-while-building drops
+  subtrees whose body already holds more vertices that must stay outputs
+  (:meth:`IncrementalEnumerator._stuck_outputs`) than ``Nout`` plus the
+  inputs still to choose;
 * the per-cut acceptance test derives inputs, outputs and convexity in one
   pass over the candidate's set bits
   (:meth:`~repro.dfg.reachability.ReachabilityIndex.cut_profile`); the full
@@ -38,7 +42,9 @@ freed when it returns:
 The pruning techniques of Section 5.3 are individually switchable through
 :class:`~repro.core.pruning.PruningConfig`.  The configurations do not all
 report the same cuts: the ablation benchmark records 349 cuts with every
-rule on and 352 with none (or without the input-input rule alone).  What
+rule on and 352 with none (or without the input-input rule alone).  The
+budget bound is the exception: the subtrees it drops hold no cut either
+acceptance mode takes, so the cuts and their order stay the same.  What
 the test suite checks, for full pruning, no pruning and each one-rule
 ablation, is that the result lies between the brute-force oracle's
 paper-enumerable cuts and its valid cuts, and that it is bit-identical to
@@ -53,7 +59,6 @@ import time
 from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 from ..dfg.graph import DataFlowGraph
-from ..dfg.reachability import ids_from_mask
 from ..dominators.iterative import derive_immediate_dominators, immediate_dominators_dag
 from ..dominators.multi_vertex import CompletionResult, completions_from_idom
 from .constraints import Constraints
@@ -76,6 +81,16 @@ _ALREADY_DOMINATED = CompletionResult(already_dominated=True, completions=(), lt
 #: search space, which is usually far smaller, but one run on a
 #: pathological block must not grow without bound — eviction is first-in.
 REGION_CACHE_LIMIT = 32768
+
+
+def _union_rows(rows: List[int], mask: int) -> int:
+    """Union of ``rows[v]`` over the set bits ``v`` of *mask*."""
+    union = 0
+    while mask:
+        low = mask & -mask
+        union |= rows[low.bit_length() - 1]
+        mask ^= low
+    return union
 
 
 def enumerate_cuts(
@@ -122,12 +137,13 @@ class IncrementalEnumerator:
         # The run's memo, filled on demand: the reachable region per input
         # mask, one dominator array per region, the completion step per
         # (region, output), each vertex's descendants in topological order,
-        # and per output the (B({w}, o), forbidden interior) rows.
+        # per output the B({w}, o) rows, and the last output's stuck masks.
         self._reachable_cache: Dict[int, int] = {}
         self._idom_cache: Dict[int, List[Optional[int]]] = {}
         self._completion_cache: Dict[Tuple[int, int], CompletionResult] = {}
         self._descendant_lists: Dict[int, List[int]] = {}
-        self._contribution_rows: Dict[int, Tuple[List[int], List[int]]] = {}
+        self._contribution_rows: Dict[int, List[int]] = {}
+        self._stuck_cache: Dict[Tuple[int, int], int] = {}
         self._debug_validate = debug_validation_enabled()
         # Candidate outputs in topological order: picking outputs
         # ancestors-first guarantees every output set can be selected without
@@ -137,19 +153,32 @@ class IncrementalEnumerator:
         )
         reach = self.ctx.reach
         not_source = ~(1 << self.ctx.source)
-        # Per output o: o and its ancestors, the window that cuts a union of
-        # descendant rows down to B(I, o); and the ancestors other than the
-        # source in ascending id order, the seed-set candidates of o.
+        # Forbidden vertices with a predecessor other than the source: the
+        # only ones a candidate input can reach (the output-input test).
+        reachable_forbidden = self.ctx.forbidden_mask & reach.union_successors(
+            ((1 << self.ctx.num_nodes) - 1) & not_source
+        )
+        # Per output o: o and its ancestors (its cone), the window that cuts
+        # a union of descendant rows down to B(I, o); the ancestors other
+        # than the source, the seed-set candidates of o; and the reachable
+        # forbidden ones among them.
         self._closed_ancestors: Dict[int, int] = {}
-        self._seed_lists: Dict[int, List[int]] = {}
+        self._seed_masks: Dict[int, int] = {}
+        self._forbidden_ancestors: Dict[int, int] = {}
         for output in self._output_candidates:
             ancestors = reach.ancestors_mask(output)
             self._closed_ancestors[output] = ancestors | (1 << output)
-            self._seed_lists[output] = ids_from_mask(ancestors & not_source)
-        self._forbidden_succ_mask = self._nodes_with_forbidden_successor()
+            self._seed_masks[output] = ancestors & not_source
+            self._forbidden_ancestors[output] = ancestors & reachable_forbidden
+        # Vertices with a forbidden successor: outputs of every cut holding
+        # them, since that successor never joins a cut.
+        self._forbidden_succ_mask = self.ctx.candidate_mask & reach.union_predecessors(
+            self.ctx.forbidden_mask
+        )
         # Postdominator comparability rows: bit u of row v set iff u
-        # (post)dominates v or vice versa.  Replaces the pair-loops of the
-        # output-admissibility and input-input checks with one AND each.
+        # (post)dominates v or vice versa.  The union of the rows of the
+        # chosen outputs (inputs) masks out every inadmissible output
+        # (input-input pruned seed) at once.
         postdom = self.ctx.postdom_tree
         self._postdom_comparable: List[int] = [
             postdom.comparability_mask(v) for v in range(self.ctx.num_nodes)
@@ -189,7 +218,6 @@ class IncrementalEnumerator:
         self.stats.pick_output_calls += 1
         ctx = self.ctx
         reach = ctx.reach
-        comparable = self._postdom_comparable
         closed_ancestors = self._closed_ancestors
         # Invariants of the candidate loop: B(I, o) is the union of the
         # inputs' descendant rows cut down to o and its ancestors, and o is
@@ -214,67 +242,77 @@ class IncrementalEnumerator:
                 self.pruning.connected_recovery and has_internal_outputs
             )
 
-        output_output = self.pruning.output_output
+        # Each admissibility test is one mask over all candidates; a counted
+        # rule counts the candidates it removes that no earlier test removed.
         count_pruned = self.stats.count_pruned
-        for output in self._output_candidates:
-            if (outputs_mask >> output) & 1:
-                continue
+        candidates = ctx.candidate_mask & ~outputs_mask
+        if outputs_mask:
             # Section 5.1: chosen outputs may not postdominate one another.
-            if comparable[output] & outputs_mask:
-                continue
-            if output_output and (
-                reach.descendants_mask(output) & outputs_mask
-            ):
+            candidates &= ~_union_rows(self._postdom_comparable, outputs_mask)
+            if self.pruning.output_output:
                 # Output-output pruning: ancestors of a chosen output.
-                count_pruned("output_output")
-                continue
-            if outputs_mask and require_connected:
-                if inputs_mask == 0 or not (
-                    reach.ancestors_mask(output) & inputs_mask
-                ):
-                    count_pruned("connectedness")
-                    continue
+                doomed = candidates & reach.union_ancestors(outputs_mask)
+                if doomed:
+                    count_pruned("output_output", doomed.bit_count())
+                    candidates ^= doomed
+            if require_connected:
+                doomed = candidates & ~input_descendants
+                if doomed:
+                    count_pruned("connectedness", doomed.bit_count())
+                    candidates ^= doomed
+        if not nin_left:
+            # With no input left, only outputs I already dominates lead on.
+            candidates &= ~region if inputs_mask else 0
 
+        budget_bound = nout_left == 1 and self.pruning.prune_while_building
+        stuck = self._forbidden_succ_mask
+        excluded = inputs_mask | ctx.forbidden_mask  # never in the cut
+        max_outputs = ctx.max_outputs
+        visited = self._visited_states
+        pick_input_calls = 0
+        for output in self._output_candidates:
+            if not (candidates >> output) & 1:
+                continue
+            cone = closed_ancestors[output]
             new_outputs_mask = outputs_mask | (1 << output)
-            new_body_mask = body_mask | (input_descendants & closed_ancestors[output])
-            if inputs_mask and not (region >> output) & 1:
+            new_body_mask = body_mask | (input_descendants & cone)
+            dominated = inputs_mask and not (region >> output) & 1
+            if budget_bound:
+                # The last output: bound the outputs every completion keeps.
+                stuck = self._stuck_outputs(output, body_mask & ~cone)
+                excess = (new_body_mask & ~excluded & stuck).bit_count() - max_outputs
+                if excess > (0 if dominated else nin_left):
+                    count_pruned("output_budget")
+                    continue
+            if dominated:
                 self._check_cut(
-                    inputs_mask,
-                    new_outputs_mask,
-                    new_body_mask,
-                    nin_left,
-                    nout_left - 1,
+                    inputs_mask, new_outputs_mask, new_body_mask, nin_left, nout_left - 1
                 )
-            elif nin_left > 0:
-                self._pick_inputs(
-                    inputs_mask,
-                    output,
-                    new_outputs_mask,
-                    new_body_mask,
-                    nin_left,
-                    nout_left - 1,
-                )
+                continue
+            pick_input_calls += 1
+            state = (inputs_mask, new_outputs_mask, new_body_mask, output)
+            if state not in visited:
+                self._pick_inputs(state, nin_left, nout_left - 1, stuck)
+        self.stats.pick_input_calls += pick_input_calls
 
     # ------------------------------------------------------------------ #
     # PICK-INPUTS
     # ------------------------------------------------------------------ #
     def _pick_inputs(
         self,
-        inputs_mask: int,
-        output: int,
-        outputs_mask: int,
-        body_mask: int,
+        state: Tuple[int, int, int, int],
         nin_left: int,
         nout_left: int,
+        stuck: int,
     ) -> None:
-        self.stats.pick_input_calls += 1
-        comparable = self._postdom_comparable
+        """Expand the unvisited search *state* ``(inputs, outputs, body, output)``.
 
-        state = (inputs_mask, outputs_mask, body_mask, output)
-        if state in self._visited_states:
-            return
+        The caller counts the call and probes the visited set.  *stuck* is
+        the vertices with a forbidden successor, or the last output's
+        :meth:`_stuck_outputs`.
+        """
         self._visited_states.add(state)
-
+        inputs_mask, outputs_mask, body_mask, output = state
         step = self.dominator_completions_for(inputs_mask, output)
 
         if step.already_dominated:
@@ -283,100 +321,151 @@ class IncrementalEnumerator:
             )
             return
 
-        output_input = self.pruning.output_input
-        input_input = self.pruning.input_input
-        prune_while_building = self.pruning.prune_while_building
+        ctx = self.ctx
+        pruning = self.pruning
+        prune_while_building = pruning.prune_while_building
         count_pruned = self.stats.count_pruned
-        source = self.ctx.source
-        # Both candidate loops below test the same two prunings against the
-        # fixed *output*, so the per-(vertex, output) rows are fetched once
-        # here and indexed per candidate.
+        source = ctx.source
+        forbidden = ctx.forbidden_mask
+        forbidden_succ = self._forbidden_succ_mask
+        max_outputs = ctx.max_outputs
+        between_row = self._contributions(output)
+        # Both candidate loops below test the same two prunings, each one
+        # mask for this state.
         #
         # Output-input pruning (Section 5.3): a forbidden vertex lying on a
         # path from the candidate input to the output ends up inside the
-        # constructed body unless it is itself chosen as an input — so
-        # forbidden vertices already promoted to inputs are ignored by the
-        # test.  The paper additionally proposes a static bound counting the
-        # forbidden predecessors of the vertices between candidate and
-        # output ("if these nodes are Nin or more, v will not be a valid
-        # input for w"); during this reproduction that bound turned out to
-        # exclude a small number of valid cuts — the ones in which the
-        # vertex with the forbidden predecessor is itself promoted to a cut
-        # input — and it is therefore not applied.
+        # constructed body unless it is itself chosen as an input, so the
+        # blocked candidates are the ancestors of the output's forbidden
+        # ancestors that are not inputs yet.  The paper additionally
+        # proposes a static bound counting the forbidden predecessors of the
+        # vertices between candidate and output ("if these nodes are Nin or
+        # more, v will not be a valid input for w"); during this
+        # reproduction that bound turned out to exclude a small number of
+        # valid cuts — the ones in which the vertex with the forbidden
+        # predecessor is itself promoted to a cut input — and it is
+        # therefore not applied.
         #
         # Input-input pruning: chosen seed-set members may not postdominate
-        # one another (one AND against the comparability row).
-        between_row, forbidden_interiors = self._contributions(output)
+        # one another (the union of the inputs' comparability rows).
+        output_input_blocked = input_input_blocked = 0
+        if pruning.output_input:
+            output_input_blocked = ctx.reach.union_ancestors(
+                self._forbidden_ancestors[output] & ~inputs_mask
+            )
+        if pruning.input_input:
+            input_input_blocked = _union_rows(self._postdom_comparable, inputs_mask)
+        # Prune-while-building (Section 5.3): the body minus the inputs and
+        # the forbidden vertices it contains is a lower bound on the final
+        # cut.  More than Nout of its vertices with a forbidden successor
+        # dooms the branch; so does more than Nout stuck vertices beyond the
+        # inputs still to choose (the budget bound: none after a
+        # completion, nin_left - 1 after a seed).  *stuck* holds every
+        # vertex with a forbidden successor, so neither test fires unless
+        # more than Nout body vertices are stuck.
         for completion in step.completions:
             if completion == source or (inputs_mask >> completion) & 1:
                 continue
-            if output_input and forbidden_interiors[completion] & ~inputs_mask:
+            if (output_input_blocked >> completion) & 1:
                 count_pruned("output_input_forbidden_path")
                 continue
-            if input_input and comparable[completion] & inputs_mask:
+            if (input_input_blocked >> completion) & 1:
                 count_pruned("input_input_postdom")
                 continue
             new_inputs_mask = inputs_mask | (1 << completion)
             new_body_mask = body_mask | between_row[completion]
-            if prune_while_building and self._prune_body(
-                new_body_mask, new_inputs_mask
-            ):
-                continue
+            if prune_while_building:
+                effective = new_body_mask & ~(new_inputs_mask | forbidden)
+                if (effective & stuck).bit_count() > max_outputs:
+                    if (effective & forbidden_succ).bit_count() > max_outputs:
+                        count_pruned("too_many_unavoidable_outputs")
+                    else:
+                        count_pruned("output_budget")
+                    continue
             self._check_cut(
-                new_inputs_mask,
-                outputs_mask,
-                new_body_mask,
-                nin_left - 1,
-                nout_left,
+                new_inputs_mask, outputs_mask, new_body_mask, nin_left - 1, nout_left
             )
 
         if nin_left > 1:
-            # Extend the seed set with another ancestor of the output.
-            for seed in self._seed_lists[output]:
-                if (inputs_mask >> seed) & 1:
-                    continue
-                if output_input and forbidden_interiors[seed] & ~inputs_mask:
-                    count_pruned("output_input_forbidden_path")
-                    continue
-                if input_input and comparable[seed] & inputs_mask:
-                    count_pruned("input_input_postdom")
-                    continue
-                new_inputs_mask = inputs_mask | (1 << seed)
+            # Extend the seed set with another ancestor of the output, in
+            # ascending id order.
+            seeds = self._seed_masks[output] & ~inputs_mask
+            doomed = seeds & output_input_blocked
+            if doomed:
+                count_pruned("output_input_forbidden_path", doomed.bit_count())
+                seeds ^= doomed
+            doomed = seeds & input_input_blocked
+            if doomed:
+                count_pruned("input_input_postdom", doomed.bit_count())
+                seeds ^= doomed
+            visited = self._visited_states
+            pick_input_calls = 0
+            while seeds:
+                low = seeds & -seeds
+                seeds ^= low
+                seed = low.bit_length() - 1
+                new_inputs_mask = inputs_mask | low
                 new_body_mask = body_mask | between_row[seed]
-                if prune_while_building and self._prune_body(
-                    new_body_mask, new_inputs_mask
-                ):
-                    continue
-                self._pick_inputs(
-                    new_inputs_mask,
-                    output,
-                    outputs_mask,
-                    new_body_mask,
-                    nin_left - 1,
-                    nout_left,
-                )
+                if prune_while_building:
+                    effective = new_body_mask & ~(new_inputs_mask | forbidden)
+                    unavoidable = (effective & stuck).bit_count()
+                    if unavoidable > max_outputs:
+                        if (effective & forbidden_succ).bit_count() > max_outputs:
+                            count_pruned("too_many_unavoidable_outputs")
+                            continue
+                        if unavoidable - (nin_left - 1) > max_outputs:
+                            count_pruned("output_budget")
+                            continue
+                pick_input_calls += 1
+                new_state = (new_inputs_mask, outputs_mask, new_body_mask, output)
+                if new_state not in visited:
+                    self._pick_inputs(new_state, nin_left - 1, nout_left, stuck)
+            self.stats.pick_input_calls += pick_input_calls
 
     # ------------------------------------------------------------------ #
-    # The run's memo: contribution rows and dominator queries
+    # The run's memo: contribution rows, stuck masks, dominator queries
     # ------------------------------------------------------------------ #
-    def _contributions(self, output: int) -> Tuple[List[int], List[int]]:
-        """Per-vertex ``B({w}, output)`` rows and forbidden-interior rows.
+    def _contributions(self, output: int) -> List[int]:
+        """Per-vertex ``B({w}, output)`` rows.
 
-        Row ``w`` of the first list is ``B({w}, output)``, the vertices on
-        some path from ``w`` to *output*; row ``w`` of the second holds the
-        forbidden vertices strictly between them.  Both are closure
-        intersections, built for every vertex on the first query.
+        Row ``w`` holds the vertices on some path from ``w`` to *output*, a
+        closure intersection; the rows of every vertex are built on the
+        first query.
         """
         rows = self._contribution_rows.get(output)
         if rows is None:
-            ctx = self.ctx
-            descendants_mask = ctx.reach.descendants_mask
+            descendants_mask = self.ctx.reach.descendants_mask
             window = self._closed_ancestors[output]
-            forbidden_ancestors = ctx.reach.ancestors_mask(output) & ctx.forbidden_mask
-            between = [descendants_mask(v) & window for v in range(ctx.num_nodes)]
-            rows = (between, [row & forbidden_ancestors for row in between])
+            rows = [descendants_mask(v) & window for v in range(self.ctx.num_nodes)]
             self._contribution_rows[output] = rows
         return rows
+
+    def _stuck_outputs(self, output: int, outside_cone: int) -> int:
+        """Body vertices that stay outputs once *output* is the last output.
+
+        Every later contribution ``B({w}, output)`` lies in the output's cone
+        (*output* and its ancestors), so the body stays inside the cone plus
+        *outside_cone*.  A vertex with a forbidden successor or a successor
+        outside that room stays an output unless it is chosen as an input.
+        Memoised per ``(output, outside_cone)``, which the whole subtree under
+        the last output shares.
+        """
+        key = (output, outside_cone)
+        stuck = self._stuck_cache.get(key)
+        if stuck is None:
+            room = outside_cone | self._closed_ancestors[output]
+            successor_rows = self.ctx.reach.successor_rows()
+            stuck = self._forbidden_succ_mask
+            rest = room & ~(stuck | self.ctx.forbidden_mask)
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if successor_rows[low.bit_length() - 1] & ~room:
+                    stuck |= low
+            if len(self._stuck_cache) >= REGION_CACHE_LIMIT:
+                self._stuck_cache.pop(next(iter(self._stuck_cache)))
+            self._stuck_cache[key] = stuck
+        return stuck
 
     def reachable_avoiding(self, avoid_mask: int) -> int:
         """Vertices reachable from the source once *avoid_mask* is removed.
@@ -515,43 +604,6 @@ class IncrementalEnumerator:
             ]
             self._descendant_lists[vertex] = listed
         return listed
-
-    # ------------------------------------------------------------------ #
-    # Pruning predicates (Section 5.3)
-    # ------------------------------------------------------------------ #
-    def _nodes_with_forbidden_successor(self) -> int:
-        """Mask of vertices that have at least one forbidden successor.
-
-        Such vertices are necessarily outputs of any cut containing them,
-        because a forbidden successor can never be absorbed into the cut.
-        """
-        ctx = self.ctx
-        mask = 0
-        successors_mask = ctx.reach.successors_mask
-        forbidden = ctx.forbidden_mask
-        for vertex in ctx.candidate_nodes:
-            if successors_mask(vertex) & forbidden:
-                mask |= 1 << vertex
-        return mask
-
-    def _prune_body(self, body_mask: int, inputs_mask: int) -> bool:
-        """Prune-while-building-S (Section 5.3).
-
-        The body is inspected after masking out both the chosen inputs and the
-        forbidden vertices it contains — forbidden vertices sitting on a path
-        between a chosen input and an output are not really part of the cut
-        under construction, they are inputs that have not been chosen
-        explicitly yet (the paper's footnote 2: forbidden nodes may still be
-        chosen as inputs).  What remains is a lower bound on the final cut,
-        and vertices of it that feed a forbidden consumer can never stop being
-        outputs, so more than ``Nout`` of them dooms the whole branch.
-        """
-        effective = body_mask & ~inputs_mask & ~self.ctx.forbidden_mask
-        unavoidable = (effective & self._forbidden_succ_mask).bit_count()
-        if unavoidable > self.ctx.max_outputs:
-            self.stats.count_pruned("too_many_unavoidable_outputs")
-            return True
-        return False
 
     # ------------------------------------------------------------------ #
     # CHECK-CUT

@@ -2,9 +2,11 @@
 
 Every pruning rule can be toggled individually so that the ablation benchmark
 (``benchmarks/bench_pruning_ablation.py``) can measure how much each one
-contributes.  The rules are not pure optimizations: the configurations do
+contributes.  Most rules are not pure optimizations: the configurations do
 not all report the same cuts (see :mod:`repro.core.incremental` for what the
-test suite checks instead).
+test suite checks instead).  The budget bound that ``prune_while_building``
+applies under the last output is one: it drops only subtrees that hold no
+cut either acceptance mode takes.
 """
 
 from __future__ import annotations
@@ -24,9 +26,17 @@ class PruningConfig:
         do not explicitly pick a vertex that is an ancestor of an already
         selected output.
     prune_while_building:
-        Reject a branch as soon as the incrementally built ``S`` contains a
-        forbidden vertex, and reject cuts with excess internal outputs once
-        the output budget is exhausted.
+        Inspect the incrementally built ``S`` with the chosen inputs and the
+        forbidden vertices it contains masked out, a lower bound on the final
+        cut, and reject the branch when
+
+        * more than ``Nout`` of its vertices have a forbidden successor
+          (counted as ``too_many_unavoidable_outputs``), or
+        * once the last output is chosen, its vertices that must stay
+          outputs outnumber ``Nout`` plus the inputs still to choose
+          (``output_budget``, the budget bound).  A vertex with a forbidden
+          successor, or a successor outside ``S`` and the last output's
+          ancestors, stays an output unless it is chosen as an input.
     output_input:
         Skip input candidates whose every pairing with the chosen output is
         doomed: candidates with a forbidden vertex, not already an input, on
@@ -38,11 +48,6 @@ class PruningConfig:
         When a partially built cut temporarily exceeds the output budget,
         keep searching but only accept additional outputs that are reachable
         from an already selected input (Section 5.3, "Connectedness").
-    dominator_input:
-        Placeholder for the paper's dominator–input pruning.  The paper only
-        sketches a "simplified version" of this rule; reproducing it exactly
-        is not possible from the text, and enabling the flag currently has no
-        effect.  It is kept so that ablation reports show the rule explicitly.
     """
 
     output_output: bool = True
@@ -50,7 +55,6 @@ class PruningConfig:
     output_input: bool = True
     input_input: bool = True
     connected_recovery: bool = True
-    dominator_input: bool = False
 
     def disable(self, name: str) -> "PruningConfig":
         """Return a copy with the pruning *name* switched off."""
@@ -68,7 +72,6 @@ class PruningConfig:
                 "output_input",
                 "input_input",
                 "connected_recovery",
-                "dominator_input",
             )
             if getattr(self, name)
         ]
@@ -84,5 +87,4 @@ NO_PRUNING = PruningConfig(
     output_input=False,
     input_input=False,
     connected_recovery=False,
-    dominator_input=False,
 )

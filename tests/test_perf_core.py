@@ -23,6 +23,7 @@ untouched, so a second run on it counts exactly what the first did.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -41,8 +42,11 @@ from repro.dominators.iterative import derive_immediate_dominators, immediate_do
 from repro.dominators.lengauer_tarjan import immediate_dominators
 from repro.frontend.corpus import build_corpus_suite
 from repro.workloads import (
+    SuiteConfig,
     SyntheticBlockSpec,
+    build_suite,
     generate_basic_block,
+    generate_suite,
     inverted_tree_dfg,
     tree_dfg,
 )
@@ -143,6 +147,7 @@ class TestOptimizedEnumeratorBitIdentity:
     def test_bit_identical_across_generators_and_prunings(self, constraints, min_graphs):
         checked = 0
         basic_agreements = 0
+        budget_bound_fired = 0
         graphs = _property_graphs()
         if min_graphs < len(graphs):
             graphs = graphs[: min_graphs + 40]  # headroom for the size filter
@@ -163,12 +168,14 @@ class TestOptimizedEnumeratorBitIdentity:
                 legacy_keys = _cut_keys(
                     enumerate_cuts_legacy(graph, constraints, pruning=pruning)
                 )
-                new_keys = _cut_keys(enumerate_cuts(graph, constraints, pruning=pruning))
+                new = enumerate_cuts(graph, constraints, pruning=pruning)
+                new_keys = _cut_keys(new)
                 assert new_keys == legacy_keys, (
                     f"optimized enumerator diverged from the pre-PR snapshot "
                     f"on {graph.name!r} with pruning={pruning}"
                 )
                 if pruning is FULL_PRUNING:
+                    budget_bound_fired += new.stats.pruned.get("output_budget", 0) > 0
                     legacy_matches_basic = legacy_keys == basic_keys
                     if legacy_matches_basic:
                         assert new_keys == basic_keys, graph.name
@@ -180,6 +187,10 @@ class TestOptimizedEnumeratorBitIdentity:
         # they differ on borderline cuts — a pre-existing, documented
         # property, not something this PR may change).
         assert basic_agreements >= min_graphs // 5
+        # The snapshot has no budget bound, so the identity above covers it
+        # only if it fires; it is part of every variant that keeps
+        # prune_while_building on.
+        assert budget_bound_fired * 4 >= checked
 
     def test_debug_validity_cross_check_runs(self, monkeypatch):
         monkeypatch.setenv("REPRO_DEBUG_VALIDITY", "1")
@@ -188,6 +199,118 @@ class TestOptimizedEnumeratorBitIdentity:
             graph = make_random_dag(seed, num_operations=8)
             result = enumerate_cuts(graph, constraints)
             assert result.cuts  # the assertion path executed without tripping
+
+
+#: Runs recorded before the last-output budget bound and the whole-mask
+#: candidate filtering, per block: the SHA-256 of ``result.masks`` in
+#: discovery order under full pruning and with prune-while-building off, the
+#: candidates full pruning checked, and every integer stat with
+#: prune-while-building off.
+_RECORDED_RUNS = {
+    "synthetic_n30_s2007": (
+        "b76689d5e004df13e7fd34612f3302acc910642951934efdb56d0afd08c12008",
+        "2913667fe0345ef74a38c206c70deaa296a7100210726062ab34f94c811a8e39",
+        4905,
+        {
+            "cuts_found": 297, "duplicates": 8006, "candidates_checked": 7285,
+            "lt_calls": 1608, "pick_output_calls": 1747, "pick_input_calls": 23618,
+            "pruned": {
+                "input_input_postdom": 538, "output_input_forbidden_path": 6045,
+                "output_output": 14539, "connectedness": 4725,
+            },
+            "insearch_hits": 0, "insearch_misses": 0, "insearch_evictions": 0,
+        },
+    ),
+    "tree_depth4": (
+        "c7182ba506a4511e24adfd99e205f88dd26644f4aecf71a19906000c464d753d",
+        "c7182ba506a4511e24adfd99e205f88dd26644f4aecf71a19906000c464d753d",
+        119,
+        {
+            "cuts_found": 119, "duplicates": 342, "candidates_checked": 119,
+            "lt_calls": 2857, "pick_output_calls": 49, "pick_input_calls": 10551,
+            "pruned": {"input_input_postdom": 4238},
+            "insearch_hits": 0, "insearch_misses": 0, "insearch_evictions": 0,
+        },
+    ),
+    "mibench_like_013_n29": (
+        "038b676bd24252ff15365cc1e6c9efe78edc7be1aeb0cf44ded622e850f4f1da",
+        "651da2a2dd044574cc1286c20194e7f8669b9fa08bd21fc6aa9ba6a2cb26e9cb",
+        4308,
+        {
+            "cuts_found": 245, "duplicates": 6211, "candidates_checked": 6064,
+            "lt_calls": 1697, "pick_output_calls": 1708, "pick_input_calls": 23806,
+            "pruned": {
+                "output_input_forbidden_path": 3626, "input_input_postdom": 521,
+                "output_output": 16277, "connectedness": 5098,
+            },
+            "insearch_hits": 0, "insearch_misses": 0, "insearch_evictions": 0,
+        },
+    ),
+    "mibench_like_014_n30": (
+        "b4df4ad0416751e93cd2be2ecfcdf5b5c5d262604e44b85fa0c47052d77c8452",
+        "b4df4ad0416751e93cd2be2ecfcdf5b5c5d262604e44b85fa0c47052d77c8452",
+        2973,
+        {
+            "cuts_found": 251, "duplicates": 4127, "candidates_checked": 3304,
+            "lt_calls": 1325, "pick_output_calls": 858, "pick_input_calls": 13488,
+            "pruned": {
+                "output_input_forbidden_path": 3627, "input_input_postdom": 1442,
+                "output_output": 5297, "connectedness": 1573,
+            },
+            "insearch_hits": 0, "insearch_misses": 0, "insearch_evictions": 0,
+        },
+    ),
+    "mibench_like_015_n32": (
+        "ee74b098a540f2524feb5304720a3e2d80ea1f7bcc04f20dd777069454900f46",
+        "ee74b098a540f2524feb5304720a3e2d80ea1f7bcc04f20dd777069454900f46",
+        5264,
+        {
+            "cuts_found": 414, "duplicates": 7265, "candidates_checked": 5924,
+            "lt_calls": 2498, "pick_output_calls": 1341, "pick_input_calls": 31570,
+            "pruned": {
+                "output_input_forbidden_path": 5069, "input_input_postdom": 4081,
+                "output_output": 11870, "connectedness": 5027,
+            },
+            "insearch_hits": 0, "insearch_misses": 0, "insearch_evictions": 0,
+        },
+    ),
+}
+
+
+def _masks_fingerprint(masks):
+    return hashlib.sha256(",".join(format(m, "x") for m in masks).encode()).hexdigest()
+
+
+class TestLastOutputBudgetBound:
+    """The budget bound keeps the cuts and their order; the mask filtering
+    keeps every count."""
+
+    def test_reproduces_the_recorded_runs(self):
+        constraints = Constraints(max_inputs=4, max_outputs=2)
+        suite = build_suite(
+            SuiteConfig(
+                num_blocks=16,
+                min_operations=10,
+                max_operations=32,
+                include_kernels=False,
+                include_trees=False,
+            )
+        )
+        largest = sorted(suite, key=lambda graph: graph.num_nodes)[-3:]
+        blocks = list(generate_suite((30,))) + [tree_dfg(4)] + largest
+        assert sorted(graph.name for graph in blocks) == sorted(_RECORDED_RUNS)
+        bound_off = FULL_PRUNING.disable("prune_while_building")
+        for graph in blocks:
+            full_sha, off_sha, checked, off_stats = _RECORDED_RUNS[graph.name]
+            full = enumerate_cuts(graph, constraints, pruning=FULL_PRUNING)
+            off = enumerate_cuts(graph, constraints, pruning=bound_off)
+            assert _masks_fingerprint(full.masks) == full_sha, graph.name
+            assert _masks_fingerprint(off.masks) == off_sha, graph.name
+            assert _integer_stats(off.stats) == off_stats, graph.name
+            if graph.name.startswith("tree"):
+                assert full.stats.candidates_checked == checked
+            else:
+                assert full.stats.candidates_checked < checked, graph.name
 
 
 class TestDagDominatorKernel:
@@ -372,25 +495,41 @@ class TestDagDominatorKernel:
 
 class TestContributionTables:
     def test_between_matches_reachability_definition(self):
+        """The ``B({w}, o)`` rows, and the output-input mask of a state.
+
+        The search blocks a candidate input ``w`` of output ``o`` when a
+        forbidden vertex that is not an input lies strictly between them;
+        it builds that test as the ancestor union of ``o``'s forbidden
+        ancestors that are not inputs yet.
+        """
         constraints = Constraints(max_inputs=4, max_outputs=2)
-        graph = make_random_dag(3, num_operations=10)
-        ctx = EnumerationContext.build(graph, constraints)
-        enumerator = IncrementalEnumerator(graph, constraints, context=ctx)
-        reach = ctx.reach
-        forbidden_rows = 0
-        for output in ctx.candidate_nodes:
-            rows = enumerator._contributions(output)
-            assert enumerator._contributions(output) is rows  # built once
-            between, forbidden_interiors = rows
-            for vertex in range(ctx.num_nodes):
-                assert between[vertex] == reach.between_mask(1 << vertex, output)
-                assert forbidden_interiors[vertex] == (
-                    reach.descendants_mask(vertex)
-                    & reach.ancestors_mask(output)
-                    & ctx.forbidden_mask
-                )
-                forbidden_rows += forbidden_interiors[vertex] != 0
-        assert forbidden_rows > 0
+        rng = random.Random(3)
+        blocked_candidates = 0
+        for seed in range(10):
+            graph = make_random_dag(seed, num_operations=10)
+            ctx = EnumerationContext.build(graph, constraints)
+            enumerator = IncrementalEnumerator(graph, constraints, context=ctx)
+            reach = ctx.reach
+            candidates = [v for v in range(ctx.num_nodes) if v != ctx.source]
+            for output in ctx.candidate_nodes:
+                rows = enumerator._contributions(output)
+                assert enumerator._contributions(output) is rows  # built once
+                for vertex in range(ctx.num_nodes):
+                    assert rows[vertex] == reach.between_mask(1 << vertex, output)
+                for inputs_mask in (0, mask_from_ids(rng.sample(candidates, 2))):
+                    blocked = reach.union_ancestors(
+                        enumerator._forbidden_ancestors[output] & ~inputs_mask
+                    )
+                    for vertex in candidates:
+                        interior = (
+                            reach.descendants_mask(vertex)
+                            & reach.ancestors_mask(output)
+                            & ctx.forbidden_mask
+                            & ~inputs_mask
+                        )
+                        assert bool((blocked >> vertex) & 1) == bool(interior)
+                        blocked_candidates += bool(interior)
+        assert blocked_candidates > 0
 
     def test_shared_across_pruning_configs_via_context(self):
         """One context serves every pruning variant, and no run writes to it.
