@@ -29,10 +29,13 @@ freed when it returns:
 * each test of PICK-OUTPUT and of the PICK-INPUTS seed loop is one mask per
   search state (postdominator comparability is a union of precomputed rows),
   and only the surviving candidates are expanded, in the same order;
-* under the last output, the budget bound of prune-while-building drops
+* under the last output, the output budget of prune-while-building drops
   subtrees whose body already holds more vertices that must stay outputs
   (:meth:`IncrementalEnumerator._stuck_outputs`) than ``Nout`` plus the
   inputs still to choose;
+* the input budget of prune-while-building drops the seeds with which the
+  inputs left can no longer cut every source-to-output path, as packed
+  disjoint paths show (:meth:`IncrementalEnumerator._input_budget_seeds`);
 * the per-cut acceptance test derives inputs, outputs and convexity in one
   pass over the candidate's set bits
   (:meth:`~repro.dfg.reachability.ReachabilityIndex.cut_profile`); the full
@@ -43,9 +46,9 @@ The pruning techniques of Section 5.3 are individually switchable through
 :class:`~repro.core.pruning.PruningConfig`.  The configurations do not all
 report the same cuts: the ablation benchmark records 349 cuts with every
 rule on and 352 with none (or without the input-input rule alone).  The
-budget bound is the exception: the subtrees it drops hold no cut either
-acceptance mode takes, so the cuts and their order stay the same.  What
-the test suite checks, for full pruning, no pruning and each one-rule
+two budget bounds are the exception: the subtrees they drop hold no cut
+either acceptance mode takes, so the cuts and their order stay the same.
+What the test suite checks, for full pruning, no pruning and each one-rule
 ablation, is that the result lies between the brute-force oracle's
 paper-enumerable cuts and its valid cuts, and that it is bit-identical to
 the frozen pre-optimization snapshot in
@@ -359,7 +362,7 @@ class IncrementalEnumerator:
         # the forbidden vertices it contains is a lower bound on the final
         # cut.  More than Nout of its vertices with a forbidden successor
         # dooms the branch; so does more than Nout stuck vertices beyond the
-        # inputs still to choose (the budget bound: none after a
+        # inputs still to choose (the output budget: none after a
         # completion, nin_left - 1 after a seed).  *stuck* holds every
         # vertex with a forbidden successor, so neither test fires unless
         # more than Nout body vertices are stuck.
@@ -398,6 +401,18 @@ class IncrementalEnumerator:
             if doomed:
                 count_pruned("input_input_postdom", doomed.bit_count())
                 seeds ^= doomed
+            if prune_while_building and seeds:
+                # The input budget, unless a completion already cuts every path.
+                for completion in step.completions:
+                    if completion != source and not (input_input_blocked >> completion) & 1:
+                        break
+                else:
+                    doomed = seeds & ~self._input_budget_seeds(
+                        inputs_mask, output, nin_left, input_input_blocked
+                    )
+                    if doomed:
+                        count_pruned("input_budget", doomed.bit_count())
+                        seeds ^= doomed
             visited = self._visited_states
             pick_input_calls = 0
             while seeds:
@@ -466,6 +481,44 @@ class IncrementalEnumerator:
                 self._stuck_cache.pop(next(iter(self._stuck_cache)))
             self._stuck_cache[key] = stuck
         return stuck
+
+    def _input_budget_seeds(
+        self, inputs_mask: int, output: int, nin_left: int, shared: int
+    ) -> int:
+        """The vertices a later input under ``(inputs_mask, output)`` may take.
+
+        A cut below the state needs at most *nin_left* later inputs ``S``,
+        not the source, *output* or *shared*, with ``inputs ∪ S`` dominating
+        *output*: ``S`` takes a distinct vertex of each source-to-output path
+        of ``G − inputs`` in a set sharing only such vertices (Menger).
+        Packed greedily (depth-first), ``nin_left + 1`` paths leave no ``S``
+        (0), exactly *nin_left* hold all of ``S`` (their vertices) and fewer
+        bound nothing (-1, every vertex).
+        """
+        source = self.ctx.source
+        pred_rows = self.ctx.reach.predecessor_rows()
+        region = self.reachable_avoiding(inputs_mask) & self._closed_ancestors[output]
+        ends = pred_rows[output] & region
+        if ends.bit_count() < nin_left and not ends & (shared | 1 << source):
+            return -1  # each path ends in its own predecessor of the output
+        used = 0
+        for paths in range(nin_left + 1):
+            allowed = region & ~used
+            path = [1 << output]
+            while path:
+                branch = pred_rows[path[-1].bit_length() - 1] & allowed
+                if (branch >> source) & 1:
+                    break
+                if branch:
+                    low = branch & -branch
+                    allowed ^= low
+                    path.append(low)
+                else:
+                    path.pop()
+            else:
+                return used if paths == nin_left else -1
+            used |= sum(path) & ~shared
+        return 0
 
     def reachable_avoiding(self, avoid_mask: int) -> int:
         """Vertices reachable from the source once *avoid_mask* is removed.

@@ -2,11 +2,11 @@
 
 Every pruning rule can be toggled individually so that the ablation benchmark
 (``benchmarks/bench_pruning_ablation.py``) can measure how much each one
-contributes.  Most rules are not pure optimizations: the configurations do
-not all report the same cuts (see :mod:`repro.core.incremental` for what the
-test suite checks instead).  The budget bound that ``prune_while_building``
-applies under the last output is one: it drops only subtrees that hold no
-cut either acceptance mode takes.
+contributes.  The two budget bounds of ``prune_while_building`` are pure
+optimizations: they drop only subtrees that hold no cut either acceptance
+mode takes.  The other rules are not: the configurations do not all report
+the same cuts (see :mod:`repro.core.incremental` for what the test suite
+checks instead).
 """
 
 from __future__ import annotations
@@ -31,12 +31,17 @@ class PruningConfig:
         cut, and reject the branch when
 
         * more than ``Nout`` of its vertices have a forbidden successor
-          (counted as ``too_many_unavoidable_outputs``), or
+          (counted as ``too_many_unavoidable_outputs``),
         * once the last output is chosen, its vertices that must stay
           outputs outnumber ``Nout`` plus the inputs still to choose
-          (``output_budget``, the budget bound).  A vertex with a forbidden
-          successor, or a successor outside ``S`` and the last output's
-          ancestors, stays an output unless it is chosen as an input.
+          (``output_budget``).  A vertex with a forbidden successor, or a
+          successor outside ``S`` and the last output's ancestors, stays
+          an output unless it is chosen as an input, or
+        * a PICK-INPUTS seed's output still has more source-to-output
+          paths, sharing no vertex a later input could take, than inputs
+          left to cut them, or exactly as many and the seed is on none
+          (``input_budget``, the input budget bound).  Paths may share the
+          vertices input-input blocks, but only while ``input_input`` is on.
     output_input:
         Skip input candidates whose every pairing with the chosen output is
         doomed: candidates with a forbidden vertex, not already an input, on

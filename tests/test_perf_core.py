@@ -15,7 +15,8 @@ optimisation may not change that relationship in either direction).
 The unit tests pin down the new machinery directly: the DAG dominator
 kernel against Lengauer–Tarjan, the derivation of each input set's region and
 dominator array from a one-vertex-smaller parent against full recomputation,
-the contribution rows against their reachability definition, the
+the contribution rows against their reachability definition, the input
+budget's packed paths against brute-force dominating sets, the
 ``REPRO_DEBUG_VALIDITY`` cross-check, and that a run leaves its context
 untouched, so a second run on it counts exactly what the first did.
 """
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -147,7 +149,7 @@ class TestOptimizedEnumeratorBitIdentity:
     def test_bit_identical_across_generators_and_prunings(self, constraints, min_graphs):
         checked = 0
         basic_agreements = 0
-        budget_bound_fired = 0
+        budget_bound_fired = input_budget_fired = 0
         graphs = _property_graphs()
         if min_graphs < len(graphs):
             graphs = graphs[: min_graphs + 40]  # headroom for the size filter
@@ -176,6 +178,7 @@ class TestOptimizedEnumeratorBitIdentity:
                 )
                 if pruning is FULL_PRUNING:
                     budget_bound_fired += new.stats.pruned.get("output_budget", 0) > 0
+                    input_budget_fired += new.stats.pruned.get("input_budget", 0) > 0
                     legacy_matches_basic = legacy_keys == basic_keys
                     if legacy_matches_basic:
                         assert new_keys == basic_keys, graph.name
@@ -187,10 +190,11 @@ class TestOptimizedEnumeratorBitIdentity:
         # they differ on borderline cuts — a pre-existing, documented
         # property, not something this PR may change).
         assert basic_agreements >= min_graphs // 5
-        # The snapshot has no budget bound, so the identity above covers it
-        # only if it fires; it is part of every variant that keeps
+        # The snapshot has neither budget bound, so the identity above covers
+        # them only if they fire; they are part of every variant that keeps
         # prune_while_building on.
         assert budget_bound_fired * 4 >= checked
+        assert input_budget_fired * 4 >= checked
 
     def test_debug_validity_cross_check_runs(self, monkeypatch):
         monkeypatch.setenv("REPRO_DEBUG_VALIDITY", "1")
@@ -205,7 +209,9 @@ class TestOptimizedEnumeratorBitIdentity:
 #: candidate filtering, per block: the SHA-256 of ``result.masks`` in
 #: discovery order under full pruning and with prune-while-building off, the
 #: candidates full pruning checked, and every integer stat with
-#: prune-while-building off.
+#: prune-while-building off.  Last, recorded before the input budget bound,
+#: the duplicates, PICK-OUTPUT calls, PICK-INPUTS calls and dominator arrays
+#: of full pruning.
 _RECORDED_RUNS = {
     "synthetic_n30_s2007": (
         "b76689d5e004df13e7fd34612f3302acc910642951934efdb56d0afd08c12008",
@@ -220,6 +226,7 @@ _RECORDED_RUNS = {
             },
             "insearch_hits": 0, "insearch_misses": 0, "insearch_evictions": 0,
         },
+        {"duplicates": 2982, "pick_output_calls": 1048, "pick_input_calls": 8912, "lt_calls": 1018},
     ),
     "tree_depth4": (
         "c7182ba506a4511e24adfd99e205f88dd26644f4aecf71a19906000c464d753d",
@@ -231,6 +238,7 @@ _RECORDED_RUNS = {
             "pruned": {"input_input_postdom": 4238},
             "insearch_hits": 0, "insearch_misses": 0, "insearch_evictions": 0,
         },
+        {"duplicates": 342, "pick_output_calls": 49, "pick_input_calls": 10551, "lt_calls": 2857},
     ),
     "mibench_like_013_n29": (
         "038b676bd24252ff15365cc1e6c9efe78edc7be1aeb0cf44ded622e850f4f1da",
@@ -245,6 +253,7 @@ _RECORDED_RUNS = {
             },
             "insearch_hits": 0, "insearch_misses": 0, "insearch_evictions": 0,
         },
+        {"duplicates": 2800, "pick_output_calls": 1260, "pick_input_calls": 11180, "lt_calls": 1293},
     ),
     "mibench_like_014_n30": (
         "b4df4ad0416751e93cd2be2ecfcdf5b5c5d262604e44b85fa0c47052d77c8452",
@@ -259,6 +268,7 @@ _RECORDED_RUNS = {
             },
             "insearch_hits": 0, "insearch_misses": 0, "insearch_evictions": 0,
         },
+        {"duplicates": 2082, "pick_output_calls": 811, "pick_input_calls": 7620, "lt_calls": 1026},
     ),
     "mibench_like_015_n32": (
         "ee74b098a540f2524feb5304720a3e2d80ea1f7bcc04f20dd777069454900f46",
@@ -273,6 +283,7 @@ _RECORDED_RUNS = {
             },
             "insearch_hits": 0, "insearch_misses": 0, "insearch_evictions": 0,
         },
+        {"duplicates": 3620, "pick_output_calls": 1248, "pick_input_calls": 19000, "lt_calls": 2047},
     ),
 }
 
@@ -281,9 +292,9 @@ def _masks_fingerprint(masks):
     return hashlib.sha256(",".join(format(m, "x") for m in masks).encode()).hexdigest()
 
 
-class TestLastOutputBudgetBound:
-    """The budget bound keeps the cuts and their order; the mask filtering
-    keeps every count."""
+class TestBudgetBounds:
+    """The two budget bounds keep the cuts and their order; the mask
+    filtering keeps every count."""
 
     def test_reproduces_the_recorded_runs(self):
         constraints = Constraints(max_inputs=4, max_outputs=2)
@@ -301,7 +312,7 @@ class TestLastOutputBudgetBound:
         assert sorted(graph.name for graph in blocks) == sorted(_RECORDED_RUNS)
         bound_off = FULL_PRUNING.disable("prune_while_building")
         for graph in blocks:
-            full_sha, off_sha, checked, off_stats = _RECORDED_RUNS[graph.name]
+            full_sha, off_sha, checked, off_stats, full_counts = _RECORDED_RUNS[graph.name]
             full = enumerate_cuts(graph, constraints, pruning=FULL_PRUNING)
             off = enumerate_cuts(graph, constraints, pruning=bound_off)
             assert _masks_fingerprint(full.masks) == full_sha, graph.name
@@ -311,6 +322,83 @@ class TestLastOutputBudgetBound:
                 assert full.stats.candidates_checked == checked
             else:
                 assert full.stats.candidates_checked < checked, graph.name
+            # The input budget drops only subtrees that reach no CHECK-CUT:
+            # the search above every accepted state is unchanged, and only
+            # PICK-INPUTS and dominator work fall.
+            stats = full.stats
+            assert stats.duplicates == full_counts["duplicates"], graph.name
+            assert stats.pick_output_calls == full_counts["pick_output_calls"], graph.name
+            assert stats.pick_input_calls < full_counts["pick_input_calls"], graph.name
+            assert stats.lt_calls < full_counts["lt_calls"], graph.name
+
+    def test_input_budget_seeds_keep_every_completing_set(self):
+        """The packed paths against brute force on random DAGs.
+
+        For inputs ``I``, an output ``o`` reachable in ``G − I`` and the
+        inputs' comparability union as the shared vertices, every set ``S``
+        of at most ``nin_left`` non-shared proper ancestors (not the source)
+        with ``I ∪ S`` dominating ``o`` must survive the answer: none exists
+        when it is 0, and each lies inside it when it restricts.
+        """
+        constraints = Constraints(max_inputs=4, max_outputs=2)
+        rng = random.Random(19)
+        queries = restricted = dropped = 0
+        for seed in range(30):
+            graph = make_random_dag(seed, num_operations=9)
+            ctx = EnumerationContext.build(graph, constraints)
+            enumerator = IncrementalEnumerator(graph, constraints, context=ctx)
+            source = ctx.source
+            others = [v for v in range(ctx.num_nodes) if v != source]
+            comparable = [ctx.postdom_tree.comparability_mask(v) for v in range(ctx.num_nodes)]
+            for _ in range(6):
+                inputs = rng.sample(others, rng.randrange(3))
+                inputs_mask = mask_from_ids(inputs)
+                region = enumerator.reachable_avoiding(inputs_mask)
+                outputs = [o for o in ctx.candidate_nodes if (region >> o) & 1]
+                if not outputs:
+                    continue
+                output = rng.choice(outputs)
+                shared = 0
+                for vertex in inputs:
+                    shared |= comparable[vertex]
+                ancestors = [
+                    v
+                    for v in ids_from_mask(ctx.reach.ancestors_mask(output))
+                    if v != source and not ((shared | inputs_mask) >> v) & 1
+                ]
+                completing = [
+                    mask
+                    for size in range(1, 4)
+                    for members in itertools.combinations(ancestors, size)
+                    for mask in (mask_from_ids(members),)
+                    if not (
+                        reachable_mask_avoiding(
+                            ctx.num_nodes,
+                            ctx.successor_lists,
+                            source,
+                            avoid_mask=inputs_mask | mask,
+                        )
+                        >> output
+                    )
+                    & 1
+                ]
+                for nin_left in (2, 3):
+                    allowed = enumerator._input_budget_seeds(
+                        inputs_mask, output, nin_left, shared
+                    )
+                    fits = [mask for mask in completing if mask.bit_count() <= nin_left]
+                    queries += 1
+                    if allowed == 0:
+                        assert not fits, (graph.name, inputs, output, nin_left)
+                        dropped += 1
+                    elif allowed != -1:
+                        assert all(mask & ~allowed == 0 for mask in fits), (
+                            graph.name, inputs, output, nin_left
+                        )
+                        restricted += 1
+        assert queries >= 300
+        assert dropped and restricted
+        assert (dropped + restricted) * 4 >= queries
 
 
 class TestDagDominatorKernel:
