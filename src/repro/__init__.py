@@ -34,8 +34,8 @@ Sub-packages
 ``repro.analysis``
     Runtime comparison harness and report generation.
 ``repro.memo``
-    Canonical-form memoization: DFG canonicalization, a persistent
-    content-addressed result store, and isomorphism-class deduplication.
+    Canonical-form memoization: DFG canonicalization and a persistent
+    content-addressed result store that serves every isomorph of a block.
 ``repro.frontend``
     Compiler frontend: Python bytecode → CFG → DFG ingestion with
     line-event profiling and a bundled pure-Python kernel corpus.
@@ -75,9 +75,6 @@ from .memo import (
     ResultStore,
     canonical_form,
     canonical_hash,
-    enumerate_deduplicated,
-    group_by_isomorphism,
-    iter_enumerate_deduplicated,
 )
 
 __version__ = "1.0.0"
@@ -109,9 +106,6 @@ __all__ = [
     "ResultStore",
     "canonical_form",
     "canonical_hash",
-    "enumerate_deduplicated",
-    "group_by_isomorphism",
-    "iter_enumerate_deduplicated",
     "DataFlowGraph",
     "DFGBuilder",
     "Opcode",

@@ -853,15 +853,9 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
     fresh_records = [outcome.record for outcome in outcomes]
     ledger = _bench_ledger_path(args)
     if ledger is not None and fresh_records:
-        # Seed with the committed legacy records first (idempotent: the
-        # ledger dedups on content), so history starts at the recorded
-        # trajectory instead of at this run.
-        seeded, _ = perf.append_records(
-            ledger, perf.ingest_legacy_directory(records_dir).values()
-        )
         appended, deduplicated = perf.append_records(ledger, fresh_records)
         _bench_echo(
-            f"ledger {ledger}: +{appended + seeded} record(s)"
+            f"ledger {ledger}: +{appended} record(s)"
             + (f", {deduplicated} duplicate(s) skipped" if deduplicated else "")
         )
 

@@ -3,9 +3,9 @@
 This package is the single entry point every consumer (CLI, ISE pipeline,
 comparison harness, benchmarks) uses to run cut enumeration:
 
-* :mod:`repro.engine.registry` — the five enumeration algorithms behind one
-  ``EnumerationRequest → EnumerationResult`` interface, with capability flags
-  and name-based lookup;
+* :mod:`repro.engine.registry` — the six built-in enumeration algorithms
+  behind one ``EnumerationRequest → EnumerationResult`` interface, with
+  capability flags and name-based lookup;
 * :mod:`repro.engine.batch` — the :class:`BatchRunner` that drives a whole
   workload (many basic blocks) through one algorithm, optionally across
   worker processes, with deterministic input-ordered results.
@@ -17,7 +17,6 @@ from .batch import (
     BatchRunner,
     ContextCache,
     enumerate_batch,
-    normalize_blocks,
     resolve_jobs,
 )
 from .registry import (
@@ -42,7 +41,6 @@ __all__ = [
     "BatchRunner",
     "ContextCache",
     "enumerate_batch",
-    "normalize_blocks",
     "resolve_jobs",
     "DEFAULT_ALGORITHM",
     "SEMANTICS_ALL_VALID",

@@ -211,9 +211,6 @@ class BatchItem:
     #: ``True`` when the result was served from the memoization store
     #: instead of being enumerated in this run.
     cached: bool = False
-    #: ``True`` when the result was remapped from an isomorphic block's run
-    #: (see :func:`repro.memo.dedup.enumerate_deduplicated`).
-    deduplicated: bool = False
 
     @property
     def ok(self) -> bool:
@@ -259,20 +256,26 @@ class BatchReport:
         return sum(len(item.result) for item in self.items if item.ok)
 
     def total_stats(self) -> EnumerationStats:
-        """Aggregated search statistics of the successful blocks."""
+        """Aggregated search statistics of the blocks enumerated in this run.
+
+        Store hits are left out: their stats describe the run that wrote the
+        entry, not work done here.
+        """
         total = EnumerationStats()
         for item in self.items:
-            if item.ok:
+            if item.ok and not item.cached:
                 total.merge(item.result.stats)
         return total
 
     def summary(self) -> str:
         """One-paragraph human-readable account of the run."""
         stats = self.total_stats()
+        served = sum(1 for item in self.items if item.cached)
         lines = [
             f"batch of {len(self.items)} block(s), algorithm {self.algorithm!r}, "
             f"jobs={self.jobs}: {self.total_cuts()} cuts "
-            f"in {stats.elapsed_seconds:.3f}s of enumeration time",
+            f"in {stats.elapsed_seconds:.3f}s of enumeration time"
+            + (f", {served} block(s) served from the store" if served else ""),
         ]
         for item in self.failures():
             reason = "timed out" if item.timed_out else (item.error or "failed")
@@ -287,11 +290,7 @@ class BatchReport:
 
 
 def normalize_blocks(blocks: BatchInput) -> List[BatchItem]:
-    """Turn any accepted batch input into an ordered :class:`BatchItem` list.
-
-    Shared by :class:`BatchRunner` and the isomorphism-deduplication driver
-    (:func:`repro.memo.dedup.enumerate_deduplicated`).
-    """
+    """Turn any accepted batch input into an ordered :class:`BatchItem` list."""
     if isinstance(blocks, WorkloadSuite):
         pairs = [(graph, 1.0) for graph in blocks]
     else:
@@ -587,21 +586,17 @@ class BatchRunner:
     def run(
         self,
         blocks: BatchInput,
-        canonical_forms: Optional[List[CanonicalForm]] = None,
         progress: Optional[ProgressCallback] = None,
     ) -> BatchReport:
         """Enumerate every block and return the input-ordered report.
 
         Implemented on :meth:`iter_run`: the stream is drained to completion
         and the items — the same objects the generator yields — are restored
-        to input order.  *canonical_forms* (store runs only) supplies
-        pre-computed canonical forms, one per block in input order, to skip
-        re-canonicalization; they must have been computed with this runner's
-        constraints.  *progress* is invoked as ``progress(item, completed,
+        to input order.  *progress* is invoked as ``progress(item, completed,
         total)`` after every finished block.
         """
         items = sorted(
-            self.iter_run(blocks, canonical_forms=canonical_forms, progress=progress),
+            self.iter_run(blocks, progress=progress),
             key=lambda item: item.index,
         )
         return BatchReport(
@@ -614,7 +609,6 @@ class BatchRunner:
     def iter_run(
         self,
         blocks: BatchInput,
-        canonical_forms: Optional[List[CanonicalForm]] = None,
         progress: Optional[ProgressCallback] = None,
     ) -> Iterator[BatchItem]:
         """Enumerate *blocks*, yielding each :class:`BatchItem` as it finishes.
@@ -649,7 +643,7 @@ class BatchRunner:
             jobs=self.jobs,
             blocks=total,
         ):
-            for item in self._iter_resolved(algorithm, pruning, items, canonical_forms):
+            for item in self._iter_resolved(algorithm, pruning, items):
                 completed += 1
                 if observing:
                     self._record_item_metrics(item)
@@ -698,7 +692,6 @@ class BatchRunner:
         algorithm,
         pruning: Optional[PruningConfig],
         items: List[BatchItem],
-        canonical_forms: Optional[List[CanonicalForm]],
     ) -> Iterator[BatchItem]:
         """Stream *items* through the store front and the scheduler."""
         if self.store is None:
@@ -708,14 +701,6 @@ class BatchRunner:
             return
 
         forms: Dict[int, CanonicalForm] = {}
-        if canonical_forms is not None:
-            if len(canonical_forms) != len(items):
-                raise ValueError(
-                    f"expected {len(items)} canonical form(s), "
-                    f"got {len(canonical_forms)}"
-                )
-            forms.update(enumerate(canonical_forms))
-
         # Within one run, isomorphic duplicates ride on the first copy of
         # their class: enumerate one leader per store key; as each leader
         # finishes, write it back and serve its followers from the fresh

@@ -1,8 +1,9 @@
 """Pluggable enumeration-algorithm registry.
 
 Every enumerator in the library — the two polynomial algorithms of the paper,
-the pruned exhaustive baseline, the brute-force oracle and the connected-only
-search — answers the same question ("which convex cuts of this basic block
+the pruned exhaustive baseline, the brute-force oracle, the connected-only
+search and the frozen pre-optimization snapshot of the incremental algorithm
+— answers the same question ("which convex cuts of this basic block
 satisfy the constraints?") behind a different function signature.  This module
 puts them behind one interface:
 
@@ -13,7 +14,7 @@ puts them behind one interface:
 * :func:`register_algorithm` / :func:`get_algorithm` /
   :func:`available_algorithms` — the registry proper.
 
-The five built-in algorithms are registered at import time; downstream code
+The six built-in algorithms are registered at import time; downstream code
 (CLI ``--algorithm`` flags, the batch runner, the comparison harness) resolves
 algorithms exclusively through this registry, so a new enumerator becomes
 visible everywhere by registering it once.
@@ -47,10 +48,12 @@ DEFAULT_ALGORITHM = "poly-enum-incremental"
 
 #: Semantics labels describing which cut population an algorithm targets.
 #: ``all-valid`` algorithms return the identical, complete cut set on every
-#: graph (the equivalence test-suite asserts this); ``paper-enumerable``
-#: algorithms return the input/output-identified subset reachable by the
-#: paper's construction (the two polynomial variants may differ on a few
-#: borderline cuts, see ``tests/test_perf_core.py``); ``connected`` restricts to
+#: graph (the equivalence test-suite asserts this).  ``paper-enumerable``
+#: algorithms report every input/output-identified cut the paper's
+#: construction reaches and may report further valid cuts: the tests assert
+#: ``paper-enumerable ⊆ result ⊆ all-valid`` (``tests/test_core_oracle.py``),
+#: not equality, and the two polynomial variants may differ on a few
+#: borderline cuts (``tests/test_perf_core.py``).  ``connected`` restricts to
 #: connected bodies.  Every algorithm's result is a subset of ``all-valid``.
 SEMANTICS_PAPER = "paper-enumerable"
 SEMANTICS_ALL_VALID = "all-valid"
@@ -77,7 +80,8 @@ class AlgorithmCapabilities:
         Hard limit on the number of candidate vertices, or ``None``.
     semantics:
         Which cut set the algorithm enumerates (see the ``SEMANTICS_*``
-        constants).  ``paper-enumerable`` is a subset of ``all-valid``;
+        constants).  A ``paper-enumerable`` result holds every
+        paper-enumerable cut and is a subset of ``all-valid``;
         ``connected`` is the subset of ``all-valid`` with connected bodies.
     """
 

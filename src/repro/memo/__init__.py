@@ -1,6 +1,6 @@
 """Canonical-form memoization: recognise repeated blocks, reuse their results.
 
-The repo's first persistence layer.  Three cooperating pieces:
+The repo's first persistence layer.  Two cooperating pieces:
 
 * :mod:`repro.memo.canon` — deterministic canonical labeling of data-flow
   graphs (Weisfeiler–Leman refinement with a backtracking tie-break), giving
@@ -8,15 +8,14 @@ The repo's first persistence layer.  Three cooperating pieces:
   permutation into the canonical id space;
 * :mod:`repro.memo.store` — a disk-backed, content-addressed result store
   keyed by ``(canonical hash, algorithm, request fingerprint)``, with a
-  versioned JSON entry format, sharded directories and atomic writes;
-* :mod:`repro.memo.dedup` — isomorphism-class deduplication over a workload:
-  enumerate one representative per class and remap the cut bit masks through
-  the canonical permutations onto every member.
+  versioned JSON entry format, sharded directories and atomic writes.
 
 The engine's :class:`~repro.engine.batch.BatchRunner` consults a
 :class:`ResultStore` before dispatching work and writes results back
-afterwards; the CLI exposes the store via ``--cache-dir`` and the ``cache``
-sub-command.
+afterwards.  Within one run it enumerates each isomorphism class once: the
+first copy is enumerated and written back, and its isomorphs are served from
+that entry through the canonical permutations.  The CLI exposes the store via
+``--cache-dir`` and the ``cache`` sub-command.
 """
 
 from .canon import (
@@ -25,14 +24,6 @@ from .canon import (
     canonical_form,
     canonical_hash,
     permute_graph,
-)
-from .dedup import (
-    DedupReport,
-    IsoClass,
-    enumerate_deduplicated,
-    group_by_isomorphism,
-    iter_enumerate_deduplicated,
-    remap_masks,
 )
 from .store import (
     STORE_FORMAT_VERSION,
@@ -50,12 +41,6 @@ __all__ = [
     "canonical_form",
     "canonical_hash",
     "permute_graph",
-    "DedupReport",
-    "IsoClass",
-    "enumerate_deduplicated",
-    "group_by_isomorphism",
-    "iter_enumerate_deduplicated",
-    "remap_masks",
     "STORE_FORMAT_VERSION",
     "ResultStore",
     "StoredResult",

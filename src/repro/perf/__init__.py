@@ -12,6 +12,7 @@ from .compare import (
     compare_with_committed,
     comparison_problems,
     format_compare,
+    load_record_file,
 )
 from .env import comparability_warnings, environment_fingerprint, fingerprint_digest
 from .ledger import (
@@ -21,12 +22,6 @@ from .ledger import (
     latest_by_benchmark,
     load_history,
     record_key,
-)
-from .legacy import (
-    ingest_legacy_directory,
-    legacy_to_record,
-    load_committed_record,
-    load_record_file,
 )
 from .measure import TimingResult, interleaved_timings, paired_overhead, time_callable
 from .registry import (
@@ -66,11 +61,8 @@ __all__ = [
     "format_compare",
     "get_benchmark",
     "history_table",
-    "ingest_legacy_directory",
     "interleaved_timings",
     "latest_by_benchmark",
-    "legacy_to_record",
-    "load_committed_record",
     "load_history",
     "load_record_file",
     "paired_overhead",

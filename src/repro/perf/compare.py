@@ -18,9 +18,10 @@ Only ``regressed`` verdicts (and gate violations) make
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from .registry import get_benchmark
 from .schema import NOISE_SIGMAS, BenchRecord, MetricSpec, check_gates
@@ -175,29 +176,31 @@ def format_compare(
     return "\n".join(lines)
 
 
+def load_record_file(path: Union[str, Path]) -> BenchRecord:
+    """Load one ``repro-bench-1`` record file (``ValueError`` if malformed)."""
+    return BenchRecord.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+
+
 def compare_with_committed(
     current: BenchRecord, records_dir: Union[str, Path]
 ) -> Tuple[Optional[BenchRecord], List[str], List[MetricDelta]]:
     """Compare one fresh record against its committed ``BENCH_<name>.json``.
 
-    Returns ``(baseline, problems, deltas)``; a missing committed baseline is
-    itself a problem (a gate that silently stops gating is a regression in
-    the measurement layer).
+    Returns ``(baseline, problems, deltas)``; a missing or unreadable
+    committed baseline is itself a problem (a gate that silently stops
+    gating is a regression in the measurement layer).
     """
-    from .legacy import load_committed_record
-
-    baseline = load_committed_record(current.benchmark, records_dir)
-    if baseline is None:
-        return (
-            None,
-            [
-                f"{current.benchmark}: no committed baseline "
-                f"BENCH_{current.benchmark}.json in {records_dir}"
-            ],
-            [],
-        )
-    # Environment drift is surfaced by the caller (via
-    # comparability_warnings) but does not fail the comparison: the gated
-    # metrics are ratios, which are stable across runners by design.
-    problems = comparison_problems(baseline, current)
-    return baseline, problems, compare_records(baseline, current)
+    path = Path(records_dir) / f"BENCH_{current.benchmark}.json"
+    try:
+        baseline = load_record_file(path)
+    except FileNotFoundError:
+        problem = f"no committed baseline {path.name} in {records_dir}"
+    except ValueError as exc:
+        problem = f"committed baseline {path.name} is unreadable: {exc}"
+    else:
+        # Environment drift is surfaced by the caller (via
+        # comparability_warnings) but does not fail the comparison: the
+        # gated metrics are ratios, which are stable across runners by design.
+        problems = comparison_problems(baseline, current)
+        return baseline, problems, compare_records(baseline, current)
+    return None, [f"{current.benchmark}: {problem}"], []

@@ -3,12 +3,13 @@
 The committed ``BENCH_*.json`` files only ever show the *latest* number;
 the trajectory across PRs — the thing a perf claim actually rests on — was
 lost on every overwrite.  The ledger is append-only: every ``repro bench
-run`` adds its records here, the legacy shim seeds it with the pre-schema
-committed records, and ``repro bench history`` renders the trajectory.
+run`` adds its records here, and ``repro bench history`` renders the
+trajectory.  Its first rows were lifted from the pre-schema committed files
+and name that file in ``extra["legacy_source"]``.
 
 Appends are deduplicated on a content key (benchmark + metric values +
 environment digest): re-running an identical measurement on an identical
-machine records nothing new, so seeding and CI re-runs are idempotent.
+machine records nothing new, so CI re-runs are idempotent.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ def latest_by_benchmark(
         if benchmark is not None and record.benchmark != benchmark:
             continue
         current = newest.get(record.benchmark)
-        # Later ledger lines win at equal timestamps (legacy records carry 0).
+        # Later ledger lines win at equal timestamps (lifted rows carry 0).
         if current is None or record.created_unix >= current.created_unix:
             newest[record.benchmark] = record
     return [newest[name] for name in sorted(newest)]
@@ -132,7 +133,7 @@ def history_table(
             f"{name}={value.value:g}{('' if not value.unit else ' ' + value.unit)}"
             for name, value in sorted(gated.items())[:4]
         )
-        origin = "legacy" if record.legacy else (record.env.get("git_sha") or "?")
+        origin = record.extra.get("legacy_source") or record.env.get("git_sha") or "?"
         lines.append(
             f"{record.benchmark:<24s} scale={record.scale:<5s} "
             f"[{origin}] {shown}"

@@ -16,7 +16,7 @@ stamps the environment fingerprint, checks the declared absolute gates and
 returns the finished ``repro-bench-1`` record.
 
 Benchmarks self-register at import of :mod:`repro.perf.suites`; everything
-else (CLI, compare, legacy shim) looks them up here by name.
+else (CLI, compare) looks them up here by name.
 """
 
 from __future__ import annotations

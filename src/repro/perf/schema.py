@@ -4,8 +4,10 @@ Every benchmark run — whatever it measures — produces one
 :class:`BenchRecord`: a named set of :class:`MetricValue` entries (value,
 unit, better-direction, optional noise estimate) plus the environment
 fingerprint of the machine that produced it.  The twelve historically
-incompatible ``BENCH_*.json`` layouts collapse onto this one shape; the
-committed pre-schema files are lifted onto it by :mod:`repro.perf.legacy`.
+incompatible ``BENCH_*.json`` layouts collapse onto this one shape: every
+committed ``BENCH_*.json`` is a record of this schema, and the ledger rows
+once lifted from pre-schema files name their source in
+``extra["legacy_source"]``.
 
 Gate thresholds live on :class:`MetricSpec`, the *declaration* a benchmark
 registers for each metric it emits:
@@ -103,11 +105,9 @@ class BenchRecord:
     env: Dict[str, object]
     metrics: Dict[str, MetricValue]
     extra: Dict[str, object] = field(default_factory=dict)
-    #: Unix timestamp of the run (0.0 for records lifted from legacy files,
-    #: which never carried one).
+    #: Unix timestamp of the run (0.0 for the ledger rows lifted from
+    #: pre-schema files, which never carried one).
     created_unix: float = 0.0
-    #: True when the record was ingested from a pre-schema ``BENCH_*.json``.
-    legacy: bool = False
     schema: str = BENCH_SCHEMA
 
     def metric(self, name: str) -> Optional[MetricValue]:
@@ -119,7 +119,6 @@ class BenchRecord:
             "benchmark": self.benchmark,
             "scale": self.scale,
             "created_unix": self.created_unix,
-            "legacy": self.legacy,
             "env": dict(self.env),
             "metrics": {
                 name: value.to_dict() for name, value in sorted(self.metrics.items())
@@ -146,7 +145,6 @@ class BenchRecord:
             },
             extra=dict(data.get("extra", {})),  # type: ignore[call-overload]
             created_unix=float(data.get("created_unix", 0.0)),  # type: ignore[arg-type]
-            legacy=bool(data.get("legacy", False)),
             schema=str(data["schema"]),
         )
 

@@ -23,7 +23,7 @@ reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..dfg.graph import DataFlowGraph

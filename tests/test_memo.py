@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
@@ -18,10 +19,7 @@ from repro.memo import (
     StoredResult,
     canonical_form,
     canonical_hash,
-    enumerate_deduplicated,
-    group_by_isomorphism,
     permute_graph,
-    remap_masks,
     request_fingerprint,
     stats_from_dict,
     stats_to_dict,
@@ -53,6 +51,21 @@ def _shuffled(graph, seed, name=None):
     return permute_graph(graph, perm, name=name or f"{graph.name}_p{seed}"), perm
 
 
+def _duplicated_suite():
+    """Two isomorphism classes, each a block, a renamed copy and a permuted copy."""
+    bases = [
+        build_kernel("crc32_step"),
+        generate_basic_block(SyntheticBlockSpec(num_operations=14, seed=9)),
+    ]
+    blocks = []
+    for base in bases:
+        blocks.append(base)
+        blocks.append(base.copy(name=f"{base.name}_copy"))
+        permuted, _ = _shuffled(base, 21)
+        blocks.append(permuted)
+    return blocks
+
+
 # --------------------------------------------------------------------------- #
 # canon
 # --------------------------------------------------------------------------- #
@@ -79,7 +92,10 @@ class TestCanonicalForm:
             for seed in (5, 6):
                 permuted, _ = _shuffled(graph, seed)
                 form = canonical_form(permuted, CONSTRAINTS)
-                remapped = set(remap_masks(reference_masks, reference_form, form))
+                remapped = {
+                    form.from_canonical_mask(reference_form.to_canonical_mask(mask))
+                    for mask in reference_masks
+                }
                 direct = {
                     cut.node_mask()
                     for cut in enumerate_cuts(permuted, CONSTRAINTS).cuts
@@ -358,19 +374,47 @@ class TestBatchRunnerStore:
         assert not other_constraints.items[0].cached
 
     def test_cold_run_reuses_results_within_the_batch(self, tmp_path):
-        """Isomorphic duplicates inside one run enumerate once per class."""
-        base = build_kernel("bitcount")
-        blocks = [base] + [base.copy(name=f"copy{i}") for i in range(2)]
-        permuted, _ = _shuffled(base, 31)
-        blocks.append(permuted)
-        store = ResultStore(tmp_path / "c")
-        report = BatchRunner(constraints=CONSTRAINTS, store=store).run(blocks)
-        assert [item.cached for item in report.items] == [False, True, True, True]
-        assert store.stats.writes == 1
-        reference = report.items[0].result.node_sets()
-        direct = BatchRunner(constraints=CONSTRAINTS).run([permuted])
-        assert report.items[3].result.node_sets() == direct.items[0].result.node_sets()
-        assert all(item.result.node_sets() == reference for item in report.items[:3])
+        """Isomorphic duplicates inside one run enumerate once per class, and
+        every member gets the cut set of its own direct enumeration."""
+        blocks = _duplicated_suite()
+        direct = [enumerate_cuts(graph, CONSTRAINTS).node_sets() for graph in blocks]
+        for jobs in (1, 2):
+            store = ResultStore(tmp_path / f"jobs{jobs}")
+            with BatchRunner(constraints=CONSTRAINTS, jobs=jobs, store=store) as runner:
+                report = runner.run(blocks)
+            assert store.stats.writes == 2  # one per isomorphism class
+            assert [item.cached for item in report.items] == [
+                False, True, True, False, True, True
+            ]
+            assert [item.result.node_sets() for item in report.items] == direct
+
+    def test_total_stats_count_only_blocks_enumerated_in_the_run(self, tmp_path):
+        """Store hits carry their writer's stats; they are not work done here."""
+        base = build_kernel("crc32_step")
+        permuted, _ = _shuffled(base, 21)
+        blocks = [base, base.copy(name="crc32_step_copy"), permuted]
+
+        def counters(stats):
+            return {
+                spec.name: getattr(stats, spec.name)
+                for spec in dataclasses.fields(stats)
+                if not isinstance(getattr(stats, spec.name), float)
+            }
+
+        one_search = counters(enumerate_cuts(base, CONSTRAINTS).stats)
+        assert one_search["lt_calls"] > 0
+        cold = BatchRunner(
+            constraints=CONSTRAINTS, store=ResultStore(tmp_path / "c")
+        ).run(blocks)
+        assert counters(cold.total_stats()) == one_search
+        assert "2 block(s) served from the store" in cold.summary()
+        warm = BatchRunner(
+            constraints=CONSTRAINTS, store=ResultStore(tmp_path / "c")
+        ).run(blocks)
+        assert counters(warm.total_stats()) == counters(EnumerationStats())
+        assert warm.total_stats().elapsed_seconds == 0.0
+        assert warm.total_cuts() == cold.total_cuts()
+        assert "3 block(s) served from the store" in warm.summary()
 
     def test_failed_leader_does_not_stall_followers(self, tmp_path):
         """Every copy of a class that cannot be enumerated reports its error."""
@@ -382,14 +426,6 @@ class TestBatchRunnerStore:
             store=ResultStore(tmp_path / "c"),
         ).run(blocks)
         assert all(not item.ok and item.error for item in report.items)
-
-    def test_run_rejects_mismatched_canonical_forms(self, tmp_path):
-        graph = build_kernel("bitcount")
-        runner = BatchRunner(
-            constraints=CONSTRAINTS, store=ResultStore(tmp_path / "c")
-        )
-        with pytest.raises(ValueError, match="canonical form"):
-            runner.run([graph], canonical_forms=[])
 
     def test_parallel_run_uses_and_fills_the_store(self, tmp_path):
         graphs = [
@@ -405,45 +441,6 @@ class TestBatchRunnerStore:
         assert all(item.cached for item in warm.items)
         for cold_item, warm_item in zip(cold.items, warm.items):
             assert warm_item.result.node_sets() == cold_item.result.node_sets()
-
-
-# --------------------------------------------------------------------------- #
-# dedup
-# --------------------------------------------------------------------------- #
-class TestDedup:
-    def _duplicated_suite(self):
-        """Blocks with duplicated and permuted copies (distinct names)."""
-        bases = [
-            build_kernel("crc32_step"),
-            generate_basic_block(SyntheticBlockSpec(num_operations=14, seed=9)),
-        ]
-        blocks = []
-        for base in bases:
-            blocks.append(base)
-            copy = base.copy(name=f"{base.name}_copy")
-            blocks.append(copy)
-            permuted, _ = _shuffled(base, 21)
-            blocks.append(permuted)
-        return blocks
-
-    def test_grouping(self):
-        blocks = self._duplicated_suite()
-        classes, forms = group_by_isomorphism(blocks, CONSTRAINTS)
-        assert len(forms) == len(blocks)
-        assert len(classes) == 2
-        assert sorted(len(cls.members) for cls in classes) == [3, 3]
-
-    def test_dedup_matches_direct_enumeration(self):
-        blocks = self._duplicated_suite()
-        report = enumerate_deduplicated(blocks, constraints=CONSTRAINTS)
-        assert report.num_blocks == len(blocks)
-        assert report.num_classes == 2
-        assert report.saved_runs == len(blocks) - 2
-        for item in report.items:
-            direct = enumerate_cuts(item.graph, CONSTRAINTS)
-            assert item.result.node_sets() == direct.node_sets()
-        flags = [item.deduplicated for item in report.items]
-        assert flags.count(False) == 2  # one representative per class
 
     def test_warm_ise_selection_matches_uncached_across_isomorphs(self, tmp_path):
         """Instruction selection must not depend on cache history: a block
@@ -470,29 +467,6 @@ class TestDedup:
             s.cut.nodes for s in direct.blocks[0].selected
         ]
         assert cached.application_speedup == direct.application_speedup
-
-    def test_dedup_with_store(self, tmp_path):
-        blocks = self._duplicated_suite()
-        store = ResultStore(tmp_path / "c")
-        enumerate_deduplicated(blocks, constraints=CONSTRAINTS, store=store)
-        assert store.stats.writes == 2
-        # A second dedup run over the same workload is all cache hits.
-        again = enumerate_deduplicated(
-            blocks, constraints=CONSTRAINTS, store=ResultStore(tmp_path / "c")
-        )
-        representatives = [item for item in again.items if not item.deduplicated]
-        assert all(item.cached for item in representatives)
-
-    def test_remap_refuses_cross_class(self):
-        first = canonical_form(build_kernel("crc32_step"))
-        second = canonical_form(build_kernel("bitcount"))
-        with pytest.raises(ValueError, match="isomorphism class"):
-            remap_masks([1], first, second)
-
-    def test_empty_workload(self):
-        report = enumerate_deduplicated([], constraints=CONSTRAINTS)
-        assert report.num_blocks == 0
-        assert report.summary()
 
 
 # --------------------------------------------------------------------------- #

@@ -1,12 +1,12 @@
-"""The unified benchmark harness: schema, legacy shim, compare gates, ledger, CLI.
+"""The unified benchmark harness: schema, compare gates, ledger, CLI.
 
 The harness replaced five hand-written CI gate re-checks with one
 mechanism, so these tests pin down exactly the behaviours CI now rests on:
 a synthetic regression against a committed baseline must fail ``repro
-bench compare --against-committed`` (and an improvement must not), the
-legacy shim must keep ingesting every committed pre-schema record, the
-ledger must stay append-only and idempotent, and ``bench run --json -``
-must keep stdout machine-parseable.
+bench compare --against-committed`` (and an improvement must not), every
+committed ``BENCH_*.json`` must be a ``repro-bench-1`` record of a ``ci``
+benchmark, the ledger must stay append-only and idempotent, and ``bench
+run --json -`` must keep stdout machine-parseable.
 """
 
 from __future__ import annotations
@@ -30,10 +30,9 @@ from repro.perf import (
     environment_fingerprint,
     fingerprint_digest,
     get_benchmark,
-    ingest_legacy_directory,
+    history_table,
     interleaved_timings,
     latest_by_benchmark,
-    legacy_to_record,
     load_history,
     load_record_file,
     paired_overhead,
@@ -44,24 +43,10 @@ from repro.perf import (
     unregister,
     validate_record,
 )
-from repro.perf.legacy import LEGACY_ALIASES
 from repro.perf.measure import TimingResult
 from repro.perf.schema import NOISE_SIGMAS, check_gates
 
 RECORDS_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
-
-#: Every pre-schema committed record the legacy shim must keep ingesting.
-#: (BENCH_core, BENCH_batch_runner, BENCH_streaming and BENCH_obs are absent:
-#: they were re-baselined through the harness and are now native records;
-#: BENCH_core_baseline.json keeps the nested families layout covered.)
-LEGACY_STEMS = (
-    "core_baseline",
-    "frontend",
-    "memo",
-)
-
-#: Committed records already on the native schema.
-NATIVE_STEMS = ("batch_runner", "core", "obs", "streaming")
 
 
 def make_record(
@@ -292,52 +277,29 @@ class TestRegistry:
 
     def test_ci_suite_covers_every_committed_benchmark(self):
         names = benchmark_names("ci")
-        for stem in LEGACY_STEMS + NATIVE_STEMS:
-            assert LEGACY_ALIASES.get(stem, stem) in names
+        paths = sorted(RECORDS_DIR.glob("BENCH_*.json"))
+        assert paths
+        for path in paths:
+            record = BenchRecord.from_dict(json.loads(path.read_text()))
+            assert path.name == f"BENCH_{record.benchmark}.json"
+            assert record.benchmark in names, path.name
         assert get_benchmark("core").spec("median_speedup_corpus_mibench").gate_min == 3.0
-
-
-# --------------------------------------------------------------------------- #
-# legacy shim
-# --------------------------------------------------------------------------- #
-class TestLegacyShim:
-    def test_every_committed_legacy_record_ingests(self):
-        ingested = ingest_legacy_directory(RECORDS_DIR)
-        assert set(LEGACY_STEMS) <= set(ingested)
-        for stem, record in ingested.items():
-            assert record.legacy
-            assert record.metrics, stem
-            assert record.extra["legacy_source"] == f"BENCH_{stem}.json"
-
-    def test_core_family_medians_lift_from_nested_layout(self):
-        record = legacy_to_record(
-            "core_baseline",
-            json.loads((RECORDS_DIR / "BENCH_core_baseline.json").read_text()),
-        )
-        assert record.benchmark == "core"  # the alias
-        assert "median_speedup_corpus_mibench" in record.metrics
-        for family in ("trees", "mibench", "corpus"):
-            assert f"median_speedup_{family}" in record.metrics
-
-    def test_legacy_record_with_no_matching_metrics_rejected(self):
-        with pytest.raises(ValueError):
-            legacy_to_record("core", {"scale": "small", "unrelated": 1.0})
-
-    def test_load_record_file_reads_native_and_legacy(self, tmp_path):
-        native = make_record()
-        path = tmp_path / "BENCH_synthetic_gate.json"
-        path.write_text(json.dumps(native.to_dict()))
-        loaded = load_record_file(path)
-        assert not loaded.legacy
-        assert loaded.metrics["speedup"].value == 10.0
-        legacy = load_record_file(RECORDS_DIR / "BENCH_memo.json")
-        assert legacy.legacy and legacy.benchmark == "memo"
 
 
 # --------------------------------------------------------------------------- #
 # compare
 # --------------------------------------------------------------------------- #
 class TestCompare:
+    def test_load_record_file_reads_native_records_only(self, tmp_path):
+        path = tmp_path / "BENCH_synthetic_gate.json"
+        path.write_text(json.dumps(make_record().to_dict()))
+        loaded = load_record_file(path)
+        assert loaded.metrics["speedup"].value == 10.0
+        pre_schema = tmp_path / "BENCH_memo.json"
+        pre_schema.write_text(json.dumps({"benchmark": "memo", "warm_speedup": 3.0}))
+        with pytest.raises(ValueError, match="repro-bench-1"):
+            load_record_file(pre_schema)
+
     def test_verdicts(self, synthetic_benchmark):
         baseline = make_record(value=10.0)
         same = compare_records(baseline, make_record(value=10.2))
@@ -417,6 +379,15 @@ class TestLedger:
         assert [r.benchmark for r in latest] == ["other_bench", "synthetic_gate"]
         assert latest[1].metrics["speedup"].value == 12.0
 
+    def test_history_labels_lifted_rows_by_their_source_file(self):
+        records, problems = load_history(RECORDS_DIR / "BENCH_history.jsonl")
+        assert not problems
+        lifted = [r for r in records if "legacy_source" in r.extra]
+        assert len(lifted) == 8
+        lines = history_table(lifted).splitlines()
+        for record, line in zip(lifted, lines):
+            assert f"[{record.extra['legacy_source']}]" in line
+
     def test_fingerprint_digest_tracks_comparability_fields(self):
         env = environment_fingerprint("small")
         assert fingerprint_digest(env) == fingerprint_digest(dict(env, hostname="x"))
@@ -491,6 +462,26 @@ class TestBenchCli:
         )
         assert rc == 1
         assert "no committed baseline" in capsys.readouterr().out
+
+    def test_bench_run_reports_an_unreadable_committed_baseline(
+        self, synthetic_benchmark, tmp_path, capsys
+    ):
+        (tmp_path / "BENCH_synthetic_gate.json").write_text(
+            json.dumps({"benchmark": "synthetic_gate", "speedup": 5.0})
+        )
+        rc = cli_main(
+            [
+                "bench",
+                "run",
+                "synthetic_gate",
+                "--records-dir",
+                str(tmp_path),
+                "--compare-against-committed",
+                "--no-ledger",
+            ]
+        )
+        assert rc == 1
+        assert "BENCH_synthetic_gate.json is unreadable" in capsys.readouterr().err
 
     def test_compare_two_record_files(self, synthetic_benchmark, tmp_path, capsys):
         a = tmp_path / "a.json"

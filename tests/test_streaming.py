@@ -22,7 +22,7 @@ import pytest
 from repro.core import Constraints
 from repro.dfg.builder import diamond, linear_chain
 from repro.engine import BatchRunner, get_algorithm, register_algorithm, unregister_algorithm
-from repro.memo import ResultStore, enumerate_deduplicated, iter_enumerate_deduplicated
+from repro.memo import ResultStore
 from repro.workloads import build_kernel
 from tests.conftest import make_random_dag
 
@@ -384,37 +384,6 @@ class TestStreamingStore:
         ).run(graphs)
         for ref_item, item in zip(reference.items, store_run.items):
             assert _cut_keys(ref_item.result) == _cut_keys(item.result)
-
-
-# --------------------------------------------------------------------------- #
-# Streaming dedup
-# --------------------------------------------------------------------------- #
-def test_iter_enumerate_deduplicated_streams_whole_classes():
-    base = make_random_dag(3, num_operations=6)
-    copy = make_random_dag(3, num_operations=6)
-    copy.name = "copy_of_base"
-    other = make_random_dag(4, num_operations=6)
-    constraints = Constraints(max_inputs=3, max_outputs=2)
-
-    calls = []
-    streamed = list(
-        iter_enumerate_deduplicated(
-            [base, copy, other],
-            constraints=constraints,
-            progress=lambda item, done, total: calls.append((done, total)),
-        )
-    )
-    assert sorted(item.index for item in streamed) == [0, 1, 2]
-    assert [done for done, _ in calls] == [1, 2, 3]
-    assert all(total == 3 for _, total in calls)
-    # The duplicate copy rides on its representative, never enumerated.
-    by_index = {item.index: item for item in streamed}
-    assert by_index[1].deduplicated and by_index[1].ok
-
-    report = enumerate_deduplicated([base, copy, other], constraints=constraints)
-    assert [item.result.node_sets() for item in report.items] == [
-        by_index[i].result.node_sets() for i in range(3)
-    ]
 
 
 # --------------------------------------------------------------------------- #
