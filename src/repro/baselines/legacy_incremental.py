@@ -168,7 +168,7 @@ class LegacyIncrementalEnumerator:
         self._found: Dict[int, None] = {}  # accepted masks, discovery order
         # Per-run memoisation only: the old implementation rebuilt these for
         # every enumeration, even on a warm, shared context.
-        self._completion_cache: Dict[Tuple[int, int], object] = {}
+        self._step_cache: Dict[Tuple[int, int], object] = {}
         self._reachable_cache: Dict[int, int] = {}
         self._visited_states: set = set()
         topo_positions = {
@@ -424,7 +424,7 @@ class LegacyIncrementalEnumerator:
         if not ((reachable >> output) & 1):
             return CompletionResult(already_dominated=True, completions=[], lt_calls=0)
         key = (reachable, output)
-        cached = self._completion_cache.get(key)
+        cached = self._step_cache.get(key)
         if cached is not None:
             return cached
         step = dominator_completions(
@@ -435,7 +435,7 @@ class LegacyIncrementalEnumerator:
             seed_mask=inputs_mask,
         )
         self.stats.lt_calls += step.lt_calls
-        self._completion_cache[key] = step
+        self._step_cache[key] = step
         return step
 
     def _dominates(self, inputs_mask: int, output: int) -> bool:

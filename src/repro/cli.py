@@ -1457,9 +1457,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Entry point of the ``repro-enum`` console script."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "trace_out", None) or getattr(args, "metrics_json", None):
-        return _run_observed(args, argv)
-    return _dispatch(args)
+    try:
+        if getattr(args, "trace_out", None) or getattr(args, "metrics_json", None):
+            status = _run_observed(args, argv)
+        else:
+            status = _dispatch(args)
+        # Flush here, so that a reader that is already gone raises inside
+        # the handler below rather than at interpreter exit.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout closed it (``repro ... | head``).  Python's
+        # documented recipe: point stdout at devnull, so the flush at exit
+        # cannot raise again, and exit with status 1.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -8,6 +8,16 @@ derives the dominator arrays of its own input sets).  It is derived once from
 a :class:`~repro.dfg.graph.DataFlowGraph` and a
 :class:`~repro.core.constraints.Constraints` object, and is shared by every
 enumeration algorithm and by the validity checks.
+
+The postdominator tree serves two pruning rules: two vertices where one
+postdominates the other never both are outputs of one convex cut (output
+admissibility, Section 5.1), and a seed set in which one input
+postdominates another is dismissed before the dominator kernel runs
+(input–input pruning, Section 5.3).  Postdominators are the dominators of
+the reverse graph rooted at the sink, a DAG too, so the search's own kernel
+(:func:`~repro.dominators.iterative.immediate_dominators_dag`) builds the
+tree over the reversed topological order, with the successor lists as the
+reverse graph's predecessor lists.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ from ..dfg.graph import DataFlowGraph
 from ..dfg.opcodes import is_memory
 from ..dfg.reachability import ReachabilityIndex, mask_from_ids
 from ..dominators.dominator_tree import DominatorTree
-from ..dominators.postdominators import postdominator_tree_of
+from ..dominators.iterative import immediate_dominators_dag
 from .constraints import Constraints
 
 
@@ -85,7 +95,6 @@ class EnumerationContext:
 
         augmented = augment(working)
         reach = ReachabilityIndex(augmented.graph, forbidden=augmented.forbidden)
-        postdom_tree = postdominator_tree_of(augmented)
 
         num_nodes = augmented.graph.num_nodes
         successor_lists = [list(augmented.graph.successors(v)) for v in range(num_nodes)]
@@ -100,6 +109,10 @@ class EnumerationContext:
         topo_position = [0] * num_nodes
         for position, vertex in enumerate(topo_order):
             topo_position[vertex] = position
+        postdom_tree = DominatorTree(
+            immediate_dominators_dag(topo_order[::-1], successor_lists, augmented.sink),
+            augmented.sink,
+        )
 
         return cls(
             constraints=constraints,

@@ -23,9 +23,10 @@ freed when it returns:
   ``B(I, o)`` for a newly picked output is one AND of the inputs' descendant
   union, formed once per PICK-OUTPUT call, with ``o`` and its ancestors;
 * the dominator queries go through the run's caches — one dominator array
-  per distinct *reachable region*, answering the completion query of every
-  output of that region, and derived from the array of the input set one
-  vertex smaller (the full kernel runs only when no such set is cached);
+  per distinct *reachable region*, derived from the array of the input set
+  one vertex smaller (the full kernel runs only when no such set is cached);
+  each PICK-INPUTS state reads its completions off its region's array by a
+  walk up the idom chain, which no cache of its own would repay;
 * each test of PICK-OUTPUT and of the PICK-INPUTS seed loop is one mask per
   search state (postdominator comparability is a union of precomputed rows),
   and only the surviving candidates are expanded, in the same order;
@@ -59,6 +60,7 @@ The ablation benchmark measures how much search each rule removes.
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 from ..dfg.graph import DataFlowGraph
@@ -73,17 +75,26 @@ from .validity import _cut_depth, _is_connected_mask, check_cut_mask, debug_vali
 ALGORITHM_NAME = "poly-enum-incremental"
 
 T = TypeVar("T")
+K = TypeVar("K")
 
 #: Shared "the seed already blocks every path" completion step.  The
 #: dataclass is frozen and the completion sequence an immutable tuple, so
 #: handing one instance to every caller in the process is safe.
 _ALREADY_DOMINATED = CompletionResult(already_dominated=True, completions=(), lt_calls=0)
 
-#: Entry cap of each per-run dominator cache (reachable regions, idom
-#: arrays, completion steps).  The keys are drawn from one graph's own
-#: search space, which is usually far smaller, but one run on a
-#: pathological block must not grow without bound — eviction is first-in.
-REGION_CACHE_LIMIT = 32768
+#: Entry cap of each capped per-run cache.  Only large blocks fill one (no
+#: isebench block holds 7.4k entries).  Against 32k, 16k ran ``tree_dfg(8)``
+#: 10% faster and ``aes_mix_column_x3`` 14% slower, in 24% / 11% less RSS.
+REGION_CACHE_LIMIT = 16384
+
+
+def _remember(cache: "OrderedDict[K, T]", key: K, value: T) -> None:
+    """Store *value* under *key*, first evicting the oldest entry of a full
+    cache in O(1) (``d.pop(next(iter(d)))`` on a dict slows with every
+    eviction: it walks the slots freed since the last resize)."""
+    if len(cache) >= REGION_CACHE_LIMIT:
+        cache.popitem(last=False)
+    cache[key] = value
 
 
 def _union_rows(rows: List[int], mask: int) -> int:
@@ -138,15 +149,14 @@ class IncrementalEnumerator:
         # states.
         self._visited_states: set = set()
         # The run's memo, filled on demand: the reachable region per input
-        # mask, one dominator array per region, the completion step per
-        # (region, output), each vertex's descendants in topological order,
-        # per output the B({w}, o) rows, and the last output's stuck masks.
-        self._reachable_cache: Dict[int, int] = {}
-        self._idom_cache: Dict[int, List[Optional[int]]] = {}
-        self._completion_cache: Dict[Tuple[int, int], CompletionResult] = {}
+        # mask, one dominator array per region, each vertex's descendants in
+        # topological order, per output the B({w}, o) rows, and the last
+        # output's stuck masks.  The three keyed by search state are capped.
+        self._reachable_cache: "OrderedDict[int, int]" = OrderedDict()
+        self._idom_cache: "OrderedDict[int, List[Optional[int]]]" = OrderedDict()
         self._descendant_lists: Dict[int, List[int]] = {}
         self._contribution_rows: Dict[int, List[int]] = {}
-        self._stuck_cache: Dict[Tuple[int, int], int] = {}
+        self._stuck_cache: "OrderedDict[Tuple[int, int], int]" = OrderedDict()
         self._debug_validate = debug_validation_enabled()
         # Candidate outputs in topological order: picking outputs
         # ancestors-first guarantees every output set can be selected without
@@ -477,9 +487,7 @@ class IncrementalEnumerator:
                 rest ^= low
                 if successor_rows[low.bit_length() - 1] & ~room:
                     stuck |= low
-            if len(self._stuck_cache) >= REGION_CACHE_LIMIT:
-                self._stuck_cache.pop(next(iter(self._stuck_cache)))
-            self._stuck_cache[key] = stuck
+            _remember(self._stuck_cache, key, stuck)
         return stuck
 
     def _input_budget_seeds(
@@ -560,20 +568,20 @@ class IncrementalEnumerator:
                         frontier ^= low
                     frontier = grown & ~avoid_mask & ~seen
                 cached = seen
-            if len(self._reachable_cache) >= REGION_CACHE_LIMIT:
-                self._reachable_cache.pop(next(iter(self._reachable_cache)))
-            self._reachable_cache[avoid_mask] = cached
+            _remember(self._reachable_cache, avoid_mask, cached)
         return cached
 
     def dominator_completions_for(self, inputs_mask: int, output: int) -> CompletionResult:
-        """Memoised Dubrova reduction step for ``(current inputs, output)``.
+        """Dubrova reduction step for ``(current inputs, output)``.
 
         The dominator arrays are keyed by the *reachable region* the input
         set leaves behind, and one array serves every output of that region
         — the optimisation that collapses the enumeration's kernel count
         from one per (input set, output) pair to one per distinct region.
-        A fresh array is derived from the array of a solved
-        one-vertex-smaller subset ``inputs_mask ∖ {v}`` by
+        The step itself is read off the region's array on every call by
+        :func:`~repro.dominators.multi_vertex.completions_from_idom`, a walk
+        up the idom chain from *output*.  A fresh array is derived from the
+        array of a solved one-vertex-smaller subset ``inputs_mask ∖ {v}`` by
         :func:`~repro.dominators.iterative.derive_immediate_dominators`;
         only when no such subset is cached does the full single-pass kernel
         run.  Each fresh array, derived or full, adds one to the run's
@@ -582,10 +590,6 @@ class IncrementalEnumerator:
         reachable = self.reachable_avoiding(inputs_mask)
         if not ((reachable >> output) & 1):
             return _ALREADY_DOMINATED
-        key = (reachable, output)
-        cached = self._completion_cache.get(key)
-        if cached is not None:
-            return cached
         ctx = self.ctx
         idom = self._idom_cache.get(reachable)
         if idom is None:
@@ -612,14 +616,8 @@ class IncrementalEnumerator:
                 )
             self.stats.lt_seconds += time.perf_counter() - kernel_start
             self.stats.lt_calls += 1
-            if len(self._idom_cache) >= REGION_CACHE_LIMIT:
-                self._idom_cache.pop(next(iter(self._idom_cache)))
-            self._idom_cache[reachable] = idom
-        step = completions_from_idom(idom, ctx.source, output)
-        if len(self._completion_cache) >= REGION_CACHE_LIMIT:
-            self._completion_cache.pop(next(iter(self._completion_cache)))
-        self._completion_cache[key] = step
-        return step
+            _remember(self._idom_cache, reachable, idom)
+        return completions_from_idom(idom, ctx.source, output)
 
     @staticmethod
     def _derivation_parent(

@@ -1,9 +1,13 @@
 """Dominator infrastructure.
 
-Single-vertex dominators (Lengauer–Tarjan and the iterative cross-check),
-dominator/postdominator trees with O(1) ancestor queries, and
-multiple-vertex (generalized) dominator enumeration in the style of
-Dubrova et al., which is the kernel of the paper's enumeration algorithm.
+Single-vertex dominators (Lengauer–Tarjan, the iterative cross-check and
+the single-pass DAG kernel), dominator/postdominator trees with O(1)
+ancestor queries, and multiple-vertex (generalized) dominator enumeration in
+the style of Dubrova et al., which is the kernel of the paper's enumeration
+algorithm.  The DAG kernel builds the context's postdominator tree and every
+dominator array of ``poly-enum-incremental``; Lengauer–Tarjan serves
+``poly-enum-basic``, the legacy snapshot, the ``dominators`` benchmark and
+the tests, as the reference.
 """
 
 from .dominator_tree import DominatorTree
@@ -22,12 +26,6 @@ from .multi_vertex import (
     dominator_completions,
     enumerate_generalized_dominators,
 )
-from .postdominators import (
-    dominator_tree_of,
-    immediate_postdominators,
-    postdominator_tree,
-    postdominator_tree_of,
-)
 
 __all__ = [
     "DominatorTree",
@@ -44,8 +42,4 @@ __all__ = [
     "DominatorSearchStats",
     "dominator_completions",
     "enumerate_generalized_dominators",
-    "dominator_tree_of",
-    "immediate_postdominators",
-    "postdominator_tree",
-    "postdominator_tree_of",
 ]

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional, Sequence
 
-from .lengauer_tarjan import immediate_dominators
-
 
 class DominatorTree:
     """Immutable dominator (or postdominator) tree.
@@ -21,7 +19,8 @@ class DominatorTree:
     ----------
     idom:
         Immediate dominator list as produced by
-        :func:`repro.dominators.lengauer_tarjan.immediate_dominators`
+        :func:`repro.dominators.lengauer_tarjan.immediate_dominators` or
+        :func:`repro.dominators.iterative.immediate_dominators_dag`
         (``idom[root] == root``, ``None`` for unreachable vertices).
     root:
         The tree root (artificial source for dominators, sink for
@@ -43,18 +42,6 @@ class DominatorTree:
         self._depth = [-1] * n
         self._compute_intervals()
         self._comparability: Optional[List[int]] = None
-
-    @classmethod
-    def from_graph(
-        cls,
-        num_nodes: int,
-        successors: Sequence[Sequence[int]],
-        root: int,
-        removed_mask: int = 0,
-    ) -> "DominatorTree":
-        """Build the dominator tree of a graph directly."""
-        idom = immediate_dominators(num_nodes, successors, root, removed_mask)
-        return cls(idom, root)
 
     # ------------------------------------------------------------------ #
     def _compute_intervals(self) -> None:
@@ -89,10 +76,6 @@ class DominatorTree:
         if self._idom[a] is None or self._idom[b] is None:
             return False
         return self._tin[a] <= self._tin[b] and self._tout[b] <= self._tout[a]
-
-    def strictly_dominates(self, a: int, b: int) -> bool:
-        """``True`` if *a* dominates *b* and ``a != b``.  O(1)."""
-        return a != b and self.dominates(a, b)
 
     def depth(self, node: int) -> int:
         """Depth of *node* in the dominator tree (root has depth 0)."""
@@ -148,10 +131,6 @@ class DominatorTree:
             (subtree[v] | ancestors[v]) if self._idom[v] is not None else 0
             for v in range(n)
         ]
-
-    def dominance_frontier_size_hint(self) -> int:
-        """Number of reachable vertices (useful for statistics/reporting)."""
-        return sum(1 for dom in self._idom if dom is not None)
 
     def as_idom_list(self) -> List[Optional[int]]:
         """Return a copy of the underlying immediate-dominator list."""

@@ -5,11 +5,11 @@ simpler iterative algorithm as an independent cross-check.  The tests compare
 the two implementations (and ``networkx.immediate_dominators``) on random
 DAGs, which guards against subtle bugs in the performance-oriented code.
 
-It also holds the dominator layer of the enumeration hot path, which exploits
-acyclicity: :func:`immediate_dominators_dag` solves a reduced DAG in one
-topological sweep, and :func:`derive_immediate_dominators` updates such a
-solution when one more vertex is removed, recomputing only that vertex's
-descendants.
+It also holds the one dominator kernel of the enumeration path, which
+exploits acyclicity: :func:`immediate_dominators_dag` solves a reduced DAG in
+one topological sweep (also the reverse graph, for the context's
+postdominator tree), and :func:`derive_immediate_dominators` updates such a
+solution when one more vertex is removed, recomputing only its descendants.
 """
 
 from __future__ import annotations
@@ -127,7 +127,8 @@ def immediate_dominators_dag(
     :func:`repro.dominators.lengauer_tarjan.immediate_dominators`: returns
     the ``idom`` list over vertex ids, with ``idom[root] == root`` and
     ``None`` for removed or unreachable vertices.  The tests assert
-    agreement with Lengauer–Tarjan on random seed-removed DAGs.
+    agreement with Lengauer–Tarjan on random seed-removed DAGs and, for the
+    postdominator tree, on their reverse graphs.
     """
     if (removed_mask >> root) & 1:
         raise ValueError("the root vertex may not be removed")

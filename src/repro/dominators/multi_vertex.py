@@ -46,10 +46,10 @@ class DominatorSearchStats:
 
 @dataclass(frozen=True)
 class CompletionResult:
-    """Result of one Dubrova reduction step.  Immutable: instances are
-    memoised in the completion cache of an
-    :class:`~repro.core.incremental.IncrementalEnumerator` run and served to
-    every later query of the same (region, output) pair.
+    """Result of one Dubrova reduction step.  Immutable, so one shared
+    "already dominated" instance can answer every query whose target the
+    seed set cuts off; the incremental search builds each other step afresh
+    from its region's cached dominator array (:func:`completions_from_idom`).
 
     Attributes
     ----------
@@ -111,13 +111,13 @@ def completions_from_idom(
 ) -> CompletionResult:
     """Derive one reduction step from an already-computed dominator array.
 
-    The Lengauer–Tarjan pass of :func:`dominator_completions` computes the
-    immediate dominators of **every** vertex of the reduced graph, not just
-    of one target — so one ``idom`` array (keyed, in the enumeration hot
-    path, by the reachable region the seed set leaves behind) answers the
-    completion query for *all* candidate outputs of that region.  The
-    returned result reports ``lt_calls=0``: the caller charges the single
-    Lengauer–Tarjan invocation when it builds the shared array.
+    A dominator kernel computes the immediate dominators of **every** vertex
+    of the reduced graph, not just of one target — so one ``idom`` array
+    (keyed, in the enumeration hot path, by the reachable region the seed
+    set leaves behind) answers the completion query for *all* candidate
+    outputs of that region, each by a walk up the idom chain from the
+    target.  The returned result reports ``lt_calls=0``: the caller charges
+    the one kernel run when it builds the shared array.
     """
     if idom[target] is None:
         return CompletionResult(already_dominated=True, completions=[], lt_calls=0)

@@ -1,5 +1,5 @@
 """Hot-path purity pass (``hot-path-impure-call``, ``hot-loop-closure``,
-``hot-loop-attr``).
+``hot-loop-attr``, ``hot-first-key-eviction``).
 
 The PR 5/PR 6 speedups rest on the enumeration kernels staying allocation-
 and JSON-free: the inner loops run tens of thousands of times per block, so
@@ -20,6 +20,12 @@ patrols the designated hot modules (:data:`HOT_MODULES` /
   (``self.stats.count_pruned``) loaded inside a loop whose root and
   intermediate objects are never rebound in the loop: the lookup is
   loop-invariant and should be hoisted into a local before the loop.
+* ``hot-first-key-eviction`` — ``d.pop(next(iter(d)))`` or
+  ``del d[next(iter(d))]``.  A dict keeps a deleted entry's slot until its
+  next resize and ``next(iter(d))`` walks every such slot, so once a capped
+  cache is full each eviction costs time in proportion to the evictions
+  before it (7 s of a 24 s search on one block).
+  ``OrderedDict.popitem(last=False)`` evicts first-in in O(1).
 """
 
 from __future__ import annotations
@@ -57,7 +63,12 @@ def is_hot_module(module: Optional[str]) -> bool:
 
 class HotPathPass(FilePass):
     name = "hot-path"
-    rules = ("hot-path-impure-call", "hot-loop-closure", "hot-loop-attr")
+    rules = (
+        "hot-path-impure-call",
+        "hot-loop-closure",
+        "hot-loop-attr",
+        "hot-first-key-eviction",
+    )
     rule_descriptions = {
         "hot-path-impure-call": (
             "a designated hot module calls json/pickle/marshal/deepcopy"
@@ -70,6 +81,10 @@ class HotPathPass(FilePass):
             "a loop-invariant multi-hop attribute lookup inside a "
             "hot-module loop should be hoisted into a local"
         ),
+        "hot-first-key-eviction": (
+            "a hot module evicts a dict's first key with next(iter(d)), "
+            "which slows with every eviction"
+        ),
     }
 
     def check_file(self, ctx: FileContext) -> List[Diagnostic]:
@@ -78,7 +93,38 @@ class HotPathPass(FilePass):
         diagnostics: List[Diagnostic] = []
         diagnostics.extend(self._impure_calls(ctx))
         diagnostics.extend(self._loop_findings(ctx))
+        diagnostics.extend(self._first_key_evictions(ctx))
         return diagnostics
+
+    # ------------------------------------------------------------------ #
+    def _first_key_evictions(self, ctx: FileContext) -> List[Diagnostic]:
+        evictions = []
+        for node in ast.walk(ctx.tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "pop"
+                and len(node.args) == 1
+            ):
+                evictions.append((node, node.func.value, node.args[0]))
+            elif isinstance(node, ast.Delete):
+                evictions.extend(
+                    (node, target.value, target.slice)
+                    for target in node.targets
+                    if isinstance(target, ast.Subscript)
+                )
+        return [
+            ctx.diagnostic(
+                "hot-first-key-eviction",
+                node,
+                "first-key eviction via next(iter(...)) walks every slot "
+                "freed since the dict last resized",
+                hint="keep the cache in a collections.OrderedDict and evict "
+                "with popitem(last=False)",
+            )
+            for node, container, key in evictions
+            if ast.unparse(key) == f"next(iter({ast.unparse(container)}))"
+        ]
 
     # ------------------------------------------------------------------ #
     def _impure_aliases(self, ctx: FileContext) -> Tuple[Set[str], Set[str]]:

@@ -1,8 +1,14 @@
 """Tests for the analysis/reporting layer and the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.analysis import (
     AlgorithmEntry,
@@ -137,6 +143,30 @@ class TestCli:
         assert main(["kernels"]) == 0
         out = capsys.readouterr().out
         assert "crc32_step" in out
+
+    def test_closed_stdout_exits_without_traceback(self):
+        """A reader that closes the pipe before the first write (``repro
+        kernels | head -0``) ends the command with status 1 and no
+        ``BrokenPipeError`` traceback on stderr."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            completed = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "kernels"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert completed.stderr == b""
+        assert completed.returncode == 1
 
     def test_enumerate_command(self, capsys):
         assert main(["enumerate", "crc32_step", "--show-cuts"]) == 0

@@ -10,16 +10,14 @@ import networkx as nx
 import pytest
 from hypothesis import given
 
+from repro.core import EnumerationContext
 from repro.dfg import augment
 from repro.dfg.reachability import mask_from_ids
 from repro.dominators import (
     DominatorTree,
     dominates,
-    dominator_tree_of,
     immediate_dominators,
     immediate_dominators_iterative,
-    immediate_postdominators,
-    postdominator_tree_of,
     strict_dominators,
 )
 from tests.conftest import dag_seeds, make_random_dag
@@ -131,8 +129,11 @@ class TestLengauerTarjan:
 class TestDominatorTree:
     def test_constant_time_queries_match_walk(self, diamond_graph):
         augmented = augment(diamond_graph)
-        tree = dominator_tree_of(augmented)
-        idom = tree.as_idom_list()
+        graph = augmented.graph
+        idom = immediate_dominators(
+            graph.num_nodes, _augmented_successors(graph), augmented.source
+        )
+        tree = DominatorTree(idom, augmented.source)
         for a in range(augmented.graph.num_nodes):
             for b in range(augmented.graph.num_nodes):
                 assert tree.dominates(a, b) == dominates(idom, a, b)
@@ -154,9 +155,13 @@ class TestDominatorTree:
 
 
 class TestPostdominators:
+    """The context's postdominator tree, built by the single-pass DAG kernel
+    over the reversed topological order."""
+
     def test_postdominators_of_chain(self, chain_graph):
-        augmented = augment(chain_graph)
-        postdoms = immediate_postdominators(augmented.graph, augmented.sink)
+        ctx = EnumerationContext.build(chain_graph)
+        postdoms = ctx.postdom_tree.as_idom_list()
+        augmented = ctx.augmented
         ops = chain_graph.operation_nodes()
         # In a chain, each operation is immediately postdominated by its
         # single successor (the last one by the sink).
@@ -167,17 +172,15 @@ class TestPostdominators:
     def test_live_out_only_postdominated_by_sink(self, paper_figure1_graph):
         # The paper: "a vertex in Oext will not be postdominated by any vertex
         # but the artificial sink, because it is connected by an edge to the sink".
-        augmented = augment(paper_figure1_graph)
-        tree = postdominator_tree_of(augmented)
+        ctx = EnumerationContext.build(paper_figure1_graph)
         for vertex in paper_figure1_graph.live_out_nodes():
-            assert tree.idom(vertex) == augmented.sink
+            assert ctx.postdom_tree.idom(vertex) == ctx.sink
 
     @given(dag_seeds)
     def test_postdominators_are_dominators_of_reverse(self, seed):
-        graph = make_random_dag(seed, num_operations=10)
-        augmented = augment(graph)
-        n = augmented.graph.num_nodes
-        preds = [list(augmented.graph.predecessors(v)) for v in range(n)]
-        direct = immediate_postdominators(augmented.graph, augmented.sink)
-        via_reverse = immediate_dominators(n, preds, augmented.sink)
-        assert direct == via_reverse
+        """The DAG kernel's tree equals Lengauer–Tarjan on the reverse graph."""
+        ctx = EnumerationContext.build(make_random_dag(seed, num_operations=10))
+        graph = ctx.augmented.graph
+        preds = [list(graph.predecessors(v)) for v in range(graph.num_nodes)]
+        via_reverse = immediate_dominators(graph.num_nodes, preds, ctx.sink)
+        assert ctx.postdom_tree.as_idom_list() == via_reverse

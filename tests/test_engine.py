@@ -332,11 +332,11 @@ class TestJobsAuto:
         runner.close()
 
 
-class TestChunkedDispatch:
+class TestPoolDispatch:
     """The pool path against the sequential path, one block per task."""
 
     @pytest.mark.parametrize("run_length", [1, 3, 16, "auto"])
-    def test_bit_identity_across_chunk_sizes(
+    def test_bit_identity_across_run_lengths(
         self, batch_suite, default_constraints, run_length
     ):
         """Runs of one block, fewer blocks than the in-flight window, the
@@ -390,7 +390,7 @@ class TestChunkedDispatch:
             assert a.ok and b.ok
             assert _cut_keys(a.result) == _cut_keys(b.result)
 
-    def test_worker_error_inside_chunk_does_not_poison_siblings(
+    def test_worker_error_does_not_poison_siblings(
         self, default_constraints
     ):
         """A block that raises in a worker is reported on exactly that item;

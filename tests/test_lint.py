@@ -257,6 +257,58 @@ def test_hot_loop_attr_skips_rebound_roots_and_hoisted_lookups(tmp_path):
     assert rules_found(tmp_path) == {}
 
 
+# The four first-in evictions of the search's per-run caches as they once
+# were (one cache renamed), plus the ``del`` form of the same idiom.
+FIRST_KEY_EVICTIONS = """
+    LIMIT = 8
+
+
+    class Search:
+        def remember(self):
+            if len(self._stuck_cache) >= LIMIT:
+                self._stuck_cache.pop(next(iter(self._stuck_cache)))
+            if len(self._reachable_cache) >= LIMIT:
+                self._reachable_cache.pop(next(iter(self._reachable_cache)))
+            if len(self._idom_cache) >= LIMIT:
+                self._idom_cache.pop(next(iter(self._idom_cache)))
+            if len(self._step_cache) >= LIMIT:
+                self._step_cache.pop(next(iter(self._step_cache)))
+
+
+    def drop_oldest(cache):
+        del cache[next(iter(cache))]
+"""
+
+
+def test_hot_first_key_eviction_fires_in_hot_modules_only(tmp_path):
+    hot_fixture(tmp_path, "bad_eviction.py", FIRST_KEY_EVICTIONS)
+    assert rules_found(tmp_path) == {"hot-first-key-eviction": 5}
+
+    cold = tmp_path / "cold"
+    write_fixture(cold, "cold_eviction.py", FIRST_KEY_EVICTIONS)
+    assert rules_found(cold) == {}
+
+
+def test_hot_first_key_eviction_skips_ordered_dict_popitem(tmp_path):
+    hot_fixture(
+        tmp_path,
+        "good_eviction.py",
+        """
+        from collections import OrderedDict
+
+        LIMIT = 8
+
+
+        def remember(cache: OrderedDict, key, value):
+            if len(cache) >= LIMIT:
+                cache.popitem(last=False)
+            cache[key] = value
+            return cache.pop(key, None)
+        """,
+    )
+    assert rules_found(tmp_path) == {}
+
+
 # --------------------------------------------------------------------------- #
 # worker-shared-state
 # --------------------------------------------------------------------------- #

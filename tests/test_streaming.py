@@ -90,29 +90,56 @@ def _cut_keys(result):
     ]
 
 
+def _random_graph(position: int):
+    """A random 5-op block, a different one at every position."""
+    return make_random_dag(position, num_operations=5)
+
+
+def _chain_graph(position: int):
+    """The same 4-op chain at every position: blocks of uniform cost."""
+    return linear_chain(4)
+
+
+def _named_blocks(make_graph, count: int, special_index: int, special_prefix: str):
+    """*count* blocks from *make_graph*; the one at *special_index* is named
+    ``<special_prefix>_block`` and the others ``fast_block_<i>``."""
+    blocks = []
+    for position in range(count):
+        graph = make_graph(position)
+        graph.name = (
+            f"{special_prefix}_block"
+            if position == special_index
+            else f"fast_block_{position}"
+        )
+        blocks.append(graph)
+    return blocks
+
+
 # --------------------------------------------------------------------------- #
 # Timeout accounting
 # --------------------------------------------------------------------------- #
 @needs_fork
 class TestDeadlineAccounting:
-    def test_queue_wait_is_not_charged_exactly_one_block_times_out(self, registered):
-        """The ISSUE's acceptance scenario: jobs=2, six blocks, one sleeper
-        past the budget — exactly that block is marked timed out, and none
-        of the healthy blocks is falsely charged for its pool-queue wait."""
+    @pytest.mark.parametrize(
+        "make_graph", [_random_graph, _chain_graph], ids=["random", "uniform"]
+    )
+    def test_queue_wait_is_not_charged_exactly_one_block_times_out(
+        self, registered, make_graph
+    ):
+        """jobs=2, six blocks, one sleeper past the budget: exactly that
+        block is abandoned on its own deadline and marked timed out, and
+        none of the blocks queued or running beside it is falsely charged
+        for its pool-queue wait or a neighbour's runtime."""
         registered("test-sleeper-deadline", _sleepy_run)
-        constraints = Constraints(max_inputs=3, max_outputs=2)
-        blocks = []
-        for position in range(6):
-            graph = make_random_dag(position, num_operations=5)
-            graph.name = "slow_block" if position == 2 else f"fast_block_{position}"
-            blocks.append(graph)
-        report = BatchRunner(
+        blocks = _named_blocks(make_graph, 6, special_index=2, special_prefix="slow")
+        with BatchRunner(
             algorithm="test-sleeper-deadline",
-            constraints=constraints,
+            constraints=Constraints(max_inputs=3, max_outputs=2),
             jobs=2,
             timeout=BUDGET,
             mp_context=_fork_context(),
-        ).run(blocks)
+        ) as runner:
+            report = runner.run(blocks)
         assert len(report.items) == 6
         slow = report.items[2]
         assert slow.timed_out and slow.result is None
@@ -174,29 +201,40 @@ class TestIterRun:
 # --------------------------------------------------------------------------- #
 @needs_fork
 class TestCrashRecovery:
+    @pytest.mark.parametrize(
+        "make_graph, count, poison_index",
+        [(_random_graph, 4, 1), (_chain_graph, 8, 3)],
+        ids=["random", "uniform"],
+    )
     def test_crashed_worker_is_retried_once_and_suite_completes(
-        self, registered, tmp_path
+        self, registered, tmp_path, make_graph, count, poison_index
     ):
-        registered(
-            "test-crasher-once", _make_crasher(tmp_path / "sentinel", always=False)
+        """A worker crash among the blocks in flight is retried
+        penalty-free: the poison block succeeds on its retry and every
+        block of the suite completes."""
+        sentinel = tmp_path / "sentinel"
+        registered("test-crasher-once", _make_crasher(sentinel, always=False))
+        blocks = _named_blocks(
+            make_graph, count, special_index=poison_index, special_prefix="poison"
         )
-        constraints = Constraints(max_inputs=3, max_outputs=2)
-        blocks = []
-        for position in range(4):
-            graph = make_random_dag(position, num_operations=5)
-            graph.name = "poison_block" if position == 1 else f"healthy_{position}"
-            blocks.append(graph)
-        report = BatchRunner(
+        with BatchRunner(
             algorithm="test-crasher-once",
-            constraints=constraints,
+            constraints=Constraints(max_inputs=3, max_outputs=2),
             jobs=2,
             mp_context=_fork_context(),
-        ).run(blocks)
+        ) as runner:
+            report = runner.run(blocks)
+        assert sentinel.exists()  # the crash really happened
+        assert sorted(item.index for item in report.items) == list(range(count))
         assert all(item.ok for item in report.items), report.summary()
-        assert (tmp_path / "sentinel").exists()
 
+    @pytest.mark.parametrize(
+        "make_graph, count, poison_index",
+        [(_random_graph, 5, 0), (_chain_graph, 8, 3)],
+        ids=["random", "uniform"],
+    )
     def test_poison_block_does_not_burn_innocent_neighbours(
-        self, registered, tmp_path
+        self, registered, tmp_path, make_graph, count, poison_index
     ):
         """A block that *always* crashes the worker fails alone: the healthy
         blocks sharing the pool (and its in-flight window) keep their clean
@@ -204,23 +242,23 @@ class TestCrashRecovery:
         registered(
             "test-crasher-poison", _make_crasher(tmp_path / "sentinel", always=True)
         )
-        constraints = Constraints(max_inputs=3, max_outputs=2)
-        blocks = []
-        for position in range(5):
-            graph = make_random_dag(position, num_operations=5)
-            graph.name = "poison_block" if position == 0 else f"healthy_{position}"
-            blocks.append(graph)
-        report = BatchRunner(
+        blocks = _named_blocks(
+            make_graph, count, special_index=poison_index, special_prefix="poison"
+        )
+        with BatchRunner(
             algorithm="test-crasher-poison",
-            constraints=constraints,
+            constraints=Constraints(max_inputs=3, max_outputs=2),
             jobs=2,
             mp_context=_fork_context(),
-        ).run(blocks)
-        poison = report.items[0]
+        ) as runner:
+            report = runner.run(blocks)
+        assert len(report.items) == count
+        poison = report.items[poison_index]
         assert not poison.ok
         assert poison.error is not None and "BrokenProcessPool" in poison.error
-        for item in report.items[1:]:
-            assert item.ok, f"innocent {item.graph_name} failed: {item.error}"
+        for item in report.items:
+            if item.index != poison_index:
+                assert item.ok, f"innocent {item.graph_name} failed: {item.error}"
 
     def test_slow_innocent_next_to_poison_is_not_charged(self, registered):
         """With a timeout set, the scheduler stamps running tasks — a crash
@@ -385,119 +423,7 @@ class TestStreamingStore:
         for ref_item, item in zip(reference.items, store_run.items):
             assert _cut_keys(ref_item.result) == _cut_keys(item.result)
 
-
-# --------------------------------------------------------------------------- #
-# Uniform blocks: deadlines, crash isolation, streaming semantics
-# --------------------------------------------------------------------------- #
-def _uniform_chain_blocks(count: int, slow_index=None, slow_prefix="slow"):
-    """*count* identically sized blocks with distinct names."""
-    blocks = []
-    for position in range(count):
-        graph = linear_chain(4)
-        graph.name = (
-            f"{slow_prefix}_block"
-            if position == slow_index
-            else f"fast_block_{position}"
-        )
-        blocks.append(graph)
-    return blocks
-
-
-@needs_fork
-class TestChunkDeadlines:
-    def test_expired_chunk_is_resplit_and_only_the_slow_block_times_out(
-        self, registered
-    ):
-        """Six same-sized blocks at jobs=2: the slow block is abandoned on
-        its own deadline, and the blocks queued or running beside it
-        complete untouched."""
-        registered("test-chunk-sleeper", _sleepy_run)
-        blocks = _uniform_chain_blocks(6, slow_index=2)
-        with BatchRunner(
-            algorithm="test-chunk-sleeper",
-            constraints=Constraints(max_inputs=3, max_outputs=2),
-            jobs=2,
-            timeout=BUDGET,
-            mp_context=_fork_context(),
-        ) as runner:
-            report = runner.run(blocks)
-        assert len(report.items) == 6
-        slow = report.items[2]
-        assert slow.timed_out and slow.result is None
-        for item in report.items:
-            if item.index == 2:
-                continue
-            assert item.ok, f"{item.graph_name} failed: {item.error}"
-            assert not item.timed_out, (
-                f"{item.graph_name} falsely timed out (a neighbour's runtime "
-                "or queue wait charged against its deadline)"
-            )
-        assert report.failures() == [slow]
-
-
-@needs_fork
-class TestChunkCrashRecovery:
-    def test_crash_mid_chunk_is_resplit_and_suite_completes(
-        self, registered, tmp_path
-    ):
-        """A worker crash among eight blocks in flight is retried
-        penalty-free; the poison block succeeds on its retry and the whole
-        suite completes."""
-        sentinel = tmp_path / "crashed-once"
-        registered("test-chunk-crasher", _make_crasher(sentinel, always=False))
-        blocks = _uniform_chain_blocks(8, slow_index=3, slow_prefix="poison")
-        with BatchRunner(
-            algorithm="test-chunk-crasher",
-            constraints=Constraints(max_inputs=3, max_outputs=2),
-            jobs=2,
-            mp_context=_fork_context(),
-        ) as runner:
-            report = runner.run(blocks)
-        assert sentinel.exists()  # the crash really happened
-        assert len(report.items) == 8
-        assert sorted(item.index for item in report.items) == list(range(8))
-        for item in report.items:
-            assert item.ok, f"{item.graph_name} failed: {item.error}"
-
-    def test_always_crashing_block_in_chunk_fails_alone(
-        self, registered, tmp_path
-    ):
-        """Repeat crashes are attributed to the poison block alone: it is
-        failed, and every other block finishes with a result."""
-        sentinel = tmp_path / "crashed-always"
-        registered("test-chunk-crasher-always", _make_crasher(sentinel, always=True))
-        blocks = _uniform_chain_blocks(8, slow_index=3, slow_prefix="poison")
-        with BatchRunner(
-            algorithm="test-chunk-crasher-always",
-            constraints=Constraints(max_inputs=3, max_outputs=2),
-            jobs=2,
-            mp_context=_fork_context(),
-        ) as runner:
-            report = runner.run(blocks)
-        assert len(report.items) == 8
-        poison = report.items[3]
-        assert not poison.ok
-        assert "BrokenProcessPool" in poison.error
-        for item in report.items:
-            if item.index == 3:
-                continue
-            assert item.ok, f"{item.graph_name} failed: {item.error}"
-
-
-class TestChunkedStreaming:
-    def test_iter_run_with_chunks_yields_every_block_exactly_once(self):
-        graphs = _small_suite(8)
-        constraints = Constraints(max_inputs=3, max_outputs=2)
-        reference = BatchRunner(constraints=constraints, jobs=1).run(graphs)
-        with BatchRunner(constraints=constraints, jobs=2) as runner:
-            streamed = list(runner.iter_run(graphs))
-        assert sorted(item.index for item in streamed) == list(range(len(graphs)))
-        streamed.sort(key=lambda item: item.index)
-        for ref_item, item in zip(reference.items, streamed):
-            assert item.ok, f"{item.graph_name}: {item.error}"
-            assert _cut_keys(ref_item.result) == _cut_keys(item.result)
-
-    def test_chunked_store_run_writes_back_and_serves_warm_hits(self, tmp_path):
+    def test_pool_run_writes_back_every_block_and_serves_warm_hits(self, tmp_path):
         """The per-block write-back persists every fresh result; a second
         run over the same store is served entirely from cache and stays
         bit-identical."""
