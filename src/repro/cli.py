@@ -1462,13 +1462,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             status = _run_observed(args, argv)
         else:
             status = _dispatch(args)
-        # Flush here, so that a reader that is already gone raises inside
-        # the handler below rather than at interpreter exit.
+        # Flush inside the try: a reader already gone (``repro ... | head``)
+        # raises here, not at exit.  Python's documented recipe then points
+        # stdout at devnull, so the flush at exit cannot raise again.
         sys.stdout.flush()
     except BrokenPipeError:
-        # The reader of stdout closed it (``repro ... | head``).  Python's
-        # documented recipe: point stdout at devnull, so the flush at exit
-        # cannot raise again, and exit with status 1.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1

@@ -10,7 +10,7 @@ a :class:`~repro.dfg.graph.DataFlowGraph` and a
 enumeration algorithm and by the validity checks.
 
 The postdominator tree serves two pruning rules: two vertices where one
-postdominates the other never both are outputs of one convex cut (output
+postdominates the other are never both outputs of one convex cut (output
 admissibility, Section 5.1), and a seed set in which one input
 postdominates another is dismissed before the dominator kernel runs
 (input–input pruning, Section 5.3).  Postdominators are the dominators of

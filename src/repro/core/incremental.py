@@ -90,8 +90,8 @@ REGION_CACHE_LIMIT = 16384
 
 def _remember(cache: "OrderedDict[K, T]", key: K, value: T) -> None:
     """Store *value* under *key*, first evicting the oldest entry of a full
-    cache in O(1) (``d.pop(next(iter(d)))`` on a dict slows with every
-    eviction: it walks the slots freed since the last resize)."""
+    cache in O(1) (a dict's first key costs a walk over every slot freed
+    since its last resize, so popping it slows with every eviction)."""
     if len(cache) >= REGION_CACHE_LIMIT:
         cache.popitem(last=False)
     cache[key] = value

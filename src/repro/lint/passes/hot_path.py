@@ -20,11 +20,9 @@ patrols the designated hot modules (:data:`HOT_MODULES` /
   (``self.stats.count_pruned``) loaded inside a loop whose root and
   intermediate objects are never rebound in the loop: the lookup is
   loop-invariant and should be hoisted into a local before the loop.
-* ``hot-first-key-eviction`` — ``d.pop(next(iter(d)))`` or
-  ``del d[next(iter(d))]``.  A dict keeps a deleted entry's slot until its
-  next resize and ``next(iter(d))`` walks every such slot, so once a capped
-  cache is full each eviction costs time in proportion to the evictions
-  before it (7 s of a 24 s search on one block).
+* ``hot-first-key-eviction`` — ``d.pop(k)`` or ``del d[k]`` with ``k`` the
+  first key (``next`` of ``iter(d)``): on a dict that lookup walks every slot
+  freed since the last resize, so a full cache slows with every eviction.
   ``OrderedDict.popitem(last=False)`` evicts first-in in O(1).
 """
 
@@ -82,8 +80,8 @@ class HotPathPass(FilePass):
             "hot-module loop should be hoisted into a local"
         ),
         "hot-first-key-eviction": (
-            "a hot module evicts a dict's first key with next(iter(d)), "
-            "which slows with every eviction"
+            "a hot module evicts a dict's first key, found by iterating "
+            "the dict, which slows with every eviction"
         ),
     }
 
@@ -117,13 +115,18 @@ class HotPathPass(FilePass):
             ctx.diagnostic(
                 "hot-first-key-eviction",
                 node,
-                "first-key eviction via next(iter(...)) walks every slot "
-                "freed since the dict last resized",
+                "first-key eviction: finding the first key walks every "
+                "slot freed since the dict last resized",
                 hint="keep the cache in a collections.OrderedDict and evict "
                 "with popitem(last=False)",
             )
             for node, container, key in evictions
-            if ast.unparse(key) == f"next(iter({ast.unparse(container)}))"
+            if isinstance(key, ast.Call)
+            and dotted_name(key.func) == "next"
+            and len(key.args) == 1
+            and isinstance(key.args[0], ast.Call)
+            and dotted_name(key.args[0].func) == "iter"
+            and [ast.dump(arg) for arg in key.args[0].args] == [ast.dump(container)]
         ]
 
     # ------------------------------------------------------------------ #
