@@ -96,7 +96,7 @@ class HotPathPass(FilePass):
 
     # ------------------------------------------------------------------ #
     def _first_key_evictions(self, ctx: FileContext) -> List[Diagnostic]:
-        evictions = []
+        evictions: List[Tuple[ast.AST, ast.AST, ast.AST]] = []
         for node in ast.walk(ctx.tree):
             if (
                 isinstance(node, ast.Call)
