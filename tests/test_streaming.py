@@ -120,12 +120,16 @@ def _named_blocks(make_graph, count: int, special_index: int, special_prefix: st
 # --------------------------------------------------------------------------- #
 @needs_fork
 class TestDeadlineAccounting:
-    @pytest.mark.parametrize(
-        "make_graph", [_random_graph, _chain_graph], ids=["random", "uniform"]
-    )
-    def test_queue_wait_is_not_charged_exactly_one_block_times_out(
-        self, registered, make_graph
-    ):
+    def test_queue_wait_is_not_charged_exactly_one_block_times_out(self, registered):
+        """Six random blocks, one a sleeper past the budget."""
+        self._check_only_the_slow_block_times_out(registered, _random_graph)
+
+    def test_uniform_blocks_only_the_slow_one_times_out(self, registered):
+        """Six same-sized chain blocks, one a sleeper past the budget."""
+        self._check_only_the_slow_block_times_out(registered, _chain_graph)
+
+    @staticmethod
+    def _check_only_the_slow_block_times_out(registered, make_graph):
         """jobs=2, six blocks, one sleeper past the budget: exactly that
         block is abandoned on its own deadline and marked timed out, and
         none of the blocks queued or running beside it is falsely charged
