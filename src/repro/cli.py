@@ -214,6 +214,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _jobs_value(text: str):
     """``--jobs`` accepts a positive integer or the literal ``auto``."""
     if text == "auto":
@@ -234,8 +241,8 @@ def _positive_float(text: str) -> float:
 
 
 def _add_constraint_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-inputs", type=int, default=4, help="Nin (default 4)")
-    parser.add_argument("--max-outputs", type=int, default=2, help="Nout (default 2)")
+    parser.add_argument("--max-inputs", type=_positive_int, default=4, help="Nin (default 4)")
+    parser.add_argument("--max-outputs", type=_positive_int, default=2, help="Nout (default 2)")
     parser.add_argument(
         "--allow-memory",
         action="store_true",
@@ -1066,9 +1073,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.set_defaults(func=_cmd_enumerate)
 
     p_cmp = subparsers.add_parser("compare", help="compare algorithms on a suite (Figure 5)")
-    p_cmp.add_argument("--blocks", type=int, default=20)
-    p_cmp.add_argument("--min-ops", type=int, default=10)
-    p_cmp.add_argument("--max-ops", type=int, default=40)
+    p_cmp.add_argument("--blocks", type=_positive_int, default=20)
+    p_cmp.add_argument("--min-ops", type=_positive_int, default=10)
+    p_cmp.add_argument("--max-ops", type=_positive_int, default=40)
     p_cmp.add_argument("--no-kernels", action="store_true")
     p_cmp.add_argument("--no-trees", action="store_true")
     _add_profile_argument(p_cmp)
@@ -1086,7 +1093,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ise.add_argument("--name", default="application")
     p_ise.add_argument("--execution-count", type=float, default=1000.0)
-    p_ise.add_argument("--max-instructions", type=int, default=4)
+    p_ise.add_argument("--max-instructions", type=_non_negative_int, default=4)
     p_ise.add_argument(
         "--from-source",
         action="store_true",
@@ -1108,9 +1115,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = subparsers.add_parser("generate", help="generate and save a workload suite")
     p_gen.add_argument("output", help="output directory")
     p_gen.add_argument("--name", default="suite")
-    p_gen.add_argument("--blocks", type=int, default=30)
-    p_gen.add_argument("--min-ops", type=int, default=10)
-    p_gen.add_argument("--max-ops", type=int, default=60)
+    p_gen.add_argument("--blocks", type=_positive_int, default=30)
+    p_gen.add_argument("--min-ops", type=_positive_int, default=10)
+    p_gen.add_argument("--max-ops", type=_positive_int, default=60)
     p_gen.set_defaults(func=_cmd_generate)
 
     p_ker = subparsers.add_parser("kernels", help="list built-in kernels")
@@ -1157,7 +1164,7 @@ def build_parser() -> argparse.ArgumentParser:
         "workload suite directory",
     )
     p_front.add_argument("--name", default="frontend")
-    p_front.add_argument("--max-instructions", type=int, default=4)
+    p_front.add_argument("--max-instructions", type=_non_negative_int, default=4)
     p_front.add_argument(
         "--dot-dir",
         default=None,
@@ -1457,6 +1464,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Entry point of the ``repro-enum`` console script."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if hasattr(args, "min_ops") and args.min_ops > args.max_ops:
+        parser.error(f"--min-ops ({args.min_ops}) must not exceed --max-ops ({args.max_ops})")
     try:
         if getattr(args, "trace_out", None) or getattr(args, "metrics_json", None):
             status = _run_observed(args, argv)

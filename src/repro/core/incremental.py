@@ -61,10 +61,11 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Tuple, TypeVar
+from typing import Dict, List, Optional, Tuple, TypeVar
 
 from ..dfg.graph import DataFlowGraph
 from ..dominators.iterative import derive_immediate_dominators, immediate_dominators_dag
+from ..dominators.lengauer_tarjan import strict_dominators
 from ..dominators.multi_vertex import CompletionResult, completions_from_idom
 from .constraints import Constraints
 from .context import EnumerationContext
@@ -143,11 +144,23 @@ class IncrementalEnumerator:
         self.pruning = pruning
         self.stats = EnumerationStats()
         self._found: Dict[int, None] = {}  # accepted cut masks, discovery order
-        # Search-state dedup: the same (inputs, outputs, body) state is
-        # reached through many different orderings of the same choices; the
-        # set collapses those orderings without changing the reachable
-        # states.
-        self._visited_states: set = set()
+        # Search-state dedup: the same state is reached through many
+        # different orderings of the same choices; the sets collapse those
+        # orderings without changing the reachable states.  Each state is
+        # one exact integer of fixed-width fields: the outputs, then the body
+        # and, highest, the inputs as n-bit masks (inputs precede the body
+        # in topological order, so their field ends lowest).  A PICK-INPUTS
+        # state (inputs, outputs, body, output) writes its outputs as ids:
+        # the output's, then the others' (see _output_ids), Nout fields in
+        # all.  A CHECK-CUT state (inputs, outputs, body) writes them as a
+        # mask, so the order they were picked in is not part of its key.
+        num_nodes = self.ctx.num_nodes
+        self._id_width = num_nodes.bit_length()
+        self._visited_states: set = set()  # PICK-INPUTS states
+        self._key_body_shift = self.ctx.max_outputs * self._id_width
+        self._key_inputs_shift = self._key_body_shift + num_nodes
+        self._checked_states: set = set()  # CHECK-CUT states
+        self._num_nodes = num_nodes
         # The run's memo, filled on demand: the reachable region per input
         # mask, one dominator array per region, each vertex's descendants in
         # topological order, per output the B({w}, o) rows, and the last
@@ -207,6 +220,9 @@ class IncrementalEnumerator:
                 body_mask=0,
                 nin_left=self.ctx.max_inputs,
                 nout_left=self.ctx.max_outputs,
+                region=self.reachable_avoiding(0),
+                idom=None,
+                parent=None,
             )
         self.stats.cuts_found = len(self._found)
         return EnumerationResult(
@@ -227,20 +243,27 @@ class IncrementalEnumerator:
         body_mask: int,
         nin_left: int,
         nout_left: int,
+        region: int,
+        idom: Optional[List[Optional[int]]],
+        parent: Optional[Tuple[int, List[Optional[int]]]],
     ) -> None:
+        """Expand a checked state whose outputs may still grow.
+
+        *region* is the vertices the input set leaves reachable and *idom*
+        its dominator array, or ``None`` until a PICK-INPUTS frame first
+        needs it; it is then solved once, from *parent* ``(v, array of
+        inputs ∖ {v})`` (``None`` for the empty input set), and handed to
+        every later frame of this call.
+        """
         self.stats.pick_output_calls += 1
         ctx = self.ctx
         reach = ctx.reach
         closed_ancestors = self._closed_ancestors
-        # Invariants of the candidate loop: B(I, o) is the union of the
+        # Invariant of the candidate loop: B(I, o) is the union of the
         # inputs' descendant rows cut down to o and its ancestors, and o is
-        # dominated by I (Condition 1 of Definition 5) iff removing I leaves
-        # o unreachable from the source.
-        if inputs_mask:
-            input_descendants = reach.union_descendants(inputs_mask)
-            region = self.reachable_avoiding(inputs_mask)
-        else:
-            input_descendants = region = 0
+        # dominated by I (Condition 1 of Definition 5) iff o lies outside
+        # the region I leaves reachable.
+        input_descendants = reach.union_descendants(inputs_mask) if inputs_mask else 0
 
         has_internal_outputs = False
         require_connected = ctx.constraints.connected_only
@@ -282,6 +305,11 @@ class IncrementalEnumerator:
         excluded = inputs_mask | ctx.forbidden_mask  # never in the cut
         max_outputs = ctx.max_outputs
         visited = self._visited_states
+        # The PICK-INPUTS keys of this call share the inputs and the earlier
+        # outputs; only the body and the new output vary.
+        body_shift = self._key_body_shift
+        inputs_key = inputs_mask << self._key_inputs_shift
+        earlier_outputs = self._output_ids(outputs_mask) << self._id_width
         pick_input_calls = 0
         for output in self._output_candidates:
             if not (candidates >> output) & 1:
@@ -298,14 +326,26 @@ class IncrementalEnumerator:
                     count_pruned("output_budget")
                     continue
             if dominated:
-                self._check_cut(
-                    inputs_mask, new_outputs_mask, new_body_mask, nin_left, nout_left - 1
-                )
+                if (
+                    self._check_cut(inputs_mask, new_outputs_mask, new_body_mask)
+                    and nout_left > 1
+                ):
+                    self._pick_output(
+                        inputs_mask, new_outputs_mask, new_body_mask,
+                        nin_left, nout_left - 1, region, idom, parent,
+                    )
                 continue
             pick_input_calls += 1
-            state = (inputs_mask, new_outputs_mask, new_body_mask, output)
-            if state not in visited:
-                self._pick_inputs(state, nin_left, nout_left - 1, stuck)
+            output_key = earlier_outputs | (output + 1)
+            key = output_key | (new_body_mask << body_shift) | inputs_key
+            if key not in visited:
+                visited.add(key)
+                if idom is None:
+                    idom = self._dominator_array(inputs_mask, region, parent)
+                self._pick_inputs(
+                    inputs_mask, new_outputs_mask, new_body_mask, output, output_key,
+                    nin_left, nout_left - 1, stuck, region, idom,
+                )
         self.stats.pick_input_calls += pick_input_calls
 
     # ------------------------------------------------------------------ #
@@ -313,27 +353,26 @@ class IncrementalEnumerator:
     # ------------------------------------------------------------------ #
     def _pick_inputs(
         self,
-        state: Tuple[int, int, int, int],
+        inputs_mask: int,
+        outputs_mask: int,
+        body_mask: int,
+        output: int,
+        output_key: int,
         nin_left: int,
         nout_left: int,
         stuck: int,
+        region: int,
+        idom: List[Optional[int]],
     ) -> None:
-        """Expand the unvisited search *state* ``(inputs, outputs, body, output)``.
+        """Expand an unvisited state that *output*, inside *region*, picks
+        inputs for.
 
-        The caller counts the call and probes the visited set.  *stuck* is
-        the vertices with a forbidden successor, or the last output's
-        :meth:`_stuck_outputs`.
+        The caller counts the call, adds the state to the visited set and
+        passes the input set's *region* and dominator array *idom*; each
+        grown input set's region and array are derived from them on a cache
+        miss.  *stuck* is the vertices with a forbidden successor, or the
+        last output's :meth:`_stuck_outputs`.
         """
-        self._visited_states.add(state)
-        inputs_mask, outputs_mask, body_mask, output = state
-        step = self.dominator_completions_for(inputs_mask, output)
-
-        if step.already_dominated:
-            self._check_cut(
-                inputs_mask, outputs_mask, body_mask, nin_left, nout_left
-            )
-            return
-
         ctx = self.ctx
         pruning = self.pruning
         prune_while_building = pruning.prune_while_building
@@ -343,6 +382,7 @@ class IncrementalEnumerator:
         forbidden_succ = self._forbidden_succ_mask
         max_outputs = ctx.max_outputs
         between_row = self._contributions(output)
+        completions = strict_dominators(idom, output, source)
         # Both candidate loops below test the same two prunings, each one
         # mask for this state.
         #
@@ -376,7 +416,7 @@ class IncrementalEnumerator:
         # completion, nin_left - 1 after a seed).  *stuck* holds every
         # vertex with a forbidden successor, so neither test fires unless
         # more than Nout body vertices are stuck.
-        for completion in step.completions:
+        for completion in completions:
             if completion == source or (inputs_mask >> completion) & 1:
                 continue
             if (output_input_blocked >> completion) & 1:
@@ -395,9 +435,12 @@ class IncrementalEnumerator:
                     else:
                         count_pruned("output_budget")
                     continue
-            self._check_cut(
-                new_inputs_mask, outputs_mask, new_body_mask, nin_left - 1, nout_left
-            )
+            if self._check_cut(new_inputs_mask, outputs_mask, new_body_mask) and nout_left:
+                self._pick_output(
+                    new_inputs_mask, outputs_mask, new_body_mask, nin_left - 1, nout_left,
+                    self.reachable_avoiding(new_inputs_mask, (completion, region)),
+                    None, (completion, idom),
+                )
 
         if nin_left > 1:
             # Extend the seed set with another ancestor of the output, in
@@ -413,17 +456,19 @@ class IncrementalEnumerator:
                 seeds ^= doomed
             if prune_while_building and seeds:
                 # The input budget, unless a completion already cuts every path.
-                for completion in step.completions:
+                for completion in completions:
                     if completion != source and not (input_input_blocked >> completion) & 1:
                         break
                 else:
                     doomed = seeds & ~self._input_budget_seeds(
-                        inputs_mask, output, nin_left, input_input_blocked
+                        region, output, nin_left, input_input_blocked
                     )
                     if doomed:
                         count_pruned("input_budget", doomed.bit_count())
                         seeds ^= doomed
             visited = self._visited_states
+            body_shift = self._key_body_shift
+            inputs_shift = self._key_inputs_shift
             pick_input_calls = 0
             while seeds:
                 low = seeds & -seeds
@@ -442,9 +487,30 @@ class IncrementalEnumerator:
                             count_pruned("output_budget")
                             continue
                 pick_input_calls += 1
-                new_state = (new_inputs_mask, outputs_mask, new_body_mask, output)
-                if new_state not in visited:
-                    self._pick_inputs(new_state, nin_left - 1, nout_left, stuck)
+                key = (
+                    output_key
+                    | (new_body_mask << body_shift)
+                    | (new_inputs_mask << inputs_shift)
+                )
+                if key in visited:
+                    continue
+                visited.add(key)
+                new_region = self.reachable_avoiding(new_inputs_mask, (seed, region))
+                if (new_region >> output) & 1:
+                    self._pick_inputs(
+                        new_inputs_mask, outputs_mask, new_body_mask, output, output_key,
+                        nin_left - 1, nout_left, stuck, new_region,
+                        self._dominator_array(new_inputs_mask, new_region, (seed, idom)),
+                    )
+                elif (
+                    self._check_cut(new_inputs_mask, outputs_mask, new_body_mask)
+                    and nout_left
+                ):
+                    # The seed set alone already cuts every path to the output.
+                    self._pick_output(
+                        new_inputs_mask, outputs_mask, new_body_mask, nin_left - 1,
+                        nout_left, new_region, None, (seed, idom),
+                    )
             self.stats.pick_input_calls += pick_input_calls
 
     # ------------------------------------------------------------------ #
@@ -491,21 +557,22 @@ class IncrementalEnumerator:
         return stuck
 
     def _input_budget_seeds(
-        self, inputs_mask: int, output: int, nin_left: int, shared: int
+        self, region: int, output: int, nin_left: int, shared: int
     ) -> int:
-        """The vertices a later input under ``(inputs_mask, output)`` may take.
+        """The vertices a later input may take under a state with inputs
+        ``I`` (which leave *region* reachable) and output *output*.
 
         A cut below the state needs at most *nin_left* later inputs ``S``,
-        not the source, *output* or *shared*, with ``inputs ∪ S`` dominating
+        not the source, *output* or *shared*, with ``I ∪ S`` dominating
         *output*: ``S`` takes a distinct vertex of each source-to-output path
-        of ``G − inputs`` in a set sharing only such vertices (Menger).
+        of ``G − I`` in a set sharing only such vertices (Menger).
         Packed greedily (depth-first), ``nin_left + 1`` paths leave no ``S``
         (0), exactly *nin_left* hold all of ``S`` (their vertices) and fewer
         bound nothing (-1, every vertex).
         """
         source = self.ctx.source
         pred_rows = self.ctx.reach.predecessor_rows()
-        region = self.reachable_avoiding(inputs_mask) & self._closed_ancestors[output]
+        region &= self._closed_ancestors[output]
         ends = pred_rows[output] & region
         if ends.bit_count() < nin_left and not ends & (shared | 1 << source):
             return -1  # each path ends in its own predecessor of the output
@@ -528,22 +595,24 @@ class IncrementalEnumerator:
             used |= sum(path) & ~shared
         return 0
 
-    def reachable_avoiding(self, avoid_mask: int) -> int:
+    def reachable_avoiding(
+        self, avoid_mask: int, parent: Optional[Tuple[int, int]] = None
+    ) -> int:
         """Vertices reachable from the source once *avoid_mask* is removed.
 
         Memoised per run: two input sets that leave the same reachable
         region induce the same reduced graph, so this mask doubles as the
-        key of the dominator cache.  When the region of a one-vertex-smaller
-        subset ``avoid_mask ∖ {v}`` is cached, the region is derived from
-        it: only descendants of ``v`` can drop out, and each is re-tested
-        against its packed predecessor row in topological order.  Otherwise
-        it is computed as a frontier sweep over the packed successor rows —
-        one row union per level instead of one Python iteration per edge.
+        key of the dominator cache.  On a miss with *parent* ``(v, region
+        of avoid_mask ∖ {v})``, which the search frame that grows the input
+        set holds, the region is derived from it: only descendants of ``v``
+        can drop out, and each is re-tested against its packed predecessor
+        row in topological order.  Without a parent it is computed as a
+        frontier sweep over the packed successor rows — one row union per
+        level instead of one Python iteration per edge.
         """
         cached = self._reachable_cache.get(avoid_mask)
         if cached is None:
             ctx = self.ctx
-            parent = self._derivation_parent(avoid_mask, self._reachable_cache.get)
             if parent is not None:
                 vertex, cached = parent
                 if (cached >> vertex) & 1:
@@ -572,31 +641,46 @@ class IncrementalEnumerator:
         return cached
 
     def dominator_completions_for(self, inputs_mask: int, output: int) -> CompletionResult:
-        """Dubrova reduction step for ``(current inputs, output)``.
+        """Dubrova reduction step for ``(inputs, output)``, for a direct call.
 
         The dominator arrays are keyed by the *reachable region* the input
         set leaves behind, and one array serves every output of that region
         — the optimisation that collapses the enumeration's kernel count
         from one per (input set, output) pair to one per distinct region.
-        The step itself is read off the region's array on every call by
+        The step is read off the region's array by
         :func:`~repro.dominators.multi_vertex.completions_from_idom`, a walk
-        up the idom chain from *output*.  A fresh array is derived from the
-        array of a solved one-vertex-smaller subset ``inputs_mask ∖ {v}`` by
-        :func:`~repro.dominators.iterative.derive_immediate_dominators`;
-        only when no such subset is cached does the full single-pass kernel
-        run.  Each fresh array, derived or full, adds one to the run's
-        ``lt_calls`` and its production time to ``lt_seconds``.
+        up the idom chain from *output*.  This call passes no parent, so a
+        region not cached yet runs the full single-pass kernel; the search
+        itself walks its frame's array (:meth:`_pick_inputs`).
         """
-        reachable = self.reachable_avoiding(inputs_mask)
-        if not ((reachable >> output) & 1):
+        region = self.reachable_avoiding(inputs_mask)
+        if not ((region >> output) & 1):
             return _ALREADY_DOMINATED
-        ctx = self.ctx
-        idom = self._idom_cache.get(reachable)
+        idom = self._dominator_array(inputs_mask, region, None)
+        return completions_from_idom(idom, self.ctx.source, output)
+
+    def _dominator_array(
+        self,
+        inputs_mask: int,
+        region: int,
+        parent: Optional[Tuple[int, List[Optional[int]]]],
+    ) -> List[Optional[int]]:
+        """The immediate dominators of the graph *inputs_mask* leaves, whose
+        reachable region is *region*.
+
+        Cached per region.  On a miss the array is derived from *parent*
+        ``(v, array of inputs_mask ∖ {v})`` by
+        :func:`~repro.dominators.iterative.derive_immediate_dominators`;
+        the single-pass DAG kernel runs only without a parent (the empty
+        input set, or a direct call).  Each fresh array, derived or full,
+        adds one to the run's ``lt_calls`` and its production time to
+        ``lt_seconds``.
+        """
+        idom = self._idom_cache.get(region)
         if idom is None:
+            ctx = self.ctx
             kernel_start = time.perf_counter()
-            parent = self._derivation_parent(inputs_mask, self._solved_idom)
             if parent is None:
-                # Base case (the empty set, or a parent lost to eviction).
                 # DFGs are acyclic, so the single-pass DAG kernel replaces
                 # the general Lengauer–Tarjan run.
                 idom = immediate_dominators_dag(
@@ -616,31 +700,19 @@ class IncrementalEnumerator:
                 )
             self.stats.lt_seconds += time.perf_counter() - kernel_start
             self.stats.lt_calls += 1
-            _remember(self._idom_cache, reachable, idom)
-        return completions_from_idom(idom, ctx.source, output)
+            _remember(self._idom_cache, region, idom)
+        return idom
 
-    @staticmethod
-    def _derivation_parent(
-        mask: int, lookup: Callable[[int], Optional[T]]
-    ) -> Optional[Tuple[int, T]]:
-        """``(v, lookup(mask ∖ {v}))`` for the lowest ``v`` whose lookup hits.
-
-        ``None`` when no one-vertex-smaller subset of *mask* is solved (always
-        for the empty mask): the callers then fall back to the base case.
-        """
-        rest = mask
-        while rest:
-            low = rest & -rest
-            found = lookup(mask ^ low)
-            if found is not None:
-                return low.bit_length() - 1, found
-            rest ^= low
-        return None
-
-    def _solved_idom(self, inputs_mask: int) -> Optional[List[Optional[int]]]:
-        """The cached dominator array of *inputs_mask*'s region, if any."""
-        region = self._reachable_cache.get(inputs_mask)
-        return None if region is None else self._idom_cache.get(region)
+    def _output_ids(self, outputs_mask: int) -> int:
+        """The ids of *outputs_mask*, ascending, one ``_id_width``-bit field
+        each, stored plus one so that no field is zero."""
+        ids = shift = 0
+        while outputs_mask:
+            low = outputs_mask & -outputs_mask
+            ids |= low.bit_length() << shift
+            shift += self._id_width
+            outputs_mask ^= low
+        return ids
 
     def _descendants_in_order(self, vertex: int) -> List[int]:
         """Descendants of *vertex* in topological order (built on first use)."""
@@ -659,25 +731,18 @@ class IncrementalEnumerator:
     # ------------------------------------------------------------------ #
     # CHECK-CUT
     # ------------------------------------------------------------------ #
-    def _check_cut(
-        self,
-        inputs_mask: int,
-        outputs_mask: int,
-        body_mask: int,
-        nin_left: int,
-        nout_left: int,
-    ) -> None:
-        state = (inputs_mask, outputs_mask, body_mask)
-        if state in self._visited_states:
+    def _check_cut(self, inputs_mask: int, outputs_mask: int, body_mask: int) -> bool:
+        """Record the state's cut if it is one; ``False`` if the state was
+        checked before, so the caller does not expand it again."""
+        num_nodes = self._num_nodes
+        key = outputs_mask | (body_mask << num_nodes) | (inputs_mask << 2 * num_nodes)
+        if key in self._checked_states:
             self.stats.duplicates += 1
-            return
-        self._visited_states.add(state)
+            return False
+        self._checked_states.add(key)
         self.stats.candidates_checked += 1
         self._maybe_record(inputs_mask, outputs_mask, body_mask)
-        if nout_left > 0:
-            self._pick_output(
-                inputs_mask, outputs_mask, body_mask, nin_left, nout_left
-            )
+        return True
 
     def _maybe_record(self, inputs_mask: int, outputs_mask: int, body_mask: int) -> None:
         ctx = self.ctx

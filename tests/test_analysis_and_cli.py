@@ -218,6 +218,49 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["enumerate", "crc32_step", "--jobs", "0"])
 
+    @pytest.mark.parametrize(
+        "argv,option",
+        [
+            pytest.param(
+                ["enumerate", "crc32_step", "--max-inputs", "0"], "--max-inputs",
+                id="enumerate-max-inputs-0",
+            ),
+            pytest.param(
+                ["ise", "crc32_step", "--max-outputs", "-1"], "--max-outputs",
+                id="ise-max-outputs-negative",
+            ),
+            pytest.param(
+                ["ise", "crc32_step", "--max-instructions", "-1"], "--max-instructions",
+                id="ise-max-instructions-negative",
+            ),
+            pytest.param(
+                ["compare", "--max-inputs", "0"], "--max-inputs", id="compare-max-inputs-0"
+            ),
+            pytest.param(
+                ["compare", "--min-ops", "12", "--max-ops", "10"], "--min-ops",
+                id="compare-min-ops-above-max-ops",
+            ),
+            pytest.param(
+                ["generate", "{dir}", "--blocks", "0"], "--blocks", id="generate-blocks-0"
+            ),
+            pytest.param(
+                ["generate", "{dir}", "--min-ops", "5", "--max-ops", "2"], "--min-ops",
+                id="generate-min-ops-above-max-ops",
+            ),
+        ],
+    )
+    def test_out_of_range_integer_options_are_usage_errors(
+        self, argv, option, tmp_path, capsys
+    ):
+        argv = [arg.replace("{dir}", str(tmp_path / "suite")) for arg in argv]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert option in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "suite").exists()
+
     def test_enumerate_json_file(self, tmp_path, capsys):
         from repro.dfg.serialization import save
 

@@ -384,7 +384,7 @@ class TestBudgetBounds:
                 ]
                 for nin_left in (2, 3):
                     allowed = enumerator._input_budget_seeds(
-                        inputs_mask, output, nin_left, shared
+                        region, output, nin_left, shared
                     )
                     fits = [mask for mask in completing if mask.bit_count() <= nin_left]
                     queries += 1
@@ -399,6 +399,201 @@ class TestBudgetBounds:
         assert queries >= 300
         assert dropped and restricted
         assert (dropped + restricted) * 4 >= queries
+
+
+#: Runs at other I/O budgets, recorded before each visited search state
+#: became one integer: per budget and block, the SHA-256 of ``result.masks``
+#: in discovery order and every integer stat.  At Nout = 3 a PICK-INPUTS
+#: state's key holds two earlier outputs, and without pruning the outputs
+#: are picked in any order.
+_BUDGETS = {
+    "nin4-nout3": (Constraints(max_inputs=4, max_outputs=3), FULL_PRUNING),
+    "nin3-nout1": (Constraints(max_inputs=3, max_outputs=1), FULL_PRUNING),
+    "nin4-nout3-connected": (
+        Constraints(max_inputs=4, max_outputs=3, connected_only=True),
+        FULL_PRUNING,
+    ),
+    "nin4-nout3-no-pruning": (Constraints(max_inputs=4, max_outputs=3), NO_PRUNING),
+}
+_RECORDED_BUDGET_RUNS = {
+    "nin4-nout3": {
+        "synthetic_n30_s2008": (
+            "60d7c8ed8f93e64f1464f5da661aba3befff5eaa923d72195fa0bc30fa430b01",
+            {
+                "cuts_found": 733, "duplicates": 10223, "candidates_checked": 7974,
+                "lt_calls": 1869, "pick_output_calls": 6744, "pick_input_calls": 28831,
+                "pruned": {
+                    "connectedness": 20854, "input_budget": 6652,
+                    "input_input_postdom": 3265, "output_budget": 8384,
+                    "output_input_forbidden_path": 2220, "output_output": 44879,
+                    "too_many_unavoidable_outputs": 102,
+                },
+                "insearch_hits": 0, "insearch_misses": 0, "insearch_evictions": 0,
+            },
+        ),
+        "tree_depth4": (
+            "c7182ba506a4511e24adfd99e205f88dd26644f4aecf71a19906000c464d753d",
+            {
+                "cuts_found": 119, "duplicates": 342, "candidates_checked": 119,
+                "lt_calls": 708, "pick_output_calls": 120, "pick_input_calls": 1787,
+                "pruned": {
+                    "input_budget": 3746, "input_input_postdom": 2766,
+                },
+                "insearch_hits": 0, "insearch_misses": 0, "insearch_evictions": 0,
+            },
+        ),
+        "mibench_like_013_n29": (
+            "c77067247b5a502474818a14f4efe205984871cb042af85c29cc0b9f40f87717",
+            {
+                "cuts_found": 507, "duplicates": 7075, "candidates_checked": 5937,
+                "lt_calls": 1533, "pick_output_calls": 5110, "pick_input_calls": 18078,
+                "pruned": {
+                    "connectedness": 11994, "input_budget": 5127,
+                    "input_input_postdom": 477, "output_budget": 7964,
+                    "output_input_forbidden_path": 3395, "output_output": 41467,
+                    "too_many_unavoidable_outputs": 1346,
+                },
+                "insearch_hits": 0, "insearch_misses": 0, "insearch_evictions": 0,
+            },
+        ),
+    },
+    "nin3-nout1": {
+        "synthetic_n30_s2008": (
+            "ffa03d9e426755adc8a8fb939bea368224827f2a5255814af0f86ed8504c33e0",
+            {
+                "cuts_found": 42, "duplicates": 182, "candidates_checked": 127,
+                "lt_calls": 157, "pick_output_calls": 1, "pick_input_calls": 793,
+                "pruned": {
+                    "input_budget": 489, "input_input_postdom": 149, "output_budget": 660,
+                    "output_input_forbidden_path": 127,
+                    "too_many_unavoidable_outputs": 113,
+                },
+                "insearch_hits": 0, "insearch_misses": 0, "insearch_evictions": 0,
+            },
+        ),
+        "tree_depth4": (
+            "708d9665724fa57174bfe40683f06055ef8223ef9405a665f84e59b72e910f12",
+            {
+                "cuts_found": 29, "duplicates": 58, "candidates_checked": 29,
+                "lt_calls": 150, "pick_output_calls": 1, "pick_input_calls": 327,
+                "pruned": {
+                    "input_budget": 908, "input_input_postdom": 316,
+                },
+                "insearch_hits": 0, "insearch_misses": 0, "insearch_evictions": 0,
+            },
+        ),
+        "mibench_like_013_n29": (
+            "72772d5227e27e9a9729b2669e64dfaa5e85c78cf87279314f36664abcf92698",
+            {
+                "cuts_found": 27, "duplicates": 135, "candidates_checked": 92,
+                "lt_calls": 121, "pick_output_calls": 1, "pick_input_calls": 483,
+                "pruned": {
+                    "input_budget": 295, "input_input_postdom": 20, "output_budget": 344,
+                    "output_input_forbidden_path": 196,
+                    "too_many_unavoidable_outputs": 196,
+                },
+                "insearch_hits": 0, "insearch_misses": 0, "insearch_evictions": 0,
+            },
+        ),
+    },
+    "nin4-nout3-connected": {
+        "synthetic_n30_s2008": (
+            "7ea4be25c458ce0c835e3deddb3130cff891359c75ef33c1f72910d151ce862a",
+            {
+                "cuts_found": 291, "duplicates": 8267, "candidates_checked": 6910,
+                "lt_calls": 1698, "pick_output_calls": 5936, "pick_input_calls": 23573,
+                "pruned": {
+                    "connectedness": 23147, "input_budget": 5419,
+                    "input_input_postdom": 3126, "output_budget": 7116,
+                    "output_input_forbidden_path": 1784, "output_output": 39512,
+                    "too_many_unavoidable_outputs": 62,
+                },
+                "insearch_hits": 0, "insearch_misses": 0, "insearch_evictions": 0,
+            },
+        ),
+        "tree_depth4": (
+            "7875ab46dd4735650b274f602eafc84091bb82781a07c40cbe5dd38d1cf9197d",
+            {
+                "cuts_found": 48, "duplicates": 129, "candidates_checked": 48,
+                "lt_calls": 520, "pick_output_calls": 49, "pick_input_calls": 1117,
+                "pruned": {
+                    "connectedness": 360, "input_budget": 3554,
+                    "input_input_postdom": 2766,
+                },
+                "insearch_hits": 0, "insearch_misses": 0, "insearch_evictions": 0,
+            },
+        ),
+        "mibench_like_013_n29": (
+            "98bafbf447c5885f7fda19b91752b0f7cb0b4204585159a1c828cef3807b34fe",
+            {
+                "cuts_found": 223, "duplicates": 5974, "candidates_checked": 5330,
+                "lt_calls": 1369, "pick_output_calls": 4641, "pick_input_calls": 15028,
+                "pruned": {
+                    "connectedness": 13897, "input_budget": 4139,
+                    "input_input_postdom": 453, "output_budget": 7332,
+                    "output_input_forbidden_path": 3185, "output_output": 37319,
+                    "too_many_unavoidable_outputs": 1300,
+                },
+                "insearch_hits": 0, "insearch_misses": 0, "insearch_evictions": 0,
+            },
+        ),
+    },
+    "nin4-nout3-no-pruning": {
+        "synthetic_n30_s2008": (
+            "0c6910eb7507889bfdcc2387d1b4088af92e546d1bcf429e93d74faee3354b19",
+            {
+                "cuts_found": 798, "duplicates": 52234, "candidates_checked": 40980,
+                "lt_calls": 2413, "pick_output_calls": 16325, "pick_input_calls": 95156,
+                "pruned": {},
+                "insearch_hits": 0, "insearch_misses": 0, "insearch_evictions": 0,
+            },
+        ),
+        "tree_depth4": (
+            "c3c247e78063513fb0342b4a0022cde435129eb660b19d8653f55833c4e480a2",
+            {
+                "cuts_found": 119, "duplicates": 1360, "candidates_checked": 829,
+                "lt_calls": 4481, "pick_output_calls": 830, "pick_input_calls": 17209,
+                "pruned": {},
+                "insearch_hits": 0, "insearch_misses": 0, "insearch_evictions": 0,
+            },
+        ),
+        "mibench_like_013_n29": (
+            "ad22f3dfe19aef477bf4956da024f1fe62aead2f232261e4bcaab2e369632bae",
+            {
+                "cuts_found": 507, "duplicates": 52266, "candidates_checked": 44634,
+                "lt_calls": 1947, "pick_output_calls": 15937, "pick_input_calls": 92787,
+                "pruned": {},
+                "insearch_hits": 0, "insearch_misses": 0, "insearch_evictions": 0,
+            },
+        ),
+    },
+}
+
+
+class TestStateKeys:
+    """The integer state keys are exact at every I/O budget."""
+
+    @pytest.mark.parametrize("budget", list(_RECORDED_BUDGET_RUNS))
+    def test_reproduces_the_recorded_runs_at_other_budgets(self, budget):
+        constraints, pruning = _BUDGETS[budget]
+        suite = build_suite(
+            SuiteConfig(
+                num_blocks=16,
+                min_operations=10,
+                max_operations=32,
+                include_kernels=False,
+                include_trees=False,
+            )
+        )
+        blocks = generate_suite((30,), base_seed=2008) + [tree_dfg(4)]
+        blocks += [graph for graph in suite if graph.name == "mibench_like_013_n29"]
+        recorded = _RECORDED_BUDGET_RUNS[budget]
+        assert [graph.name for graph in blocks] == list(recorded)
+        for graph in blocks:
+            sha, stats = recorded[graph.name]
+            result = enumerate_cuts(graph, constraints, pruning=pruning)
+            assert _masks_fingerprint(result.masks) == sha, graph.name
+            assert _integer_stats(result.stats) == stats, graph.name
 
 
 class TestDagDominatorKernel:
@@ -432,37 +627,34 @@ class TestDagDominatorKernel:
                 removed_mask=1 << ctx.source,
             )
 
-    def test_derivation_matches_full_recomputation_on_growing_input_sets(self):
+    def test_derivation_matches_full_recomputation_on_growing_input_sets(self, monkeypatch):
         rng = random.Random(11)
         constraints = Constraints(max_inputs=4, max_outputs=2)
+        full_runs = _count_calls(
+            monkeypatch, "immediate_dominators_dag", immediate_dominators_dag
+        )
         unreachable_removals = leaf_removals = 0
         for seed in range(30):
             graph = _renumbered(make_random_dag(seed, num_operations=9), rng)
             ctx = EnumerationContext.build(graph, constraints)
-            enumerator = IncrementalEnumerator(graph, constraints, context=ctx)
             num_nodes, source = ctx.num_nodes, ctx.source
             reach = ctx.reach
 
-            def solve_through_enumerator(inputs_mask):
-                """The enumerator's region and dominator array for *inputs_mask*."""
-                region = enumerator.reachable_avoiding(inputs_mask)
-                output = max(ids_from_mask(region), key=ctx.topo_position.__getitem__)
-                if output != source:
-                    enumerator.dominator_completions_for(inputs_mask, output)
-                return region, enumerator._idom_cache.get(region)
-
-            def check_removal(removed, idom, vertex):
-                """Remove *vertex* from the solved set *removed* and compare."""
+            def check_removal(removed, region, idom, vertex):
+                """Grow the solved set *removed* by *vertex*, as a search
+                frame does with the *region* and array *idom* it holds."""
                 grown = removed | (1 << vertex)
-                assert removed in enumerator._reachable_cache  # so the region is derived
+                # A new set, so its region is derived (a sampled vertex may
+                # have been removed already as a cut-off one).
+                assert grown == removed or grown not in enumerator._reachable_cache
                 full = immediate_dominators_dag(
                     ctx.topo_order, ctx.predecessor_lists, source, removed_mask=grown
                 )
-                region, cached_idom = solve_through_enumerator(grown)
-                assert region == reachable_mask_avoiding(
+                grown_region = enumerator.reachable_avoiding(grown, (vertex, region))
+                assert grown_region == reachable_mask_avoiding(
                     num_nodes, ctx.successor_lists, source, avoid_mask=grown
                 )
-                assert cached_idom == (None if region == 1 << source else full)
+                assert enumerator._dominator_array(grown, grown_region, (vertex, idom)) == full
                 descendants = reach.descendants_mask(vertex)
                 derived = derive_immediate_dominators(
                     idom,
@@ -472,32 +664,39 @@ class TestDagDominatorKernel:
                     ctx.topo_position,
                 )
                 assert derived == full
-                return grown, derived
+                return grown, grown_region, derived
 
             for _ in range(6):
+                # One run per chain of growing sets: no set is solved twice.
+                enumerator = IncrementalEnumerator(graph, constraints, context=ctx)
+                full_runs.clear()
                 removed = 0
-                solve_through_enumerator(removed)
-                idom = immediate_dominators_dag(
+                region = enumerator.reachable_avoiding(removed)
+                idom = enumerator._dominator_array(removed, region, None)
+                assert idom == immediate_dominators_dag(
                     ctx.topo_order, ctx.predecessor_lists, source
                 )
                 others = [v for v in range(num_nodes) if v != source]
                 for vertex in rng.sample(others, 5):
-                    removed, idom = check_removal(removed, idom, vertex)
+                    removed, region, idom = check_removal(removed, region, idom, vertex)
                     # A vertex the removals have cut off from the source.
-                    region = enumerator.reachable_avoiding(removed)
                     cut_off = [
                         v
                         for v in others
                         if not (region >> v) & 1 and not (removed >> v) & 1
                     ]
                     if cut_off:
-                        removed, idom = check_removal(removed, idom, rng.choice(cut_off))
+                        removed, region, idom = check_removal(
+                            removed, region, idom, rng.choice(cut_off)
+                        )
                         unreachable_removals += 1
                 # The sink has no descendants: only its own entry changes.
                 if not (removed >> ctx.sink) & 1:
                     assert reach.descendants_mask(ctx.sink) == 0
-                    removed, idom = check_removal(removed, idom, ctx.sink)
+                    removed, region, idom = check_removal(removed, region, idom, ctx.sink)
                     leaf_removals += 1
+                # Only the empty set ran the full kernel.
+                assert len(full_runs) == 1
         assert unreachable_removals >= 20
         assert leaf_removals >= 20
 
@@ -529,12 +728,20 @@ class TestDagDominatorKernel:
             monkeypatch, "derive_immediate_dominators", derive_immediate_dominators
         )
 
-        # Derivation off: every region is swept, every array a full kernel run.
+        # Derivation off: the search frames' parents are dropped, so every
+        # region is swept and every array is a full kernel run.
+        sweep = IncrementalEnumerator.reachable_avoiding
+        solve = IncrementalEnumerator._dominator_array
         with monkeypatch.context() as patch:
             patch.setattr(
                 IncrementalEnumerator,
-                "_derivation_parent",
-                staticmethod(lambda mask, lookup: None),
+                "reachable_avoiding",
+                lambda self, mask, parent=None: sweep(self, mask),
+            )
+            patch.setattr(
+                IncrementalEnumerator,
+                "_dominator_array",
+                lambda self, mask, region, parent: solve(self, mask, region, None),
             )
             underived = enumerate_cuts(graph, constraints)
         assert not derived_runs
@@ -542,18 +749,41 @@ class TestDagDominatorKernel:
         assert _cut_keys(underived) == _cut_keys(default)
         assert _integer_stats(underived.stats) == _integer_stats(default.stats)
 
-        # A tiny cache: first-in evictions drop parents, so some arrays fall
-        # back to the full kernel.  Evicted regions are solved again and each
-        # fresh array counts, so only ``lt_calls`` may exceed the default.
+        # A tiny cache: first-in evictions drop solved regions, which are
+        # solved again, and each fresh array counts, so only ``lt_calls``
+        # may exceed the default.
         full_runs.clear()
         monkeypatch.setattr("repro.core.incremental.REGION_CACHE_LIMIT", 8)
         evicting = enumerate_cuts(graph, constraints)
         assert _cut_keys(evicting) == _cut_keys(default)
-        assert len(full_runs) > 1 and derived_runs
+        assert derived_runs
         assert evicting.stats.lt_calls == len(full_runs) + len(derived_runs)
         assert evicting.stats.lt_calls >= default.stats.lt_calls
         expected = dict(_integer_stats(default.stats), lt_calls=evicting.stats.lt_calls)
         assert _integer_stats(evicting.stats) == expected
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            tree_dfg(4),
+            generate_basic_block(SyntheticBlockSpec(num_operations=30, seed=0)),
+        ],
+        ids=lambda graph: graph.name,
+    )
+    def test_capped_caches_run_the_full_kernel_once(self, graph, monkeypatch):
+        """Every input set but the empty one is derived from the array its
+        search frame holds, so evictions never bring the full kernel back."""
+        constraints = Constraints(max_inputs=4, max_outputs=2)
+        default = enumerate_cuts(graph, constraints)
+        full_runs = _count_calls(
+            monkeypatch, "immediate_dominators_dag", immediate_dominators_dag
+        )
+        monkeypatch.setattr("repro.core.incremental.REGION_CACHE_LIMIT", 8)
+        capped = enumerate_cuts(graph, constraints)
+        assert len(full_runs) == 1
+        assert capped.masks == default.masks
+        expected = dict(_integer_stats(default.stats), lt_calls=capped.stats.lt_calls)
+        assert _integer_stats(capped.stats) == expected
 
     def test_shared_region_cache_counts_one_kernel_run_per_region(self, monkeypatch):
         constraints = Constraints(max_inputs=4, max_outputs=2)
