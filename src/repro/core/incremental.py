@@ -23,10 +23,16 @@ freed when it returns:
   ``B(I, o)`` for a newly picked output is one AND of the inputs' descendant
   union, formed once per PICK-OUTPUT call, with ``o`` and its ancestors;
 * the dominator queries go through the run's caches — one dominator array
-  per distinct *reachable region*, derived from the array of the input set
-  one vertex smaller (the full kernel runs only when no such set is cached);
-  each PICK-INPUTS state reads its completions off its region's array by a
-  walk up the idom chain, which no cache of its own would repay;
+  per distinct *reachable region*.  The search grows an input set one
+  vertex at a time, and the frame that holds a set's region and array
+  passes them to the frames that grow it: on a cache miss the grown set's
+  region and array are derived from them, so no parent is ever looked up
+  and the full kernel runs once per run, for the empty set.  Each
+  PICK-INPUTS state reads its completions off its array by a walk up the
+  idom chain, which no cache of its own would repay;
+* each visited search state is one exact integer of fixed-width fields
+  (the output ids, then the body and the inputs as masks), not a tuple of
+  masks, so the dedup sets hold one object per state;
 * each test of PICK-OUTPUT and of the PICK-INPUTS seed loop is one mask per
   search state (postdominator comparability is a union of precomputed rows),
   and only the surviving candidates are expanded, in the same order;
@@ -147,20 +153,21 @@ class IncrementalEnumerator:
         # Search-state dedup: the same state is reached through many
         # different orderings of the same choices; the sets collapse those
         # orderings without changing the reachable states.  Each state is
-        # one exact integer of fixed-width fields: the outputs, then the body
-        # and, highest, the inputs as n-bit masks (inputs precede the body
-        # in topological order, so their field ends lowest).  A PICK-INPUTS
-        # state (inputs, outputs, body, output) writes its outputs as ids:
-        # the output's, then the others' (see _output_ids), Nout fields in
-        # all.  A CHECK-CUT state (inputs, outputs, body) writes them as a
-        # mask, so the order they were picked in is not part of its key.
-        num_nodes = self.ctx.num_nodes
+        # one exact integer of fixed-width fields: the outputs lowest, then
+        # the body and the inputs as n-bit masks.  Ids that follow a
+        # topological order put the inputs' highest bit lowest, so the key
+        # is shortest with them on top.  A PICK-INPUTS state (inputs,
+        # outputs, body, output) writes its outputs as ids, the output's and
+        # then the earlier outputs' (see _output_ids): Nout fields of
+        # _id_width bits.  A CHECK-CUT state (inputs, outputs, body) writes
+        # them as a mask, so the order they were picked in is not part of
+        # its key.  The two layouts live in separate sets.
+        num_nodes = self._num_nodes = self.ctx.num_nodes
         self._id_width = num_nodes.bit_length()
-        self._visited_states: set = set()  # PICK-INPUTS states
         self._key_body_shift = self.ctx.max_outputs * self._id_width
         self._key_inputs_shift = self._key_body_shift + num_nodes
+        self._visited_states: set = set()  # PICK-INPUTS states
         self._checked_states: set = set()  # CHECK-CUT states
-        self._num_nodes = num_nodes
         # The run's memo, filled on demand: the reachable region per input
         # mask, one dominator array per region, each vertex's descendants in
         # topological order, per output the B({w}, o) rows, and the last
@@ -326,10 +333,7 @@ class IncrementalEnumerator:
                     count_pruned("output_budget")
                     continue
             if dominated:
-                if (
-                    self._check_cut(inputs_mask, new_outputs_mask, new_body_mask)
-                    and nout_left > 1
-                ):
+                if self._check_cut(inputs_mask, new_outputs_mask, new_body_mask) and nout_left > 1:
                     self._pick_output(
                         inputs_mask, new_outputs_mask, new_body_mask,
                         nin_left, nout_left - 1, region, idom, parent,
@@ -364,14 +368,15 @@ class IncrementalEnumerator:
         region: int,
         idom: List[Optional[int]],
     ) -> None:
-        """Expand an unvisited state that *output*, inside *region*, picks
-        inputs for.
+        """Expand an unvisited state in which *output* picks inputs.
 
-        The caller counts the call, adds the state to the visited set and
-        passes the input set's *region* and dominator array *idom*; each
-        grown input set's region and array are derived from them on a cache
-        miss.  *stuck* is the vertices with a forbidden successor, or the
-        last output's :meth:`_stuck_outputs`.
+        The caller counts the call and adds the state's key to the visited
+        set; *output_key* is the key's output fields, which every seed
+        child shares.  *region* and *idom* are the input set's region and
+        dominator array, held by this frame: a grown input set's region and
+        array are derived from them on a cache miss.  *stuck* is the
+        vertices with a forbidden successor, or the last output's
+        :meth:`_stuck_outputs`.
         """
         ctx = self.ctx
         pruning = self.pruning
@@ -502,10 +507,7 @@ class IncrementalEnumerator:
                         nin_left - 1, nout_left, stuck, new_region,
                         self._dominator_array(new_inputs_mask, new_region, (seed, idom)),
                     )
-                elif (
-                    self._check_cut(new_inputs_mask, outputs_mask, new_body_mask)
-                    and nout_left
-                ):
+                elif self._check_cut(new_inputs_mask, outputs_mask, new_body_mask) and nout_left:
                     # The seed set alone already cuts every path to the output.
                     self._pick_output(
                         new_inputs_mask, outputs_mask, new_body_mask, nin_left - 1,

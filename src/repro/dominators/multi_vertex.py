@@ -48,8 +48,9 @@ class DominatorSearchStats:
 class CompletionResult:
     """Result of one Dubrova reduction step.  Immutable, so one shared
     "already dominated" instance can answer every query whose target the
-    seed set cuts off; the incremental search builds each other step afresh
-    from its region's cached dominator array (:func:`completions_from_idom`).
+    seed set cuts off; a direct query to the incremental enumerator builds
+    each other step afresh from its region's cached dominator array
+    (:func:`completions_from_idom`), while its search walks the array itself.
 
     Attributes
     ----------
@@ -113,7 +114,7 @@ def completions_from_idom(
 
     A dominator kernel computes the immediate dominators of **every** vertex
     of the reduced graph, not just of one target — so one ``idom`` array
-    (keyed, in the enumeration hot path, by the reachable region the seed
+    (keyed, in the incremental enumerator, by the reachable region the seed
     set leaves behind) answers the completion query for *all* candidate
     outputs of that region, each by a walk up the idom chain from the
     target.  The returned result reports ``lt_calls=0``: the caller charges

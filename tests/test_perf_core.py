@@ -14,9 +14,10 @@ optimisation may not change that relationship in either direction).
 
 The unit tests pin down the new machinery directly: the DAG dominator
 kernel against Lengauer–Tarjan, the derivation of each input set's region and
-dominator array from a one-vertex-smaller parent against full recomputation,
-the contribution rows against their reachability definition, the input
-budget's packed paths against brute-force dominating sets, the
+dominator array from the one-vertex-smaller parent its search frame holds
+against full recomputation, the contribution rows against their reachability
+definition, the input budget's packed paths against brute-force dominating
+sets, the integer state keys against runs recorded at other I/O budgets, the
 ``REPRO_DEBUG_VALIDITY`` cross-check, and that a run leaves its context
 untouched, so a second run on it counts exactly what the first did.
 """
@@ -41,7 +42,7 @@ from repro.dfg.graph import DataFlowGraph
 from repro.dfg.reachability import ReachabilityIndex, ids_from_mask, mask_from_ids, popcount
 from repro.dominators import reachable_mask_avoiding
 from repro.dominators.iterative import derive_immediate_dominators, immediate_dominators_dag
-from repro.dominators.lengauer_tarjan import immediate_dominators
+from repro.dominators.lengauer_tarjan import immediate_dominators, strict_dominators
 from repro.frontend.corpus import build_corpus_suite
 from repro.workloads import (
     SuiteConfig,
@@ -655,6 +656,16 @@ class TestDagDominatorKernel:
                     num_nodes, ctx.successor_lists, source, avoid_mask=grown
                 )
                 assert enumerator._dominator_array(grown, grown_region, (vertex, idom)) == full
+                assert not full_runs  # derived, not solved by the full kernel
+                # A direct call passes no parent: the full kernel answers it.
+                direct = IncrementalEnumerator(graph, constraints, context=ctx)
+                for output in ctx.candidate_nodes:
+                    step = direct.dominator_completions_for(grown, output)
+                    if (grown_region >> output) & 1:
+                        assert list(step.completions) == strict_dominators(full, output, source)
+                    else:
+                        assert step.already_dominated
+                full_runs.clear()
                 descendants = reach.descendants_mask(vertex)
                 derived = derive_immediate_dominators(
                     idom,
@@ -669,13 +680,14 @@ class TestDagDominatorKernel:
             for _ in range(6):
                 # One run per chain of growing sets: no set is solved twice.
                 enumerator = IncrementalEnumerator(graph, constraints, context=ctx)
-                full_runs.clear()
                 removed = 0
                 region = enumerator.reachable_avoiding(removed)
                 idom = enumerator._dominator_array(removed, region, None)
                 assert idom == immediate_dominators_dag(
                     ctx.topo_order, ctx.predecessor_lists, source
                 )
+                assert len(full_runs) == 1  # the empty set has no parent
+                full_runs.clear()
                 others = [v for v in range(num_nodes) if v != source]
                 for vertex in rng.sample(others, 5):
                     removed, region, idom = check_removal(removed, region, idom, vertex)
@@ -695,8 +707,6 @@ class TestDagDominatorKernel:
                     assert reach.descendants_mask(ctx.sink) == 0
                     removed, region, idom = check_removal(removed, region, idom, ctx.sink)
                     leaf_removals += 1
-                # Only the empty set ran the full kernel.
-                assert len(full_runs) == 1
         assert unreachable_removals >= 20
         assert leaf_removals >= 20
 
@@ -749,19 +759,6 @@ class TestDagDominatorKernel:
         assert _cut_keys(underived) == _cut_keys(default)
         assert _integer_stats(underived.stats) == _integer_stats(default.stats)
 
-        # A tiny cache: first-in evictions drop solved regions, which are
-        # solved again, and each fresh array counts, so only ``lt_calls``
-        # may exceed the default.
-        full_runs.clear()
-        monkeypatch.setattr("repro.core.incremental.REGION_CACHE_LIMIT", 8)
-        evicting = enumerate_cuts(graph, constraints)
-        assert _cut_keys(evicting) == _cut_keys(default)
-        assert derived_runs
-        assert evicting.stats.lt_calls == len(full_runs) + len(derived_runs)
-        assert evicting.stats.lt_calls >= default.stats.lt_calls
-        expected = dict(_integer_stats(default.stats), lt_calls=evicting.stats.lt_calls)
-        assert _integer_stats(evicting.stats) == expected
-
     @pytest.mark.parametrize(
         "graph",
         [
@@ -771,17 +768,25 @@ class TestDagDominatorKernel:
         ids=lambda graph: graph.name,
     )
     def test_capped_caches_run_the_full_kernel_once(self, graph, monkeypatch):
-        """Every input set but the empty one is derived from the array its
-        search frame holds, so evictions never bring the full kernel back."""
+        """A tiny cache: first-in evictions drop solved regions, which are
+        solved again, and each fresh array counts, so only ``lt_calls`` may
+        exceed the default.  Every input set but the empty one is derived
+        from the array its search frame holds, so evictions never bring the
+        full kernel back."""
         constraints = Constraints(max_inputs=4, max_outputs=2)
         default = enumerate_cuts(graph, constraints)
         full_runs = _count_calls(
             monkeypatch, "immediate_dominators_dag", immediate_dominators_dag
         )
+        derived_runs = _count_calls(
+            monkeypatch, "derive_immediate_dominators", derive_immediate_dominators
+        )
         monkeypatch.setattr("repro.core.incremental.REGION_CACHE_LIMIT", 8)
         capped = enumerate_cuts(graph, constraints)
         assert len(full_runs) == 1
         assert capped.masks == default.masks
+        assert capped.stats.lt_calls == len(full_runs) + len(derived_runs)
+        assert capped.stats.lt_calls >= default.stats.lt_calls
         expected = dict(_integer_stats(default.stats), lt_calls=capped.stats.lt_calls)
         assert _integer_stats(capped.stats) == expected
 
