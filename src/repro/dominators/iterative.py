@@ -119,9 +119,10 @@ def immediate_dominators_dag(
     (found by depth-climbing).  Data-flow graphs are acyclic by
     construction, a caller-supplied topological order and predecessor lists
     replace the per-call depth-first searches of the general algorithms, and
-    no iteration-to-fixpoint is needed.  The enumeration hot path runs it
-    only as the base case of :func:`derive_immediate_dominators`, for an
-    input set none of whose one-vertex-smaller subsets has been solved.
+    no iteration-to-fixpoint is needed.  The incremental search runs it
+    once, for the empty input set, as the base case of
+    :func:`derive_immediate_dominators`; it also answers direct queries that
+    pass no parent array.
 
     Same contract as
     :func:`repro.dominators.lengauer_tarjan.immediate_dominators`: returns
