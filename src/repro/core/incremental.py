@@ -266,7 +266,7 @@ class IncrementalEnumerator:
         ctx = self.ctx
         reach = ctx.reach
         closed_ancestors = self._closed_ancestors
-        # Invariant of the candidate loop: B(I, o) is the union of the
+        # Invariants of the candidate loop: B(I, o) is the union of the
         # inputs' descendant rows cut down to o and its ancestors, and o is
         # dominated by I (Condition 1 of Definition 5) iff o lies outside
         # the region I leaves reachable.
