@@ -60,7 +60,7 @@ class EnumerationContext:
     Use :meth:`build` to construct one.  A context holds only what
     :meth:`build` computes from the graph and the constraints, and no
     enumeration writes to it: the search's own memo (reachable regions,
-    dominator arrays, completion steps and ``B({w}, o)`` rows) lives on the
+    dominator arrays, stuck masks and ``B({w}, o)`` rows) lives on the
     :class:`~repro.core.incremental.IncrementalEnumerator` of one run and is
     freed when that run returns.  So one context can serve any number of
     runs (pruning variants, batch re-runs, ``ContextCache`` hits), and each

@@ -45,7 +45,8 @@ freed when it returns:
   disjoint paths show (:meth:`IncrementalEnumerator._input_budget_seeds`);
 * the per-cut acceptance test derives inputs, outputs and convexity in one
   pass over the candidate's set bits
-  (:meth:`~repro.dfg.reachability.ReachabilityIndex.cut_profile`); the full
+  (:meth:`~repro.dfg.reachability.ReachabilityIndex.cut_profile`), and the
+  PICK-OUTPUT call that expands the state reuses those outputs; the full
   definitional re-derivation (:func:`~repro.core.validity.check_cut_mask`)
   runs only as a debug assertion when ``REPRO_DEBUG_VALIDITY`` is set.
 
@@ -225,6 +226,7 @@ class IncrementalEnumerator:
                 inputs_mask=0,
                 outputs_mask=0,
                 body_mask=0,
+                cut_outputs=0,
                 nin_left=self.ctx.max_inputs,
                 nout_left=self.ctx.max_outputs,
                 region=self.reachable_avoiding(0),
@@ -248,6 +250,7 @@ class IncrementalEnumerator:
         inputs_mask: int,
         outputs_mask: int,
         body_mask: int,
+        cut_outputs: int,
         nin_left: int,
         nout_left: int,
         region: int,
@@ -256,11 +259,12 @@ class IncrementalEnumerator:
     ) -> None:
         """Expand a checked state whose outputs may still grow.
 
-        *region* is the vertices the input set leaves reachable and *idom*
-        its dominator array, or ``None`` until a PICK-INPUTS frame first
-        needs it; it is then solved once, from *parent* ``(v, array of
-        inputs ∖ {v})`` (``None`` for the empty input set), and handed to
-        every later frame of this call.
+        *cut_outputs* is O(S) of the state's cut, as CHECK-CUT profiled it
+        (:meth:`_check_cut`).  *region* is the vertices the input set leaves
+        reachable and *idom* its dominator array, or ``None`` until a
+        PICK-INPUTS frame first needs it; it is then solved once, from
+        *parent* ``(v, array of inputs ∖ {v})`` (``None`` for the empty
+        input set), and handed to every later frame of this call.
         """
         self.stats.pick_output_calls += 1
         ctx = self.ctx
@@ -272,18 +276,10 @@ class IncrementalEnumerator:
         # the region I leaves reachable.
         input_descendants = reach.union_descendants(inputs_mask) if inputs_mask else 0
 
-        has_internal_outputs = False
-        require_connected = ctx.constraints.connected_only
-        if outputs_mask and (self.pruning.connected_recovery or require_connected):
-            effective = body_mask & ~inputs_mask & ~ctx.forbidden_mask
-            current_outputs = reach.cut_outputs_mask(effective)
-            has_internal_outputs = (
-                current_outputs.bit_count() > outputs_mask.bit_count()
-            )
-        if not require_connected:
-            require_connected = (
-                self.pruning.connected_recovery and has_internal_outputs
-            )
+        require_connected = ctx.constraints.connected_only or (
+            self.pruning.connected_recovery
+            and cut_outputs.bit_count() > outputs_mask.bit_count()
+        )
 
         # Each admissibility test is one mask over all candidates; a counted
         # rule counts the candidates it removes that no earlier test removed.
@@ -306,6 +302,8 @@ class IncrementalEnumerator:
         if not nin_left:
             # With no input left, only outputs I already dominates lead on.
             candidates &= ~region if inputs_mask else 0
+        if not candidates:
+            return
 
         budget_bound = nout_left == 1 and self.pruning.prune_while_building
         stuck = self._forbidden_succ_mask
@@ -333,9 +331,10 @@ class IncrementalEnumerator:
                     count_pruned("output_budget")
                     continue
             if dominated:
-                if self._check_cut(inputs_mask, new_outputs_mask, new_body_mask) and nout_left > 1:
+                new_cut_outputs = self._check_cut(inputs_mask, new_outputs_mask, new_body_mask)
+                if new_cut_outputs is not None and nout_left > 1:
                     self._pick_output(
-                        inputs_mask, new_outputs_mask, new_body_mask,
+                        inputs_mask, new_outputs_mask, new_body_mask, new_cut_outputs,
                         nin_left, nout_left - 1, region, idom, parent,
                     )
                 continue
@@ -440,9 +439,11 @@ class IncrementalEnumerator:
                     else:
                         count_pruned("output_budget")
                     continue
-            if self._check_cut(new_inputs_mask, outputs_mask, new_body_mask) and nout_left:
+            cut_outputs = self._check_cut(new_inputs_mask, outputs_mask, new_body_mask)
+            if cut_outputs is not None and nout_left:
                 self._pick_output(
-                    new_inputs_mask, outputs_mask, new_body_mask, nin_left - 1, nout_left,
+                    new_inputs_mask, outputs_mask, new_body_mask, cut_outputs,
+                    nin_left - 1, nout_left,
                     self.reachable_avoiding(new_inputs_mask, (completion, region)),
                     None, (completion, idom),
                 )
@@ -507,12 +508,14 @@ class IncrementalEnumerator:
                         nin_left - 1, nout_left, stuck, new_region,
                         self._dominator_array(new_inputs_mask, new_region, (seed, idom)),
                     )
-                elif self._check_cut(new_inputs_mask, outputs_mask, new_body_mask) and nout_left:
+                else:
                     # The seed set alone already cuts every path to the output.
-                    self._pick_output(
-                        new_inputs_mask, outputs_mask, new_body_mask, nin_left - 1,
-                        nout_left, new_region, None, (seed, idom),
-                    )
+                    cut_outputs = self._check_cut(new_inputs_mask, outputs_mask, new_body_mask)
+                    if cut_outputs is not None and nout_left:
+                        self._pick_output(
+                            new_inputs_mask, outputs_mask, new_body_mask, cut_outputs,
+                            nin_left - 1, nout_left, new_region, None, (seed, idom),
+                        )
             self.stats.pick_input_calls += pick_input_calls
 
     # ------------------------------------------------------------------ #
@@ -733,20 +736,21 @@ class IncrementalEnumerator:
     # ------------------------------------------------------------------ #
     # CHECK-CUT
     # ------------------------------------------------------------------ #
-    def _check_cut(self, inputs_mask: int, outputs_mask: int, body_mask: int) -> bool:
-        """Record the state's cut if it is one; ``False`` if the state was
-        checked before, so the caller does not expand it again."""
+    def _check_cut(self, inputs_mask: int, outputs_mask: int, body_mask: int) -> Optional[int]:
+        """Record the state's cut if it is one and return the cut's outputs
+        O(S) (0 for an empty cut); ``None`` if the state was checked before,
+        so the caller does not expand it again."""
         num_nodes = self._num_nodes
         key = outputs_mask | (body_mask << num_nodes) | (inputs_mask << 2 * num_nodes)
         if key in self._checked_states:
             self.stats.duplicates += 1
-            return False
+            return None
         self._checked_states.add(key)
         self.stats.candidates_checked += 1
-        self._maybe_record(inputs_mask, outputs_mask, body_mask)
-        return True
+        return self._maybe_record(inputs_mask, outputs_mask, body_mask)
 
-    def _maybe_record(self, inputs_mask: int, outputs_mask: int, body_mask: int) -> None:
+    def _maybe_record(self, inputs_mask: int, outputs_mask: int, body_mask: int) -> int:
+        """Record the state's cut if it is one; return its outputs O(S)."""
         ctx = self.ctx
         # The recorded cut is the constructed body minus the chosen inputs and
         # minus any forbidden vertex the construction dragged in: a forbidden
@@ -754,7 +758,7 @@ class IncrementalEnumerator:
         # it is one of the cut's (implicitly chosen) inputs instead.
         effective = body_mask & ~inputs_mask & ~ctx.forbidden_mask
         if effective == 0:
-            return
+            return 0
         # One pass over the candidate's set bits yields I(S), O(S) and the
         # convexity verdict; the definitional re-derivation runs only under
         # REPRO_DEBUG_VALIDITY (see below).
@@ -763,13 +767,13 @@ class IncrementalEnumerator:
             # Relaxed acceptance: internal outputs are allowed as long as the
             # total stays within the budget.
             if actual_outputs.bit_count() > ctx.max_outputs:
-                return
+                return actual_outputs
         else:
             if actual_outputs != outputs_mask:
-                return
+                return actual_outputs
         if effective in self._found:
             self.stats.duplicates += 1
-            return
+            return actual_outputs
         valid = (
             convex
             and cut_inputs.bit_count() <= ctx.max_inputs
@@ -786,6 +790,6 @@ class IncrementalEnumerator:
                 f"fast acceptance disagrees with check_cut_mask on "
                 f"{effective:#x}: fast={valid} report={report}"
             )
-        if not valid:
-            return
-        self._found[effective] = None
+        if valid:
+            self._found[effective] = None
+        return actual_outputs

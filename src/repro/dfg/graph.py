@@ -20,9 +20,7 @@ Terminology (mirroring the paper):
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
+from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .node import DFGNode
 from .opcodes import Opcode, is_forbidden_by_default
@@ -357,7 +355,7 @@ class DataFlowGraph:
         return max(self.all_depths())
 
     # ------------------------------------------------------------------ #
-    # Derived graphs / interop
+    # Derived graphs
     # ------------------------------------------------------------------ #
     def copy(self, name: Optional[str] = None) -> "DataFlowGraph":
         """Deep copy of the graph (node records are copied)."""
@@ -367,48 +365,6 @@ class DataFlowGraph:
         clone._succs = [list(s) for s in self._succs]
         clone._edge_set = set(self._edge_set)
         return clone
-
-    def to_networkx(self) -> "nx.DiGraph":
-        """Convert to a :class:`networkx.DiGraph` (node ids become nx nodes)."""
-        g = nx.DiGraph(name=self.name)
-        for node in self._nodes:
-            g.add_node(
-                node.node_id,
-                opcode=node.opcode.value,
-                label=node.label,
-                forbidden=node.forbidden,
-                live_out=node.live_out,
-            )
-        g.add_edges_from(self._edge_set)
-        return g
-
-    @classmethod
-    def from_networkx(cls, g: "nx.DiGraph", name: Optional[str] = None) -> "DataFlowGraph":
-        """Build a DFG from a networkx DiGraph.
-
-        Node attributes ``opcode`` (string value of :class:`Opcode`),
-        ``forbidden`` and ``live_out`` are honoured; nodes without an opcode
-        attribute become ``ADD`` operations if they have predecessors and
-        ``INPUT`` vertices otherwise.
-        """
-        dfg = cls(name=name or str(g.name or "dfg"))
-        mapping: Dict[object, int] = {}
-        for nx_node in g.nodes():
-            data = g.nodes[nx_node]
-            opcode_value = data.get("opcode")
-            if opcode_value is None:
-                opcode = Opcode.INPUT if g.in_degree(nx_node) == 0 else Opcode.ADD
-            else:
-                opcode = Opcode(opcode_value)
-            mapping[nx_node] = dfg.add_node(
-                opcode,
-                name=data.get("label") or str(nx_node),
-                forbidden=data.get("forbidden"),
-                live_out=bool(data.get("live_out", False)),
-            )
-        for src, dst in g.edges():
-            dfg.add_edge(mapping[src], mapping[dst])
-        return dfg
 
     def induced_subgraph(self, vertex_ids: Iterable[int]) -> "DataFlowGraph":
         """Return the subgraph induced by *vertex_ids* (re-numbered densely)."""

@@ -73,12 +73,12 @@ from concurrent.futures import (
     BrokenExecutor,
     CancelledError,
     Future,
-    ProcessPoolExecutor,
     TimeoutError as FuturesTimeoutError,
     wait,
 )
 from dataclasses import dataclass, field
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     Iterable,
@@ -99,6 +99,9 @@ from ..memo.store import ResultStore, StoredResult, request_fingerprint
 from ..obs import runtime as obs
 from ..workloads.suite import WorkloadSuite
 from .registry import DEFAULT_ALGORITHM, EnumerationRequest, get_algorithm
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 #: Anything the runner accepts as "a batch of blocks".
 BlockLike = Union[DataFlowGraph, Tuple[DataFlowGraph, float]]
@@ -514,8 +517,12 @@ class BatchRunner:
         return self.jobs >= 2 or self.force_pool
 
     def _make_pool(self) -> _WorkerPool:
-        # max_workers is a cap: the executor spawns workers on demand, so a
-        # jobs-sized pool never over-provisions for a short queue.
+        # Imported here, not at module level: the name loads multiprocessing,
+        # which an in-process run never needs.  max_workers is a cap: the
+        # executor spawns workers on demand, so a jobs-sized pool never
+        # over-provisions for a short queue.
+        from concurrent.futures import ProcessPoolExecutor
+
         executor = ProcessPoolExecutor(
             max_workers=self.jobs,
             mp_context=self.mp_context,

@@ -132,6 +132,24 @@ class TestMetricsAndReporting:
             assert row["mean_seconds"] <= row["total_seconds"] + 1e-12
 
 
+def _fresh_interpreter_env():
+    """The environment for a child interpreter that imports this ``repro``."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _run_fresh_interpreter(code):
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=_fresh_interpreter_env(),
+        timeout=120,
+    )
+
+
 class TestCli:
     def test_parser_subcommands(self):
         parser = build_parser()
@@ -148,11 +166,6 @@ class TestCli:
         """A reader that closes the pipe before the first write (``repro
         kernels | head -0``) ends the command with status 1 and no
         ``BrokenPipeError`` traceback on stderr."""
-        src = str(Path(repro.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [src, env.get("PYTHONPATH")])
-        )
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
@@ -160,13 +173,43 @@ class TestCli:
                 [sys.executable, "-m", "repro.cli", "kernels"],
                 stdout=write_end,
                 stderr=subprocess.PIPE,
-                env=env,
+                env=_fresh_interpreter_env(),
                 timeout=120,
             )
         finally:
             os.close(write_end)
         assert completed.stderr == b""
         assert completed.returncode == 1
+
+    def test_import_loads_neither_networkx_nor_the_process_pool(self):
+        """``import repro.cli`` loads neither networkx nor the process pool's
+        modules: an in-process run needs neither, and
+        ``BatchRunner._make_pool`` imports the pool when it makes one."""
+        code = (
+            "import sys, repro.cli\n"
+            "names = ('networkx', 'multiprocessing', 'concurrent.futures.process')\n"
+            "print([name for name in names if name in sys.modules])"
+        )
+        completed = _run_fresh_interpreter(code)
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout == "[]\n"
+
+    def test_ise_runs_without_networkx(self):
+        """With networkx made unimportable, ``repro ise`` exits 0 and prints
+        what a normal run prints."""
+        argv = ["repro", "ise", "crc32_step", "bitcount", "--no-cache"]
+        run_cli = (
+            f"import runpy, sys\nsys.argv = {argv!r}\n"
+            "runpy.run_module('repro.cli', run_name='__main__')"
+        )
+        normal = _run_fresh_interpreter(run_cli)
+        blocked = _run_fresh_interpreter(
+            "import sys\nsys.modules['networkx'] = None\n" + run_cli
+        )
+        assert normal.returncode == 0, normal.stderr
+        assert blocked.returncode == 0, blocked.stderr
+        assert "application speedup" in normal.stdout
+        assert blocked.stdout == normal.stdout
 
     def test_enumerate_command(self, capsys):
         assert main(["enumerate", "crc32_step", "--show-cuts"]) == 0

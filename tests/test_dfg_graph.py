@@ -1,6 +1,5 @@
 """Unit tests for the DataFlowGraph container."""
 
-import networkx as nx
 import pytest
 
 from repro.dfg import DataFlowGraph, GraphStructureError, Opcode
@@ -147,15 +146,6 @@ class TestDerivedGraphs:
         assert clone.num_nodes == diamond_graph.num_nodes + 1
         clone.node(0).name = "changed"
         assert diamond_graph.node(0).name != "changed"
-
-    def test_networkx_round_trip(self, diamond_graph):
-        nx_graph = diamond_graph.to_networkx()
-        assert isinstance(nx_graph, nx.DiGraph)
-        assert nx_graph.number_of_nodes() == diamond_graph.num_nodes
-        rebuilt = DataFlowGraph.from_networkx(nx_graph)
-        assert rebuilt.num_nodes == diamond_graph.num_nodes
-        assert set(rebuilt.edges()) == set(diamond_graph.edges())
-        assert [n.opcode for n in rebuilt.nodes()] == [n.opcode for n in diamond_graph.nodes()]
 
     def test_induced_subgraph(self, diamond_graph):
         ops = diamond_graph.operation_nodes()
