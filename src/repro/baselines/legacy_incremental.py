@@ -212,7 +212,7 @@ class LegacyIncrementalEnumerator:
         self.stats.pick_output_calls += 1
         ctx = self.ctx
         reach = ctx.reach
-        postdom = ctx.postdom_tree
+        comparable = ctx.postdom_comparable
 
         has_internal_outputs = False
         if chosen and (self.pruning.connected_recovery or ctx.constraints.connected_only):
@@ -223,7 +223,7 @@ class LegacyIncrementalEnumerator:
         for output in self._output_candidates:
             if (outputs_mask >> output) & 1:
                 continue
-            if self._inadmissible_output(postdom, chosen, output):
+            if self._inadmissible_output(comparable, chosen, output):
                 continue
             if self.pruning.output_output and self._ancestor_of_chosen(output, chosen):
                 self.stats.count_pruned("output_output")
@@ -264,9 +264,11 @@ class LegacyIncrementalEnumerator:
             return True
         return self.pruning.connected_recovery and has_internal_outputs
 
-    def _inadmissible_output(self, postdom, chosen: Tuple[int, ...], output: int) -> bool:
+    def _inadmissible_output(
+        self, comparable: List[int], chosen: Tuple[int, ...], output: int
+    ) -> bool:
         for previous in chosen:
-            if postdom.dominates(previous, output) or postdom.dominates(output, previous):
+            if (comparable[previous] >> output) & 1:
                 return True
         return False
 
@@ -396,11 +398,9 @@ class LegacyIncrementalEnumerator:
         return False
 
     def _input_input_prune(self, inputs_mask: int, candidate: int) -> bool:
-        postdom = self.ctx.postdom_tree
+        comparable = self.ctx.postdom_comparable[candidate]
         for existing in _iterate_mask(inputs_mask):
-            if postdom.dominates(candidate, existing) or postdom.dominates(
-                existing, candidate
-            ):
+            if (comparable >> existing) & 1:
                 self.stats.count_pruned("input_input_postdom")
                 return True
         return False

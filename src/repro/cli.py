@@ -719,15 +719,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         for rule, pass_name, description in iter_rules():
             print(f"{rule:24} [{pass_name}] {description}")
         return 0
-    if args.jobs == "auto":
-        jobs = os.cpu_count() or 1
-    else:
-        try:
-            jobs = int(args.jobs)
-        except ValueError:
-            raise SystemExit(f"--jobs must be an integer or 'auto', got {args.jobs!r}")
-        if jobs < 1:
-            raise SystemExit("--jobs must be >= 1")
     select = None
     if args.select:
         select = [
@@ -737,9 +728,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             if rule.strip()
         ]
     try:
-        report = run_lint(
-            args.paths, select=select, jobs=jobs, changed=args.changed
-        )
+        report = run_lint(args.paths, select=select, changed=args.changed)
     except (FileNotFoundError, RuntimeError, ValueError) as exc:
         raise SystemExit(str(exc))
     if args.format == "json":
@@ -1362,13 +1351,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="RULES",
         help="comma-separated rule ids to run (repeatable); default: all",
-    )
-    p_lint.add_argument(
-        "--jobs",
-        default="1",
-        metavar="N",
-        help="parallel worker processes for the per-file passes "
-        "('auto' = CPU count; project passes always run in-process)",
     )
     p_lint.add_argument(
         "--changed",

@@ -2,10 +2,11 @@
 
 The paper's Section 5.4 lists the data structures kept by the implementation:
 adjacency lists and matrix, path-presence information annotated with forbidden
-vertices, and the dominator/postdominator trees.  :class:`EnumerationContext`
-bundles all of them but the dominator tree, which no search reads (each run
-derives the dominator arrays of its own input sets).  It is derived once from
-a :class:`~repro.dfg.graph.DataFlowGraph` and a
+vertices, and the dominator/postdominator trees with constant-time ancestor
+queries.  :class:`EnumerationContext` bundles all of them but the dominator
+tree, which no search reads (each run derives the dominator arrays of its own
+input sets).  It is derived once from a
+:class:`~repro.dfg.graph.DataFlowGraph` and a
 :class:`~repro.core.constraints.Constraints` object, and is shared by every
 enumeration algorithm and by the validity checks.
 
@@ -13,10 +14,13 @@ The postdominator tree serves two pruning rules: two vertices where one
 postdominates the other are never both outputs of one convex cut (output
 admissibility, Section 5.1), and a seed set in which one input
 postdominates another is dismissed before the dominator kernel runs
-(input–input pruning, Section 5.3).  Postdominators are the dominators of
-the reverse graph rooted at the sink, a DAG too, so the search's own kernel
-(:func:`~repro.dominators.iterative.immediate_dominators_dag`) builds the
-tree over the reversed topological order, with the successor lists as the
+(input–input pruning, Section 5.3).  Both ask only whether one of two
+vertices postdominates the other, so the context holds the tree as one
+comparability row per vertex (:attr:`EnumerationContext.postdom_comparable`).
+Postdominators are the dominators of the reverse graph rooted at the sink, a
+DAG too, so the search's own kernel
+(:func:`~repro.dominators.iterative.immediate_dominators_dag`) solves them
+over the reversed topological order, with the successor lists as the
 reverse graph's predecessor lists.
 """
 
@@ -29,8 +33,7 @@ from ..dfg.augment import AugmentedDFG, augment
 from ..dfg.graph import DataFlowGraph
 from ..dfg.opcodes import is_memory
 from ..dfg.reachability import ReachabilityIndex, mask_from_ids
-from ..dominators.dominator_tree import DominatorTree
-from ..dominators.iterative import immediate_dominators_dag
+from ..dominators.iterative import comparability_rows, immediate_dominators_dag
 from .constraints import Constraints
 
 
@@ -71,7 +74,9 @@ class EnumerationContext:
     original_graph: DataFlowGraph
     augmented: AugmentedDFG
     reach: ReachabilityIndex
-    postdom_tree: DominatorTree
+    #: Bit ``u`` of row ``v`` is set iff ``u`` postdominates ``v`` or ``v``
+    #: postdominates ``u`` (``v`` itself included).
+    postdom_comparable: List[int]
     successor_lists: List[List[int]] = field(default_factory=list)
     predecessor_lists: List[List[int]] = field(default_factory=list)
     forbidden_mask: int = 0
@@ -109,9 +114,10 @@ class EnumerationContext:
         topo_position = [0] * num_nodes
         for position, vertex in enumerate(topo_order):
             topo_position[vertex] = position
-        postdom_tree = DominatorTree(
-            immediate_dominators_dag(topo_order[::-1], successor_lists, augmented.sink),
-            augmented.sink,
+        reverse_order = topo_order[::-1]
+        postdom_comparable = comparability_rows(
+            immediate_dominators_dag(reverse_order, successor_lists, augmented.sink),
+            reverse_order,
         )
 
         return cls(
@@ -119,7 +125,7 @@ class EnumerationContext:
             original_graph=graph,
             augmented=augmented,
             reach=reach,
-            postdom_tree=postdom_tree,
+            postdom_comparable=postdom_comparable,
             successor_lists=successor_lists,
             predecessor_lists=predecessor_lists,
             forbidden_mask=forbidden_mask,

@@ -126,12 +126,12 @@ def _do_enum(
 ) -> None:
     """``DO-ENUM`` of Figure 2."""
     stats.pick_output_calls += 1
-    postdom = ctx.postdom_tree
+    comparable = ctx.postdom_comparable
     reach_between = ctx.reach.between_mask
     for output in ctx.candidate_nodes:
         if (outputs_mask >> output) & 1:
             continue
-        if _inadmissible_output(postdom, chosen, output):
+        if _inadmissible_output(comparable, chosen, output):
             continue
         new_outputs_mask = outputs_mask | (1 << output)
         for dominator_mask in dominators_of[output]:
@@ -156,7 +156,7 @@ def _do_enum(
                 )
 
 
-def _inadmissible_output(postdom, chosen: Tuple[int, ...], output: int) -> bool:
+def _inadmissible_output(comparable: List[int], chosen: Tuple[int, ...], output: int) -> bool:
     """Output admissibility check of Section 5.1.
 
     A vertex cannot be an output together with a vertex that postdominates it
@@ -164,7 +164,7 @@ def _inadmissible_output(postdom, chosen: Tuple[int, ...], output: int) -> bool:
     vertex would re-enter the cut and violate convexity.
     """
     for previous in chosen:
-        if postdom.dominates(previous, output) or postdom.dominates(output, previous):
+        if (comparable[previous] >> output) & 1:
             return True
     return False
 

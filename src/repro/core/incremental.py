@@ -13,10 +13,10 @@ recursion simply keeps the previous mask.
 
 The hot path is organised around precomputation and incrementality.  The
 read-only :class:`~repro.core.context.EnumerationContext` supplies the
-closure, the postdominator tree and the topological order; everything the
-search memoises lives on the :class:`IncrementalEnumerator` of one run, so a
-run never depends on what ran before it on the same context, and its memo is
-freed when it returns:
+closure, the postdominator comparability rows and the topological order;
+everything the search memoises lives on the :class:`IncrementalEnumerator`
+of one run, so a run never depends on what ran before it on the same
+context, and its memo is freed when it returns:
 
 * the ``B({w}, o)`` contributions are closure intersections, materialised as
   one row per vertex the first time the run picks inputs for output ``o``;
@@ -73,7 +73,6 @@ from typing import Dict, List, Optional, Tuple, TypeVar
 from ..dfg.graph import DataFlowGraph
 from ..dominators.iterative import derive_immediate_dominators, immediate_dominators_dag
 from ..dominators.lengauer_tarjan import strict_dominators
-from ..dominators.multi_vertex import CompletionResult, completions_from_idom
 from .constraints import Constraints
 from .context import EnumerationContext
 from .pruning import FULL_PRUNING, PruningConfig
@@ -84,11 +83,6 @@ ALGORITHM_NAME = "poly-enum-incremental"
 
 T = TypeVar("T")
 K = TypeVar("K")
-
-#: Shared "the seed already blocks every path" completion step.  The
-#: dataclass is frozen and the completion sequence an immutable tuple, so
-#: handing one instance to every caller in the process is safe.
-_ALREADY_DOMINATED = CompletionResult(already_dominated=True, completions=(), lt_calls=0)
 
 #: Entry cap of each capped per-run cache.  Only large blocks fill one (no
 #: isebench block holds 7.4k entries).  Against 32k, 16k ran ``tree_dfg(8)``
@@ -209,14 +203,6 @@ class IncrementalEnumerator:
         self._forbidden_succ_mask = self.ctx.candidate_mask & reach.union_predecessors(
             self.ctx.forbidden_mask
         )
-        # Postdominator comparability rows: bit u of row v set iff u
-        # (post)dominates v or vice versa.  The union of the rows of the
-        # chosen outputs (inputs) masks out every inadmissible output
-        # (input-input pruned seed) at once.
-        postdom = self.ctx.postdom_tree
-        self._postdom_comparable: List[int] = [
-            postdom.comparability_mask(v) for v in range(self.ctx.num_nodes)
-        ]
 
     # ------------------------------------------------------------------ #
     def run(self) -> EnumerationResult:
@@ -287,7 +273,7 @@ class IncrementalEnumerator:
         candidates = ctx.candidate_mask & ~outputs_mask
         if outputs_mask:
             # Section 5.1: chosen outputs may not postdominate one another.
-            candidates &= ~_union_rows(self._postdom_comparable, outputs_mask)
+            candidates &= ~_union_rows(ctx.postdom_comparable, outputs_mask)
             if self.pruning.output_output:
                 # Output-output pruning: ancestors of a chosen output.
                 doomed = candidates & reach.union_ancestors(outputs_mask)
@@ -411,7 +397,7 @@ class IncrementalEnumerator:
                 self._forbidden_ancestors[output] & ~inputs_mask
             )
         if pruning.input_input:
-            input_input_blocked = _union_rows(self._postdom_comparable, inputs_mask)
+            input_input_blocked = _union_rows(ctx.postdom_comparable, inputs_mask)
         # Prune-while-building (Section 5.3): the body minus the inputs and
         # the forbidden vertices it contains is a lower bound on the final
         # cut.  More than Nout of its vertices with a forbidden successor
@@ -645,25 +631,6 @@ class IncrementalEnumerator:
             _remember(self._reachable_cache, avoid_mask, cached)
         return cached
 
-    def dominator_completions_for(self, inputs_mask: int, output: int) -> CompletionResult:
-        """Dubrova reduction step for ``(inputs, output)``, for a direct call.
-
-        The dominator arrays are keyed by the *reachable region* the input
-        set leaves behind, and one array serves every output of that region
-        — the optimisation that collapses the enumeration's kernel count
-        from one per (input set, output) pair to one per distinct region.
-        The step is read off the region's array by
-        :func:`~repro.dominators.multi_vertex.completions_from_idom`, a walk
-        up the idom chain from *output*.  This call passes no parent, so a
-        region not cached yet runs the full single-pass kernel; the search
-        itself walks its frame's array (:meth:`_pick_inputs`).
-        """
-        region = self.reachable_avoiding(inputs_mask)
-        if not ((region >> output) & 1):
-            return _ALREADY_DOMINATED
-        idom = self._dominator_array(inputs_mask, region, None)
-        return completions_from_idom(idom, self.ctx.source, output)
-
     def _dominator_array(
         self,
         inputs_mask: int,
@@ -676,10 +643,9 @@ class IncrementalEnumerator:
         Cached per region.  On a miss the array is derived from *parent*
         ``(v, array of inputs_mask ∖ {v})`` by
         :func:`~repro.dominators.iterative.derive_immediate_dominators`;
-        the single-pass DAG kernel runs only without a parent (the empty
-        input set, or a direct call).  Each fresh array, derived or full,
-        adds one to the run's ``lt_calls`` and its production time to
-        ``lt_seconds``.
+        the single-pass DAG kernel runs only without a parent, for the empty
+        input set.  Each fresh array, derived or full, adds one to the run's
+        ``lt_calls`` and its production time to ``lt_seconds``.
         """
         idom = self._idom_cache.get(region)
         if idom is None:

@@ -202,14 +202,6 @@ class ReachabilityIndex:
         """``True`` if there is a directed path (>= 1 edge) from *u* to *v*."""
         return bool((self._desc[u] >> v) & 1)
 
-    def is_ancestor(self, u: int, v: int) -> bool:
-        """``True`` if *u* is a proper ancestor of *v*."""
-        return self.has_path(u, v)
-
-    def reaches_any(self, u: int, mask: int) -> bool:
-        """``True`` if *u* reaches at least one vertex of *mask*."""
-        return bool(self._desc[u] & mask)
-
     def reached_by_any(self, v: int, mask: int) -> bool:
         """``True`` if at least one vertex of *mask* reaches *v*."""
         return bool(self._anc[v] & mask)

@@ -17,20 +17,12 @@ they serve as the ground truth the optimised machinery
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Sequence, Union
-
-SuccessorProvider = Union[Sequence[Sequence[int]], Callable[[int], Sequence[int]]]
-
-
-def _as_callable(successors: SuccessorProvider) -> Callable[[int], Sequence[int]]:
-    if callable(successors):
-        return successors
-    return lambda v: successors[v]
+from typing import Iterable, List, Sequence
 
 
 def reachable_mask_avoiding(
     num_nodes: int,
-    successors: SuccessorProvider,
+    successors: Sequence[Sequence[int]],
     start: int,
     avoid_mask: int = 0,
 ) -> int:
@@ -41,12 +33,11 @@ def reachable_mask_avoiding(
     """
     if (avoid_mask >> start) & 1:
         return 0
-    succ_of = _as_callable(successors)
     seen = 1 << start
     stack = [start]
     while stack:
         node = stack.pop()
-        for succ in succ_of(node):
+        for succ in successors[node]:
             bit = 1 << succ
             if (avoid_mask & bit) or (seen & bit):
                 continue
@@ -57,7 +48,7 @@ def reachable_mask_avoiding(
 
 def blocks_all_paths(
     num_nodes: int,
-    successors: SuccessorProvider,
+    successors: Sequence[Sequence[int]],
     root: int,
     target: int,
     blocker_mask: int,
@@ -76,7 +67,7 @@ def blocks_all_paths(
 
 def has_private_path(
     num_nodes: int,
-    successors: SuccessorProvider,
+    successors: Sequence[Sequence[int]],
     root: int,
     target: int,
     member: int,
@@ -98,7 +89,7 @@ def has_private_path(
 
 def is_generalized_dominator(
     num_nodes: int,
-    successors: SuccessorProvider,
+    successors: Sequence[Sequence[int]],
     root: int,
     target: int,
     members: Iterable[int],
@@ -123,7 +114,7 @@ def is_generalized_dominator(
 
 def brute_force_generalized_dominators(
     num_nodes: int,
-    successors: SuccessorProvider,
+    successors: Sequence[Sequence[int]],
     root: int,
     target: int,
     max_size: int,

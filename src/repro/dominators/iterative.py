@@ -8,26 +8,19 @@ DAGs, which guards against subtle bugs in the performance-oriented code.
 It also holds the one dominator kernel of the enumeration path, which
 exploits acyclicity: :func:`immediate_dominators_dag` solves a reduced DAG in
 one topological sweep (also the reverse graph, for the context's
-postdominator tree), and :func:`derive_immediate_dominators` updates such a
+postdominator relation, which :func:`comparability_rows` turns into one mask
+per vertex), and :func:`derive_immediate_dominators` updates such a
 solution when one more vertex is removed, recomputing only its descendants.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Union
-
-SuccessorProvider = Union[Sequence[Sequence[int]], Callable[[int], Sequence[int]]]
-
-
-def _as_callable(successors: SuccessorProvider) -> Callable[[int], Sequence[int]]:
-    if callable(successors):
-        return successors
-    return lambda v: successors[v]
+from typing import List, Optional, Sequence
 
 
 def immediate_dominators_iterative(
     num_nodes: int,
-    successors: SuccessorProvider,
+    successors: Sequence[Sequence[int]],
     root: int,
     removed_mask: int = 0,
 ) -> List[Optional[int]]:
@@ -40,12 +33,11 @@ def immediate_dominators_iterative(
     """
     if (removed_mask >> root) & 1:
         raise ValueError("the root vertex may not be removed")
-    succ_of = _as_callable(successors)
 
     # Reverse post-order of the reachable sub-graph (iterative DFS).
     visited = [False] * num_nodes
     postorder: List[int] = []
-    stack: List[tuple] = [(root, iter(succ_of(root)))]
+    stack: List[tuple] = [(root, iter(successors[root]))]
     visited[root] = True
     while stack:
         node, it = stack[-1]
@@ -54,7 +46,7 @@ def immediate_dominators_iterative(
             if (removed_mask >> succ) & 1 or visited[succ]:
                 continue
             visited[succ] = True
-            stack.append((succ, iter(succ_of(succ))))
+            stack.append((succ, iter(successors[succ])))
             advanced = True
             break
         if not advanced:
@@ -66,7 +58,7 @@ def immediate_dominators_iterative(
 
     preds: List[List[int]] = [[] for _ in range(num_nodes)]
     for node in rpo:
-        for succ in succ_of(node):
+        for succ in successors[node]:
             if (removed_mask >> succ) & 1:
                 continue
             if visited[succ]:
@@ -129,7 +121,7 @@ def immediate_dominators_dag(
     the ``idom`` list over vertex ids, with ``idom[root] == root`` and
     ``None`` for removed or unreachable vertices.  The tests assert
     agreement with Lengauer–Tarjan on random seed-removed DAGs and, for the
-    postdominator tree, on their reverse graphs.
+    postdominators, on their reverse graphs.
     """
     if (removed_mask >> root) & 1:
         raise ValueError("the root vertex may not be removed")
@@ -157,6 +149,36 @@ def immediate_dominators_dag(
             idom[v] = new_idom
             depth[v] = depth[new_idom] + 1
     return idom
+
+
+def comparability_rows(idom: Sequence[Optional[int]], order: Sequence[int]) -> List[int]:
+    """One mask per vertex of the dominance relation *idom* describes.
+
+    Bit ``u`` of row ``v`` is set iff ``u`` dominates ``v`` or ``v``
+    dominates ``u`` (reflexively, so ``v``'s own bit is set): the union of
+    ``v``'s chain of dominators and its dominator subtree.  A vertex whose
+    ``idom`` entry is ``None`` (removed or unreachable) is comparable with
+    nothing, so its row is 0.  Section 5.4 asks for constant-time ancestor
+    queries on the (post)dominator tree; one row answers "does either of
+    two vertices dominate the other?" with a shift, and the union of the
+    rows of a vertex set with one AND against a candidate mask.
+
+    *order* must list every vertex after its immediate dominator, as a
+    topological order of the graph *idom* was solved on does.  The rows
+    take two passes over it: going forwards each vertex extends its
+    dominator's chain, and going backwards it adds its subtree to its
+    dominator's row.
+    """
+    rows = [0] * len(idom)
+    for v in order:
+        dom = idom[v]
+        if dom is not None:
+            rows[v] = rows[dom] | 1 << v
+    for v in reversed(order):
+        dom = idom[v]
+        if dom is not None and dom != v:
+            rows[dom] |= rows[v]
+    return rows
 
 
 def derive_immediate_dominators(

@@ -23,35 +23,12 @@ sets.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Union
-
-SuccessorProvider = Union[Sequence[Sequence[int]], Callable[[int], Sequence[int]]]
-
-
-def _as_callable(successors: SuccessorProvider) -> Callable[[int], Sequence[int]]:
-    if callable(successors):
-        return successors
-    return lambda v: successors[v]
-
-
-class _LazySuccessors:
-    """Sequence façade over a callable successor provider (memoised per vertex)."""
-
-    def __init__(self, provider: Callable[[int], Sequence[int]], num_nodes: int) -> None:
-        self._provider = provider
-        self._rows: List[Optional[Sequence[int]]] = [None] * num_nodes
-
-    def __getitem__(self, v: int) -> Sequence[int]:
-        row = self._rows[v]
-        if row is None:
-            row = self._provider(v)
-            self._rows[v] = row
-        return row
+from typing import List, Optional, Sequence
 
 
 def immediate_dominators(
     num_nodes: int,
-    successors: SuccessorProvider,
+    successors: Sequence[Sequence[int]],
     root: int,
     removed_mask: int = 0,
 ) -> List[Optional[int]]:
@@ -62,8 +39,7 @@ def immediate_dominators(
     num_nodes:
         Total number of vertices (ids ``0 .. num_nodes - 1``).
     successors:
-        Either a list of successor lists or a callable mapping a vertex to its
-        successors.
+        The successor list of every vertex.
     root:
         Root vertex of the (reduced) graph.
     removed_mask:
@@ -79,16 +55,6 @@ def immediate_dominators(
     """
     if (removed_mask >> root) & 1:
         raise ValueError("the root vertex may not be removed")
-    # Hot path: when the caller hands over plain successor lists (the
-    # enumeration kernels always do), index them directly — the closure
-    # produced by ``_as_callable`` costs an extra Python call per edge, and
-    # this function is the inner kernel of the whole enumeration.  Callable
-    # providers are materialised lazily so they are still only consulted for
-    # vertices the search actually touches.
-    if callable(successors):
-        succ_lists: Sequence[Sequence[int]] = _LazySuccessors(successors, num_nodes)
-    else:
-        succ_lists = successors
 
     # -- Iterative depth-first search ------------------------------------- #
     dfnum = [-1] * num_nodes          # vertex -> dfs number
@@ -104,7 +70,7 @@ def immediate_dominators(
         dfnum[node] = number
         vertex.append(node)
         parent_df.append(parent_number)
-        for succ in succ_lists[node]:
+        for succ in successors[node]:
             if (removed_mask >> succ) & 1:
                 continue
             if dfnum[succ] == -1:
@@ -118,7 +84,7 @@ def immediate_dominators(
     preds_df: List[List[int]] = [[] for _ in range(count)]
     for number in range(count):
         node = vertex[number]
-        for succ in succ_lists[node]:
+        for succ in successors[node]:
             if (removed_mask >> succ) & 1:
                 continue
             succ_number = dfnum[succ]

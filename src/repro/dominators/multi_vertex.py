@@ -11,8 +11,9 @@ seed into a ``k``-vertex dominator of the target in the original graph.
 
 This module provides:
 
-* :func:`dominator_completions` — one reduction step, the primitive invoked
-  by the incremental enumeration (``PICK-INPUTS`` in Figure 3);
+* :func:`dominator_completions` — one reduction step, the primitive of the
+  exploration below and of the legacy incremental snapshot's
+  ``PICK-INPUTS`` (Figure 3);
 * :func:`enumerate_generalized_dominators` — full enumeration of the
   generalized dominators of a vertex up to a size bound, used by the basic
   algorithm of Figure 2 and validated in the tests against the
@@ -22,12 +23,10 @@ This module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Set, Union
+from typing import Iterable, List, Optional, Sequence, Set
 
 from .generalized import is_generalized_dominator
 from .lengauer_tarjan import immediate_dominators, strict_dominators
-
-SuccessorProvider = Union[Sequence[Sequence[int]], Callable[[int], Sequence[int]]]
 
 
 @dataclass
@@ -46,11 +45,7 @@ class DominatorSearchStats:
 
 @dataclass(frozen=True)
 class CompletionResult:
-    """Result of one Dubrova reduction step.  Immutable, so one shared
-    "already dominated" instance can answer every query whose target the
-    seed set cuts off; a direct query to the incremental enumerator builds
-    each other step afresh from its region's cached dominator array
-    (:func:`completions_from_idom`), while its search walks the array itself.
+    """Result of one Dubrova reduction step.
 
     Attributes
     ----------
@@ -75,7 +70,7 @@ class CompletionResult:
 
 def dominator_completions(
     num_nodes: int,
-    successors: SuccessorProvider,
+    successors: Sequence[Sequence[int]],
     root: int,
     target: int,
     seed_mask: int = 0,
@@ -105,33 +100,9 @@ def dominator_completions(
     return CompletionResult(already_dominated=False, completions=completions, lt_calls=1)
 
 
-def completions_from_idom(
-    idom: Sequence[Optional[int]],
-    root: int,
-    target: int,
-) -> CompletionResult:
-    """Derive one reduction step from an already-computed dominator array.
-
-    A dominator kernel computes the immediate dominators of **every** vertex
-    of the reduced graph, not just of one target — so one ``idom`` array
-    (keyed, in the incremental enumerator, by the reachable region the seed
-    set leaves behind) answers the completion query for *all* candidate
-    outputs of that region, each by a walk up the idom chain from the
-    target.  The returned result reports ``lt_calls=0``: the caller charges
-    the one kernel run when it builds the shared array.
-    """
-    if idom[target] is None:
-        return CompletionResult(already_dominated=True, completions=[], lt_calls=0)
-    return CompletionResult(
-        already_dominated=False,
-        completions=strict_dominators(idom, target, root),
-        lt_calls=0,
-    )
-
-
 def enumerate_generalized_dominators(
     num_nodes: int,
-    successors: SuccessorProvider,
+    successors: Sequence[Sequence[int]],
     root: int,
     target: int,
     max_size: int,
@@ -206,14 +177,13 @@ def enumerate_generalized_dominators(
 
 
 def _ancestors(
-    num_nodes: int, successors: SuccessorProvider, root: int, target: int
+    num_nodes: int, successors: Sequence[Sequence[int]], root: int, target: int
 ) -> List[int]:
     """Proper ancestors of *target* reachable from *root* (sorted)."""
-    succ_of = successors if callable(successors) else (lambda v: successors[v])
     # Build predecessor lists on the fly.
     preds: List[List[int]] = [[] for _ in range(num_nodes)]
     for v in range(num_nodes):
-        for s in succ_of(v):
+        for s in successors[v]:
             preds[s].append(v)
     seen = set()
     stack = list(preds[target])

@@ -29,7 +29,7 @@ from __future__ import annotations
 import dis
 import types
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Set, Tuple, Union
 
 #: Instructions that end a basic block and never fall through.
 _NO_FALLTHROUGH = frozenset(
@@ -146,9 +146,6 @@ class ControlFlowGraph:
         self.name = name
         self.blocks = blocks
         self.code = code
-        self._block_at_offset: Dict[int, int] = {
-            block.offset: block.index for block in blocks
-        }
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -248,10 +245,6 @@ class ControlFlowGraph:
         if not self.blocks:
             raise ValueError(f"CFG {self.name!r} is empty")
         return self.blocks[0]
-
-    def block_at_offset(self, offset: int) -> BasicBlock:
-        """Block whose first instruction sits at *offset*."""
-        return self.blocks[self._block_at_offset[offset]]
 
     def predecessors(self) -> List[List[int]]:
         """Predecessor lists, derived from the successor edges."""

@@ -73,10 +73,6 @@ class InstructionSetExtension:
     def __iter__(self):
         return iter(self.instructions)
 
-    def total_saved_cycles(self) -> float:
-        """Cycles saved per execution of the covered basic blocks."""
-        return sum(instr.saved_cycles for instr in self.instructions)
-
     def datasheet(self) -> str:
         """Multi-line human-readable description of the extension."""
         lines = [f"Instruction set extension for {self.application!r} "

@@ -8,11 +8,11 @@ Responsibilities, in order of a run:
 2. **Parsing** — each file becomes a :class:`FileContext`: source text, AST,
    the dotted module name derived from the enclosing package (``__init__.py``
    chain), and the parsed suppression comments.
-3. **Pass execution** — *file passes* see one :class:`FileContext` at a time
-   and run in parallel across files when ``jobs > 1`` (one process re-parses
-   its share of files; diagnostics are plain picklable dataclasses).
+3. **Pass execution** — *file passes* see one :class:`FileContext` at a time.
    *Project passes* (cross-module analyses such as the worker shared-state
-   race detector) see the whole :class:`Project` and run once, in-process.
+   race detector) see the whole :class:`Project` and run once.  Everything
+   runs in one process: on a 2-CPU host, spreading the file passes over a
+   process pool made ``repro lint src tests benchmarks`` slower.
 4. **Filtering** — ``# repro-lint: disable=RULE[,RULE]`` comments suppress
    findings on their line; a disable comment on a line of its own (no code)
    suppresses the rules for the entire file.  ``disable=all`` suppresses
@@ -27,7 +27,6 @@ instead of aborting the run.
 from __future__ import annotations
 
 import ast
-import concurrent.futures
 import os
 import re
 import subprocess
@@ -335,28 +334,6 @@ def _select_passes(select: Optional[Sequence[str]]):
     )
 
 
-def _lint_file_batch(
-    paths: List[str], select: Optional[List[str]]
-) -> List[Diagnostic]:
-    """Worker entry of the parallel path: lint *paths* with the file passes.
-
-    Re-parses its share of files (ASTs are cheaper to rebuild than to
-    pickle) and returns plain diagnostics.
-    """
-    passes, wanted = _select_passes(select)
-    diagnostics: List[Diagnostic] = []
-    for entry in paths:
-        ctx, problem = load_file(Path(entry))
-        if ctx is None:
-            if problem is not None and (wanted is None or problem.rule in wanted):
-                diagnostics.append(problem)
-            continue
-        for lint_pass in passes:
-            if not lint_pass.is_project_pass:
-                diagnostics.extend(_run_file_pass(lint_pass, ctx, wanted))
-    return diagnostics
-
-
 def _run_file_pass(lint_pass, ctx: FileContext, wanted: Optional[Set[str]]):
     found = lint_pass.check_file(ctx)
     return [
@@ -370,14 +347,13 @@ def _run_file_pass(lint_pass, ctx: FileContext, wanted: Optional[Set[str]]):
 def run_lint(
     paths: Sequence[str],
     select: Optional[Sequence[str]] = None,
-    jobs: int = 1,
     changed: Optional[str] = None,
 ) -> LintReport:
     """Lint *paths* and return the filtered, sorted report.
 
     *select* restricts execution to the passes implementing the given rule
-    ids; *jobs* parallelizes the per-file passes across processes;
-    *changed* restricts findings to lines touched since the given git ref.
+    ids; *changed* restricts findings to lines touched since the given git
+    ref.
     """
     passes, wanted = _select_passes(select)
     files = collect_files(paths)
@@ -395,24 +371,9 @@ def run_lint(
     file_passes = [p for p in passes if not p.is_project_pass]
     project_passes = [p for p in passes if p.is_project_pass]
 
-    if jobs > 1 and len(contexts) > 1 and file_passes:
-        batches: List[List[str]] = [[] for _ in range(min(jobs, len(contexts)))]
-        for index, ctx in enumerate(contexts):
-            batches[index % len(batches)].append(ctx.abspath)
-        select_arg = sorted(wanted) if wanted is not None else None
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=len(batches)
-        ) as executor:
-            for result in executor.map(
-                _lint_file_batch, batches, [select_arg] * len(batches)
-            ):
-                diagnostics.extend(
-                    d for d in result if d.rule != PARSE_ERROR_RULE
-                )
-    else:
-        for ctx in contexts:
-            for lint_pass in file_passes:
-                diagnostics.extend(_run_file_pass(lint_pass, ctx, wanted))
+    for ctx in contexts:
+        for lint_pass in file_passes:
+            diagnostics.extend(_run_file_pass(lint_pass, ctx, wanted))
 
     if project_passes:
         project = Project(contexts)

@@ -25,41 +25,12 @@ from .metrics import METRICS_SCHEMA
 # --------------------------------------------------------------------------- #
 # Sample statistics (shared with the repro.perf benchmark harness)
 # --------------------------------------------------------------------------- #
-def percentile(samples: Sequence[float], q: float) -> float:
-    """The *q*-th percentile (0–100) with linear interpolation."""
-    if not samples:
-        raise ValueError("percentile() of an empty sample set")
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"percentile rank must be in [0, 100], got {q}")
-    ordered = sorted(samples)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (q / 100.0) * (len(ordered) - 1)
-    low = int(rank)
-    frac = rank - low
-    if frac == 0.0:
-        return ordered[low]
-    return ordered[low] * (1.0 - frac) + ordered[low + 1] * frac
-
-
 def median_abs_deviation(samples: Sequence[float]) -> float:
     """Median absolute deviation — the robust spread of a timing sample set."""
     if not samples:
         raise ValueError("median_abs_deviation() of an empty sample set")
     center = statistics.median(samples)
     return statistics.median(abs(value - center) for value in samples)
-
-
-def summarize_samples(samples: Sequence[float]) -> Dict[str, float]:
-    """Robust summary of a sample set: min/median/p90/max/MAD."""
-    return {
-        "count": float(len(samples)),
-        "min": min(samples),
-        "median": statistics.median(samples),
-        "p90": percentile(samples, 90.0),
-        "max": max(samples),
-        "mad": median_abs_deviation(samples),
-    }
 
 
 def load_metrics(path: Union[str, Path]) -> Dict[str, object]:

@@ -22,11 +22,11 @@ from typing import Dict, Optional
 COMPARABILITY_FIELDS = ("python", "implementation", "machine", "cpu_count", "scale")
 
 
-def git_revision(cwd: Optional[str] = None) -> Optional[str]:
-    """The current git commit sha, or ``None`` outside a work tree."""
+def _git_output(cwd: Optional[str], *argv: str) -> Optional[str]:
+    """The stripped stdout of ``git *argv``, or ``None`` if it fails."""
     try:
         completed = subprocess.run(
-            ["git", "rev-parse", "--short=12", "HEAD"],
+            ["git", *argv],
             cwd=cwd,
             capture_output=True,
             text=True,
@@ -34,8 +34,22 @@ def git_revision(cwd: Optional[str] = None) -> Optional[str]:
         )
     except (OSError, subprocess.TimeoutExpired):
         return None
-    sha = completed.stdout.strip()
-    return sha if completed.returncode == 0 and sha else None
+    return completed.stdout.strip() if completed.returncode == 0 else None
+
+
+def git_revision(cwd: Optional[str] = None) -> Optional[str]:
+    """The current git commit sha, or ``None`` outside a work tree.
+
+    The sha gets a ``-dirty`` suffix when a tracked file differs from the
+    commit, so a record measured before committing a change does not pass
+    for a record of the commit it started from.
+    """
+    sha = _git_output(cwd, "rev-parse", "--short=12", "HEAD")
+    if not sha:
+        return None
+    if _git_output(cwd, "status", "--porcelain", "--untracked-files=no"):
+        sha += "-dirty"
+    return sha
 
 
 def environment_fingerprint(scale: Optional[str] = None) -> Dict[str, object]:

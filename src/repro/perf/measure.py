@@ -109,21 +109,3 @@ def paired_overhead(
         for a, b in zip(numerator.samples, denominator.samples)
     ]
     return statistics.median(ratios) - 1.0, median_abs_deviation(ratios)
-
-
-def ratio_of(
-    numerator: TimingResult, denominator: TimingResult
-) -> Tuple[float, float]:
-    """``(ratio, mad)`` of two timings — e.g. a speedup with its noise.
-
-    The ratio is of the two minima; the attached MAD propagates the larger
-    *relative* spread of the operands onto the ratio, which is what a
-    noise-aware comparison threshold needs.
-    """
-    denom = max(denominator.best, 1e-12)
-    ratio = numerator.best / denom
-    rel_noise = max(
-        numerator.mad / max(numerator.best, 1e-12),
-        denominator.mad / max(denominator.best, 1e-12),
-    )
-    return ratio, ratio * rel_noise

@@ -12,7 +12,6 @@ from .mibench_like import (
     SIZE_CLUSTERS,
     SuiteConfig,
     build_suite,
-    paper_scale_suite,
     size_cluster,
 )
 from .suite import WorkloadSuite
@@ -33,7 +32,6 @@ __all__ = [
     "SIZE_CLUSTERS",
     "SuiteConfig",
     "build_suite",
-    "paper_scale_suite",
     "size_cluster",
     "WorkloadSuite",
     "DEFAULT_OPCODE_MIX",

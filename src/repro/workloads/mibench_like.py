@@ -28,7 +28,7 @@ from ..dfg.graph import DataFlowGraph
 from ..dfg.opcodes import Opcode
 from .kernels import KERNEL_FACTORIES
 from .synthetic import SyntheticBlockSpec, generate_basic_block
-from .trees import paper_tree_suite, tree_dfg
+from .trees import tree_dfg
 
 
 @dataclass(frozen=True)
@@ -155,20 +155,3 @@ def build_suite(config: Optional[SuiteConfig] = None) -> List[DataFlowGraph]:
             suite.append(tree_dfg(depth))
 
     return suite
-
-
-def paper_scale_suite() -> List[DataFlowGraph]:
-    """The closest feasible analogue of the paper's full 250-block suite.
-
-    Returns the hand-written kernels, their unrolled variants, synthetic
-    blocks spanning 10–120 operations and the depth-4..7 trees.  Intended for
-    long-running benchmark sessions, not for the unit tests.
-    """
-    config = SuiteConfig(
-        num_blocks=250,
-        min_operations=10,
-        max_operations=120,
-        include_kernels=True,
-        include_trees=False,
-    )
-    return build_suite(config) + paper_tree_suite()

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import random
+import subprocess
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
@@ -164,3 +166,22 @@ def skip_unless_recorded_corpus(graphs) -> None:
     """Skip the rest of a test whose expected values describe another corpus."""
     if corpus_fingerprint(graphs) != RECORDED_CORPUS:
         pytest.skip("the recorded values describe the corpus as CPython 3.11 compiles it")
+
+
+def run_git(repo: Path, *argv: str) -> None:
+    """Run ``git *argv`` in the throwaway repository *repo*, isolated from
+    the user's configuration."""
+    subprocess.run(
+        ["git", *argv],
+        cwd=repo,
+        check=True,
+        capture_output=True,
+        env={
+            "GIT_AUTHOR_NAME": "t",
+            "GIT_AUTHOR_EMAIL": "t@example.invalid",
+            "GIT_COMMITTER_NAME": "t",
+            "GIT_COMMITTER_EMAIL": "t@example.invalid",
+            "HOME": str(repo),
+            "PATH": "/usr/bin:/bin:/usr/local/bin",
+        },
+    )

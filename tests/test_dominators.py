@@ -6,6 +6,8 @@ Cooper–Harvey–Kennedy algorithm, against ``networkx.immediate_dominators``,
 and on hand-computable graphs.
 """
 
+import random
+
 import networkx as nx
 import pytest
 from hypothesis import given
@@ -14,7 +16,7 @@ from repro.core import EnumerationContext
 from repro.dfg import augment
 from repro.dfg.reachability import mask_from_ids
 from repro.dominators import (
-    DominatorTree,
+    comparability_rows,
     dominates,
     immediate_dominators,
     immediate_dominators_iterative,
@@ -25,6 +27,15 @@ from tests.conftest import dag_seeds, make_random_dag
 
 def _augmented_successors(graph):
     return [list(graph.successors(v)) for v in graph.node_ids()]
+
+
+def _rows_by_walk(idom):
+    """Comparability rows read off *idom* by the idom-chain walk."""
+    n = len(idom)
+    return [
+        sum(1 << b for b in range(n) if dominates(idom, a, b) or dominates(idom, b, a))
+        for a in range(n)
+    ]
 
 
 class TestLengauerTarjan:
@@ -126,61 +137,68 @@ class TestLengauerTarjan:
                 assert lt[vertex] is None
 
 
-class TestDominatorTree:
-    def test_constant_time_queries_match_walk(self, diamond_graph):
+class TestComparabilityRows:
+    """The two-pass rows against the idom-chain walk of ``dominates``."""
+
+    def test_rows_match_idom_walk_on_diamond(self, diamond_graph):
         augmented = augment(diamond_graph)
         graph = augmented.graph
         idom = immediate_dominators(
             graph.num_nodes, _augmented_successors(graph), augmented.source
         )
-        tree = DominatorTree(idom, augmented.source)
-        for a in range(augmented.graph.num_nodes):
-            for b in range(augmented.graph.num_nodes):
-                assert tree.dominates(a, b) == dominates(idom, a, b)
+        rows = comparability_rows(idom, list(graph.topological_order()))
+        assert rows == _rows_by_walk(idom)
 
-    def test_depth_and_children(self):
-        succs = [[1], [2], [3], []]
-        tree = DominatorTree(immediate_dominators(4, succs, 0), root=0)
-        assert tree.depth(0) == 0
-        assert tree.depth(3) == 3
-        assert tree.children(1) == (2,)
-        assert list(tree.ancestors(3)) == [2, 1, 0]
+    @given(dag_seeds)
+    def test_rows_match_idom_walk_on_seed_removed_dags(self, seed):
+        graph = make_random_dag(seed, num_operations=10)
+        augmented = augment(graph)
+        reduced = augmented.graph
+        operations = graph.operation_nodes()
+        removed = random.Random(seed).sample(operations, min(2, len(operations)))
+        idom = immediate_dominators(
+            reduced.num_nodes,
+            _augmented_successors(reduced),
+            augmented.source,
+            removed_mask=mask_from_ids(removed),
+        )
+        rows = comparability_rows(idom, list(reduced.topological_order()))
+        assert rows == _rows_by_walk(idom)
 
-    def test_unreachable_vertex(self):
-        succs = [[1], [], []]
-        tree = DominatorTree(immediate_dominators(3, succs, 0), root=0)
-        assert not tree.is_reachable(2)
-        assert not tree.dominates(0, 2)
-        assert list(tree.ancestors(2)) == []
+    def test_unreachable_vertex_row_is_zero(self):
+        succs = [[1], [], []]  # vertex 2 unreachable from 0
+        idom = immediate_dominators(3, succs, 0)
+        assert comparability_rows(idom, [0, 1, 2]) == [0b011, 0b011, 0]
 
 
 class TestPostdominators:
-    """The context's postdominator tree, built by the single-pass DAG kernel
-    over the reversed topological order."""
+    """The context's postdominator comparability rows, solved by the
+    single-pass DAG kernel over the reversed topological order.  A vertex
+    postdominates only its descendants, so the descendants in a vertex's row
+    are its strict postdominators."""
 
     def test_postdominators_of_chain(self, chain_graph):
         ctx = EnumerationContext.build(chain_graph)
-        postdoms = ctx.postdom_tree.as_idom_list()
-        augmented = ctx.augmented
         ops = chain_graph.operation_nodes()
-        # In a chain, each operation is immediately postdominated by its
-        # single successor (the last one by the sink).
-        for earlier, later in zip(ops, ops[1:]):
-            assert postdoms[earlier] == later
-        assert postdoms[ops[-1]] == augmented.sink
+        # In a chain, each operation is postdominated by every later one
+        # and by the sink.
+        for index, op in enumerate(ops):
+            later = mask_from_ids(ops[index + 1 :]) | 1 << ctx.sink
+            assert ctx.postdom_comparable[op] & ctx.reach.descendants_mask(op) == later
 
     def test_live_out_only_postdominated_by_sink(self, paper_figure1_graph):
         # The paper: "a vertex in Oext will not be postdominated by any vertex
         # but the artificial sink, because it is connected by an edge to the sink".
         ctx = EnumerationContext.build(paper_figure1_graph)
         for vertex in paper_figure1_graph.live_out_nodes():
-            assert ctx.postdom_tree.idom(vertex) == ctx.sink
+            reached = ctx.reach.descendants_mask(vertex) | 1 << vertex
+            assert ctx.postdom_comparable[vertex] & reached == 1 << vertex | 1 << ctx.sink
 
     @given(dag_seeds)
     def test_postdominators_are_dominators_of_reverse(self, seed):
-        """The DAG kernel's tree equals Lengauer–Tarjan on the reverse graph."""
+        """The rows equal those of Lengauer–Tarjan on the reverse graph."""
         ctx = EnumerationContext.build(make_random_dag(seed, num_operations=10))
         graph = ctx.augmented.graph
         preds = [list(graph.predecessors(v)) for v in range(graph.num_nodes)]
         via_reverse = immediate_dominators(graph.num_nodes, preds, ctx.sink)
-        assert ctx.postdom_tree.as_idom_list() == via_reverse
+        assert ctx.postdom_comparable == _rows_by_walk(via_reverse)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import re
-import subprocess
 import textwrap
 from pathlib import Path
 
@@ -27,6 +26,7 @@ from repro.lint import (
 )
 from repro.lint.engine import Suppressions, changed_lines, module_name_for
 from repro.lint.passes import all_passes
+from tests.conftest import run_git
 
 
 def write_fixture(root: Path, relpath: str, source: str) -> Path:
@@ -559,20 +559,6 @@ def test_select_restricts_rules(tmp_path):
         run_lint([str(tmp_path)], select=["no-such-rule"])
 
 
-def test_parallel_run_matches_sequential(tmp_path):
-    write_fixture(tmp_path, "bad_stats.py", BAD_STATS_PR7)
-    hot_fixture(tmp_path, "bad_impure.py", "import json\nX = json.dumps([])\n")
-    write_fixture(
-        tmp_path,
-        "bad_default.py",
-        "def accumulate(item, bucket=[]):\n    return bucket\n",
-    )
-    sequential = run_lint([str(tmp_path)], jobs=1)
-    parallel = run_lint([str(tmp_path)], jobs=2)
-    assert sequential.diagnostics == parallel.diagnostics
-    assert sequential.files_scanned == parallel.files_scanned
-
-
 def test_module_name_for_resolves_package_chain(tmp_path):
     path = hot_fixture(tmp_path, "deep.py", "VALUE = 1\n")
     assert module_name_for(path) == "repro.core.deep"
@@ -642,27 +628,10 @@ def test_cli_lint_list_rules(capsys):
 # --------------------------------------------------------------------------- #
 # --changed mode
 # --------------------------------------------------------------------------- #
-def _git(repo: Path, *argv: str) -> None:
-    subprocess.run(
-        ["git", *argv],
-        cwd=repo,
-        check=True,
-        capture_output=True,
-        env={
-            "GIT_AUTHOR_NAME": "t",
-            "GIT_AUTHOR_EMAIL": "t@example.invalid",
-            "GIT_COMMITTER_NAME": "t",
-            "GIT_COMMITTER_EMAIL": "t@example.invalid",
-            "HOME": str(repo),
-            "PATH": "/usr/bin:/bin:/usr/local/bin",
-        },
-    )
-
-
 def test_changed_mode_reports_only_touched_lines(tmp_path, monkeypatch):
     repo = tmp_path / "repo"
     repo.mkdir()
-    _git(repo, "init", "-q")
+    run_git(repo, "init", "-q")
     committed = write_fixture(
         repo,
         "module.py",
@@ -671,8 +640,8 @@ def test_changed_mode_reports_only_touched_lines(tmp_path, monkeypatch):
             return bucket
         """,
     )
-    _git(repo, "add", "module.py")
-    _git(repo, "commit", "-qm", "seed")
+    run_git(repo, "add", "module.py")
+    run_git(repo, "commit", "-qm", "seed")
 
     # Append a *new* offender; the old one predates the ref.
     committed.write_text(
@@ -697,10 +666,10 @@ def test_changed_mode_reports_only_touched_lines(tmp_path, monkeypatch):
 def test_changed_mode_unknown_ref_raises(tmp_path, monkeypatch):
     repo = tmp_path / "repo"
     repo.mkdir()
-    _git(repo, "init", "-q")
+    run_git(repo, "init", "-q")
     write_fixture(repo, "module.py", "VALUE = 1\n")
-    _git(repo, "add", "module.py")
-    _git(repo, "commit", "-qm", "seed")
+    run_git(repo, "add", "module.py")
+    run_git(repo, "commit", "-qm", "seed")
     monkeypatch.chdir(repo)
     with pytest.raises(RuntimeError, match="git diff failed"):
         run_lint(["module.py"], changed="no-such-ref")

@@ -12,6 +12,7 @@ run --json -`` must keep stdout machine-parseable.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -43,8 +44,10 @@ from repro.perf import (
     unregister,
     validate_record,
 )
+from repro.perf.env import git_revision
 from repro.perf.measure import TimingResult
 from repro.perf.schema import NOISE_SIGMAS, check_gates
+from tests.conftest import run_git
 
 RECORDS_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -392,6 +395,20 @@ class TestLedger:
         env = environment_fingerprint("small")
         assert fingerprint_digest(env) == fingerprint_digest(dict(env, hostname="x"))
         assert fingerprint_digest(env) != fingerprint_digest(dict(env, cpu_count=99))
+
+    def test_git_revision_marks_a_modified_work_tree(self, tmp_path):
+        """A record taken before committing does not carry the commit's
+        bare sha; untracked files do not count as modifications."""
+        run_git(tmp_path, "init", "-q")
+        tracked = tmp_path / "tracked.txt"
+        tracked.write_text("one\n")
+        run_git(tmp_path, "add", "tracked.txt")
+        run_git(tmp_path, "commit", "-qm", "seed")
+        (tmp_path / "untracked.txt").write_text("new\n")
+        clean = git_revision(str(tmp_path))
+        assert re.fullmatch(r"[0-9a-f]{12}", clean)
+        tracked.write_text("two\n")
+        assert git_revision(str(tmp_path)) == clean + "-dirty"
 
 
 # --------------------------------------------------------------------------- #
