@@ -410,7 +410,6 @@ class LegacyIncrementalEnumerator:
         if cached is not None:
             return cached
         reachable = reachable_mask_avoiding(
-            self.ctx.num_nodes,
             self.ctx.successor_lists,
             self.ctx.source,
             inputs_mask,

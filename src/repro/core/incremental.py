@@ -43,6 +43,17 @@ context, and its memo is freed when it returns:
 * the input budget of prune-while-building drops the seeds with which the
   inputs left can no longer cut every source-to-output path, as packed
   disjoint paths show (:meth:`IncrementalEnumerator._input_budget_seeds`);
+* the input-hole bound of prune-while-building drops a grown state, before
+  its region and dominator array or its CHECK-CUT, when an input lying
+  between two body vertices leaves the cut non-convex unless later inputs
+  take more vertices than are left to choose
+  (:meth:`IncrementalEnumerator._input_holes`); the union of the inputs'
+  ancestor rows screens it, as a hole needs a body vertex above an input;
+* every frame reads what it shares with its parent off its arguments or
+  the run: the inputs' unions of comparability and ancestor rows arrive
+  from the parent frame (a seed child ORs in the seed's rows), the
+  context's source, ``Nout`` and forbidden mask are read once per run, and
+  the prune counts are bumped in place in one counter per run;
 * the per-cut acceptance test derives inputs, outputs and convexity in one
   pass over the candidate's set bits
   (:meth:`~repro.dfg.reachability.ReachabilityIndex.cut_profile`), and the
@@ -54,8 +65,10 @@ The pruning techniques of Section 5.3 are individually switchable through
 :class:`~repro.core.pruning.PruningConfig`.  The configurations do not all
 report the same cuts: the ablation benchmark records 349 cuts with every
 rule on and 352 with none (or without the input-input rule alone).  The
-two budget bounds are the exception: the subtrees they drop hold no cut
-either acceptance mode takes, so the cuts and their order stay the same.
+three bounds of prune-while-building are the exception (the output budget,
+the input budget and the input-hole bound): the subtrees they drop hold no
+cut either acceptance mode takes, so the cuts and their order stay the
+same.
 What the test suite checks, for full pruning, no pruning and each one-rule
 ablation, is that the result lies between the brute-force oracle's
 paper-enumerable cuts and its valid cuts, and that it is bit-identical to
@@ -67,7 +80,7 @@ The ablation benchmark measures how much search each rule removes.
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from typing import Dict, List, Optional, Tuple, TypeVar
 
 from ..dfg.graph import DataFlowGraph
@@ -203,6 +216,16 @@ class IncrementalEnumerator:
         self._forbidden_succ_mask = self.ctx.candidate_mask & reach.union_predecessors(
             self.ctx.forbidden_mask
         )
+        # What every frame reads, fetched once per run: the context's
+        # properties, the closure rows of the input-hole bound, and the
+        # per-rule prune counts, bumped in place and handed to the stats
+        # when the run returns.
+        self._source = self.ctx.source
+        self._max_outputs = self.ctx.max_outputs
+        self._forbidden = self.ctx.forbidden_mask
+        self._ancestor_rows = [reach.ancestors_mask(v) for v in range(num_nodes)]
+        self._descendant_rows = [reach.descendants_mask(v) for v in range(num_nodes)]
+        self._pruned: "Counter[str]" = Counter()
 
     # ------------------------------------------------------------------ #
     def run(self) -> EnumerationResult:
@@ -219,6 +242,7 @@ class IncrementalEnumerator:
                 idom=None,
                 parent=None,
             )
+        self.stats.pruned.update(self._pruned)
         self.stats.cuts_found = len(self._found)
         return EnumerationResult(
             masks=list(self._found),
@@ -255,6 +279,7 @@ class IncrementalEnumerator:
         self.stats.pick_output_calls += 1
         ctx = self.ctx
         reach = ctx.reach
+        pruning = self.pruning
         closed_ancestors = self._closed_ancestors
         # Invariants of the candidate loop: B(I, o) is the union of the
         # inputs' descendant rows cut down to o and its ancestors, and o is
@@ -263,27 +288,27 @@ class IncrementalEnumerator:
         input_descendants = reach.union_descendants(inputs_mask) if inputs_mask else 0
 
         require_connected = ctx.constraints.connected_only or (
-            self.pruning.connected_recovery
+            pruning.connected_recovery
             and cut_outputs.bit_count() > outputs_mask.bit_count()
         )
 
         # Each admissibility test is one mask over all candidates; a counted
         # rule counts the candidates it removes that no earlier test removed.
-        count_pruned = self.stats.count_pruned
+        pruned = self._pruned
         candidates = ctx.candidate_mask & ~outputs_mask
         if outputs_mask:
             # Section 5.1: chosen outputs may not postdominate one another.
             candidates &= ~_union_rows(ctx.postdom_comparable, outputs_mask)
-            if self.pruning.output_output:
+            if pruning.output_output:
                 # Output-output pruning: ancestors of a chosen output.
                 doomed = candidates & reach.union_ancestors(outputs_mask)
                 if doomed:
-                    count_pruned("output_output", doomed.bit_count())
+                    pruned["output_output"] += doomed.bit_count()
                     candidates ^= doomed
             if require_connected:
                 doomed = candidates & ~input_descendants
                 if doomed:
-                    count_pruned("connectedness", doomed.bit_count())
+                    pruned["connectedness"] += doomed.bit_count()
                     candidates ^= doomed
         if not nin_left:
             # With no input left, only outputs I already dominates lead on.
@@ -291,10 +316,18 @@ class IncrementalEnumerator:
         if not candidates:
             return
 
-        budget_bound = nout_left == 1 and self.pruning.prune_while_building
+        prune_while_building = pruning.prune_while_building
+        budget_bound = nout_left == 1 and prune_while_building
+        # The PICK-INPUTS frames of this call start from the inputs' union
+        # of comparability rows (input-input pruning) and of ancestor rows
+        # (the input-hole screen); a seed child ORs in its seed's rows.
+        input_input_blocked = (
+            _union_rows(ctx.postdom_comparable, inputs_mask) if pruning.input_input else 0
+        )
+        inputs_above = reach.union_ancestors(inputs_mask) if prune_while_building else 0
         stuck = self._forbidden_succ_mask
-        excluded = inputs_mask | ctx.forbidden_mask  # never in the cut
-        max_outputs = ctx.max_outputs
+        excluded = inputs_mask | self._forbidden  # never in the cut
+        max_outputs = self._max_outputs
         visited = self._visited_states
         # The PICK-INPUTS keys of this call share the inputs and the earlier
         # outputs; only the body and the new output vary.
@@ -314,7 +347,7 @@ class IncrementalEnumerator:
                 stuck = self._stuck_outputs(output, body_mask & ~cone)
                 excess = (new_body_mask & ~excluded & stuck).bit_count() - max_outputs
                 if excess > (0 if dominated else nin_left):
-                    count_pruned("output_budget")
+                    pruned["output_budget"] += 1
                     continue
             if dominated:
                 new_cut_outputs = self._check_cut(inputs_mask, new_outputs_mask, new_body_mask)
@@ -334,6 +367,7 @@ class IncrementalEnumerator:
                 self._pick_inputs(
                     inputs_mask, new_outputs_mask, new_body_mask, output, output_key,
                     nin_left, nout_left - 1, stuck, region, idom,
+                    input_input_blocked, inputs_above,
                 )
         self.stats.pick_input_calls += pick_input_calls
 
@@ -352,6 +386,8 @@ class IncrementalEnumerator:
         stuck: int,
         region: int,
         idom: List[Optional[int]],
+        input_input_blocked: int,
+        inputs_above: int,
     ) -> None:
         """Expand an unvisited state in which *output* picks inputs.
 
@@ -361,16 +397,20 @@ class IncrementalEnumerator:
         dominator array, held by this frame: a grown input set's region and
         array are derived from them on a cache miss.  *stuck* is the
         vertices with a forbidden successor, or the last output's
-        :meth:`_stuck_outputs`.
+        :meth:`_stuck_outputs`.  *input_input_blocked* is the union of the
+        inputs' comparability rows (0 without input-input pruning) and
+        *inputs_above* the union of their ancestor rows, which only
+        prune-while-building reads.
         """
-        ctx = self.ctx
         pruning = self.pruning
         prune_while_building = pruning.prune_while_building
-        count_pruned = self.stats.count_pruned
-        source = ctx.source
-        forbidden = ctx.forbidden_mask
+        pruned = self._pruned
+        source = self._source
+        forbidden = self._forbidden
         forbidden_succ = self._forbidden_succ_mask
-        max_outputs = ctx.max_outputs
+        max_outputs = self._max_outputs
+        ancestor_rows = self._ancestor_rows
+        slack = nin_left - 1  # the inputs left under a completion or a seed
         between_row = self._contributions(output)
         completions = strict_dominators(idom, output, source)
         # Both candidate loops below test the same two prunings, each one
@@ -390,14 +430,12 @@ class IncrementalEnumerator:
         # therefore not applied.
         #
         # Input-input pruning: chosen seed-set members may not postdominate
-        # one another (the union of the inputs' comparability rows).
-        output_input_blocked = input_input_blocked = 0
+        # one another (*input_input_blocked*).
+        output_input_blocked = 0
         if pruning.output_input:
-            output_input_blocked = ctx.reach.union_ancestors(
+            output_input_blocked = self.ctx.reach.union_ancestors(
                 self._forbidden_ancestors[output] & ~inputs_mask
             )
-        if pruning.input_input:
-            input_input_blocked = _union_rows(ctx.postdom_comparable, inputs_mask)
         # Prune-while-building (Section 5.3): the body minus the inputs and
         # the forbidden vertices it contains is a lower bound on the final
         # cut.  More than Nout of its vertices with a forbidden successor
@@ -405,15 +443,18 @@ class IncrementalEnumerator:
         # inputs still to choose (the output budget: none after a
         # completion, nin_left - 1 after a seed).  *stuck* holds every
         # vertex with a forbidden successor, so neither test fires unless
-        # more than Nout body vertices are stuck.
+        # more than Nout body vertices are stuck.  Last, the input-hole
+        # bound (:meth:`_input_holes`) drops the grown state when its holes
+        # need more later inputs than are left; a hole needs a body vertex
+        # above an input, so the inputs' ancestor union screens it.
         for completion in completions:
             if completion == source or (inputs_mask >> completion) & 1:
                 continue
             if (output_input_blocked >> completion) & 1:
-                count_pruned("output_input_forbidden_path")
+                pruned["output_input_forbidden_path"] += 1
                 continue
             if (input_input_blocked >> completion) & 1:
-                count_pruned("input_input_postdom")
+                pruned["input_input_postdom"] += 1
                 continue
             new_inputs_mask = inputs_mask | (1 << completion)
             new_body_mask = body_mask | between_row[completion]
@@ -421,15 +462,20 @@ class IncrementalEnumerator:
                 effective = new_body_mask & ~(new_inputs_mask | forbidden)
                 if (effective & stuck).bit_count() > max_outputs:
                     if (effective & forbidden_succ).bit_count() > max_outputs:
-                        count_pruned("too_many_unavoidable_outputs")
+                        pruned["too_many_unavoidable_outputs"] += 1
                     else:
-                        count_pruned("output_budget")
+                        pruned["output_budget"] += 1
+                    continue
+                if effective & (
+                    inputs_above | ancestor_rows[completion]
+                ) and not self._input_holes(new_inputs_mask, effective, slack):
+                    pruned["input_hole"] += 1
                     continue
             cut_outputs = self._check_cut(new_inputs_mask, outputs_mask, new_body_mask)
             if cut_outputs is not None and nout_left:
                 self._pick_output(
                     new_inputs_mask, outputs_mask, new_body_mask, cut_outputs,
-                    nin_left - 1, nout_left,
+                    slack, nout_left,
                     self.reachable_avoiding(new_inputs_mask, (completion, region)),
                     None, (completion, idom),
                 )
@@ -437,14 +483,15 @@ class IncrementalEnumerator:
         if nin_left > 1:
             # Extend the seed set with another ancestor of the output, in
             # ascending id order.
-            seeds = self._seed_masks[output] & ~inputs_mask
+            seed_candidates = self._seed_masks[output]
+            seeds = seed_candidates & ~inputs_mask
             doomed = seeds & output_input_blocked
             if doomed:
-                count_pruned("output_input_forbidden_path", doomed.bit_count())
+                pruned["output_input_forbidden_path"] += doomed.bit_count()
                 seeds ^= doomed
             doomed = seeds & input_input_blocked
             if doomed:
-                count_pruned("input_input_postdom", doomed.bit_count())
+                pruned["input_input_postdom"] += doomed.bit_count()
                 seeds ^= doomed
             if prune_while_building and seeds:
                 # The input budget, unless a completion already cuts every path.
@@ -456,8 +503,17 @@ class IncrementalEnumerator:
                         region, output, nin_left, input_input_blocked
                     )
                     if doomed:
-                        count_pruned("input_budget", doomed.bit_count())
+                        pruned["input_budget"] += doomed.bit_count()
                         seeds ^= doomed
+            # The last-input refinement of the input-hole bound: a seed
+            # child with one input left expands no seed of its own, so its
+            # one later input is a completion of this output.  With a hole,
+            # that completion must close every hole alone, lie in the grown
+            # region, be a seed candidate of the output and not be blocked
+            # by input-input pruning; a child without one is dropped before
+            # its dominator array is derived.
+            last_input = prune_while_building and slack == 1
+            comparable = self.ctx.postdom_comparable if pruning.input_input else None
             visited = self._visited_states
             body_shift = self._key_body_shift
             inputs_shift = self._key_inputs_shift
@@ -468,15 +524,22 @@ class IncrementalEnumerator:
                 seed = low.bit_length() - 1
                 new_inputs_mask = inputs_mask | low
                 new_body_mask = body_mask | between_row[seed]
+                new_above = inputs_above | ancestor_rows[seed]
+                closers = -1
                 if prune_while_building:
                     effective = new_body_mask & ~(new_inputs_mask | forbidden)
                     unavoidable = (effective & stuck).bit_count()
                     if unavoidable > max_outputs:
                         if (effective & forbidden_succ).bit_count() > max_outputs:
-                            count_pruned("too_many_unavoidable_outputs")
+                            pruned["too_many_unavoidable_outputs"] += 1
                             continue
-                        if unavoidable - (nin_left - 1) > max_outputs:
-                            count_pruned("output_budget")
+                        if unavoidable - slack > max_outputs:
+                            pruned["output_budget"] += 1
+                            continue
+                    if effective & new_above:
+                        closers = self._input_holes(new_inputs_mask, effective, slack)
+                        if not closers:
+                            pruned["input_hole"] += 1
                             continue
                 pick_input_calls += 1
                 key = (
@@ -489,10 +552,21 @@ class IncrementalEnumerator:
                 visited.add(key)
                 new_region = self.reachable_avoiding(new_inputs_mask, (seed, region))
                 if (new_region >> output) & 1:
+                    new_blocked = (
+                        input_input_blocked | comparable[seed] if comparable is not None else 0
+                    )
+                    if (
+                        last_input
+                        and closers != -1
+                        and not closers & new_region & seed_candidates & ~new_blocked
+                    ):
+                        pruned["input_hole"] += 1
+                        continue
                     self._pick_inputs(
                         new_inputs_mask, outputs_mask, new_body_mask, output, output_key,
-                        nin_left - 1, nout_left, stuck, new_region,
+                        slack, nout_left, stuck, new_region,
                         self._dominator_array(new_inputs_mask, new_region, (seed, idom)),
+                        new_blocked, new_above,
                     )
                 else:
                     # The seed set alone already cuts every path to the output.
@@ -500,9 +574,51 @@ class IncrementalEnumerator:
                     if cut_outputs is not None and nout_left:
                         self._pick_output(
                             new_inputs_mask, outputs_mask, new_body_mask, cut_outputs,
-                            nin_left - 1, nout_left, new_region, None, (seed, idom),
+                            slack, nout_left, new_region, None, (seed, idom),
                         )
             self.stats.pick_input_calls += pick_input_calls
+
+    def _input_holes(self, inputs_mask: int, effective: int, slack: int) -> int:
+        """The input-hole bound of a state with inputs *inputs_mask*, body
+        *effective* less the inputs and the forbidden vertices, and *slack*
+        inputs left to choose.
+
+        An input with an ancestor and a descendant in *effective* is a
+        *hole*: it lies on a path between them and joins no cut, so a convex
+        cut below the state holds none of the vertices of one side, and as
+        the body only grows, later inputs take that whole side.  Returns 0
+        when no convex cut lies below the state: a hole's smaller side
+        outnumbers *slack*, or with one input left, no vertex closes every
+        hole alone (is the one vertex of a side of each).  Otherwise, with
+        one input left, returns the vertices that close every hole alone,
+        and else -1 (as it does without a hole).
+        """
+        ancestor_rows = self._ancestor_rows
+        descendant_rows = self._descendant_rows
+        closers = -1
+        while inputs_mask:
+            low = inputs_mask & -inputs_mask
+            inputs_mask ^= low
+            vertex = low.bit_length() - 1
+            above = effective & ancestor_rows[vertex]
+            if not above:
+                continue
+            below = effective & descendant_rows[vertex]
+            if not below:
+                continue
+            if slack > 1:
+                if above.bit_count() > slack and below.bit_count() > slack:
+                    return 0
+            elif slack:
+                # A side of one vertex is closed by that vertex alone.
+                closers &= (0 if above & (above - 1) else above) | (
+                    0 if below & (below - 1) else below
+                )
+                if not closers:
+                    return 0
+            else:
+                return 0
+        return closers
 
     # ------------------------------------------------------------------ #
     # The run's memo: contribution rows, stuck masks, dominator queries

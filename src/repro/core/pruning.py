@@ -2,9 +2,9 @@
 
 Every pruning rule can be toggled individually so that the ablation benchmark
 (``benchmarks/bench_pruning_ablation.py``) can measure how much each one
-contributes.  The two budget bounds of ``prune_while_building`` are pure
-optimizations: they drop only subtrees that hold no cut either acceptance
-mode takes.  The other rules are not: the configurations do not all report
+contributes.  The three bounds of ``prune_while_building`` (the output
+budget, the input budget and the input-hole bound) are pure optimizations:
+they drop only subtrees that hold no cut either acceptance mode takes.  The other rules are not: the configurations do not all report
 the same cuts (see :mod:`repro.core.incremental` for what the test suite
 checks instead).
 """
@@ -41,7 +41,17 @@ class PruningConfig:
           paths, sharing no vertex a later input could take, than inputs
           left to cut them, or exactly as many and the seed is on none
           (``input_budget``, the input budget bound).  Paths may share the
-          vertices input-input blocks, but only while ``input_input`` is on.
+          vertices input-input blocks, but only while ``input_input`` is on,
+          or
+        * a chosen input lies on a path between two vertices of the masked
+          ``S`` (a *hole*: the cut is not convex while both stay in it), and
+          a hole's vertices above it and those below it both outnumber the
+          inputs left to choose; with one input left, no single vertex is
+          the whole of one side of every hole, or, under a seed whose output
+          the grown input set does not yet dominate, no such vertex is a
+          completion that seed could still take (``input_hole``, the
+          input-hole bound).  It is tested where a seed or a completion
+          grows the input set.
     output_input:
         Skip input candidates whose every pairing with the chosen output is
         doomed: candidates with a forbidden vertex, not already an input, on

@@ -160,16 +160,13 @@ def satisfies_technical_condition(context: EnumerationContext, node_mask: int) -
     if inputs_mask == 0:
         return True
     root = context.source
-    num_nodes = context.num_nodes
     successors = context.successor_lists
     for input_vertex in iterate_mask(inputs_mask):
         others = inputs_mask & ~(1 << input_vertex)
-        reach_root = reachable_mask_avoiding(num_nodes, successors, root, others)
+        reach_root = reachable_mask_avoiding(successors, root, others)
         if not ((reach_root >> input_vertex) & 1):
             return False
-        reach_from_input = reachable_mask_avoiding(
-            num_nodes, successors, input_vertex, others
-        )
+        reach_from_input = reachable_mask_avoiding(successors, input_vertex, others)
         if not (reach_from_input & node_mask):
             return False
     return True

@@ -21,7 +21,6 @@ from typing import Iterable, List, Sequence
 
 
 def reachable_mask_avoiding(
-    num_nodes: int,
     successors: Sequence[Sequence[int]],
     start: int,
     avoid_mask: int = 0,
@@ -47,7 +46,6 @@ def reachable_mask_avoiding(
 
 
 def blocks_all_paths(
-    num_nodes: int,
     successors: Sequence[Sequence[int]],
     root: int,
     target: int,
@@ -61,12 +59,11 @@ def blocks_all_paths(
     """
     if (blocker_mask >> target) & 1:
         return True
-    reachable = reachable_mask_avoiding(num_nodes, successors, root, blocker_mask)
+    reachable = reachable_mask_avoiding(successors, root, blocker_mask)
     return not ((reachable >> target) & 1)
 
 
 def has_private_path(
-    num_nodes: int,
     successors: Sequence[Sequence[int]],
     root: int,
     target: int,
@@ -78,17 +75,14 @@ def has_private_path(
     ``True`` if some root-to-target path goes through *member* while avoiding
     all vertices of *others_mask*.
     """
-    reach_from_root = reachable_mask_avoiding(num_nodes, successors, root, others_mask)
+    reach_from_root = reachable_mask_avoiding(successors, root, others_mask)
     if not ((reach_from_root >> member) & 1):
         return False
-    reach_from_member = reachable_mask_avoiding(
-        num_nodes, successors, member, others_mask
-    )
+    reach_from_member = reachable_mask_avoiding(successors, member, others_mask)
     return bool((reach_from_member >> target) & 1)
 
 
 def is_generalized_dominator(
-    num_nodes: int,
     successors: Sequence[Sequence[int]],
     root: int,
     target: int,
@@ -103,17 +97,16 @@ def is_generalized_dominator(
     members_mask = 0
     for v in member_list:
         members_mask |= 1 << v
-    if not blocks_all_paths(num_nodes, successors, root, target, members_mask):
+    if not blocks_all_paths(successors, root, target, members_mask):
         return False
     for v in member_list:
         others = members_mask & ~(1 << v)
-        if not has_private_path(num_nodes, successors, root, target, v, others):
+        if not has_private_path(successors, root, target, v, others):
             return False
     return True
 
 
 def brute_force_generalized_dominators(
-    num_nodes: int,
     successors: Sequence[Sequence[int]],
     root: int,
     target: int,
@@ -132,6 +125,6 @@ def brute_force_generalized_dominators(
     results = set()
     for size in range(1, max_size + 1):
         for combo in combinations(candidate_list, size):
-            if is_generalized_dominator(num_nodes, successors, root, target, combo):
+            if is_generalized_dominator(successors, root, target, combo):
                 results.add(frozenset(combo))
     return results

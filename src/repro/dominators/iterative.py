@@ -113,8 +113,8 @@ def immediate_dominators_dag(
     replace the per-call depth-first searches of the general algorithms, and
     no iteration-to-fixpoint is needed.  The incremental search runs it
     once, for the empty input set, as the base case of
-    :func:`derive_immediate_dominators`; it also answers direct queries that
-    pass no parent array.
+    :func:`derive_immediate_dominators`, and the context build runs it once
+    over the reversed order for the postdominators.
 
     Same contract as
     :func:`repro.dominators.lengauer_tarjan.immediate_dominators`: returns

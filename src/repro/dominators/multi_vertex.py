@@ -132,7 +132,7 @@ def enumerate_generalized_dominators(
         return set()
 
     if candidates is None:
-        candidate_list = _ancestors(num_nodes, successors, root, target)
+        candidate_list = _ancestors(num_nodes, successors, target)
     else:
         candidate_list = sorted(set(candidates) - {target})
     candidate_mask = 0
@@ -144,7 +144,7 @@ def enumerate_generalized_dominators(
     def record(mask: int) -> None:
         members = _mask_to_list(mask)
         if require_irredundant and not is_generalized_dominator(
-            num_nodes, successors, root, target, members
+            successors, root, target, members
         ):
             return
         results.add(frozenset(members))
@@ -176,10 +176,8 @@ def enumerate_generalized_dominators(
     return results
 
 
-def _ancestors(
-    num_nodes: int, successors: Sequence[Sequence[int]], root: int, target: int
-) -> List[int]:
-    """Proper ancestors of *target* reachable from *root* (sorted)."""
+def _ancestors(num_nodes: int, successors: Sequence[Sequence[int]], target: int) -> List[int]:
+    """Every proper ancestor of *target*, sorted."""
     # Build predecessor lists on the fly.
     preds: List[List[int]] = [[] for _ in range(num_nodes)]
     for v in range(num_nodes):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
 import subprocess
@@ -166,6 +167,16 @@ def skip_unless_recorded_corpus(graphs) -> None:
     """Skip the rest of a test whose expected values describe another corpus."""
     if corpus_fingerprint(graphs) != RECORDED_CORPUS:
         pytest.skip("the recorded values describe the corpus as CPython 3.11 compiles it")
+
+
+def integer_stats(stats) -> dict:
+    """The deterministic counters of an ``EnumerationStats``: every integer
+    field and the per-rule ``pruned`` counts (timings excluded)."""
+    return {
+        spec.name: getattr(stats, spec.name)
+        for spec in dataclasses.fields(stats)
+        if not isinstance(getattr(stats, spec.name), float)
+    }
 
 
 def run_git(repo: Path, *argv: str) -> None:

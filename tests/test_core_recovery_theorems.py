@@ -84,7 +84,6 @@ class TestTheorems:
                 if not inputs_to_output:
                     continue
                 assert is_generalized_dominator(
-                    ctx.num_nodes,
                     ctx.successor_lists,
                     ctx.source,
                     output,

@@ -30,34 +30,34 @@ def _setup(graph):
 class TestDefinitionPredicates:
     def test_reachable_avoiding(self):
         succs = [[1, 2], [3], [3], []]
-        full = reachable_mask_avoiding(4, succs, 0)
+        full = reachable_mask_avoiding(succs, 0)
         assert full == mask_from_ids([0, 1, 2, 3])
-        without_one = reachable_mask_avoiding(4, succs, 0, avoid_mask=1 << 1)
+        without_one = reachable_mask_avoiding(succs, 0, avoid_mask=1 << 1)
         assert without_one == mask_from_ids([0, 2, 3])
-        assert reachable_mask_avoiding(4, succs, 0, avoid_mask=1) == 0
+        assert reachable_mask_avoiding(succs, 0, avoid_mask=1) == 0
 
     def test_blocks_all_paths(self):
         succs = [[1, 2], [3], [3], []]
-        assert blocks_all_paths(4, succs, 0, 3, mask_from_ids([1, 2]))
-        assert not blocks_all_paths(4, succs, 0, 3, mask_from_ids([1]))
-        assert blocks_all_paths(4, succs, 0, 3, mask_from_ids([3]))
+        assert blocks_all_paths(succs, 0, 3, mask_from_ids([1, 2]))
+        assert not blocks_all_paths(succs, 0, 3, mask_from_ids([1]))
+        assert blocks_all_paths(succs, 0, 3, mask_from_ids([3]))
 
     def test_private_path(self):
         succs = [[1, 2], [3], [3], []]
-        assert has_private_path(4, succs, 0, 3, member=1, others_mask=1 << 2)
+        assert has_private_path(succs, 0, 3, member=1, others_mask=1 << 2)
         # With vertex 3 itself avoided, vertex 1 cannot reach the target.
-        assert not has_private_path(4, succs, 0, 3, member=1, others_mask=1 << 3)
+        assert not has_private_path(succs, 0, 3, member=1, others_mask=1 << 3)
 
     def test_is_generalized_dominator_basic(self):
         succs = [[1, 2], [3], [3], []]
-        assert is_generalized_dominator(4, succs, 0, 3, [1, 2])
-        assert not is_generalized_dominator(4, succs, 0, 3, [1])
+        assert is_generalized_dominator(succs, 0, 3, [1, 2])
+        assert not is_generalized_dominator(succs, 0, 3, [1])
         # Redundant member: {0, 1, 2} violates condition 2 because 0 blocks
         # everything on its own.
-        assert not is_generalized_dominator(4, succs, 0, 3, [0, 1, 2])
-        assert is_generalized_dominator(4, succs, 0, 3, [0])
-        assert not is_generalized_dominator(4, succs, 0, 3, [])
-        assert not is_generalized_dominator(4, succs, 0, 3, [3])
+        assert not is_generalized_dominator(succs, 0, 3, [0, 1, 2])
+        assert is_generalized_dominator(succs, 0, 3, [0])
+        assert not is_generalized_dominator(succs, 0, 3, [])
+        assert not is_generalized_dominator(succs, 0, 3, [3])
 
 
 class TestCompletions:
@@ -132,7 +132,7 @@ class TestEnumeration:
             n, succs, root, target, max_size=3, candidates=ancestors
         )
         slow = brute_force_generalized_dominators(
-            n, succs, root, target, max_size=3, candidates=ancestors
+            succs, root, target, max_size=3, candidates=ancestors
         )
         assert fast == slow
 
@@ -177,6 +177,6 @@ class TestEnumeration:
         result = enumerate_generalized_dominators(n, succs, root, names["Y"], max_size=3)
         assert result, "Y must have at least one generalized dominator"
         for dominator_set in result:
-            assert is_generalized_dominator(n, succs, root, names["Y"], dominator_set)
+            assert is_generalized_dominator(succs, root, names["Y"], dominator_set)
         # Figure 1(b): {N, B, C} is a generalized dominator of Y.
         assert frozenset({names["N"], names["B"], names["C"]}) in result

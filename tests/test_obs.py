@@ -42,7 +42,7 @@ from repro.workloads import (
     build_kernel,
     generate_basic_block,
 )
-from tests.conftest import make_random_dag
+from tests.conftest import integer_stats, make_random_dag
 
 
 @pytest.fixture(autouse=True)
@@ -250,16 +250,6 @@ class TestExport:
 # --------------------------------------------------------------------------- #
 # Engine integration: worker snapshots and stats parity
 # --------------------------------------------------------------------------- #
-def _integer_stats(stats: EnumerationStats) -> dict:
-    """The deterministic portion of the counters: every integer field and
-    the per-rule ``pruned`` counts (timings excluded)."""
-    return {
-        spec.name: getattr(stats, spec.name)
-        for spec in dataclasses.fields(stats)
-        if not isinstance(getattr(stats, spec.name), float)
-    }
-
-
 class TestEngineIntegration:
     def test_sequential_run_populates_metrics_and_spans(self, obs_suite):
         registry, recorder = obs_runtime.activate()
@@ -311,7 +301,7 @@ class TestEngineIntegration:
         for seq_item, par_item in zip(sequential.items, parallel.items):
             assert seq_item.graph_name == par_item.graph_name
             assert par_item.ok, f"{par_item.graph_name}: {par_item.error}"
-            assert _integer_stats(seq_item.result.stats) == _integer_stats(
+            assert integer_stats(seq_item.result.stats) == integer_stats(
                 par_item.result.stats
             ), f"stats diverged for {seq_item.graph_name}"
 
@@ -328,7 +318,7 @@ class TestEngineIntegration:
         report = BatchRunner(constraints=constraints, jobs=1).run([original, twin])
         alone = enumerate_cuts(twin, constraints)
         assert alone.stats.lt_calls > 0
-        assert _integer_stats(report.items[1].result.stats) == _integer_stats(alone.stats)
+        assert integer_stats(report.items[1].result.stats) == integer_stats(alone.stats)
 
     def test_sequential_rerun_counts_like_the_first_run(self):
         """Re-running one sequential runner over the same blocks counts again.
@@ -348,10 +338,10 @@ class TestEngineIntegration:
         for first_item, second_item, pooled_item in zip(
             first.items, second.items, pooled.items
         ):
-            expected = _integer_stats(first_item.result.stats)
+            expected = integer_stats(first_item.result.stats)
             assert expected["lt_calls"] > 0
-            assert _integer_stats(second_item.result.stats) == expected
-            assert _integer_stats(pooled_item.result.stats) == expected
+            assert integer_stats(second_item.result.stats) == expected
+            assert integer_stats(pooled_item.result.stats) == expected
 
     def test_pool_block_stats_do_not_depend_on_worker_history(self):
         """A pooled block reports the same counters on a reused pool.
@@ -372,10 +362,10 @@ class TestEngineIntegration:
         for seq_item, first_item, second_item in zip(
             sequential.items, first.items, second.items
         ):
-            expected = _integer_stats(seq_item.result.stats)
+            expected = integer_stats(seq_item.result.stats)
             assert expected["lt_calls"] > 0
-            assert _integer_stats(first_item.result.stats) == expected
-            assert _integer_stats(second_item.result.stats) == expected
+            assert integer_stats(first_item.result.stats) == expected
+            assert integer_stats(second_item.result.stats) == expected
 
     def test_disabled_obs_keeps_wire_format_plain(self, obs_suite):
         """With observability off, nothing must change on the pool wire."""

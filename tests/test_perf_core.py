@@ -53,7 +53,7 @@ from repro.workloads import (
     inverted_tree_dfg,
     tree_dfg,
 )
-from tests.conftest import make_random_dag
+from tests.conftest import integer_stats, make_random_dag
 
 PRUNING_VARIANTS = [FULL_PRUNING, NO_PRUNING] + [
     FULL_PRUNING.disable(name) for name in FULL_PRUNING.enabled_names()
@@ -65,15 +65,6 @@ def _cut_keys(result):
         (cut.sorted_nodes(), tuple(sorted(cut.inputs)), tuple(sorted(cut.outputs)))
         for cut in result.cuts
     )
-
-
-def _integer_stats(stats):
-    """Every integer ``EnumerationStats`` field plus the per-rule prune counts."""
-    return {
-        spec.name: getattr(stats, spec.name)
-        for spec in dataclasses.fields(stats)
-        if not isinstance(getattr(stats, spec.name), float)
-    }
 
 
 def _count_calls(monkeypatch, name, function):
@@ -150,7 +141,7 @@ class TestOptimizedEnumeratorBitIdentity:
     def test_bit_identical_across_generators_and_prunings(self, constraints, min_graphs):
         checked = 0
         basic_agreements = 0
-        budget_bound_fired = input_budget_fired = 0
+        budget_bound_fired = input_budget_fired = input_hole_fired = 0
         graphs = _property_graphs()
         if min_graphs < len(graphs):
             graphs = graphs[: min_graphs + 40]  # headroom for the size filter
@@ -180,6 +171,7 @@ class TestOptimizedEnumeratorBitIdentity:
                 if pruning is FULL_PRUNING:
                     budget_bound_fired += new.stats.pruned.get("output_budget", 0) > 0
                     input_budget_fired += new.stats.pruned.get("input_budget", 0) > 0
+                    input_hole_fired += new.stats.pruned.get("input_hole", 0) > 0
                     legacy_matches_basic = legacy_keys == basic_keys
                     if legacy_matches_basic:
                         assert new_keys == basic_keys, graph.name
@@ -191,11 +183,12 @@ class TestOptimizedEnumeratorBitIdentity:
         # they differ on borderline cuts — a pre-existing, documented
         # property, not something this PR may change).
         assert basic_agreements >= min_graphs // 5
-        # The snapshot has neither budget bound, so the identity above covers
-        # them only if they fire; they are part of every variant that keeps
-        # prune_while_building on.
+        # The snapshot has none of the three bounds, so the identity above
+        # covers them only if they fire; they are part of every variant that
+        # keeps prune_while_building on.
         assert budget_bound_fired * 4 >= checked
         assert input_budget_fired * 4 >= checked
+        assert input_hole_fired * 4 >= checked
 
     def test_debug_validity_cross_check_runs(self, monkeypatch):
         monkeypatch.setenv("REPRO_DEBUG_VALIDITY", "1")
@@ -210,9 +203,10 @@ class TestOptimizedEnumeratorBitIdentity:
 #: candidate filtering, per block: the SHA-256 of ``result.masks`` in
 #: discovery order under full pruning and with prune-while-building off, the
 #: candidates full pruning checked, and every integer stat with
-#: prune-while-building off.  Last, recorded before the input budget bound,
+#: prune-while-building off.  Then, recorded before the input budget bound,
 #: the duplicates, PICK-OUTPUT calls, PICK-INPUTS calls and dominator arrays
-#: of full pruning.
+#: of full pruning.  Last, the duplicates and PICK-OUTPUT calls of full
+#: pruning with the input-hole bound.
 _RECORDED_RUNS = {
     "synthetic_n30_s2007": (
         "b76689d5e004df13e7fd34612f3302acc910642951934efdb56d0afd08c12008",
@@ -228,6 +222,7 @@ _RECORDED_RUNS = {
             "insearch_hits": 0, "insearch_misses": 0, "insearch_evictions": 0,
         },
         {"duplicates": 2982, "pick_output_calls": 1048, "pick_input_calls": 8912, "lt_calls": 1018},
+        (2334, 438),
     ),
     "tree_depth4": (
         "c7182ba506a4511e24adfd99e205f88dd26644f4aecf71a19906000c464d753d",
@@ -240,6 +235,7 @@ _RECORDED_RUNS = {
             "insearch_hits": 0, "insearch_misses": 0, "insearch_evictions": 0,
         },
         {"duplicates": 342, "pick_output_calls": 49, "pick_input_calls": 10551, "lt_calls": 2857},
+        (342, 49),
     ),
     "mibench_like_013_n29": (
         "038b676bd24252ff15365cc1e6c9efe78edc7be1aeb0cf44ded622e850f4f1da",
@@ -255,6 +251,7 @@ _RECORDED_RUNS = {
             "insearch_hits": 0, "insearch_misses": 0, "insearch_evictions": 0,
         },
         {"duplicates": 2800, "pick_output_calls": 1260, "pick_input_calls": 11180, "lt_calls": 1293},
+        (2079, 510),
     ),
     "mibench_like_014_n30": (
         "b4df4ad0416751e93cd2be2ecfcdf5b5c5d262604e44b85fa0c47052d77c8452",
@@ -270,6 +267,7 @@ _RECORDED_RUNS = {
             "insearch_hits": 0, "insearch_misses": 0, "insearch_evictions": 0,
         },
         {"duplicates": 2082, "pick_output_calls": 811, "pick_input_calls": 7620, "lt_calls": 1026},
+        (1559, 345),
     ),
     "mibench_like_015_n32": (
         "ee74b098a540f2524feb5304720a3e2d80ea1f7bcc04f20dd777069454900f46",
@@ -285,6 +283,7 @@ _RECORDED_RUNS = {
             "insearch_hits": 0, "insearch_misses": 0, "insearch_evictions": 0,
         },
         {"duplicates": 3620, "pick_output_calls": 1248, "pick_input_calls": 19000, "lt_calls": 2047},
+        (2467, 439),
     ),
 }
 
@@ -294,8 +293,8 @@ def _masks_fingerprint(masks):
 
 
 class TestBudgetBounds:
-    """The two budget bounds keep the cuts and their order; the mask
-    filtering keeps every count."""
+    """The three bounds of prune-while-building keep the cuts and their
+    order; the mask filtering keeps every count."""
 
     def test_reproduces_the_recorded_runs(self):
         constraints = Constraints(max_inputs=4, max_outputs=2)
@@ -313,22 +312,33 @@ class TestBudgetBounds:
         assert sorted(graph.name for graph in blocks) == sorted(_RECORDED_RUNS)
         bound_off = FULL_PRUNING.disable("prune_while_building")
         for graph in blocks:
-            full_sha, off_sha, checked, off_stats, full_counts = _RECORDED_RUNS[graph.name]
+            full_sha, off_sha, checked, off_stats, full_counts, hole_counts = (
+                _RECORDED_RUNS[graph.name]
+            )
             full = enumerate_cuts(graph, constraints, pruning=FULL_PRUNING)
             off = enumerate_cuts(graph, constraints, pruning=bound_off)
             assert _masks_fingerprint(full.masks) == full_sha, graph.name
             assert _masks_fingerprint(off.masks) == off_sha, graph.name
-            assert _integer_stats(off.stats) == off_stats, graph.name
+            assert integer_stats(off.stats) == off_stats, graph.name
             if graph.name.startswith("tree"):
                 assert full.stats.candidates_checked == checked
             else:
                 assert full.stats.candidates_checked < checked, graph.name
-            # The input budget drops only subtrees that reach no CHECK-CUT:
-            # the search above every accepted state is unchanged, and only
-            # PICK-INPUTS and dominator work fall.
+            # The input budget drops only subtrees that reach no CHECK-CUT,
+            # so it lowers only PICK-INPUTS and dominator work.  The
+            # input-hole bound also drops completions before CHECK-CUT and
+            # the PICK-OUTPUT calls under them; on the tree it never fires.
             stats = full.stats
-            assert stats.duplicates == full_counts["duplicates"], graph.name
-            assert stats.pick_output_calls == full_counts["pick_output_calls"], graph.name
+            assert (stats.duplicates, stats.pick_output_calls) == hole_counts, graph.name
+            if graph.name.startswith("tree"):
+                assert "input_hole" not in stats.pruned
+                assert hole_counts == (
+                    full_counts["duplicates"], full_counts["pick_output_calls"]
+                )
+            else:
+                assert stats.pruned["input_hole"] > 0, graph.name
+                assert stats.duplicates < full_counts["duplicates"], graph.name
+                assert stats.pick_output_calls < full_counts["pick_output_calls"], graph.name
             assert stats.pick_input_calls < full_counts["pick_input_calls"], graph.name
             assert stats.lt_calls < full_counts["lt_calls"], graph.name
 
@@ -374,10 +384,7 @@ class TestBudgetBounds:
                     for mask in (mask_from_ids(members),)
                     if not (
                         reachable_mask_avoiding(
-                            ctx.num_nodes,
-                            ctx.successor_lists,
-                            source,
-                            avoid_mask=inputs_mask | mask,
+                            ctx.successor_lists, source, avoid_mask=inputs_mask | mask
                         )
                         >> output
                     )
@@ -401,12 +408,91 @@ class TestBudgetBounds:
         assert dropped and restricted
         assert (dropped + restricted) * 4 >= queries
 
+    def test_input_hole_need_is_a_lower_bound(self):
+        """The input-hole bound against brute force on random DAGs.
+
+        A state is a random input set (0-3 vertices) and a body that is a
+        union of ``B({w}, o)`` rows; ``E`` is the body less the inputs and
+        the forbidden vertices.  A set ``R`` of vertices of ``E`` *closes*
+        the state when no input lies on a path between two vertices of
+        ``E ∖ R``.  The bound may drop a state with *slack* inputs left
+        only if no ``R`` of at most *slack* vertices closes it; with one
+        hole it drops exactly those states.  With no input left it drops
+        exactly the states with a hole, and with one left it returns
+        exactly the vertices that close the state alone.
+        """
+        constraints = Constraints(max_inputs=4, max_outputs=2)
+        rng = random.Random(29)
+        states = with_hole = 0
+        dropped = [0, 0, 0, 0]  # per slack
+        for seed in range(30):
+            graph = make_random_dag(seed, num_operations=20, num_inputs=2)
+            ctx = EnumerationContext.build(graph, constraints)
+            enumerator = IncrementalEnumerator(graph, constraints, context=ctx)
+            has_path = ctx.reach.has_path
+            others = [v for v in range(ctx.num_nodes) if v != ctx.source]
+            for _ in range(16):
+                output = rng.choice(ctx.candidate_nodes)
+                rows = enumerator._contributions(output)
+                # The search's seeds and inputs are ancestors of the output.
+                ancestors = ids_from_mask(enumerator._seed_masks[output]) or others
+                body = 0
+                for vertex in rng.sample(ancestors, min(rng.randrange(1, 4), len(ancestors))):
+                    body |= rows[vertex]
+                inputs = rng.sample(ancestors, min(rng.randrange(4), len(ancestors)))
+                inputs_mask = mask_from_ids(inputs)
+                effective = body & ~(inputs_mask | ctx.forbidden_mask)
+                members = ids_from_mask(effective)
+                # Per input, the vertices of E above and below it.
+                sides = [
+                    (
+                        mask_from_ids(a for a in members if has_path(a, x)),
+                        mask_from_ids(d for d in members if has_path(x, d)),
+                    )
+                    for x in inputs
+                ]
+
+                def closes(removed):
+                    return not any(up & ~removed and down & ~removed for up, down in sides)
+
+                smallest = next(
+                    (
+                        size
+                        for size in range(4)
+                        if any(
+                            closes(mask_from_ids(chosen))
+                            for chosen in itertools.combinations(members, size)
+                        )
+                    ),
+                    4,  # more than 3
+                )
+                holes = sum(1 for up, down in sides if up and down)
+                singles = mask_from_ids(v for v in members if closes(1 << v))
+                states += 1
+                with_hole += holes > 0
+                for slack in range(4):
+                    answer = enumerator._input_holes(inputs_mask, effective, slack)
+                    where = (graph.name, inputs, output, slack)
+                    if not answer:
+                        assert smallest > slack, where
+                        dropped[slack] += 1
+                    if holes == 1:
+                        assert (answer == 0) == (smallest > slack), where
+                    if slack == 0:
+                        assert (answer == 0) == (holes > 0), where
+                    elif slack == 1:
+                        assert answer == (singles if holes else -1), where
+        assert states == 480
+        assert with_hole * 8 >= states
+        assert dropped[0] == with_hole and dropped[1] and dropped[2]
+
 
 #: Runs at other I/O budgets, recorded before each visited search state
 #: became one integer: per budget and block, the SHA-256 of ``result.masks``
 #: in discovery order and every integer stat.  At Nout = 3 a PICK-INPUTS
 #: state's key holds two earlier outputs, and without pruning the outputs
-#: are picked in any order.
+#: are picked in any order.  The stats of the runs the input-hole bound
+#: prunes were recorded again with it, the masks were not.
 _BUDGETS = {
     "nin4-nout3": (Constraints(max_inputs=4, max_outputs=3), FULL_PRUNING),
     "nin3-nout1": (Constraints(max_inputs=3, max_outputs=1), FULL_PRUNING),
@@ -421,13 +507,13 @@ _RECORDED_BUDGET_RUNS = {
         "synthetic_n30_s2008": (
             "60d7c8ed8f93e64f1464f5da661aba3befff5eaa923d72195fa0bc30fa430b01",
             {
-                "cuts_found": 733, "duplicates": 10223, "candidates_checked": 7974,
-                "lt_calls": 1869, "pick_output_calls": 6744, "pick_input_calls": 28831,
+                "cuts_found": 733, "duplicates": 6096, "candidates_checked": 3408,
+                "lt_calls": 1287, "pick_output_calls": 2531, "pick_input_calls": 25825,
                 "pruned": {
-                    "connectedness": 20854, "input_budget": 6652,
-                    "input_input_postdom": 3265, "output_budget": 8384,
-                    "output_input_forbidden_path": 2220, "output_output": 44879,
-                    "too_many_unavoidable_outputs": 102,
+                    "connectedness": 6502, "input_budget": 6498, "input_hole": 8885,
+                    "input_input_postdom": 2472, "output_budget": 6473,
+                    "output_input_forbidden_path": 2195, "output_output": 14622,
+                    "too_many_unavoidable_outputs": 96,
                 },
                 "insearch_hits": 0, "insearch_misses": 0, "insearch_evictions": 0,
             },
@@ -446,13 +532,13 @@ _RECORDED_BUDGET_RUNS = {
         "mibench_like_013_n29": (
             "c77067247b5a502474818a14f4efe205984871cb042af85c29cc0b9f40f87717",
             {
-                "cuts_found": 507, "duplicates": 7075, "candidates_checked": 5937,
-                "lt_calls": 1533, "pick_output_calls": 5110, "pick_input_calls": 18078,
+                "cuts_found": 507, "duplicates": 4421, "candidates_checked": 2644,
+                "lt_calls": 1075, "pick_output_calls": 2032, "pick_input_calls": 16695,
                 "pruned": {
-                    "connectedness": 11994, "input_budget": 5127,
-                    "input_input_postdom": 477, "output_budget": 7964,
-                    "output_input_forbidden_path": 3395, "output_output": 41467,
-                    "too_many_unavoidable_outputs": 1346,
+                    "connectedness": 3453, "input_budget": 5103, "input_hole": 5616,
+                    "input_input_postdom": 465, "output_budget": 6167,
+                    "output_input_forbidden_path": 3326, "output_output": 12970,
+                    "too_many_unavoidable_outputs": 1316,
                 },
                 "insearch_hits": 0, "insearch_misses": 0, "insearch_evictions": 0,
             },
@@ -462,11 +548,11 @@ _RECORDED_BUDGET_RUNS = {
         "synthetic_n30_s2008": (
             "ffa03d9e426755adc8a8fb939bea368224827f2a5255814af0f86ed8504c33e0",
             {
-                "cuts_found": 42, "duplicates": 182, "candidates_checked": 127,
-                "lt_calls": 157, "pick_output_calls": 1, "pick_input_calls": 793,
+                "cuts_found": 42, "duplicates": 169, "candidates_checked": 106,
+                "lt_calls": 138, "pick_output_calls": 1, "pick_input_calls": 767,
                 "pruned": {
-                    "input_budget": 489, "input_input_postdom": 149, "output_budget": 660,
-                    "output_input_forbidden_path": 127,
+                    "input_budget": 489, "input_hole": 81, "input_input_postdom": 133,
+                    "output_budget": 627, "output_input_forbidden_path": 127,
                     "too_many_unavoidable_outputs": 113,
                 },
                 "insearch_hits": 0, "insearch_misses": 0, "insearch_evictions": 0,
@@ -486,11 +572,11 @@ _RECORDED_BUDGET_RUNS = {
         "mibench_like_013_n29": (
             "72772d5227e27e9a9729b2669e64dfaa5e85c78cf87279314f36664abcf92698",
             {
-                "cuts_found": 27, "duplicates": 135, "candidates_checked": 92,
-                "lt_calls": 121, "pick_output_calls": 1, "pick_input_calls": 483,
+                "cuts_found": 27, "duplicates": 131, "candidates_checked": 87,
+                "lt_calls": 111, "pick_output_calls": 1, "pick_input_calls": 483,
                 "pruned": {
-                    "input_budget": 295, "input_input_postdom": 20, "output_budget": 344,
-                    "output_input_forbidden_path": 196,
+                    "input_budget": 295, "input_hole": 17, "input_input_postdom": 20,
+                    "output_budget": 336, "output_input_forbidden_path": 196,
                     "too_many_unavoidable_outputs": 196,
                 },
                 "insearch_hits": 0, "insearch_misses": 0, "insearch_evictions": 0,
@@ -501,13 +587,13 @@ _RECORDED_BUDGET_RUNS = {
         "synthetic_n30_s2008": (
             "7ea4be25c458ce0c835e3deddb3130cff891359c75ef33c1f72910d151ce862a",
             {
-                "cuts_found": 291, "duplicates": 8267, "candidates_checked": 6910,
-                "lt_calls": 1698, "pick_output_calls": 5936, "pick_input_calls": 23573,
+                "cuts_found": 291, "duplicates": 4406, "candidates_checked": 2663,
+                "lt_calls": 1101, "pick_output_calls": 2020, "pick_input_calls": 20696,
                 "pruned": {
-                    "connectedness": 23147, "input_budget": 5419,
-                    "input_input_postdom": 3126, "output_budget": 7116,
-                    "output_input_forbidden_path": 1784, "output_output": 39512,
-                    "too_many_unavoidable_outputs": 62,
+                    "connectedness": 9812, "input_budget": 5265, "input_hole": 8120,
+                    "input_input_postdom": 2350, "output_budget": 5342,
+                    "output_input_forbidden_path": 1759, "output_output": 11596,
+                    "too_many_unavoidable_outputs": 56,
                 },
                 "insearch_hits": 0, "insearch_misses": 0, "insearch_evictions": 0,
             },
@@ -527,13 +613,13 @@ _RECORDED_BUDGET_RUNS = {
         "mibench_like_013_n29": (
             "98bafbf447c5885f7fda19b91752b0f7cb0b4204585159a1c828cef3807b34fe",
             {
-                "cuts_found": 223, "duplicates": 5974, "candidates_checked": 5330,
-                "lt_calls": 1369, "pick_output_calls": 4641, "pick_input_calls": 15028,
+                "cuts_found": 223, "duplicates": 3522, "candidates_checked": 2245,
+                "lt_calls": 916, "pick_output_calls": 1760, "pick_input_calls": 13758,
                 "pruned": {
-                    "connectedness": 13897, "input_budget": 4139,
-                    "input_input_postdom": 453, "output_budget": 7332,
-                    "output_input_forbidden_path": 3185, "output_output": 37319,
-                    "too_many_unavoidable_outputs": 1300,
+                    "connectedness": 5443, "input_budget": 4115, "input_hole": 5016,
+                    "input_input_postdom": 443, "output_budget": 5645,
+                    "output_input_forbidden_path": 3120, "output_output": 10805,
+                    "too_many_unavoidable_outputs": 1271,
                 },
                 "insearch_hits": 0, "insearch_misses": 0, "insearch_evictions": 0,
             },
@@ -571,6 +657,18 @@ _RECORDED_BUDGET_RUNS = {
 }
 
 
+#: Where the input-hole bound fires, the candidates checked, duplicates and
+#: dominator arrays of the run before it: the bound lowers each.
+_BEFORE_INPUT_HOLE = {
+    ("nin4-nout3", "synthetic_n30_s2008"): (7974, 10223, 1869),
+    ("nin4-nout3", "mibench_like_013_n29"): (5937, 7075, 1533),
+    ("nin3-nout1", "synthetic_n30_s2008"): (127, 182, 157),
+    ("nin3-nout1", "mibench_like_013_n29"): (92, 135, 121),
+    ("nin4-nout3-connected", "synthetic_n30_s2008"): (6910, 8267, 1698),
+    ("nin4-nout3-connected", "mibench_like_013_n29"): (5330, 5974, 1369),
+}
+
+
 class TestStateKeys:
     """The integer state keys are exact at every I/O budget."""
 
@@ -594,7 +692,12 @@ class TestStateKeys:
             sha, stats = recorded[graph.name]
             result = enumerate_cuts(graph, constraints, pruning=pruning)
             assert _masks_fingerprint(result.masks) == sha, graph.name
-            assert _integer_stats(result.stats) == stats, graph.name
+            assert integer_stats(result.stats) == stats, graph.name
+            before = _BEFORE_INPUT_HOLE.get((budget, graph.name))
+            assert ("input_hole" in stats["pruned"]) == (before is not None), graph.name
+            if before is not None:
+                counts = (stats["candidates_checked"], stats["duplicates"], stats["lt_calls"])
+                assert all(now < then for now, then in zip(counts, before)), graph.name
 
 
 class TestDagDominatorKernel:
@@ -653,7 +756,7 @@ class TestDagDominatorKernel:
                 )
                 grown_region = enumerator.reachable_avoiding(grown, (vertex, region))
                 assert grown_region == reachable_mask_avoiding(
-                    num_nodes, ctx.successor_lists, source, avoid_mask=grown
+                    ctx.successor_lists, source, avoid_mask=grown
                 )
                 assert enumerator._dominator_array(grown, grown_region, (vertex, idom)) == full
                 assert not full_runs  # derived, not solved by the full kernel
@@ -748,7 +851,7 @@ class TestDagDominatorKernel:
         assert not derived_runs
         assert len(full_runs) == underived.stats.lt_calls
         assert _cut_keys(underived) == _cut_keys(default)
-        assert _integer_stats(underived.stats) == _integer_stats(default.stats)
+        assert integer_stats(underived.stats) == integer_stats(default.stats)
 
     @pytest.mark.parametrize(
         "graph",
@@ -778,8 +881,8 @@ class TestDagDominatorKernel:
         assert capped.masks == default.masks
         assert capped.stats.lt_calls == len(full_runs) + len(derived_runs)
         assert capped.stats.lt_calls >= default.stats.lt_calls
-        expected = dict(_integer_stats(default.stats), lt_calls=capped.stats.lt_calls)
-        assert _integer_stats(capped.stats) == expected
+        expected = dict(integer_stats(default.stats), lt_calls=capped.stats.lt_calls)
+        assert integer_stats(capped.stats) == expected
 
     def test_shared_region_cache_counts_one_kernel_run_per_region(self, monkeypatch):
         constraints = Constraints(max_inputs=4, max_outputs=2)
@@ -802,7 +905,7 @@ class TestDagDominatorKernel:
         # A second run over the same context solves every region again: the
         # dominator arrays belonged to the first run, not to the context.
         second = enumerate_cuts(graph, constraints, context=ctx)
-        assert _integer_stats(second.stats) == _integer_stats(first.stats)
+        assert integer_stats(second.stats) == integer_stats(first.stats)
         assert len(full_runs) == 2
         assert _cut_keys(second) == _cut_keys(first)
 
@@ -875,7 +978,7 @@ class TestStatelessContext:
         second = enumerate_cuts(graph, constraints, context=ctx)
         assert first.stats.lt_calls > 0
         assert _cut_keys(second) == _cut_keys(first)
-        assert _integer_stats(second.stats) == _integer_stats(first.stats)
+        assert integer_stats(second.stats) == integer_stats(first.stats)
         for result in (first, second):
             assert result.stats.lt_seconds > 0
 
