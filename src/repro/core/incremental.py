@@ -44,9 +44,9 @@ context, and its memo is freed when it returns:
   inputs left can no longer cut every source-to-output path, as packed
   disjoint paths show (:meth:`IncrementalEnumerator._input_budget_seeds`);
 * the input-hole bound of prune-while-building drops a grown state, before
-  its region and dominator array or its CHECK-CUT, when an input lying
-  between two body vertices leaves the cut non-convex unless later inputs
-  take more vertices than are left to choose
+  its region and dominator array or its CHECK-CUT, when a chosen input
+  lies on a path between body vertices and keeping the cut convex would
+  take more later inputs than are left
   (:meth:`IncrementalEnumerator._input_holes`); the union of the inputs'
   ancestor rows screens it, as a hole needs a body vertex above an input;
 * every frame reads what it shares with its parent off its arguments or
@@ -68,9 +68,8 @@ rule on and 352 with none (or without the input-input rule alone).  The
 three bounds of prune-while-building are the exception (the output budget,
 the input budget and the input-hole bound): the subtrees they drop hold no
 cut either acceptance mode takes, so the cuts and their order stay the
-same.
-What the test suite checks, for full pruning, no pruning and each one-rule
-ablation, is that the result lies between the brute-force oracle's
+same.  What the test suite checks, for full pruning, no pruning and each
+one-rule ablation, is that the result lies between the brute-force oracle's
 paper-enumerable cuts and its valid cuts, and that it is bit-identical to
 the frozen pre-optimization snapshot in
 :mod:`repro.baselines.legacy_incremental` run under the same configuration.

@@ -4,9 +4,9 @@ Every pruning rule can be toggled individually so that the ablation benchmark
 (``benchmarks/bench_pruning_ablation.py``) can measure how much each one
 contributes.  The three bounds of ``prune_while_building`` (the output
 budget, the input budget and the input-hole bound) are pure optimizations:
-they drop only subtrees that hold no cut either acceptance mode takes.  The other rules are not: the configurations do not all report
-the same cuts (see :mod:`repro.core.incremental` for what the test suite
-checks instead).
+they drop only subtrees that hold no cut either acceptance mode takes.  The
+other rules are not: the configurations do not all report the same cuts
+(see :mod:`repro.core.incremental` for what the test suite checks instead).
 """
 
 from __future__ import annotations
