@@ -20,7 +20,8 @@ Sub-packages
 ``repro.dfg``
     Data-flow graph substrate (graphs, opcodes, augmentation, reachability).
 ``repro.dominators``
-    Lengauer–Tarjan, dominator trees, multiple-vertex dominators.
+    The single-pass DAG dominator kernel, comparability rows,
+    multiple-vertex dominators.
 ``repro.core``
     The paper's contribution: polynomial-time convex-cut enumeration.
 ``repro.baselines``

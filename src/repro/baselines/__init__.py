@@ -4,9 +4,7 @@
   Atasu/Pozzi/Ienne [4][15], the comparison baseline of Figure 5;
 * :func:`enumerate_cuts_brute_force` — exponential subset oracle for tests;
 * :func:`enumerate_connected_cuts` — connected-only enumeration (Yu & Mitra
-  [17] style restriction);
-* :func:`enumerate_cuts_legacy` — frozen pre-optimization snapshot of the
-  incremental enumerator, the measured baseline of the perf-regression gate.
+  [17] style restriction).
 """
 
 from .brute_force import (
@@ -15,12 +13,10 @@ from .brute_force import (
 )
 from .connected_only import enumerate_connected_cuts
 from .exhaustive import enumerate_cuts_exhaustive
-from .legacy_incremental import enumerate_cuts_legacy
 
 __all__ = [
     "count_excluded_by_technical_condition",
     "enumerate_cuts_brute_force",
     "enumerate_connected_cuts",
     "enumerate_cuts_exhaustive",
-    "enumerate_cuts_legacy",
 ]

@@ -83,7 +83,12 @@ def enumerate_cuts_basic(
 def _precompute_dominators(
     ctx: EnumerationContext, stats: EnumerationStats
 ) -> Dict[int, List[int]]:
-    """Setup phase: generalized dominators (as masks) of every candidate output."""
+    """Setup phase: generalized dominators (as masks) of every candidate output.
+
+    Each reduction step of the Dubrova enumeration runs the single-pass DAG
+    kernel over the context's topological order and predecessor lists, and
+    counts one ``lt_calls``.
+    """
     dominators_of: Dict[int, List[int]] = {}
     for output in ctx.candidate_nodes:
         candidates = [
@@ -93,13 +98,13 @@ def _precompute_dominators(
         ]
         search_stats = DominatorSearchStats()
         dominator_sets = enumerate_generalized_dominators(
-            ctx.num_nodes,
             ctx.successor_lists,
+            ctx.topo_order,
+            ctx.predecessor_lists,
             ctx.source,
             output,
             max_size=ctx.max_inputs,
             candidates=candidates,
-            require_irredundant=True,
             search_stats=search_stats,
         )
         masks = []

@@ -71,8 +71,9 @@ cut either acceptance mode takes, so the cuts and their order stay the
 same.  What the test suite checks, for full pruning, no pruning and each
 one-rule ablation, is that the result lies between the brute-force oracle's
 paper-enumerable cuts and its valid cuts, and that it is bit-identical to
-the frozen pre-optimization snapshot in
-:mod:`repro.baselines.legacy_incremental` run under the same configuration.
+the frozen pre-optimization snapshot of this enumerator, kept as a test
+oracle in ``tests/reference/baselines/legacy_incremental.py``, run under the
+same configuration.
 The ablation benchmark measures how much search each rule removes.
 """
 
@@ -83,8 +84,11 @@ from collections import Counter, OrderedDict
 from typing import Dict, List, Optional, Tuple, TypeVar
 
 from ..dfg.graph import DataFlowGraph
-from ..dominators.iterative import derive_immediate_dominators, immediate_dominators_dag
-from ..dominators.lengauer_tarjan import strict_dominators
+from ..dominators.iterative import (
+    derive_immediate_dominators,
+    immediate_dominators_dag,
+    strict_dominators,
+)
 from .constraints import Constraints
 from .context import EnumerationContext
 from .pruning import FULL_PRUNING, PruningConfig
@@ -768,7 +772,7 @@ class IncrementalEnumerator:
             kernel_start = time.perf_counter()
             if parent is None:
                 # DFGs are acyclic, so the single-pass DAG kernel replaces
-                # the general Lengauer–Tarjan run.
+                # the paper's general Lengauer–Tarjan run.
                 idom = immediate_dominators_dag(
                     ctx.topo_order,
                     ctx.predecessor_lists,

@@ -17,9 +17,10 @@ class EnumerationStats:
     """Counters collected while enumerating cuts.
 
     The counters mirror the quantities the paper discusses: the number of
-    dominator computations (the Lengauer–Tarjan kernel that takes "at least
-    70% of the time"), the number of candidate cuts submitted to the validity
-    check, and how many branches each pruning rule removed.
+    dominator computations (the paper's Lengauer–Tarjan kernel, which takes
+    "at least 70% of the time"; here the single-pass DAG kernel and its
+    one-vertex derivation), the number of candidate cuts submitted to the
+    validity check, and how many branches each pruning rule removed.
     """
 
     cuts_found: int = 0

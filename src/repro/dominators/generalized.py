@@ -10,9 +10,10 @@ Gupta's generalized dominators [13] are defined purely in terms of paths
 
 This module implements the two conditions directly with breadth-first
 searches that avoid a removal set.  The functions are deliberately simple —
-they serve as the ground truth the optimised machinery
-(:mod:`repro.dominators.multi_vertex`) is tested against, and as the
-"``I`` dominates ``o``" predicate used by the enumeration algorithms.
+they are the irredundancy filter of
+:func:`~repro.dominators.multi_vertex.enumerate_generalized_dominators`, the
+ground truth of the tests' subset-by-subset oracle, and the "``I``
+dominates ``o``" predicate used by the enumeration algorithms.
 """
 
 from __future__ import annotations
@@ -104,27 +105,3 @@ def is_generalized_dominator(
         if not has_private_path(successors, root, target, v, others):
             return False
     return True
-
-
-def brute_force_generalized_dominators(
-    successors: Sequence[Sequence[int]],
-    root: int,
-    target: int,
-    max_size: int,
-    candidates: Iterable[int],
-) -> set:
-    """Enumerate generalized dominators of *target* by checking every subset.
-
-    Exponential in the number of candidates — only suitable for the small
-    graphs used in tests, where it validates
-    :func:`repro.dominators.multi_vertex.enumerate_generalized_dominators`.
-    """
-    from itertools import combinations
-
-    candidate_list = sorted(set(candidates) - {target})
-    results = set()
-    for size in range(1, max_size + 1):
-        for combo in combinations(candidate_list, size):
-            if is_generalized_dominator(successors, root, target, combo):
-                results.add(frozenset(combo))
-    return results

@@ -1,98 +1,23 @@
-"""Iterative data-flow dominator computation (Cooper–Harvey–Kennedy).
+"""The dominator kernel: single-pass immediate dominators of a DAG.
 
-The paper relies on Lengauer–Tarjan for speed; this module provides the
-simpler iterative algorithm as an independent cross-check.  The tests compare
-the two implementations (and ``networkx.immediate_dominators``) on random
-DAGs, which guards against subtle bugs in the performance-oriented code.
-
-It also holds the one dominator kernel of the enumeration path, which
-exploits acyclicity: :func:`immediate_dominators_dag` solves a reduced DAG in
-one topological sweep (also the reverse graph, for the context's
-postdominator relation, which :func:`comparability_rows` turns into one mask
-per vertex), and :func:`derive_immediate_dominators` updates such a
-solution when one more vertex is removed, recomputing only its descendants.
+The paper runs Lengauer–Tarjan (Section 5.4) because it handles general
+flow graphs.  Data-flow graphs are acyclic, and on a DAG the
+Cooper–Harvey–Kennedy iterative data-flow algorithm converges in one
+topological sweep, so this module holds the one dominator kernel the
+library runs: :func:`immediate_dominators_dag` solves a reduced DAG in one
+sweep (also the reverse graph, for the context's postdominator relation,
+which :func:`comparability_rows` turns into one mask per vertex), and
+:func:`derive_immediate_dominators` updates such a solution when one more
+vertex is removed, recomputing only its descendants.
+:func:`strict_dominators` reads a vertex's chain of dominators off a
+solution.  The tests check the kernel against Lengauer–Tarjan and the
+fixpoint iteration, both kept under ``tests/reference/`` as oracles, and
+against ``networkx.immediate_dominators``.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence
-
-
-def immediate_dominators_iterative(
-    num_nodes: int,
-    successors: Sequence[Sequence[int]],
-    root: int,
-    removed_mask: int = 0,
-) -> List[Optional[int]]:
-    """Cooper–Harvey–Kennedy iterative dominator computation.
-
-    Same contract as
-    :func:`repro.dominators.lengauer_tarjan.immediate_dominators`: returns the
-    ``idom`` list with ``idom[root] == root`` and ``None`` for removed or
-    unreachable vertices.
-    """
-    if (removed_mask >> root) & 1:
-        raise ValueError("the root vertex may not be removed")
-
-    # Reverse post-order of the reachable sub-graph (iterative DFS).
-    visited = [False] * num_nodes
-    postorder: List[int] = []
-    stack: List[tuple] = [(root, iter(successors[root]))]
-    visited[root] = True
-    while stack:
-        node, it = stack[-1]
-        advanced = False
-        for succ in it:
-            if (removed_mask >> succ) & 1 or visited[succ]:
-                continue
-            visited[succ] = True
-            stack.append((succ, iter(successors[succ])))
-            advanced = True
-            break
-        if not advanced:
-            postorder.append(node)
-            stack.pop()
-
-    rpo = list(reversed(postorder))
-    rpo_index = {node: i for i, node in enumerate(rpo)}
-
-    preds: List[List[int]] = [[] for _ in range(num_nodes)]
-    for node in rpo:
-        for succ in successors[node]:
-            if (removed_mask >> succ) & 1:
-                continue
-            if visited[succ]:
-                preds[succ].append(node)
-
-    idom: List[Optional[int]] = [None] * num_nodes
-    idom[root] = root
-
-    def intersect(a: int, b: int) -> int:
-        while a != b:
-            while rpo_index[a] > rpo_index[b]:
-                a = idom[a]  # type: ignore[assignment]
-            while rpo_index[b] > rpo_index[a]:
-                b = idom[b]  # type: ignore[assignment]
-        return a
-
-    changed = True
-    while changed:
-        changed = False
-        for node in rpo:
-            if node == root:
-                continue
-            new_idom: Optional[int] = None
-            for pred in preds[node]:
-                if idom[pred] is None:
-                    continue
-                if new_idom is None:
-                    new_idom = pred
-                else:
-                    new_idom = intersect(new_idom, pred)
-            if new_idom is not None and idom[node] != new_idom:
-                idom[node] = new_idom
-                changed = True
-    return idom
 
 
 def immediate_dominators_dag(
@@ -113,13 +38,14 @@ def immediate_dominators_dag(
     replace the per-call depth-first searches of the general algorithms, and
     no iteration-to-fixpoint is needed.  The incremental search runs it
     once, for the empty input set, as the base case of
-    :func:`derive_immediate_dominators`, and the context build runs it once
-    over the reversed order for the postdominators.
+    :func:`derive_immediate_dominators`; ``poly-enum-basic`` runs it once
+    per seed set of its Dubrova reduction
+    (:func:`~repro.dominators.multi_vertex.dominator_completions`); and the
+    context build runs it once over the reversed order for the
+    postdominators.
 
-    Same contract as
-    :func:`repro.dominators.lengauer_tarjan.immediate_dominators`: returns
-    the ``idom`` list over vertex ids, with ``idom[root] == root`` and
-    ``None`` for removed or unreachable vertices.  The tests assert
+    Returns the ``idom`` list over vertex ids, with ``idom[root] == root``
+    and ``None`` for removed or unreachable vertices.  The tests assert
     agreement with Lengauer–Tarjan on random seed-removed DAGs and, for the
     postdominators, on their reverse graphs.
     """
@@ -149,6 +75,32 @@ def immediate_dominators_dag(
             idom[v] = new_idom
             depth[v] = depth[new_idom] + 1
     return idom
+
+
+def strict_dominators(
+    idom: Sequence[Optional[int]],
+    node: int,
+    root: int,
+) -> List[int]:
+    """Walk the dominator tree upwards from *node* (excluded) to *root* (included).
+
+    Returns the strict dominators of *node* in root-to-node order reversed
+    (i.e. nearest dominator first).  Returns an empty list if *node* is
+    unreachable.
+    """
+    if idom[node] is None:
+        return []
+    result = []
+    current = idom[node]
+    while True:
+        result.append(current)
+        if current == root:
+            break
+        nxt = idom[current]
+        if nxt is None or nxt == current:
+            break
+        current = nxt
+    return result
 
 
 def comparability_rows(idom: Sequence[Optional[int]], order: Sequence[int]) -> List[int]:

@@ -9,15 +9,16 @@ root), and run a *single-vertex* dominator computation on the reduced graph;
 every strict dominator ``u`` of the target in the reduced graph completes the
 seed into a ``k``-vertex dominator of the target in the original graph.
 
-This module provides:
+The single-vertex computation is the library's DAG kernel
+(:func:`~repro.dominators.iterative.immediate_dominators_dag`): the paper
+runs Lengauer–Tarjan, which handles general flow graphs, but on a DAG one
+topological sweep gives the same ``idom`` list.  This module provides:
 
-* :func:`dominator_completions` — one reduction step, the primitive of the
-  exploration below and of the legacy incremental snapshot's
-  ``PICK-INPUTS`` (Figure 3);
+* :func:`dominator_completions` — one reduction step;
 * :func:`enumerate_generalized_dominators` — full enumeration of the
   generalized dominators of a vertex up to a size bound, used by the basic
-  algorithm of Figure 2 and validated in the tests against the
-  definition-based brute force of :mod:`repro.dominators.generalized`.
+  algorithm of Figure 2 and validated in the tests against a
+  definition-based brute force over every subset.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Set
 
+from ..dfg.reachability import ids_from_mask
 from .generalized import is_generalized_dominator
-from .lengauer_tarjan import immediate_dominators, strict_dominators
+from .iterative import immediate_dominators_dag, strict_dominators
 
 
 @dataclass
@@ -36,7 +38,7 @@ class DominatorSearchStats:
     Attributes
     ----------
     lt_calls:
-        Exact number of Lengauer–Tarjan invocations performed by the
+        Exact number of dominator-kernel runs performed by the
         seed-plus-completion exploration (one per explored seed set).
     """
 
@@ -59,7 +61,7 @@ class CompletionResult:
         (nearest dominator first).  The root is included when it qualifies;
         callers that cannot use the root as a cut input filter it out.
     lt_calls:
-        Number of Lengauer–Tarjan invocations performed (0 or 1), used by the
+        Number of dominator-kernel runs performed (0 or 1), used by the
         statistics counters of the enumeration algorithms.
     """
 
@@ -69,8 +71,8 @@ class CompletionResult:
 
 
 def dominator_completions(
-    num_nodes: int,
-    successors: Sequence[Sequence[int]],
+    topo_order: Sequence[int],
+    predecessor_lists: Sequence[Sequence[int]],
     root: int,
     target: int,
     seed_mask: int = 0,
@@ -79,8 +81,9 @@ def dominator_completions(
 
     Parameters
     ----------
-    num_nodes, successors, root:
-        The rooted graph (typically the augmented DFG).
+    topo_order, predecessor_lists, root:
+        The rooted DAG (typically the augmented DFG): a topological order
+        of its vertices and the predecessor list of every vertex.
     target:
         The vertex whose dominators are sought (a candidate cut output).
     seed_mask:
@@ -92,7 +95,7 @@ def dominator_completions(
     if (seed_mask >> target) & 1:
         raise ValueError("the target cannot be part of a seed set")
 
-    idom = immediate_dominators(num_nodes, successors, root, removed_mask=seed_mask)
+    idom = immediate_dominators_dag(topo_order, predecessor_lists, root, removed_mask=seed_mask)
     if idom[target] is None:
         # Unreachable once the seed is removed: the seed alone dominates.
         return CompletionResult(already_dominated=True, completions=[], lt_calls=1)
@@ -101,40 +104,37 @@ def dominator_completions(
 
 
 def enumerate_generalized_dominators(
-    num_nodes: int,
     successors: Sequence[Sequence[int]],
+    topo_order: Sequence[int],
+    predecessor_lists: Sequence[Sequence[int]],
     root: int,
     target: int,
     max_size: int,
-    candidates: Optional[Iterable[int]] = None,
-    require_irredundant: bool = True,
+    candidates: Iterable[int],
     search_stats: Optional[DominatorSearchStats] = None,
 ) -> Set[frozenset]:
     """Enumerate the generalized dominators of *target* with at most *max_size* vertices.
 
+    Only sets satisfying both conditions of Definition 5 are reported.
+
     Parameters
     ----------
+    successors, topo_order, predecessor_lists:
+        The rooted DAG: the successor list of every vertex (for the
+        Definition 5 checks), a topological order and the predecessor lists
+        (for the dominator kernel).
     candidates:
-        Vertices allowed to appear in a dominator set.  Defaults to every
-        proper ancestor of *target* (which is the only place dominator
-        vertices can live).  The target itself is never a candidate.
-    require_irredundant:
-        When ``True`` (default) only sets satisfying both conditions of
-        Definition 5 are reported; when ``False`` any set found by the
-        seed-plus-completion construction is reported, which is what the
-        basic enumeration algorithm of Figure 2 consumes (Theorem 3 only
-        needs condition 1).
+        Vertices allowed to appear in a dominator set, typically the proper
+        ancestors of *target* (the only place dominator vertices can live).
+        The target itself is never a candidate.
     search_stats:
         Optional :class:`DominatorSearchStats` accumulating the exact number
-        of Lengauer–Tarjan invocations the enumeration performs.
+        of dominator-kernel runs the enumeration performs.
     """
     if max_size < 1:
         return set()
 
-    if candidates is None:
-        candidate_list = _ancestors(num_nodes, successors, target)
-    else:
-        candidate_list = sorted(set(candidates) - {target})
+    candidate_list = sorted(set(candidates) - {target})
     candidate_mask = 0
     for v in candidate_list:
         candidate_mask |= 1 << v
@@ -142,15 +142,12 @@ def enumerate_generalized_dominators(
     results: Set[frozenset] = set()
 
     def record(mask: int) -> None:
-        members = _mask_to_list(mask)
-        if require_irredundant and not is_generalized_dominator(
-            successors, root, target, members
-        ):
-            return
-        results.add(frozenset(members))
+        members = ids_from_mask(mask)
+        if is_generalized_dominator(successors, root, target, members):
+            results.add(frozenset(members))
 
     def explore(seed_mask: int, start_index: int, seed_size: int) -> None:
-        step = dominator_completions(num_nodes, successors, root, target, seed_mask)
+        step = dominator_completions(topo_order, predecessor_lists, root, target, seed_mask)
         if search_stats is not None:
             search_stats.lt_calls += step.lt_calls
         if step.already_dominated:
@@ -174,32 +171,3 @@ def enumerate_generalized_dominators(
 
     explore(0, 0, 0)
     return results
-
-
-def _ancestors(num_nodes: int, successors: Sequence[Sequence[int]], target: int) -> List[int]:
-    """Every proper ancestor of *target*, sorted."""
-    # Build predecessor lists on the fly.
-    preds: List[List[int]] = [[] for _ in range(num_nodes)]
-    for v in range(num_nodes):
-        for s in successors[v]:
-            preds[s].append(v)
-    seen = set()
-    stack = list(preds[target])
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        stack.extend(preds[v])
-    return sorted(seen)
-
-
-def _mask_to_list(mask: int) -> List[int]:
-    result = []
-    index = 0
-    while mask:
-        if mask & 1:
-            result.append(index)
-        mask >>= 1
-        index += 1
-    return result

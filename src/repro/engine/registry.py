@@ -1,9 +1,8 @@
 """Pluggable enumeration-algorithm registry.
 
 Every enumerator in the library — the two polynomial algorithms of the paper,
-the pruned exhaustive baseline, the brute-force oracle, the connected-only
-search and the frozen pre-optimization snapshot of the incremental algorithm
-— answers the same question ("which convex cuts of this basic block
+the pruned exhaustive baseline, the brute-force oracle and the connected-only
+search — answers the same question ("which convex cuts of this basic block
 satisfy the constraints?") behind a different function signature.  This module
 puts them behind one interface:
 
@@ -14,7 +13,7 @@ puts them behind one interface:
 * :func:`register_algorithm` / :func:`get_algorithm` /
   :func:`available_algorithms` — the registry proper.
 
-The six built-in algorithms are registered at import time; downstream code
+The five built-in algorithms are registered at import time; downstream code
 (CLI ``--algorithm`` flags, the batch runner, the comparison harness) resolves
 algorithms exclusively through this registry, so a new enumerator becomes
 visible everywhere by registering it once.
@@ -33,7 +32,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..baselines.brute_force import MAX_CANDIDATES, enumerate_cuts_brute_force
 from ..baselines.connected_only import enumerate_connected_cuts
 from ..baselines.exhaustive import enumerate_cuts_exhaustive
-from ..baselines.legacy_incremental import enumerate_cuts_legacy
 from ..core.constraints import Constraints
 from ..core.context import EnumerationContext
 from ..core.enumeration import enumerate_cuts_basic
@@ -269,15 +267,6 @@ def _run_connected(request: EnumerationRequest) -> EnumerationResult:
     return enumerate_connected_cuts(request.graph, request.constraints)
 
 
-def _run_legacy_incremental(request: EnumerationRequest) -> EnumerationResult:
-    return enumerate_cuts_legacy(
-        request.graph,
-        request.constraints,
-        pruning=request.pruning or FULL_PRUNING,
-        context=request.context,
-    )
-
-
 register_algorithm(
     DEFAULT_ALGORITHM,
     _run_incremental,
@@ -316,15 +305,4 @@ register_algorithm(
     AlgorithmCapabilities(supports_context=False, semantics=SEMANTICS_CONNECTED),
     description="Connected-cut enumeration (Yu & Mitra [17] style restriction)",
     aliases=("connected",),
-)
-register_algorithm(
-    "poly-enum-incremental-legacy",
-    _run_legacy_incremental,
-    AlgorithmCapabilities(supports_pruning=True, semantics=SEMANTICS_PAPER),
-    description=(
-        "Pre-optimization snapshot of the incremental algorithm — the "
-        "measured baseline of the perf-regression gate (bit-identical cuts, "
-        "old cost profile)"
-    ),
-    aliases=("legacy",),
 )

@@ -16,14 +16,19 @@ from __future__ import annotations
 
 import math
 import statistics
-import time
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from ...analysis import compare_on_suite
 from ...baselines import enumerate_cuts_exhaustive
-from ...core import FULL_PRUNING, NO_PRUNING, Constraints, PruningConfig, enumerate_cuts
-from ...dfg import augment
-from ...dominators import immediate_dominators, immediate_dominators_iterative
+from ...core import (
+    FULL_PRUNING,
+    NO_PRUNING,
+    Constraints,
+    EnumerationContext,
+    PruningConfig,
+    enumerate_cuts,
+)
+from ...dominators import derive_immediate_dominators, immediate_dominators_dag
 from ...ise import BlockProfile, SelectionConfig, identify_instruction_set_extension
 from ...workloads import (
     SuiteConfig,
@@ -44,7 +49,7 @@ PAPER_CONSTRAINTS = Constraints(max_inputs=4, max_outputs=2)
 
 
 # --------------------------------------------------------------------------- #
-# dominators — the Lengauer–Tarjan kernel (TAB-DOM, Section 5.4)
+# dominators — the dominator kernel and its share of the search (Section 5.4)
 # --------------------------------------------------------------------------- #
 _DOM_KERNEL_SIZE = 400
 
@@ -55,79 +60,72 @@ def _dominators_setup(scale: str) -> object:
             num_operations=_DOM_KERNEL_SIZE, num_external_inputs=8, seed=3
         )
     )
-    augmented = augment(graph)
-    successors = [
-        list(augmented.graph.successors(v)) for v in augmented.graph.node_ids()
-    ]
     fraction_graph = generate_basic_block(
         SyntheticBlockSpec(num_operations=20, num_external_inputs=4, seed=9)
     )
     return {
-        "augmented": augmented,
-        "successors": successors,
+        "context": EnumerationContext.build(graph, PAPER_CONSTRAINTS),
         "fraction_graph": fraction_graph,
     }
 
 
+def costliest_derivation(ctx: EnumerationContext) -> Tuple[int, List[int]]:
+    """The vertex with the most descendants, and its descendants in
+    topological order: the costliest single removal the search can derive
+    with :func:`~repro.dominators.iterative.derive_immediate_dominators`."""
+    vertex = max(
+        (v for v in range(ctx.num_nodes) if v != ctx.source),
+        key=lambda v: ctx.reach.descendants_mask(v).bit_count(),
+    )
+    below = ctx.reach.descendants_mask(vertex)
+    return vertex, [v for v in ctx.topo_order if (below >> v) & 1]
+
+
 def _dominators_measure(state: object) -> MeasureOutput:
     assert isinstance(state, dict)
-    augmented, successors = state["augmented"], state["successors"]
-    num_nodes, source = augmented.graph.num_nodes, augmented.source
+    ctx = state["context"]
+    order, preds, source = ctx.topo_order, ctx.predecessor_lists, ctx.source
 
-    # --- single-computation cost, LT vs the iterative data-flow variant ---- #
-    idom_lt = immediate_dominators(num_nodes, successors, source)
-    idom_it = immediate_dominators_iterative(num_nodes, successors, source)
-    assert idom_lt[source] == source
-    assert idom_lt == idom_it
+    # --- one full sweep and one derivation on the 400-op block ------------- #
+    idom = immediate_dominators_dag(order, preds, source)
+    assert idom[source] == source
+    vertex, descendants = costliest_derivation(ctx)
+    derived = derive_immediate_dominators(
+        idom, vertex, descendants, preds, ctx.topo_position
+    )
+    assert derived == immediate_dominators_dag(
+        order, preds, source, removed_mask=1 << vertex
+    )
     timings = interleaved_timings(
         {
-            "lt": lambda: immediate_dominators(num_nodes, successors, source),
-            "iterative": lambda: immediate_dominators_iterative(
-                num_nodes, successors, source
+            "dag": lambda: immediate_dominators_dag(order, preds, source),
+            "derive": lambda: derive_immediate_dominators(
+                idom, vertex, descendants, preds, ctx.topo_position
             ),
         },
         repeats=3,
     )
 
-    # --- share of the full enumeration spent in dominator computations ----- #
-    graph = state["fraction_graph"]
-    result = enumerate_cuts(graph, PAPER_CONSTRAINTS)
-    frac_augmented = augment(graph)
-    frac_successors = [
-        list(frac_augmented.graph.successors(v))
-        for v in frac_augmented.graph.node_ids()
-    ]
-    start = time.perf_counter()
-    repetitions = max(1, result.stats.lt_calls)
-    for _ in range(repetitions):
-        immediate_dominators(
-            frac_augmented.graph.num_nodes, frac_successors, frac_augmented.source
-        )
-    lt_time = time.perf_counter() - start
-    fraction = lt_time / max(result.stats.elapsed_seconds, 1e-9)
-    assert fraction > 0.3
+    # --- share of the enumeration spent producing dominator arrays --------- #
+    result = enumerate_cuts(state["fraction_graph"], PAPER_CONSTRAINTS)
+    share = result.stats.lt_seconds / max(result.stats.elapsed_seconds, 1e-9)
 
     values: Dict[str, object] = {
-        "lt_fraction": round(fraction, 4),
-        "lt_single_seconds": (
-            round(timings["lt"].best, 6),
-            round(timings["lt"].mad, 6),
+        "lt_share": round(share, 4),
+        "dag_single_seconds": (
+            round(timings["dag"].best, 6),
+            round(timings["dag"].mad, 6),
         ),
-        "iterative_single_seconds": (
-            round(timings["iterative"].best, 6),
-            round(timings["iterative"].mad, 6),
+        "derive_single_seconds": (
+            round(timings["derive"].best, 6),
+            round(timings["derive"].mad, 6),
         ),
     }
-    # ``lt_fraction`` replays one full kernel run per ``lt_calls``, but the
-    # enumeration derives most arrays from a one-vertex-smaller parent, so
-    # the replay overstates the kernel's share; the measured share is the
-    # time the enumeration itself spent producing its dominator arrays.
-    measured_share = result.stats.lt_seconds / max(result.stats.elapsed_seconds, 1e-9)
     extra = {
-        "kernel_graph_nodes": num_nodes,
+        "kernel_graph_nodes": ctx.num_nodes,
+        "derived_vertex_descendants": len(descendants),
         "fraction_graph_lt_calls": result.stats.lt_calls,
         "fraction_graph_seconds": round(result.stats.elapsed_seconds, 4),
-        "fraction_graph_measured_lt_share": round(measured_share, 4),
         "paper_reference": "Section 5.4: >= 70% of time in LT (C implementation)",
     }
     return values, extra
@@ -136,26 +134,27 @@ def _dominators_measure(state: object) -> MeasureOutput:
 register(
     Benchmark(
         name="dominators",
-        title="Lengauer-Tarjan kernel cost and enumeration share",
+        title="Dominator kernel cost and enumeration share",
         suites=("ci", "paper"),
         metrics=(
             MetricSpec(
-                "lt_fraction",
+                "lt_share",
                 "ratio",
                 better="higher",
-                gate_min=0.3,
-                description="share of enumeration wall time replayable as "
-                "bare LT calls; the paper reports >= 70% in C, we gate a "
-                "generous Python floor",
+                gate_min=0.03,
+                description="share of a poly-enum-incremental run spent "
+                "producing dominator arrays (lt_seconds / elapsed_seconds); "
+                "the paper reports >= 70% for Lengauer-Tarjan in C, the "
+                "floor (half the 5-6% the runs that set it read) catches a "
+                "kernel whose time stops being measured",
             ),
-            MetricSpec("lt_single_seconds", "s", better="lower"),
-            MetricSpec("iterative_single_seconds", "s", better="lower"),
+            MetricSpec("dag_single_seconds", "s", better="lower"),
+            MetricSpec("derive_single_seconds", "s", better="lower"),
         ),
         setup=_dominators_setup,
         measure=_dominators_measure,
-        description="One 400-node dominator computation (LT vs the iterative "
-        "data-flow algorithm, interleaved) plus the LT share of a full "
-        "enumeration.",
+        description="One 400-op DAG-kernel sweep and one derivation "
+        "(interleaved) plus the dominator share of a full enumeration.",
     )
 )
 

@@ -4,10 +4,11 @@ This module preserves, verbatim in behaviour and in *cost profile*, the
 ``POLY-ENUM-INCR`` implementation as it stood before the hot-path kernel
 optimisation (contribution tables, the per-reachable-region dominator cache
 and the closure-based validity fast path).  It exists for exactly one
-purpose: to be the measured baseline of ``benchmarks/bench_core.py`` and the
-bit-identity reference of the randomized property tests — every optimisation
+purpose: to be the bit-identity reference of the tests — every optimisation
 of :mod:`repro.core.incremental` must reproduce this enumerator's cut sets
-exactly, and the perf-regression gate reports the optimized/legacy speedup.
+exactly.  The randomized property tests compare the two directly, and the
+per-graph cut digests the ``core`` benchmark checks are re-derived from
+this snapshot by ``tests/test_perf_core.py``.
 
 Because the optimized code paths replaced the helpers this snapshot relied
 on, the old implementations are inlined here:
@@ -17,7 +18,8 @@ on, the old implementations are inlined here:
 * per-cut input/output/convexity re-derivation through the loop-based
   ``check_cut_mask`` equivalents;
 * one Lengauer–Tarjan run per *(input set, output)* pair, memoised only for
-  the lifetime of a single enumeration.
+  the lifetime of a single enumeration, in the old Dubrova reduction step
+  (:func:`_dominator_completions`).
 
 Do not "fix" or speed up anything in this file; it is intentionally the old
 code.
@@ -25,16 +27,18 @@ code.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.constraints import Constraints
-from ..core.context import EnumerationContext
-from ..core.pruning import FULL_PRUNING, PruningConfig
-from ..core.stats import EnumerationResult, EnumerationStats, Stopwatch
-from ..core.validity import _cut_depth, _is_connected_mask
-from ..dfg.graph import DataFlowGraph
-from ..dominators.generalized import reachable_mask_avoiding
-from ..dominators.multi_vertex import CompletionResult, dominator_completions
+from repro.core.constraints import Constraints
+from repro.core.context import EnumerationContext
+from repro.core.pruning import FULL_PRUNING, PruningConfig
+from repro.core.stats import EnumerationResult, EnumerationStats, Stopwatch
+from repro.core.validity import _cut_depth, _is_connected_mask
+from repro.dfg.graph import DataFlowGraph
+from repro.dominators.generalized import reachable_mask_avoiding
+from repro.dominators.iterative import strict_dominators
+from repro.dominators.multi_vertex import CompletionResult
+from tests.reference.lengauer_tarjan import immediate_dominators
 
 ALGORITHM_NAME = "poly-enum-incremental-legacy"
 
@@ -101,6 +105,27 @@ def _is_convex_mask(reach, cut_mask: int) -> bool:
             if reach.descendants_mask(w) & cut_mask:
                 return False
     return True
+
+
+def _dominator_completions(
+    num_nodes: int,
+    successors: Sequence[Sequence[int]],
+    root: int,
+    target: int,
+    seed_mask: int,
+) -> CompletionResult:
+    """The pre-optimization Dubrova reduction step: one Lengauer–Tarjan run
+    on the graph with the seed removed, the target's strict dominators as
+    the completions."""
+    if (seed_mask >> root) & 1:
+        raise ValueError("the root cannot be part of a seed set")
+    if (seed_mask >> target) & 1:
+        raise ValueError("the target cannot be part of a seed set")
+    idom = immediate_dominators(num_nodes, successors, root, removed_mask=seed_mask)
+    if idom[target] is None:
+        return CompletionResult(already_dominated=True, completions=[], lt_calls=1)
+    completions = strict_dominators(idom, target, root)
+    return CompletionResult(already_dominated=False, completions=completions, lt_calls=1)
 
 
 def _check_cut_valid(context: EnumerationContext, node_mask: int) -> bool:
@@ -426,7 +451,7 @@ class LegacyIncrementalEnumerator:
         cached = self._step_cache.get(key)
         if cached is not None:
             return cached
-        step = dominator_completions(
+        step = _dominator_completions(
             self.ctx.num_nodes,
             self.ctx.successor_lists,
             self.ctx.source,

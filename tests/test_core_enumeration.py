@@ -193,7 +193,6 @@ EAGER_CUT_DIGESTS = {
     "exhaustive": "98da052c254d5863",
     "poly-enum-basic": "1344cdb359ba0ff4",
     "poly-enum-incremental": "a0bd72275cb09478",
-    "poly-enum-incremental-legacy": "a0bd72275cb09478",
 }
 
 

@@ -1,9 +1,11 @@
 """Tests for the dominator infrastructure.
 
-The Lengauer–Tarjan implementation is the performance-critical kernel of the
-whole reproduction, so it is cross-checked three ways: against the iterative
-Cooper–Harvey–Kennedy algorithm, against ``networkx.immediate_dominators``,
-and on hand-computable graphs.
+The single-pass DAG kernel is the only dominator kernel the library runs.
+It shares its hand-computable cases and its ``networkx.immediate_dominators``
+comparison with the reference Lengauer–Tarjan kernel the paper runs
+(``tests/reference/``): each of those tests runs every kernel, with the
+fixpoint iteration of Cooper–Harvey–Kennedy as a third opinion on random
+DAGs.
 """
 
 import random
@@ -15,14 +17,13 @@ from hypothesis import given
 from repro.core import EnumerationContext
 from repro.dfg import augment
 from repro.dfg.reachability import mask_from_ids
-from repro.dominators import (
-    comparability_rows,
+from repro.dominators import comparability_rows, immediate_dominators_dag, strict_dominators
+from tests.conftest import dag_seeds, make_random_dag
+from tests.reference.lengauer_tarjan import (
     dominates,
     immediate_dominators,
     immediate_dominators_iterative,
-    strict_dominators,
 )
-from tests.conftest import dag_seeds, make_random_dag
 
 
 def _augmented_successors(graph):
@@ -38,42 +39,75 @@ def _rows_by_walk(idom):
     ]
 
 
+def _dag_kernel(num_nodes, successors, root, removed_mask=0):
+    """:func:`immediate_dominators_dag` behind the reference kernels'
+    signature: the topological order and predecessor lists it takes are
+    derived from *successors* (Kahn's algorithm)."""
+    preds = [[] for _ in range(num_nodes)]
+    for vertex, succs in enumerate(successors):
+        for succ in succs:
+            preds[succ].append(vertex)
+    waiting = [len(p) for p in preds]
+    order = [v for v in range(num_nodes) if not waiting[v]]
+    for vertex in order:
+        for succ in successors[vertex]:
+            waiting[succ] -= 1
+            if not waiting[succ]:
+                order.append(succ)
+    assert len(order) == num_nodes, "not a DAG"
+    return immediate_dominators_dag(order, preds, root, removed_mask=removed_mask)
+
+
+#: Every kernel the hand-computable cases and the networkx comparison run on:
+#: the reference Lengauer–Tarjan kernel and the shipped DAG kernel.
+KERNELS = {"lengauer_tarjan": immediate_dominators, "dag": _dag_kernel}
+
+
 class TestLengauerTarjan:
+    """The cases every kernel must pass, each run on every one of
+    :data:`KERNELS` (a loop in the test, so one test id covers both)."""
+
     def test_chain(self):
         # 0 -> 1 -> 2 -> 3
         succs = [[1], [2], [3], []]
-        idom = immediate_dominators(4, succs, root=0)
-        assert idom == [0, 0, 1, 2]
+        for name, kernel in KERNELS.items():
+            idom = kernel(4, succs, root=0)
+            assert idom == [0, 0, 1, 2], name
 
     def test_diamond_cfg(self):
         # 0 -> 1, 0 -> 2, 1 -> 3, 2 -> 3: idom(3) == 0
         succs = [[1, 2], [3], [3], []]
-        idom = immediate_dominators(4, succs, root=0)
-        assert idom[3] == 0
-        assert idom[1] == 0 and idom[2] == 0
+        for name, kernel in KERNELS.items():
+            idom = kernel(4, succs, root=0)
+            assert idom[3] == 0, name
+            assert idom[1] == 0 and idom[2] == 0, name
 
     def test_unreachable_nodes_have_none(self):
         succs = [[1], [], [1]]  # vertex 2 unreachable from 0
-        idom = immediate_dominators(3, succs, root=0)
-        assert idom[2] is None
-        assert idom[1] == 0
+        for name, kernel in KERNELS.items():
+            idom = kernel(3, succs, root=0)
+            assert idom[2] is None, name
+            assert idom[1] == 0, name
 
     def test_removed_mask_hides_vertices(self):
         # 0 -> 1 -> 3 and 0 -> 2 -> 3; removing 1 makes 2 a dominator of 3.
         succs = [[1, 2], [3], [3], []]
-        idom = immediate_dominators(4, succs, root=0, removed_mask=1 << 1)
-        assert idom[1] is None
-        assert idom[3] == 2
+        for name, kernel in KERNELS.items():
+            idom = kernel(4, succs, root=0, removed_mask=1 << 1)
+            assert idom[1] is None, name
+            assert idom[3] == 2, name
 
     def test_removed_root_rejected(self):
-        with pytest.raises(ValueError):
-            immediate_dominators(2, [[1], []], root=0, removed_mask=1)
+        for kernel in KERNELS.values():
+            with pytest.raises(ValueError):
+                kernel(2, [[1], []], root=0, removed_mask=1)
 
     def test_strict_dominators_order(self):
         succs = [[1], [2], [3], []]
-        idom = immediate_dominators(4, succs, root=0)
-        assert strict_dominators(idom, 3, root=0) == [2, 1, 0]
-        assert strict_dominators(idom, 0, root=0) == [0]
+        for name, kernel in KERNELS.items():
+            idom = kernel(4, succs, root=0)
+            assert strict_dominators(idom, 3, root=0) == [2, 1, 0], name
+            assert strict_dominators(idom, 0, root=0) == [0], name
 
     def test_dominates_predicate(self):
         succs = [[1, 2], [3], [3], []]
@@ -90,21 +124,21 @@ class TestLengauerTarjan:
         n = augmented.graph.num_nodes
         root = augmented.source
 
-        lt = immediate_dominators(n, succs, root)
         iterative = immediate_dominators_iterative(n, succs, root)
-        assert lt == iterative
-
         nx_graph = nx.DiGraph()
         nx_graph.add_nodes_from(range(n))
         nx_graph.add_edges_from(augmented.graph.edges())
         expected = nx.immediate_dominators(nx_graph, root)
-        for vertex in range(n):
-            if vertex == root:
-                assert lt[vertex] == root
-            elif vertex in expected:
-                assert lt[vertex] == expected[vertex]
-            else:
-                assert lt[vertex] is None
+        for name, kernel in KERNELS.items():
+            idom = kernel(n, succs, root)
+            assert idom == iterative, name
+            for vertex in range(n):
+                if vertex == root:
+                    assert idom[vertex] == root, name
+                elif vertex in expected:
+                    assert idom[vertex] == expected[vertex], name
+                else:
+                    assert idom[vertex] is None, name
 
     @given(dag_seeds)
     def test_reduced_graph_matches_networkx(self, seed):
@@ -118,7 +152,6 @@ class TestLengauerTarjan:
         operations = graph.operation_nodes()
         removed = operations[: min(2, len(operations))]
         removed_mask = mask_from_ids(removed)
-        lt = immediate_dominators(n, succs, root, removed_mask=removed_mask)
 
         nx_graph = nx.DiGraph()
         nx_graph.add_nodes_from(v for v in range(n) if v not in removed)
@@ -126,15 +159,17 @@ class TestLengauerTarjan:
             (s, d) for s, d in augmented.graph.edges() if s not in removed and d not in removed
         )
         expected = nx.immediate_dominators(nx_graph, root)
-        for vertex in range(n):
-            if vertex == root:
-                assert lt[vertex] == root
-            elif vertex in removed:
-                assert lt[vertex] is None
-            elif vertex in expected:
-                assert lt[vertex] == expected[vertex]
-            else:
-                assert lt[vertex] is None
+        for name, kernel in KERNELS.items():
+            idom = kernel(n, succs, root, removed_mask=removed_mask)
+            for vertex in range(n):
+                if vertex == root:
+                    assert idom[vertex] == root, name
+                elif vertex in removed:
+                    assert idom[vertex] is None, name
+                elif vertex in expected:
+                    assert idom[vertex] == expected[vertex], name
+                else:
+                    assert idom[vertex] is None, name
 
 
 class TestComparabilityRows:

@@ -31,7 +31,6 @@ from tests.conftest import make_random_dag
 
 ALL_ALGORITHMS = (
     "poly-enum-incremental",
-    "poly-enum-incremental-legacy",
     "poly-enum-basic",
     "exhaustive",
     "brute-force",

@@ -1,7 +1,8 @@
 """Tests for generalized (multiple-vertex) dominators.
 
-The optimised Dubrova-style enumeration is validated against a brute-force
-implementation that checks Definition 5 literally on every subset.
+The optimised Dubrova-style enumeration, whose reduction steps run the
+single-pass DAG kernel, is validated against a brute-force implementation
+(``tests/reference/``) that checks Definition 5 literally on every subset.
 """
 
 import pytest
@@ -11,7 +12,6 @@ from repro.dfg import augment
 from repro.dfg.reachability import mask_from_ids
 from repro.dominators import (
     blocks_all_paths,
-    brute_force_generalized_dominators,
     dominator_completions,
     enumerate_generalized_dominators,
     has_private_path,
@@ -19,12 +19,17 @@ from repro.dominators import (
     reachable_mask_avoiding,
 )
 from tests.conftest import dag_seeds, make_random_dag
+from tests.reference.lengauer_tarjan import brute_force_generalized_dominators
 
 
 def _setup(graph):
+    """The augmented graph and its successor lists, topological order and
+    predecessor lists."""
     augmented = augment(graph)
-    succs = [list(augmented.graph.successors(v)) for v in augmented.graph.node_ids()]
-    return augmented, succs
+    ids = augmented.graph.node_ids()
+    succs = [list(augmented.graph.successors(v)) for v in ids]
+    preds = [list(augmented.graph.predecessors(v)) for v in ids]
+    return augmented, succs, augmented.graph.topological_order(), preds
 
 
 class TestDefinitionPredicates:
@@ -62,12 +67,10 @@ class TestDefinitionPredicates:
 
 class TestCompletions:
     def test_single_dominators_of_diamond_target(self, diamond_graph):
-        augmented, succs = _setup(diamond_graph)
+        augmented, _, order, preds = _setup(diamond_graph)
         ops = diamond_graph.operation_nodes()
         bottom = ops[-1]
-        step = dominator_completions(
-            augmented.graph.num_nodes, succs, augmented.source, bottom
-        )
+        step = dominator_completions(order, preds, augmented.source, bottom)
         assert not step.already_dominated
         # The shift operand is a constant wired from the artificial source, so
         # the only single-vertex dominator of the diamond's bottom vertex is
@@ -75,12 +78,10 @@ class TestCompletions:
         assert step.completions == [augmented.source]
 
     def test_single_dominators_of_chain(self, chain_graph):
-        augmented, succs = _setup(chain_graph)
+        augmented, _, order, preds = _setup(chain_graph)
         ops = chain_graph.operation_nodes()
         first, last = ops[0], ops[-1]
-        step = dominator_completions(
-            augmented.graph.num_nodes, succs, augmented.source, last
-        )
+        step = dominator_completions(order, preds, augmented.source, last)
         assert not step.already_dominated
         # Every earlier chain operation dominates the last one.
         for vertex in ops[:-1]:
@@ -88,22 +89,20 @@ class TestCompletions:
         assert first in step.completions
 
     def test_already_dominated_when_seed_blocks(self, chain_graph):
-        augmented, succs = _setup(chain_graph)
+        augmented, _, order, preds = _setup(chain_graph)
         ops = chain_graph.operation_nodes()
         first, last = ops[0], ops[-1]
         step = dominator_completions(
-            augmented.graph.num_nodes, succs, augmented.source, last,
-            seed_mask=1 << first,
+            order, preds, augmented.source, last, seed_mask=1 << first
         )
         assert step.already_dominated
 
     def test_seed_containing_target_rejected(self, chain_graph):
-        augmented, succs = _setup(chain_graph)
+        augmented, _, order, preds = _setup(chain_graph)
         target = chain_graph.operation_nodes()[-1]
         with pytest.raises(ValueError):
             dominator_completions(
-                augmented.graph.num_nodes, succs, augmented.source, target,
-                seed_mask=1 << target,
+                order, preds, augmented.source, target, seed_mask=1 << target
             )
 
 
@@ -111,8 +110,7 @@ class TestEnumeration:
     @given(dag_seeds)
     def test_matches_brute_force(self, seed):
         graph = make_random_dag(seed, num_operations=7)
-        augmented, succs = _setup(graph)
-        n = augmented.graph.num_nodes
+        augmented, succs, order, preds = _setup(graph)
         root = augmented.source
         operations = graph.candidate_nodes()
         if not operations:
@@ -129,7 +127,7 @@ class TestEnumeration:
         ancestors.discard(root)
 
         fast = enumerate_generalized_dominators(
-            n, succs, root, target, max_size=3, candidates=ancestors
+            succs, order, preds, root, target, max_size=3, candidates=ancestors
         )
         slow = brute_force_generalized_dominators(
             succs, root, target, max_size=3, candidates=ancestors
@@ -137,19 +135,19 @@ class TestEnumeration:
         assert fast == slow
 
     def test_max_size_zero_returns_nothing(self, diamond_graph):
-        augmented, succs = _setup(diamond_graph)
+        augmented, succs, order, preds = _setup(diamond_graph)
+        target = diamond_graph.operation_nodes()[-1]
         assert enumerate_generalized_dominators(
-            augmented.graph.num_nodes, succs, augmented.source,
-            diamond_graph.operation_nodes()[-1], max_size=0,
+            succs, order, preds, augmented.source, target, max_size=0,
+            candidates=augmented.graph.ancestors(target),
         ) == set()
 
     def test_search_stats_count_real_lt_calls(self, diamond_graph, monkeypatch):
-        """The counter reports one LT invocation per explored seed set."""
+        """The counter reports one kernel run per explored seed set."""
         from repro.dominators import DominatorSearchStats
         from repro.dominators import multi_vertex
 
-        augmented, succs = _setup(diamond_graph)
-        n = augmented.graph.num_nodes
+        augmented, succs, order, preds = _setup(diamond_graph)
         root = augmented.source
         target = diamond_graph.operation_nodes()[-1]
 
@@ -164,17 +162,20 @@ class TestEnumeration:
         monkeypatch.setattr(multi_vertex, "dominator_completions", counting)
         stats = DominatorSearchStats()
         enumerate_generalized_dominators(
-            n, succs, root, target, max_size=3, search_stats=stats
+            succs, order, preds, root, target, max_size=3,
+            candidates=augmented.graph.ancestors(target), search_stats=stats,
         )
         assert stats.lt_calls > 0
         assert stats.lt_calls == sum(observed)
 
     def test_results_satisfy_definition(self, paper_figure1_graph):
-        augmented, succs = _setup(paper_figure1_graph)
-        n = augmented.graph.num_nodes
+        augmented, succs, order, preds = _setup(paper_figure1_graph)
         root = augmented.source
         names = {paper_figure1_graph.node(v).name: v for v in paper_figure1_graph.node_ids()}
-        result = enumerate_generalized_dominators(n, succs, root, names["Y"], max_size=3)
+        result = enumerate_generalized_dominators(
+            succs, order, preds, root, names["Y"], max_size=3,
+            candidates=augmented.graph.ancestors(names["Y"]),
+        )
         assert result, "Y must have at least one generalized dominator"
         for dominator_set in result:
             assert is_generalized_dominator(succs, root, names["Y"], dominator_set)

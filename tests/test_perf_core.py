@@ -6,7 +6,7 @@ randomized property test drives well over 200 graphs from the tree,
 synthetic and frontend-corpus generators through **every** pruning variant
 and asserts the optimized enumerator's cut sets are bit-identical (vertex
 sets, inputs and outputs) to the frozen pre-optimization snapshot
-(:mod:`repro.baselines.legacy_incremental`) — and identical to
+(:mod:`tests.reference.baselines.legacy_incremental`) — and identical to
 ``enumerate_cuts_basic`` on every graph where the pre-optimization
 enumerator already coincided with it (the two polynomial variants
 legitimately differ on a few borderline cuts of some graphs; the
@@ -31,7 +31,6 @@ import random
 
 import pytest
 
-from repro.baselines.legacy_incremental import enumerate_cuts_legacy
 from repro.core import Constraints
 from repro.core.context import EnumerationContext
 from repro.core.enumeration import enumerate_cuts_basic
@@ -42,8 +41,14 @@ from repro.dfg.graph import DataFlowGraph
 from repro.dfg.reachability import ReachabilityIndex, ids_from_mask, mask_from_ids, popcount
 from repro.dominators import reachable_mask_avoiding
 from repro.dominators.iterative import derive_immediate_dominators, immediate_dominators_dag
-from repro.dominators.lengauer_tarjan import immediate_dominators
 from repro.frontend.corpus import build_corpus_suite
+from repro.perf.suites.engine import (
+    CONSTRAINTS as CORE_CONSTRAINTS,
+    MAX_BASIC_NODES,
+    _core_families,
+    cut_digest,
+    recorded_cut_digest,
+)
 from repro.workloads import (
     SuiteConfig,
     SyntheticBlockSpec,
@@ -53,7 +58,9 @@ from repro.workloads import (
     inverted_tree_dfg,
     tree_dfg,
 )
-from tests.conftest import integer_stats, make_random_dag
+from tests.conftest import integer_stats, make_random_dag, skip_unless_recorded_corpus
+from tests.reference.baselines.legacy_incremental import enumerate_cuts_legacy
+from tests.reference.lengauer_tarjan import immediate_dominators
 
 PRUNING_VARIANTS = [FULL_PRUNING, NO_PRUNING] + [
     FULL_PRUNING.disable(name) for name in FULL_PRUNING.enabled_names()
@@ -148,7 +155,7 @@ class TestOptimizedEnumeratorBitIdentity:
         for index, graph in enumerate(graphs):
             if graph.num_nodes > 18:
                 # Keep the basic reference affordable; the big corpus blocks
-                # are covered by bench_core.py with the same assertion.
+                # are covered by the core digest table checked below.
                 continue
             basic_keys = _cut_keys(enumerate_cuts_basic(graph, constraints))
             legacy_matches_basic = False
@@ -197,6 +204,29 @@ class TestOptimizedEnumeratorBitIdentity:
             graph = make_random_dag(seed, num_operations=8)
             result = enumerate_cuts(graph, constraints)
             assert result.cuts  # the assertion path executed without tripping
+
+    def test_core_digest_table_matches_the_snapshot(self):
+        """The ``core`` benchmark checks poly-enum-incremental against recorded
+        cut digests; the snapshot re-derives every small-scale entry of at
+        most ``MAX_BASIC_NODES`` vertices, so the table cannot drift from it."""
+        families = _core_families("small")
+        corpus = families.pop("corpus")
+
+        def check(graphs):
+            checked = 0
+            for graph in graphs:
+                if graph.num_nodes > MAX_BASIC_NODES:
+                    continue
+                expected = recorded_cut_digest(graph)
+                assert expected is not None, graph.name
+                legacy = enumerate_cuts_legacy(graph, CORE_CONSTRAINTS)
+                assert cut_digest(legacy) == expected, graph.name
+                checked += 1
+            return checked
+
+        assert check(graph for graphs in families.values() for graph in graphs) == 13
+        skip_unless_recorded_corpus(corpus)
+        assert check(corpus) == 22
 
 
 #: Runs recorded before the last-output budget bound and the whole-mask

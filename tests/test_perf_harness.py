@@ -286,7 +286,8 @@ class TestRegistry:
             record = BenchRecord.from_dict(json.loads(path.read_text()))
             assert path.name == f"BENCH_{record.benchmark}.json"
             assert record.benchmark in names, path.name
-        assert get_benchmark("core").spec("median_speedup_corpus_mibench").gate_min == 3.0
+        core_floor = get_benchmark("core").spec("median_speedup_vs_basic_corpus_mibench")
+        assert core_floor.gate_min == 3.0
 
 
 # --------------------------------------------------------------------------- #
