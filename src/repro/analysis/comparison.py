@@ -1,7 +1,7 @@
 """Algorithm comparison harness (the machinery behind Figure 5).
 
 Runs a set of enumeration algorithms over a workload suite, collecting wall
-clock time, machine-independent work counters (Lengauer–Tarjan invocations for
+clock time, machine-independent work counters (dominator-kernel runs for
 the polynomial algorithm, explored search-tree nodes for the exhaustive one)
 and the number of cuts found, and produces the per-block records that the
 Figure 5 scatter plot and the scaling tables are generated from.
@@ -141,9 +141,10 @@ def default_algorithms() -> List[AlgorithmEntry]:
 def _work_units(result: EnumerationResult) -> int:
     """Machine-independent work counter of a result.
 
-    For the polynomial algorithm this is dominated by the Lengauer–Tarjan
-    invocations plus the candidate checks; for the exhaustive search it is the
-    number of explored search-tree nodes (stored in ``pick_output_calls``).
+    For the polynomial algorithm this is dominated by the dominator-kernel
+    runs (``lt_calls``) plus the candidate checks; for the exhaustive search
+    it is the number of explored search-tree nodes (stored in
+    ``pick_output_calls``).
     Both counters grow proportionally to the run time of their algorithm, so
     they allow a platform-independent comparison of the growth *shape*.
     """

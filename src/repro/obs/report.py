@@ -2,7 +2,7 @@
 
 ``repro metrics run.metrics.json [--trace run.trace.json]`` renders the
 quantities the paper's evaluation is about — where the wall time went, how
-dominant the Lengauer–Tarjan kernel is, how often the memoization layers hit
+dominant the dominator kernel is, how often the memoization layers hit
 — from the artifacts a ``--trace``/``--metrics-json`` run leaves behind.
 
 The span-accounting section is computed without any parent/child links:

@@ -155,7 +155,8 @@ class TestOptimizedEnumeratorBitIdentity:
         for index, graph in enumerate(graphs):
             if graph.num_nodes > 18:
                 # Keep the basic reference affordable; the big corpus blocks
-                # are covered by the core digest table checked below.
+                # are checked live against the snapshot by the core digest
+                # test below.
                 continue
             basic_keys = _cut_keys(enumerate_cuts_basic(graph, constraints))
             legacy_matches_basic = False
@@ -207,26 +208,34 @@ class TestOptimizedEnumeratorBitIdentity:
 
     def test_core_digest_table_matches_the_snapshot(self):
         """The ``core`` benchmark checks poly-enum-incremental against recorded
-        cut digests; the snapshot re-derives every small-scale entry of at
-        most ``MAX_BASIC_NODES`` vertices, so the table cannot drift from it."""
+        cut digests.  Here poly is checked live against the snapshot on every
+        small-scale ``core`` graph of at most ``MAX_BASIC_NODES`` vertices and
+        on every corpus block, so each CPython checks the corpus as it compiles
+        it; and the snapshot re-derives those graphs' table entries, so the
+        table cannot drift from it."""
         families = _core_families("small")
         corpus = families.pop("corpus")
-
-        def check(graphs):
-            checked = 0
-            for graph in graphs:
-                if graph.num_nodes > MAX_BASIC_NODES:
-                    continue
-                expected = recorded_cut_digest(graph)
-                assert expected is not None, graph.name
-                legacy = enumerate_cuts_legacy(graph, CORE_CONSTRAINTS)
-                assert cut_digest(legacy) == expected, graph.name
-                checked += 1
-            return checked
-
-        assert check(graph for graphs in families.values() for graph in graphs) == 13
+        small = [
+            graph
+            for graphs in families.values()
+            for graph in graphs
+            if graph.num_nodes <= MAX_BASIC_NODES
+        ]
+        assert len(small) == 13
+        legacy_digests = {}
+        for graph in small + corpus:
+            legacy = cut_digest(enumerate_cuts_legacy(graph, CORE_CONSTRAINTS))
+            assert cut_digest(enumerate_cuts(graph, CORE_CONSTRAINTS)) == legacy, (
+                graph.name
+            )
+            legacy_digests[graph.name] = legacy
+        for graph in small:
+            assert recorded_cut_digest(graph) == legacy_digests[graph.name], graph.name
         skip_unless_recorded_corpus(corpus)
-        assert check(corpus) == 22
+        assert len(corpus) == 22
+        for graph in corpus:
+            assert graph.num_nodes <= MAX_BASIC_NODES, graph.name
+            assert recorded_cut_digest(graph) == legacy_digests[graph.name], graph.name
 
 
 #: Runs recorded before the last-output budget bound and the whole-mask
