@@ -39,7 +39,9 @@ context, and its memo is freed when it returns:
 * under the last output, the output budget of prune-while-building drops
   subtrees whose body already holds more vertices that must stay outputs
   (:meth:`IncrementalEnumerator._stuck_outputs`) than ``Nout`` plus the
-  inputs still to choose;
+  inputs still to choose; under the output before it, it drops them only
+  when no output still pickable could take in enough of those vertices
+  (:meth:`IncrementalEnumerator._next_output_absorbs`);
 * the input budget of prune-while-building drops the seeds with which the
   inputs left can no longer cut every source-to-output path, as packed
   disjoint paths show (:meth:`IncrementalEnumerator._input_budget_seeds`);
@@ -65,16 +67,17 @@ The pruning techniques of Section 5.3 are individually switchable through
 :class:`~repro.core.pruning.PruningConfig`.  The configurations do not all
 report the same cuts: the ablation benchmark records 349 cuts with every
 rule on and 352 with none (or without the input-input rule alone).  The
-three bounds of prune-while-building are the exception (the output budget,
-the input budget and the input-hole bound): the subtrees they drop hold no
-cut either acceptance mode takes, so the cuts and their order stay the
-same.  What the test suite checks, for full pruning, no pruning and each
-one-rule ablation, is that the result lies between the brute-force oracle's
-paper-enumerable cuts and its valid cuts, and that it is bit-identical to
-the frozen pre-optimization snapshot of this enumerator, kept as a test
-oracle in ``tests/reference/baselines/legacy_incremental.py``, run under the
-same configuration.
-The ablation benchmark measures how much search each rule removes.
+bounds of prune-while-building are the exception (the output budget under
+the last two outputs, the input budget and the input-hole bound): the
+subtrees they drop hold no cut either acceptance mode takes, so the cuts
+and their order stay the same.  What the test suite checks, for full
+pruning, no pruning and each one-rule ablation, is that the result lies
+between the brute-force oracle's paper-enumerable cuts and its valid cuts,
+and that it is bit-identical to the frozen pre-optimization snapshot of
+this enumerator, kept as a test oracle in
+``tests/reference/baselines/legacy_incremental.py``, run under the same
+configuration.  The ablation benchmark measures how much search each rule
+removes.
 """
 
 from __future__ import annotations
@@ -181,13 +184,17 @@ class IncrementalEnumerator:
         self._checked_states: set = set()  # CHECK-CUT states
         # The run's memo, filled on demand: the reachable region per input
         # mask, one dominator array per region, each vertex's descendants in
-        # topological order, per output the B({w}, o) rows, and the last
-        # output's stuck masks.  The three keyed by search state are capped.
+        # topological order, per output the B({w}, o) rows, the last two
+        # outputs' stuck masks and the rescuer rows of the output before the
+        # last.  The four keyed by search state are capped.
         self._reachable_cache: "OrderedDict[int, int]" = OrderedDict()
         self._idom_cache: "OrderedDict[int, List[Optional[int]]]" = OrderedDict()
         self._descendant_lists: Dict[int, List[int]] = {}
         self._contribution_rows: Dict[int, List[int]] = {}
         self._stuck_cache: "OrderedDict[Tuple[int, int], int]" = OrderedDict()
+        self._rescuer_cache: "OrderedDict[Tuple[int, int, int], Tuple[int, Dict[int, int]]]" = (
+            OrderedDict()
+        )
         self._debug_validate = debug_validation_enabled()
         # Candidate outputs in topological order: picking outputs
         # ancestors-first guarantees every output set can be selected without
@@ -320,7 +327,9 @@ class IncrementalEnumerator:
             return
 
         prune_while_building = pruning.prune_while_building
-        budget_bound = nout_left == 1 and prune_while_building
+        # Under the last output and the one before it, the frames read the
+        # output's stuck mask instead of the forbidden-successor mask.
+        stuck_bound = nout_left <= 2 and prune_while_building
         # The PICK-INPUTS frames of this call start from the inputs' union
         # of comparability rows (input-input pruning) and of ancestor rows
         # (the input-hole screen); a seed child ORs in its seed's rows.
@@ -345,13 +354,14 @@ class IncrementalEnumerator:
             new_outputs_mask = outputs_mask | (1 << output)
             new_body_mask = body_mask | (input_descendants & cone)
             dominated = inputs_mask and not (region >> output) & 1
-            if budget_bound:
-                # The last output: bound the outputs every completion keeps.
+            if stuck_bound:
                 stuck = self._stuck_outputs(output, body_mask & ~cone)
-                excess = (new_body_mask & ~excluded & stuck).bit_count() - max_outputs
-                if excess > (0 if dominated else nin_left):
-                    pruned["output_budget"] += 1
-                    continue
+                if nout_left == 1:
+                    # The last output: bound the outputs every completion keeps.
+                    excess = (new_body_mask & ~excluded & stuck).bit_count() - max_outputs
+                    if excess > (0 if dominated else nin_left):
+                        pruned["output_budget"] += 1
+                        continue
             if dominated:
                 new_cut_outputs = self._check_cut(inputs_mask, new_outputs_mask, new_body_mask)
                 if new_cut_outputs is not None and nout_left > 1:
@@ -399,11 +409,11 @@ class IncrementalEnumerator:
         child shares.  *region* and *idom* are the input set's region and
         dominator array, held by this frame: a grown input set's region and
         array are derived from them on a cache miss.  *stuck* is the
-        vertices with a forbidden successor, or the last output's
-        :meth:`_stuck_outputs`.  *input_input_blocked* is the union of the
-        inputs' comparability rows (0 without input-input pruning) and
-        *inputs_above* the union of their ancestor rows, which only
-        prune-while-building reads.
+        vertices with a forbidden successor, or, under the last output and
+        the one before it, the output's :meth:`_stuck_outputs`.
+        *input_input_blocked* is the union of the inputs' comparability rows
+        (0 without input-input pruning) and *inputs_above* the union of
+        their ancestor rows, which only prune-while-building reads.
         """
         pruning = self.pruning
         prune_while_building = pruning.prune_while_building
@@ -444,12 +454,14 @@ class IncrementalEnumerator:
         # cut.  More than Nout of its vertices with a forbidden successor
         # dooms the branch; so does more than Nout stuck vertices beyond the
         # inputs still to choose (the output budget: none after a
-        # completion, nin_left - 1 after a seed).  *stuck* holds every
-        # vertex with a forbidden successor, so neither test fires unless
-        # more than Nout body vertices are stuck.  Last, the input-hole
-        # bound (:meth:`_input_holes`) drops the grown state when its holes
-        # need more later inputs than are left; a hole needs a body vertex
-        # above an input, so the inputs' ancestor union screens it.
+        # completion, nin_left - 1 after a seed), unless one output is
+        # still to pick and could take in enough of them
+        # (:meth:`_next_output_absorbs`).  *stuck* holds every vertex with a
+        # forbidden successor, so neither test fires unless more than Nout
+        # body vertices are stuck.  Last, the input-hole bound
+        # (:meth:`_input_holes`) drops the grown state when its holes need
+        # more later inputs than are left; a hole needs a body vertex above
+        # an input, so the inputs' ancestor union screens it.
         for completion in completions:
             if completion == source or (inputs_mask >> completion) & 1:
                 continue
@@ -463,12 +475,19 @@ class IncrementalEnumerator:
             new_body_mask = body_mask | between_row[completion]
             if prune_while_building:
                 effective = new_body_mask & ~(new_inputs_mask | forbidden)
-                if (effective & stuck).bit_count() > max_outputs:
+                kept = effective & stuck
+                if kept.bit_count() > max_outputs:
                     if (effective & forbidden_succ).bit_count() > max_outputs:
                         pruned["too_many_unavoidable_outputs"] += 1
-                    else:
+                        continue
+                    if not nout_left:
                         pruned["output_budget"] += 1
-                    continue
+                        continue
+                    if not self._next_output_absorbs(
+                        output, outputs_mask, body_mask, kept, slack
+                    ):
+                        pruned["next_output_budget"] += 1
+                        continue
                 if effective & (
                     inputs_above | ancestor_rows[completion]
                 ) and not self._input_holes(new_inputs_mask, effective, slack):
@@ -527,31 +546,42 @@ class IncrementalEnumerator:
                 seed = low.bit_length() - 1
                 new_inputs_mask = inputs_mask | low
                 new_body_mask = body_mask | between_row[seed]
-                new_above = inputs_above | ancestor_rows[seed]
-                closers = -1
-                if prune_while_building:
-                    effective = new_body_mask & ~(new_inputs_mask | forbidden)
-                    unavoidable = (effective & stuck).bit_count()
-                    if unavoidable > max_outputs:
-                        if (effective & forbidden_succ).bit_count() > max_outputs:
-                            pruned["too_many_unavoidable_outputs"] += 1
-                            continue
-                        if unavoidable - slack > max_outputs:
-                            pruned["output_budget"] += 1
-                            continue
-                    if effective & new_above:
-                        closers = self._input_holes(new_inputs_mask, effective, slack)
-                        if not closers:
-                            pruned["input_hole"] += 1
-                            continue
-                pick_input_calls += 1
+                # Every test below is a function of the child's key (the
+                # stuck mask depends only on the output and the body outside
+                # its cone), so an expanded key is skipped before them.
                 key = (
                     output_key
                     | (new_body_mask << body_shift)
                     | (new_inputs_mask << inputs_shift)
                 )
                 if key in visited:
+                    pick_input_calls += 1
                     continue
+                new_above = inputs_above | ancestor_rows[seed]
+                closers = -1
+                if prune_while_building:
+                    effective = new_body_mask & ~(new_inputs_mask | forbidden)
+                    kept = effective & stuck
+                    unavoidable = kept.bit_count()
+                    if unavoidable > max_outputs:
+                        if (effective & forbidden_succ).bit_count() > max_outputs:
+                            pruned["too_many_unavoidable_outputs"] += 1
+                            continue
+                        if unavoidable - slack > max_outputs:
+                            if not nout_left:
+                                pruned["output_budget"] += 1
+                                continue
+                            if not self._next_output_absorbs(
+                                output, outputs_mask, body_mask, kept, slack
+                            ):
+                                pruned["next_output_budget"] += 1
+                                continue
+                    if effective & new_above:
+                        closers = self._input_holes(new_inputs_mask, effective, slack)
+                        if not closers:
+                            pruned["input_hole"] += 1
+                            continue
+                pick_input_calls += 1
                 visited.add(key)
                 new_region = self.reachable_avoiding(new_inputs_mask, (seed, region))
                 if (new_region >> output) & 1:
@@ -642,14 +672,15 @@ class IncrementalEnumerator:
         return rows
 
     def _stuck_outputs(self, output: int, outside_cone: int) -> int:
-        """Body vertices that stay outputs once *output* is the last output.
+        """Body vertices that stay outputs of every cut recorded under
+        *output* before another output is picked.
 
         Every later contribution ``B({w}, output)`` lies in the output's cone
         (*output* and its ancestors), so the body stays inside the cone plus
         *outside_cone*.  A vertex with a forbidden successor or a successor
         outside that room stays an output unless it is chosen as an input.
         Memoised per ``(output, outside_cone)``, which the whole subtree under
-        the last output shares.
+        the output shares.
         """
         key = (output, outside_cone)
         stuck = self._stuck_cache.get(key)
@@ -665,6 +696,86 @@ class IncrementalEnumerator:
                     stuck |= low
             _remember(self._stuck_cache, key, stuck)
         return stuck
+
+    def _next_output_absorbs(
+        self, output: int, outputs_mask: int, body_mask: int, kept: int, slack: int
+    ) -> bool:
+        """Whether the one output still to pick after *output* may leave a
+        cut with at most ``Nout`` outputs, given the body's stuck vertices
+        *kept* (:meth:`_stuck_outputs`) and *slack* later inputs.
+
+        A cut recorded after that output ``o′`` is picked lies in the room
+        of :meth:`_stuck_outputs` plus ``o′`` and its ancestors.  A stuck
+        vertex ``v`` without a forbidden successor stays an output of it
+        unless a later input takes it or ``o′`` is in ``R(v)``, the outputs
+        still pickable that descend from (or are) every successor of ``v``
+        outside the room (:meth:`_rescuers`).  With output-output pruning
+        on, ``o′`` is in no chosen output's cone, so it is an output too.
+        Each later input takes at most one stuck vertex, so the cut keeps
+        more than ``Nout`` outputs unless some ``o′`` is in ``R(v)`` for at
+        least ``need`` = [output-output] + |*kept*| − *slack* − ``Nout`` of
+        them.  Tested loosely, which keeps every such state: at least
+        ``need`` stuck vertices have a rescuer, and when exactly ``need``
+        do, their rows share one.
+        """
+        need = self.pruning.output_output + kept.bit_count() - slack - self._max_outputs
+        key = (output, outputs_mask, body_mask & ~self._closed_ancestors[output])
+        table = self._rescuer_cache.get(key)
+        if table is None:
+            table = self._rescuers(*key)
+            _remember(self._rescuer_cache, key, table)
+        rescuable, rows = table
+        kept &= rescuable
+        count = kept.bit_count()
+        if count != need:
+            return count > need
+        common = -1
+        while kept and common:
+            low = kept & -kept
+            kept ^= low
+            common &= rows[low.bit_length() - 1]
+        return common != 0
+
+    def _rescuers(
+        self, output: int, outputs_mask: int, outside_cone: int
+    ) -> Tuple[int, Dict[int, int]]:
+        """The stuck vertices of the room of ``(output, outside_cone)`` that
+        one more output may rescue, and each one's row ``R(v)`` of such
+        outputs (see :meth:`_next_output_absorbs`).
+
+        The pickable outputs are the candidates not postdominance-comparable
+        with *outputs_mask*, less its ancestors under output-output pruning;
+        without it they include the room's candidates.
+        """
+        ctx = self.ctx
+        reach = ctx.reach
+        room = outside_cone | self._closed_ancestors[output]
+        later = ctx.candidate_mask & ~(
+            outputs_mask | _union_rows(ctx.postdom_comparable, outputs_mask)
+        )
+        if self.pruning.output_output:
+            later &= ~reach.union_ancestors(outputs_mask)
+        successor_rows = reach.successor_rows()
+        descendant_rows = self._descendant_rows
+        rows: Dict[int, int] = {}
+        rescuable = 0
+        rest = room & ~(self._forbidden_succ_mask | self._forbidden)
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            vertex = low.bit_length() - 1
+            leaving = successor_rows[vertex] & ~room
+            if not leaving:
+                continue
+            row = later
+            while leaving and row:
+                succ = leaving & -leaving
+                leaving ^= succ
+                row &= descendant_rows[succ.bit_length() - 1] | succ
+            if row:
+                rows[vertex] = row
+                rescuable |= low
+        return rescuable, rows
 
     def _input_budget_seeds(
         self, region: int, output: int, nin_left: int, shared: int

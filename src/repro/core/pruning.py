@@ -2,11 +2,12 @@
 
 Every pruning rule can be toggled individually so that the ablation benchmark
 (``benchmarks/bench_pruning_ablation.py``) can measure how much each one
-contributes.  The three bounds of ``prune_while_building`` (the output
-budget, the input budget and the input-hole bound) are pure optimizations:
-they drop only subtrees that hold no cut either acceptance mode takes.  The
-other rules are not: the configurations do not all report the same cuts
-(see :mod:`repro.core.incremental` for what the test suite checks instead).
+contributes.  The bounds of ``prune_while_building`` (the output budget
+under the last output and under the one before it, the input budget and the
+input-hole bound) are pure optimizations: they drop only subtrees that hold
+no cut either acceptance mode takes.  The other rules are not: the
+configurations do not all report the same cuts (see
+:mod:`repro.core.incremental` for what the test suite checks instead).
 """
 
 from __future__ import annotations
@@ -36,7 +37,14 @@ class PruningConfig:
           outputs outnumber ``Nout`` plus the inputs still to choose
           (``output_budget``).  A vertex with a forbidden successor, or a
           successor outside ``S`` and the last output's ancestors, stays
-          an output unless it is chosen as an input, or
+          an output unless it is chosen as an input.  Under the output
+          before the last, the same count drops the branch only if no
+          single output still pickable could take in enough of those
+          vertices (one stops being an output only if each of its
+          successors outside ``S`` and the output's ancestors is that
+          later output or one of its ancestors); with output-output
+          pruning on, the later output counts as one more output
+          (``next_output_budget``), or
         * a PICK-INPUTS seed's output still has more source-to-output
           paths, sharing no vertex a later input could take, than inputs
           left to cut them, or exactly as many and the seed is on none

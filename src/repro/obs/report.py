@@ -222,7 +222,7 @@ def format_run_report(
         )
         lt_calls = totals.get("enum.lt_calls_total", 0)
         lt_seconds = totals.get("enum.lt_seconds_total", 0.0)
-        line = f"  Lengauer-Tarjan      : {int(lt_calls)} dominator-kernel run(s)"
+        line = f"  dominator arrays     : {int(lt_calls)} fresh, derived or full"
         if lt_seconds:
             line += f", {lt_seconds:.3f} s"
             if wall:
@@ -235,8 +235,8 @@ def format_run_report(
         )
         if work:
             lines.append(
-                f"  LT share of work     : {lt_calls / work:.1%} of "
-                f"{int(work)} work units (LT + checks + expansions)"
+                f"  dominator share      : {lt_calls / work:.1%} of "
+                f"{int(work)} work units (arrays + checks + expansions)"
             )
         pruned = counter_by_label(document, "enum.pruned_total", "rule")
         if pruned:

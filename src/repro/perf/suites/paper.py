@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import statistics
+from collections import Counter
 from typing import Dict, List, Tuple
 
 from ...analysis import compare_on_suite
@@ -430,19 +431,25 @@ def _pruning_setup(scale: str) -> object:
 
 
 def _pruning_total_work(workload, pruning: PruningConfig) -> Dict[str, object]:
+    """The workload's summed work under *pruning*; ``pruned`` is how often
+    each rule and bound fired, so a row shows which rule's work an ablation
+    moves."""
     lt_calls = candidates = cuts = 0
     seconds = 0.0
+    pruned: "Counter[str]" = Counter()
     for graph in workload:
         result = enumerate_cuts(graph, PAPER_CONSTRAINTS, pruning=pruning)
         lt_calls += result.stats.lt_calls
         candidates += result.stats.candidates_checked
         cuts += len(result)
         seconds += result.stats.elapsed_seconds
+        pruned.update(result.stats.pruned)
     return {
         "lt_calls": lt_calls,
         "candidates": candidates,
         "cuts": cuts,
         "seconds": round(seconds, 4),
+        "pruned": dict(sorted(pruned.items())),
     }
 
 

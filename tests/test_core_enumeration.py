@@ -154,7 +154,7 @@ class TestStatistics:
         assert stats.pick_output_calls > 0
         assert stats.elapsed_seconds > 0
         summary = stats.summary()
-        assert "Lengauer-Tarjan" in summary
+        assert f"dominator arrays    : {stats.lt_calls}" in summary
 
     def test_pruning_counters_only_with_pruning(self, loads_graph, default_constraints):
         pruned = enumerate_cuts(loads_graph, default_constraints, pruning=FULL_PRUNING)

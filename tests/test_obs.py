@@ -575,7 +575,7 @@ class TestObservabilityCLI:
         out = capsys.readouterr().out
         assert "wall time" in out
         assert "named-span coverage" in out
-        assert "Lengauer-Tarjan" in out
+        assert "dominator arrays     :" in out
         assert "instructions selected" in out
 
     def test_metrics_subcommand_rejects_non_metrics_file(self, tmp_path):

@@ -28,9 +28,11 @@ import dataclasses
 import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
+from repro.baselines.brute_force import enumerate_cuts_brute_force
 from repro.core import Constraints
 from repro.core.context import EnumerationContext
 from repro.core.enumeration import enumerate_cuts_basic
@@ -149,6 +151,7 @@ class TestOptimizedEnumeratorBitIdentity:
         checked = 0
         basic_agreements = 0
         budget_bound_fired = input_budget_fired = input_hole_fired = 0
+        next_output_fired = 0
         graphs = _property_graphs()
         if min_graphs < len(graphs):
             graphs = graphs[: min_graphs + 40]  # headroom for the size filter
@@ -180,6 +183,7 @@ class TestOptimizedEnumeratorBitIdentity:
                     budget_bound_fired += new.stats.pruned.get("output_budget", 0) > 0
                     input_budget_fired += new.stats.pruned.get("input_budget", 0) > 0
                     input_hole_fired += new.stats.pruned.get("input_hole", 0) > 0
+                    next_output_fired += new.stats.pruned.get("next_output_budget", 0) > 0
                     legacy_matches_basic = legacy_keys == basic_keys
                     if legacy_matches_basic:
                         assert new_keys == basic_keys, graph.name
@@ -191,12 +195,18 @@ class TestOptimizedEnumeratorBitIdentity:
         # they differ on borderline cuts — a pre-existing, documented
         # property, not something this PR may change).
         assert basic_agreements >= min_graphs // 5
-        # The snapshot has none of the three bounds, so the identity above
+        # The snapshot has none of the four bounds, so the identity above
         # covers them only if they fire; they are part of every variant that
-        # keeps prune_while_building on.
+        # keeps prune_while_building on.  The output budget under the output
+        # before the last needs two outputs (it fired on 54 of 207 graphs at
+        # Nout = 2 when recorded).
         assert budget_bound_fired * 4 >= checked
         assert input_budget_fired * 4 >= checked
         assert input_hole_fired * 4 >= checked
+        if constraints.max_outputs > 1:
+            assert next_output_fired * 5 >= checked
+        else:
+            assert next_output_fired == 0
 
     def test_debug_validity_cross_check_runs(self, monkeypatch):
         monkeypatch.setenv("REPRO_DEBUG_VALIDITY", "1")
@@ -244,8 +254,9 @@ class TestOptimizedEnumeratorBitIdentity:
 #: candidates full pruning checked, and every integer stat with
 #: prune-while-building off.  Then, recorded before the input budget bound,
 #: the duplicates, PICK-OUTPUT calls, PICK-INPUTS calls and dominator arrays
-#: of full pruning.  Last, the duplicates and PICK-OUTPUT calls of full
-#: pruning with the input-hole bound.
+#: of full pruning.  Then the duplicates and PICK-OUTPUT calls of full
+#: pruning with the input-hole bound; last, the same two with the output
+#: budget under the output before the last, which lowers both where it fires.
 _RECORDED_RUNS = {
     "synthetic_n30_s2007": (
         "b76689d5e004df13e7fd34612f3302acc910642951934efdb56d0afd08c12008",
@@ -262,6 +273,7 @@ _RECORDED_RUNS = {
         },
         {"duplicates": 2982, "pick_output_calls": 1048, "pick_input_calls": 8912, "lt_calls": 1018},
         (2334, 438),
+        (2171, 372),
     ),
     "tree_depth4": (
         "c7182ba506a4511e24adfd99e205f88dd26644f4aecf71a19906000c464d753d",
@@ -274,6 +286,7 @@ _RECORDED_RUNS = {
             "insearch_hits": 0, "insearch_misses": 0, "insearch_evictions": 0,
         },
         {"duplicates": 342, "pick_output_calls": 49, "pick_input_calls": 10551, "lt_calls": 2857},
+        (342, 49),
         (342, 49),
     ),
     "mibench_like_013_n29": (
@@ -291,6 +304,7 @@ _RECORDED_RUNS = {
         },
         {"duplicates": 2800, "pick_output_calls": 1260, "pick_input_calls": 11180, "lt_calls": 1293},
         (2079, 510),
+        (1846, 404),
     ),
     "mibench_like_014_n30": (
         "b4df4ad0416751e93cd2be2ecfcdf5b5c5d262604e44b85fa0c47052d77c8452",
@@ -307,6 +321,7 @@ _RECORDED_RUNS = {
         },
         {"duplicates": 2082, "pick_output_calls": 811, "pick_input_calls": 7620, "lt_calls": 1026},
         (1559, 345),
+        (1385, 275),
     ),
     "mibench_like_015_n32": (
         "ee74b098a540f2524feb5304720a3e2d80ea1f7bcc04f20dd777069454900f46",
@@ -323,12 +338,27 @@ _RECORDED_RUNS = {
         },
         {"duplicates": 3620, "pick_output_calls": 1248, "pick_input_calls": 19000, "lt_calls": 2047},
         (2467, 439),
+        (2314, 382),
     ),
 }
 
 
 def _masks_fingerprint(masks):
     return hashlib.sha256(",".join(format(m, "x") for m in masks).encode()).hexdigest()
+
+
+def _pickable(ctx, pruning, outputs_mask, vertex):
+    """Whether PICK-OUTPUT may pick the candidate *vertex* after the outputs
+    *outputs_mask*: it is no chosen output, postdominates none and is
+    postdominated by none, and, under output-output pruning, reaches none."""
+    chosen = ids_from_mask(outputs_mask)
+    return (
+        not (outputs_mask >> vertex) & 1
+        and not any((ctx.postdom_comparable[o] >> vertex) & 1 for o in chosen)
+        and not (
+            pruning.output_output and any(ctx.reach.has_path(vertex, o) for o in chosen)
+        )
+    )
 
 
 class TestBudgetBounds:
@@ -351,9 +381,9 @@ class TestBudgetBounds:
         assert sorted(graph.name for graph in blocks) == sorted(_RECORDED_RUNS)
         bound_off = FULL_PRUNING.disable("prune_while_building")
         for graph in blocks:
-            full_sha, off_sha, checked, off_stats, full_counts, hole_counts = (
-                _RECORDED_RUNS[graph.name]
-            )
+            (
+                full_sha, off_sha, checked, off_stats, full_counts, hole_counts, next_counts
+            ) = _RECORDED_RUNS[graph.name]
             full = enumerate_cuts(graph, constraints, pruning=FULL_PRUNING)
             off = enumerate_cuts(graph, constraints, pruning=bound_off)
             assert _masks_fingerprint(full.masks) == full_sha, graph.name
@@ -365,19 +395,25 @@ class TestBudgetBounds:
                 assert full.stats.candidates_checked < checked, graph.name
             # The input budget drops only subtrees that reach no CHECK-CUT,
             # so it lowers only PICK-INPUTS and dominator work.  The
-            # input-hole bound also drops completions before CHECK-CUT and
-            # the PICK-OUTPUT calls under them; on the tree it never fires.
+            # input-hole bound and the output budget under the output before
+            # the last also drop completions before CHECK-CUT and the
+            # PICK-OUTPUT calls under them; on the tree neither fires.
             stats = full.stats
-            assert (stats.duplicates, stats.pick_output_calls) == hole_counts, graph.name
+            assert (stats.duplicates, stats.pick_output_calls) == next_counts, graph.name
             if graph.name.startswith("tree"):
                 assert "input_hole" not in stats.pruned
-                assert hole_counts == (
+                assert "next_output_budget" not in stats.pruned
+                assert next_counts == hole_counts == (
                     full_counts["duplicates"], full_counts["pick_output_calls"]
                 )
             else:
                 assert stats.pruned["input_hole"] > 0, graph.name
-                assert stats.duplicates < full_counts["duplicates"], graph.name
-                assert stats.pick_output_calls < full_counts["pick_output_calls"], graph.name
+                assert stats.pruned["next_output_budget"] > 0, graph.name
+                assert hole_counts[0] < full_counts["duplicates"], graph.name
+                assert hole_counts[1] < full_counts["pick_output_calls"], graph.name
+                assert all(now < then for now, then in zip(next_counts, hole_counts)), (
+                    graph.name
+                )
             assert stats.pick_input_calls < full_counts["pick_input_calls"], graph.name
             assert stats.lt_calls < full_counts["lt_calls"], graph.name
 
@@ -525,13 +561,108 @@ class TestBudgetBounds:
         assert with_hole * 8 >= states
         assert dropped[0] == with_hole and dropped[1] and dropped[2]
 
+    def test_next_output_bound_is_sound(self):
+        """The output budget under the output before the last, against brute
+        force on random DAGs.
+
+        A state under output ``o`` with one output still to pick has inputs
+        among the ancestors of the chosen outputs and a body that is a union
+        of ``B({w}, ·)`` rows of the chosen outputs; at Nout = 3 ``o`` is the
+        second output, so part of the body lies outside its cone.  Its room
+        is that part plus ``o`` and its ancestors, and ``E`` is the body less
+        the inputs and the forbidden vertices.  Where the search would drop
+        the state (its stuck vertices outnumber ``Nout`` plus the inputs
+        left without a later output, and :meth:`_next_output_absorbs` says
+        no later output takes in enough of them), no valid cut keeps all
+        but the inputs left of ``E`` and lies in the room, or in the room
+        plus the cone of an output still pickable (holding that output when
+        output-output pruning is on).
+        """
+        rng = random.Random(41)
+        states = 0
+        dropped = Counter()
+        for seed in range(30):
+            graph = make_random_dag(seed, num_operations=12 + seed % 5)
+            for nin, nout in ((4, 2), (3, 2), (4, 3)):
+                constraints = Constraints(max_inputs=nin, max_outputs=nout)
+                ctx = EnumerationContext.build(graph, constraints)
+                valid = enumerate_cuts_brute_force(graph, constraints, context=ctx).masks
+                reach = ctx.reach
+                cone = {
+                    v: reach.ancestors_mask(v) | 1 << v for v in ctx.candidate_nodes
+                }
+                for pruning in (FULL_PRUNING, FULL_PRUNING.disable("output_output")):
+                    enumerator = IncrementalEnumerator(graph, constraints, pruning, ctx)
+                    for _ in range(16):
+                        outputs = []
+                        for _ in range(nout - 1):
+                            pickable = [
+                                v
+                                for v in ctx.candidate_nodes
+                                if _pickable(ctx, pruning, mask_from_ids(outputs), v)
+                            ]
+                            if not pickable:
+                                break
+                            outputs.append(rng.choice(pickable))
+                        if len(outputs) < nout - 1:
+                            continue
+                        output = outputs[-1]
+                        outputs_mask = mask_from_ids(outputs)
+                        body = inputs = 0
+                        for chosen in outputs:
+                            ancestors = ids_from_mask(enumerator._seed_masks[chosen])
+                            if not ancestors:
+                                continue
+                            rows = enumerator._contributions(chosen)
+                            for vertex in rng.sample(ancestors, min(3, len(ancestors))):
+                                body |= rows[vertex]
+                            inputs |= mask_from_ids(
+                                rng.sample(ancestors, min(rng.randrange(3), len(ancestors)))
+                            )
+                        outside = body & ~cone[output]
+                        room = outside | cone[output]
+                        effective = body & ~(inputs | ctx.forbidden_mask)
+                        kept = effective & enumerator._stuck_outputs(output, outside)
+                        for slack in range(3):
+                            # A completion leaves no input to a cut without a
+                            # later output; a seed leaves them all.
+                            for alone in sorted({0, slack}):
+                                if kept.bit_count() - alone <= nout:
+                                    continue
+                                states += 1
+                                if enumerator._next_output_absorbs(
+                                    output, outputs_mask, body, kept, slack
+                                ):
+                                    continue
+                                dropped[nout, pruning.output_output] += 1
+                                where = (graph.name, outputs, inputs, body, slack, alone)
+                                for cut in valid:
+                                    if cut & ~room == 0:
+                                        assert (effective & ~cut).bit_count() > alone, where
+                                for later in ctx.candidate_nodes:
+                                    if not _pickable(ctx, pruning, outputs_mask, later):
+                                        continue
+                                    window = room | cone[later]
+                                    for cut in valid:
+                                        if cut & ~window or (
+                                            pruning.output_output and not (cut >> later) & 1
+                                        ):
+                                            continue
+                                        assert (effective & ~cut).bit_count() > slack, (
+                                            where, later
+                                        )
+        assert states >= 3000
+        # Drops at Nout = 2 and 3, with output-output pruning on and off.
+        assert len(dropped) == 4 and min(dropped.values()) >= 100, dropped
+
 
 #: Runs at other I/O budgets, recorded before each visited search state
 #: became one integer: per budget and block, the SHA-256 of ``result.masks``
 #: in discovery order and every integer stat.  At Nout = 3 a PICK-INPUTS
 #: state's key holds two earlier outputs, and without pruning the outputs
 #: are picked in any order.  The stats of the runs the input-hole bound
-#: prunes were recorded again with it, the masks were not.
+#: prunes were recorded again with it, and those the output budget under the
+#: output before the last prunes again with that; the masks were not.
 _BUDGETS = {
     "nin4-nout3": (Constraints(max_inputs=4, max_outputs=3), FULL_PRUNING),
     "nin3-nout1": (Constraints(max_inputs=3, max_outputs=1), FULL_PRUNING),
@@ -546,13 +677,13 @@ _RECORDED_BUDGET_RUNS = {
         "synthetic_n30_s2008": (
             "60d7c8ed8f93e64f1464f5da661aba3befff5eaa923d72195fa0bc30fa430b01",
             {
-                "cuts_found": 733, "duplicates": 6096, "candidates_checked": 3408,
-                "lt_calls": 1287, "pick_output_calls": 2531, "pick_input_calls": 25825,
+                "cuts_found": 733, "duplicates": 5547, "candidates_checked": 3112,
+                "lt_calls": 1282, "pick_output_calls": 2235, "pick_input_calls": 23904,
                 "pruned": {
-                    "connectedness": 6502, "input_budget": 6498, "input_hole": 8885,
-                    "input_input_postdom": 2472, "output_budget": 6473,
-                    "output_input_forbidden_path": 2195, "output_output": 14622,
-                    "too_many_unavoidable_outputs": 96,
+                    "connectedness": 5716, "input_budget": 6335, "input_hole": 6491,
+                    "input_input_postdom": 2427, "next_output_budget": 3535,
+                    "output_budget": 5944, "output_input_forbidden_path": 2159,
+                    "output_output": 12834, "too_many_unavoidable_outputs": 88,
                 },
                 "insearch_hits": 0, "insearch_misses": 0, "insearch_evictions": 0,
             },
@@ -571,13 +702,13 @@ _RECORDED_BUDGET_RUNS = {
         "mibench_like_013_n29": (
             "c77067247b5a502474818a14f4efe205984871cb042af85c29cc0b9f40f87717",
             {
-                "cuts_found": 507, "duplicates": 4421, "candidates_checked": 2644,
-                "lt_calls": 1075, "pick_output_calls": 2032, "pick_input_calls": 16695,
+                "cuts_found": 507, "duplicates": 4027, "candidates_checked": 2477,
+                "lt_calls": 1072, "pick_output_calls": 1865, "pick_input_calls": 15864,
                 "pruned": {
-                    "connectedness": 3453, "input_budget": 5103, "input_hole": 5616,
-                    "input_input_postdom": 465, "output_budget": 6167,
-                    "output_input_forbidden_path": 3326, "output_output": 12970,
-                    "too_many_unavoidable_outputs": 1316,
+                    "connectedness": 3198, "input_budget": 5044, "input_hole": 3807,
+                    "input_input_postdom": 463, "next_output_budget": 2344,
+                    "output_budget": 5421, "output_input_forbidden_path": 3312,
+                    "output_output": 12165, "too_many_unavoidable_outputs": 1288,
                 },
                 "insearch_hits": 0, "insearch_misses": 0, "insearch_evictions": 0,
             },
@@ -626,13 +757,13 @@ _RECORDED_BUDGET_RUNS = {
         "synthetic_n30_s2008": (
             "7ea4be25c458ce0c835e3deddb3130cff891359c75ef33c1f72910d151ce862a",
             {
-                "cuts_found": 291, "duplicates": 4406, "candidates_checked": 2663,
-                "lt_calls": 1101, "pick_output_calls": 2020, "pick_input_calls": 20696,
+                "cuts_found": 291, "duplicates": 3888, "candidates_checked": 2414,
+                "lt_calls": 1095, "pick_output_calls": 1771, "pick_input_calls": 19238,
                 "pruned": {
-                    "connectedness": 9812, "input_budget": 5265, "input_hole": 8120,
-                    "input_input_postdom": 2350, "output_budget": 5342,
-                    "output_input_forbidden_path": 1759, "output_output": 11596,
-                    "too_many_unavoidable_outputs": 56,
+                    "connectedness": 9148, "input_budget": 5175, "input_hole": 6063,
+                    "input_input_postdom": 2307, "next_output_budget": 2958,
+                    "output_budget": 4866, "output_input_forbidden_path": 1740,
+                    "output_output": 10085, "too_many_unavoidable_outputs": 50,
                 },
                 "insearch_hits": 0, "insearch_misses": 0, "insearch_evictions": 0,
             },
@@ -652,13 +783,13 @@ _RECORDED_BUDGET_RUNS = {
         "mibench_like_013_n29": (
             "98bafbf447c5885f7fda19b91752b0f7cb0b4204585159a1c828cef3807b34fe",
             {
-                "cuts_found": 223, "duplicates": 3522, "candidates_checked": 2245,
-                "lt_calls": 916, "pick_output_calls": 1760, "pick_input_calls": 13758,
+                "cuts_found": 223, "duplicates": 3132, "candidates_checked": 2080,
+                "lt_calls": 910, "pick_output_calls": 1595, "pick_input_calls": 13076,
                 "pruned": {
-                    "connectedness": 5443, "input_budget": 4115, "input_hole": 5016,
-                    "input_input_postdom": 443, "output_budget": 5645,
-                    "output_input_forbidden_path": 3120, "output_output": 10805,
-                    "too_many_unavoidable_outputs": 1271,
+                    "connectedness": 5191, "input_budget": 4087, "input_hole": 3382,
+                    "input_input_postdom": 441, "next_output_budget": 2136,
+                    "output_budget": 4901, "output_input_forbidden_path": 3110,
+                    "output_output": 10015, "too_many_unavoidable_outputs": 1245,
                 },
                 "insearch_hits": 0, "insearch_misses": 0, "insearch_evictions": 0,
             },
@@ -708,6 +839,17 @@ _BEFORE_INPUT_HOLE = {
 }
 
 
+#: Where the output budget under the output before the last fires, the
+#: candidates checked, duplicates, dominator arrays, PICK-OUTPUT calls and
+#: PICK-INPUTS calls of the run before it: the bound lowers each.
+_BEFORE_NEXT_OUTPUT_BUDGET = {
+    ("nin4-nout3", "synthetic_n30_s2008"): (3408, 6096, 1287, 2531, 25825),
+    ("nin4-nout3", "mibench_like_013_n29"): (2644, 4421, 1075, 2032, 16695),
+    ("nin4-nout3-connected", "synthetic_n30_s2008"): (2663, 4406, 1101, 2020, 20696),
+    ("nin4-nout3-connected", "mibench_like_013_n29"): (2245, 3522, 916, 1760, 13758),
+}
+
+
 class TestStateKeys:
     """The integer state keys are exact at every I/O budget."""
 
@@ -736,6 +878,17 @@ class TestStateKeys:
             assert ("input_hole" in stats["pruned"]) == (before is not None), graph.name
             if before is not None:
                 counts = (stats["candidates_checked"], stats["duplicates"], stats["lt_calls"])
+                assert all(now < then for now, then in zip(counts, before)), graph.name
+            before = _BEFORE_NEXT_OUTPUT_BUDGET.get((budget, graph.name))
+            assert ("next_output_budget" in stats["pruned"]) == (before is not None), graph.name
+            if before is not None:
+                counts = tuple(
+                    stats[name]
+                    for name in (
+                        "candidates_checked", "duplicates", "lt_calls",
+                        "pick_output_calls", "pick_input_calls",
+                    )
+                )
                 assert all(now < then for now, then in zip(counts, before)), graph.name
 
 

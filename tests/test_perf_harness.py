@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main as cli_main
+from repro.core.pruning import FULL_PRUNING, NO_PRUNING
 from repro.perf import (
     BENCH_SCHEMA,
     BenchRecord,
@@ -47,6 +48,8 @@ from repro.perf import (
 from repro.perf.env import git_revision
 from repro.perf.measure import TimingResult
 from repro.perf.schema import NOISE_SIGMAS, check_gates
+from repro.perf.suites.paper import _pruning_total_work
+from repro.workloads import generate_suite
 from tests.conftest import run_git
 
 RECORDS_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
@@ -288,6 +291,18 @@ class TestRegistry:
             assert record.benchmark in names, path.name
         core_floor = get_benchmark("core").spec("median_speedup_vs_basic_corpus_mibench")
         assert core_floor.gate_min == 3.0
+
+    def test_pruning_ablation_rows_count_each_rule(self):
+        """Each ``pruning_ablation`` row records how often every rule and
+        bound fired under its configuration."""
+        workload = generate_suite((30,))
+        full = _pruning_total_work(workload, FULL_PRUNING)
+        bounds = {"output_budget", "next_output_budget", "input_budget", "input_hole"}
+        assert bounds <= set(full["pruned"])
+        assert all(count > 0 for count in full["pruned"].values())
+        without = _pruning_total_work(workload, FULL_PRUNING.disable("prune_while_building"))
+        assert not bounds & set(without["pruned"])
+        assert _pruning_total_work(workload, NO_PRUNING)["pruned"] == {}
 
 
 # --------------------------------------------------------------------------- #
