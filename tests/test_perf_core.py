@@ -17,9 +17,11 @@ kernel against Lengauer–Tarjan, the derivation of each input set's region and
 dominator array from the one-vertex-smaller parent its search frame holds
 against full recomputation, the contribution rows against their reachability
 definition, the input budget's packed paths against brute-force dominating
-sets, the integer state keys against runs recorded at other I/O budgets, the
-``REPRO_DEBUG_VALIDITY`` cross-check, and that a run leaves its context
-untouched, so a second run on it counts exactly what the first did.
+sets, the output budget under the output before the last against
+brute-force valid cuts, the integer state keys against runs recorded at
+other I/O budgets, the ``REPRO_DEBUG_VALIDITY`` cross-check, and that a run
+leaves its context untouched, so a second run on it counts exactly what the
+first did.
 """
 
 from __future__ import annotations
@@ -362,8 +364,8 @@ def _pickable(ctx, pruning, outputs_mask, vertex):
 
 
 class TestBudgetBounds:
-    """The three bounds of prune-while-building keep the cuts and their
-    order; the mask filtering keeps every count."""
+    """The bounds of prune-while-building keep the cuts and their order;
+    the mask filtering keeps every count."""
 
     def test_reproduces_the_recorded_runs(self):
         constraints = Constraints(max_inputs=4, max_outputs=2)
