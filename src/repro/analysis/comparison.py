@@ -178,8 +178,8 @@ def compare_on_suite(
     repeat:
         Number of timed repetitions per (graph, algorithm); the minimum time
         is reported, as is customary for micro-benchmarks.  Only honoured by
-        sequential, store-less runs (``jobs == 1`` and ``store is None``);
-        the batch-runner path measures each block once.
+        the direct path (``jobs == 1``, no store, no timeout); the
+        batch-runner path measures each block once.
     jobs:
         Number of worker processes per algorithm (an integer, or ``"auto"``
         for the machine's CPU count).  Parallel runs require
@@ -187,10 +187,11 @@ def compare_on_suite(
         (:func:`algorithms_from_registry`), and report the wall-clock time
         measured inside the worker.
     timeout:
-        Per-block budget in seconds for parallel runs, charged from actual
-        task start (queue wait is excluded); a block abandoned at its
-        deadline raises ``RuntimeError`` (a comparison with missing points
-        is meaningless).
+        Optional per-block budget in seconds, charged from the block's start
+        (queue wait is excluded).  Routes the comparison through the batch
+        runner, at any ``jobs``; a block that passes it, like one whose
+        enumeration raised, raises ``RuntimeError`` (a comparison with
+        missing points is meaningless).
     store:
         Optional persistent memoization store.  Routes the comparison through
         the batch runner (registry-backed entries only, like ``jobs > 1``);
@@ -199,10 +200,10 @@ def compare_on_suite(
     progress:
         Optional per-block callback ``progress(item, completed, total)``,
         invoked as each block's enumeration finishes.  Batch-runner
-        comparisons (``jobs > 1`` or a store) report per algorithm with
-        ``total = len(graphs)``; the direct sequential path reports each
-        (graph, algorithm) measurement with ``total = len(graphs) *
-        len(algorithms)``.
+        comparisons (``jobs > 1``, a store or a timeout) report per
+        algorithm with ``total = len(graphs)``; the direct sequential path
+        reports each (graph, algorithm) measurement with ``total =
+        len(graphs) * len(algorithms)``.
     """
     graphs = list(graphs)
     constraints = constraints or Constraints(max_inputs=4, max_outputs=2)
@@ -210,11 +211,11 @@ def compare_on_suite(
     report = ComparisonReport(constraints=constraints)
     jobs = resolve_jobs(jobs)
 
-    if jobs > 1 or store is not None:
+    if jobs > 1 or store is not None or timeout is not None:
         unsupported = [e.name for e in algorithms if e.registry_name is None]
         if unsupported:
             raise ValueError(
-                "parallel or store-backed comparison requires registry-backed "
+                "parallel, store-backed or timed comparison requires registry-backed "
                 f"algorithm entries; not in the registry: {', '.join(unsupported)}"
             )
         for entry in algorithms:

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional
 
 from ..core.constraints import Constraints
 from ..core.context import EnumerationContext
-from ..core.stats import EnumerationResult, EnumerationStats, Stopwatch
+from ..core.stats import EnumerationResult, EnumerationStats, Stopwatch, check_deadline
 from ..core.validity import (
     enumerable_by_paper_algorithm,
     is_valid_cut_mask,
@@ -32,6 +32,7 @@ def enumerate_cuts_brute_force(
     constraints: Optional[Constraints] = None,
     context: Optional[EnumerationContext] = None,
     paper_semantics: bool = False,
+    deadline: Optional[float] = None,
 ) -> EnumerationResult:
     """Enumerate every valid convex cut of *graph* by exhaustive subset search.
 
@@ -45,6 +46,9 @@ def enumerate_cuts_brute_force(
         and input/output identifiability), so the result predicts exactly what
         the polynomial algorithms report.  When ``False`` (default) every
         valid convex cut is returned.
+    deadline:
+        Optional ``time.perf_counter()`` value; the first candidate subset
+        past it raises :class:`~repro.core.stats.BlockTimeout`.
     """
     ctx = context or EnumerationContext.build(graph, constraints)
     candidates = ctx.candidate_nodes
@@ -65,6 +69,8 @@ def enumerate_cuts_brute_force(
                 for vertex in combo:
                     mask |= 1 << vertex
                 stats.candidates_checked += 1
+                if deadline is not None:
+                    check_deadline(deadline)
                 if accept(ctx, mask):
                     found.append(mask)
 

@@ -19,7 +19,7 @@ from typing import Dict, Optional
 from ..core.constraints import Constraints
 from ..core.context import EnumerationContext
 from ..core.incremental import enumerate_cuts
-from ..core.stats import EnumerationResult, EnumerationStats, Stopwatch
+from ..core.stats import EnumerationResult, EnumerationStats, Stopwatch, check_deadline
 from ..core.validity import is_valid_cut_mask
 from ..dfg.graph import DataFlowGraph
 from ..dfg.reachability import iterate_mask, popcount
@@ -31,13 +31,17 @@ def enumerate_connected_cuts(
     graph: DataFlowGraph,
     constraints: Optional[Constraints] = None,
     context: Optional[EnumerationContext] = None,
+    deadline: Optional[float] = None,
 ) -> EnumerationResult:
     """Enumerate connected convex cuts only.
 
     The returned cuts satisfy Definition 4 in addition to the usual
     constraints.  With ``max_outputs == 1`` a dedicated cone-growing search is
     used; otherwise the general algorithm runs with the ``connected_only``
-    constraint switched on.
+    constraint switched on.  Either search raises
+    :class:`~repro.core.stats.BlockTimeout` past *deadline* (a
+    ``time.perf_counter()`` value); the cone search checks it at each
+    candidate.
     """
     constraints = constraints or Constraints()
     connected_constraints = Constraints(
@@ -51,8 +55,8 @@ def enumerate_connected_cuts(
     ctx = context or EnumerationContext.build(graph, connected_constraints)
 
     if connected_constraints.max_outputs == 1:
-        return _single_output_cones(graph, ctx)
-    result = enumerate_cuts(graph, connected_constraints, context=ctx)
+        return _single_output_cones(graph, ctx, deadline)
+    result = enumerate_cuts(graph, connected_constraints, context=ctx, deadline=deadline)
     return EnumerationResult(
         masks=result.masks,
         stats=result.stats,
@@ -62,7 +66,9 @@ def enumerate_connected_cuts(
     )
 
 
-def _single_output_cones(graph: DataFlowGraph, ctx: EnumerationContext) -> EnumerationResult:
+def _single_output_cones(
+    graph: DataFlowGraph, ctx: EnumerationContext, deadline: Optional[float]
+) -> EnumerationResult:
     """Grow single-output connected cuts upwards from every candidate output."""
     stats = EnumerationStats()
     found: Dict[int, None] = {}  # accepted masks, discovery order
@@ -70,7 +76,7 @@ def _single_output_cones(graph: DataFlowGraph, ctx: EnumerationContext) -> Enume
     with Stopwatch(stats):
         for output in ctx.candidate_nodes:
             visited = set()
-            _grow(ctx, output, 1 << output, stats, found, visited)
+            _grow(ctx, output, 1 << output, stats, found, visited, deadline)
 
     stats.cuts_found = len(found)
     return EnumerationResult(
@@ -89,6 +95,7 @@ def _grow(
     stats: EnumerationStats,
     found: Dict[int, None],
     visited: set,
+    deadline: Optional[float],
 ) -> None:
     """Recursively extend *body_mask* with predecessors of its members."""
     if body_mask in visited:
@@ -96,6 +103,8 @@ def _grow(
         return
     visited.add(body_mask)
     stats.candidates_checked += 1
+    if deadline is not None:
+        check_deadline(deadline)
     if body_mask not in found and is_valid_cut_mask(ctx, body_mask):
         # Only keep cuts where the chosen vertex is the unique output.
         outputs = ctx.reach.cut_outputs_mask(body_mask)
@@ -118,4 +127,4 @@ def _grow(
         inputs = ctx.reach.cut_inputs_mask(new_mask)
         if popcount(inputs) > 2 * ctx.max_inputs:
             continue
-        _grow(ctx, output, new_mask, stats, found, visited)
+        _grow(ctx, output, new_mask, stats, found, visited, deadline)

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional
 
 from ..core.constraints import Constraints
 from ..core.context import EnumerationContext
-from ..core.stats import EnumerationResult, EnumerationStats, Stopwatch
+from ..core.stats import EnumerationResult, EnumerationStats, Stopwatch, check_deadline
 from ..core.validity import is_valid_cut_mask
 from ..dfg.graph import DataFlowGraph
 from ..dfg.reachability import popcount
@@ -42,6 +42,7 @@ def enumerate_cuts_exhaustive(
     constraints: Optional[Constraints] = None,
     context: Optional[EnumerationContext] = None,
     use_pruning: bool = True,
+    deadline: Optional[float] = None,
 ) -> EnumerationResult:
     """Enumerate all valid convex cuts by pruned binary search over the vertices.
 
@@ -51,18 +52,27 @@ def enumerate_cuts_exhaustive(
         When ``False`` the constraint checks are applied only at the leaves of
         the search tree, which reproduces the un-pruned exponential behaviour
         (useful for the ablation benchmarks; keep the graphs small).
+    deadline:
+        Optional ``time.perf_counter()`` value; the first search node past it
+        raises :class:`~repro.core.stats.BlockTimeout`.
     """
     ctx = context or EnumerationContext.build(graph, constraints)
-    searcher = _ExhaustiveSearch(ctx, use_pruning=use_pruning)
+    searcher = _ExhaustiveSearch(ctx, use_pruning=use_pruning, deadline=deadline)
     return searcher.run(graph.name)
 
 
 class _ExhaustiveSearch:
     """Recursive include/exclude exploration with constraint propagation."""
 
-    def __init__(self, ctx: EnumerationContext, use_pruning: bool = True) -> None:
+    def __init__(
+        self,
+        ctx: EnumerationContext,
+        use_pruning: bool = True,
+        deadline: Optional[float] = None,
+    ) -> None:
         self.ctx = ctx
         self.use_pruning = use_pruning
+        self.deadline = deadline
         self.stats = EnumerationStats()
         self.found: Dict[int, None] = {}  # accepted masks, discovery order
         # Reverse topological order restricted to candidate vertices:
@@ -108,6 +118,8 @@ class _ExhaustiveSearch:
     ) -> None:
         ctx = self.ctx
         self.stats.pick_output_calls += 1  # doubles as a "search node" counter
+        if self.deadline is not None:
+            check_deadline(self.deadline)
 
         if index == len(self.order):
             if included_mask:

@@ -123,8 +123,9 @@ def _add_engine_arguments(
         "--timeout",
         type=_positive_float,
         default=None,
-        help="per-block enumeration budget in seconds, charged from task "
-        "start — queue wait is excluded (default: none)",
+        help="per-block enumeration budget in seconds, charged from the "
+        "block's start — queue wait is excluded; a block past it is timed "
+        "out (default: none)",
     )
     parser.add_argument(
         "--progress",
@@ -193,8 +194,6 @@ def _progress_from(args: argparse.Namespace):
             status = "timed out"
         elif item.cached:
             status = "cached"
-        elif item.timed_out:
-            status = "over budget, result kept"
         else:
             status = "ok"
         print(
@@ -341,12 +340,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         raise SystemExit(
             f"enumeration of {graph.name!r} exceeded the {args.timeout}s budget"
         )
-    if item.timed_out:
-        print(
-            f"warning: enumeration took {item.elapsed_seconds:.3f}s, "
-            f"over the {args.timeout}s budget",
-            file=sys.stderr,
-        )
     result = item.result
     print(result_summary(result))
     print()
@@ -379,16 +372,19 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             "timings)",
             file=sys.stderr,
         )
-    report = compare_on_suite(
-        suite,
-        constraints,
-        algorithms=entries,
-        cluster_of=size_cluster,
-        jobs=args.jobs,
-        timeout=args.timeout,
-        store=store,
-        progress=_progress_from(args),
-    )
+    try:
+        report = compare_on_suite(
+            suite,
+            constraints,
+            algorithms=entries,
+            cluster_of=size_cluster,
+            jobs=args.jobs,
+            timeout=args.timeout,
+            store=store,
+            progress=_progress_from(args),
+        )
+    except RuntimeError as exc:  # a block failed or timed out
+        raise SystemExit(str(exc))
     names = report.algorithms()
     if "poly-enum-incremental" in names and "exhaustive" in names:
         print(figure5_report(report))
@@ -455,6 +451,31 @@ def _write_instruction_dots(result, graphs: dict, dot_dir: str) -> int:
     return written
 
 
+def _identify(blocks: List[BlockProfile], args: argparse.Namespace):
+    """Run the ISE pipeline on *blocks* under the command's flags.
+
+    A block whose enumeration raised ends the command with one line.
+    """
+    store = _store_from(args)
+    try:
+        result = identify_instruction_set_extension(
+            blocks,
+            _constraints_from(args),
+            selection=SelectionConfig(max_instructions=args.max_instructions),
+            application_name=args.name,
+            algorithm=args.algorithm,
+            jobs=args.jobs,
+            timeout=args.timeout,
+            store=store,
+            progress=_progress_from(args),
+        )
+    except RuntimeError as exc:
+        raise SystemExit(str(exc))
+    if store is not None:
+        store.persist_stats()
+    return result
+
+
 def _cmd_ise(args: argparse.Namespace) -> int:
     blocks: List[BlockProfile] = []
     with obs_runtime.tracer().span(
@@ -462,21 +483,7 @@ def _cmd_ise(args: argparse.Namespace) -> int:
     ):
         for target in args.targets:
             blocks.extend(_ise_blocks_from_target(target, args))
-    constraints = _constraints_from(args)
-    store = _store_from(args)
-    result = identify_instruction_set_extension(
-        blocks,
-        constraints,
-        selection=SelectionConfig(max_instructions=args.max_instructions),
-        application_name=args.name,
-        algorithm=args.algorithm,
-        jobs=args.jobs,
-        timeout=args.timeout,
-        store=store,
-        progress=_progress_from(args),
-    )
-    if store is not None:
-        store.persist_stats()
+    result = _identify(blocks, args)
     print(result.summary())
     if args.dot_dir:
         graphs = {}
@@ -626,20 +633,7 @@ def _cmd_frontend(args: argparse.Namespace) -> int:
     if args.ise:
         if not blocks:
             raise SystemExit("nothing to run ISE on: no blocks with operations")
-        store = _store_from(args)
-        result = identify_instruction_set_extension(
-            blocks,
-            _constraints_from(args),
-            selection=SelectionConfig(max_instructions=args.max_instructions),
-            application_name=args.name,
-            algorithm=args.algorithm,
-            jobs=args.jobs,
-            timeout=args.timeout,
-            store=store,
-            progress=_progress_from(args),
-        )
-        if store is not None:
-            store.persist_stats()
+        result = _identify(blocks, args)
         print()
         print(result.summary())
         if args.dot_dir:

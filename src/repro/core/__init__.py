@@ -10,7 +10,8 @@ The package exposes two enumeration algorithms with identical results:
 Supporting classes: :class:`Constraints` (the microarchitectural I/O budget),
 :class:`Cut` (an enumerated convex cut), :class:`EnumerationContext` (the
 precomputed graph view), :class:`PruningConfig` (toggles for the pruning
-rules) and :class:`EnumerationResult`/:class:`EnumerationStats`.
+rules), :class:`EnumerationResult`/:class:`EnumerationStats` and
+:class:`BlockTimeout` (raised by a search that passes its deadline).
 """
 
 from .constraints import PAPER_DEFAULT_CONSTRAINTS, Constraints
@@ -20,7 +21,7 @@ from .enumeration import enumerate_cuts_basic
 from .incremental import IncrementalEnumerator, enumerate_cuts
 from .pruning import FULL_PRUNING, NO_PRUNING, PruningConfig
 from .recovery import enumerate_with_recovery, head_vertices, recover_excluded_cuts
-from .stats import EnumerationResult, EnumerationStats
+from .stats import BlockTimeout, EnumerationResult, EnumerationStats
 from .validity import (
     ValidityReport,
     check_cut_mask,
@@ -45,6 +46,7 @@ __all__ = [
     "enumerate_with_recovery",
     "head_vertices",
     "recover_excluded_cuts",
+    "BlockTimeout",
     "EnumerationResult",
     "EnumerationStats",
     "ValidityReport",

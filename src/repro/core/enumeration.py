@@ -14,6 +14,7 @@ practical algorithm is the incremental one in
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from ..dfg.graph import DataFlowGraph
@@ -24,7 +25,7 @@ from ..dominators.multi_vertex import (
 )
 from .constraints import Constraints
 from .context import EnumerationContext
-from .stats import EnumerationResult, EnumerationStats, Stopwatch
+from .stats import EnumerationResult, EnumerationStats, Stopwatch, check_deadline
 from .validity import is_valid_cut_mask
 
 ALGORITHM_NAME = "poly-enum-basic"
@@ -34,6 +35,7 @@ def enumerate_cuts_basic(
     graph: DataFlowGraph,
     constraints: Optional[Constraints] = None,
     context: Optional[EnumerationContext] = None,
+    deadline: Optional[float] = None,
 ) -> EnumerationResult:
     """Enumerate all convex cuts of *graph* with the basic algorithm of Figure 2.
 
@@ -46,6 +48,10 @@ def enumerate_cuts_basic(
         paper's experiments.
     context:
         Optional pre-built :class:`EnumerationContext` (must match *graph*).
+    deadline:
+        Optional ``time.perf_counter()`` value: past it, the dominator
+        precomputation (before each kernel run) or ``DO-ENUM`` (at each
+        candidate) raises :class:`~repro.core.stats.BlockTimeout`.
 
     Returns
     -------
@@ -57,7 +63,7 @@ def enumerate_cuts_basic(
     found: Dict[int, None] = {}  # accepted masks, discovery order
 
     with Stopwatch(stats):
-        dominators_of = _precompute_dominators(ctx, stats)
+        dominators_of = _precompute_dominators(ctx, stats, deadline)
         _do_enum(
             ctx,
             dominators_of,
@@ -68,6 +74,7 @@ def enumerate_cuts_basic(
             nout_left=ctx.max_outputs,
             stats=stats,
             found=found,
+            deadline=deadline,
         )
 
     stats.cuts_found = len(found)
@@ -81,7 +88,7 @@ def enumerate_cuts_basic(
 
 
 def _precompute_dominators(
-    ctx: EnumerationContext, stats: EnumerationStats
+    ctx: EnumerationContext, stats: EnumerationStats, deadline: Optional[float]
 ) -> Dict[int, List[int]]:
     """Setup phase: generalized dominators (as masks) of every candidate output.
 
@@ -90,6 +97,7 @@ def _precompute_dominators(
     counts one ``lt_calls``.
     """
     dominators_of: Dict[int, List[int]] = {}
+    check = None if deadline is None else partial(check_deadline, deadline)
     for output in ctx.candidate_nodes:
         candidates = [
             v
@@ -106,6 +114,7 @@ def _precompute_dominators(
             max_size=ctx.max_inputs,
             candidates=candidates,
             search_stats=search_stats,
+            check=check,
         )
         masks = []
         for dominator_set in dominator_sets:
@@ -128,6 +137,7 @@ def _do_enum(
     nout_left: int,
     stats: EnumerationStats,
     found: Dict[int, None],
+    deadline: Optional[float],
 ) -> None:
     """``DO-ENUM`` of Figure 2."""
     stats.pick_output_calls += 1
@@ -146,6 +156,8 @@ def _do_enum(
             between = reach_between(dominator_mask, output)
             new_body_mask = body_mask | between
             stats.candidates_checked += 1
+            if deadline is not None:
+                check_deadline(deadline)
             _maybe_record(ctx, new_body_mask, new_inputs_mask, new_outputs_mask, stats, found)
             if nout_left > 1:
                 _do_enum(
@@ -158,6 +170,7 @@ def _do_enum(
                     nout_left - 1,
                     stats,
                     found,
+                    deadline,
                 )
 
 

@@ -137,6 +137,23 @@ class EnumerationResult:
         return [cut for cut in self.cuts if predicate(cut)]
 
 
+class BlockTimeout(Exception):
+    """A search passed its deadline (:func:`check_deadline`).
+
+    The batch engine records the block as timed out, never as an error.
+    """
+
+
+def check_deadline(deadline: float) -> None:
+    """Raise :class:`BlockTimeout` once ``time.perf_counter()`` passes *deadline*.
+
+    The searches call it where they count work, behind a ``deadline is not
+    None`` test, so a run without a budget pays that one test per state.
+    """
+    if time.perf_counter() > deadline:
+        raise BlockTimeout
+
+
 class Stopwatch:
     """Tiny context manager storing the elapsed wall-clock time into stats."""
 

@@ -24,7 +24,7 @@ topological sweep gives the same ``idom`` list.  This module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import Callable, Iterable, List, Optional, Sequence, Set
 
 from ..dfg.reachability import ids_from_mask
 from .generalized import is_generalized_dominator
@@ -112,6 +112,7 @@ def enumerate_generalized_dominators(
     max_size: int,
     candidates: Iterable[int],
     search_stats: Optional[DominatorSearchStats] = None,
+    check: Optional[Callable[[], None]] = None,
 ) -> Set[frozenset]:
     """Enumerate the generalized dominators of *target* with at most *max_size* vertices.
 
@@ -130,6 +131,9 @@ def enumerate_generalized_dominators(
     search_stats:
         Optional :class:`DominatorSearchStats` accumulating the exact number
         of dominator-kernel runs the enumeration performs.
+    check:
+        Optional callable run before each dominator-kernel run; it may raise
+        to abandon the enumeration (the basic algorithm's deadline).
     """
     if max_size < 1:
         return set()
@@ -147,6 +151,8 @@ def enumerate_generalized_dominators(
             results.add(frozenset(members))
 
     def explore(seed_mask: int, start_index: int, seed_size: int) -> None:
+        if check is not None:
+            check()
         step = dominator_completions(topo_order, predecessor_lists, root, target, seed_mask)
         if search_stats is not None:
             search_stats.lt_calls += step.lt_calls

@@ -26,14 +26,18 @@ collected as they complete, and :meth:`BatchRunner.iter_run` yields each
 finished :class:`BatchItem` immediately — :meth:`BatchRunner.run` is a thin
 wrapper that drains the stream and restores input order.
 
-Timeout semantics: a block's deadline is measured from the moment its task
-is first observed *running*, never from submission — time spent waiting in
-the pool queue is not charged to the block.  A block still running at its
-deadline is abandoned (``timed_out`` set, no result) and the worker pool is
-recycled; the other blocks in flight are resubmitted penalty-free.  A block
-that *completes* over budget — measured by its worker-side ``task_seconds``
-stamp — keeps its result and is only flagged, matching sequential runs
-(which cannot be interrupted).
+Both execution paths run every block through :func:`run_block`, which
+applies one deadline rule and one exception policy.  The process that runs
+the block takes its deadline (``time.perf_counter()`` plus the budget) as
+the enumerate call starts, so time spent waiting in the pool queue is never
+charged, and every built-in search stops itself at its first unit of work
+past the deadline by raising :class:`~repro.core.stats.BlockTimeout`.  A
+block whose run passes its budget, stopped or finished late, reports
+``timed_out`` with no result and no error; no process is killed and no block
+is resubmitted on a deadline.  Any other ``Exception`` raised by the
+algorithm is recorded as ``item.error`` in the same ``"TypeName: message"``
+form.  So a block times out or fails identically under ``jobs=1`` and
+``jobs=2``.
 
 When a worker process crashes (``BrokenProcessPool``) the in-flight blocks
 are retried on a fresh pool.  A crash strike is charged only when the culprit
@@ -42,11 +46,6 @@ when the pool broke — and two strikes fail a block.  After an ambiguous
 crash every casualty is re-run one at a time (quarantine), penalty-free,
 which makes any repeat crash attributable.  A hard per-block encounter cap
 guarantees termination either way.
-
-Both execution paths apply one exception policy: any ``Exception`` raised by
-the algorithm is caught and recorded as ``item.error`` in the same
-``"TypeName: message"`` form, so a block fails identically under ``jobs=1``
-and ``jobs=2``.
 
 When a :class:`~repro.memo.store.ResultStore` is attached, the runner
 consults it *before* dispatching work — blocks whose isomorphism class was
@@ -84,7 +83,9 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
+    Set,
     Tuple,
     Union,
 )
@@ -92,13 +93,18 @@ from typing import (
 from ..core.constraints import Constraints
 from ..core.context import EnumerationContext
 from ..core.pruning import FULL_PRUNING, PruningConfig
-from ..core.stats import EnumerationResult, EnumerationStats
+from ..core.stats import BlockTimeout, EnumerationResult, EnumerationStats
 from ..dfg.graph import DataFlowGraph
 from ..memo.canon import CanonicalForm, canonical_form
 from ..memo.store import ResultStore, StoredResult, request_fingerprint
 from ..obs import runtime as obs
 from ..workloads.suite import WorkloadSuite
-from .registry import DEFAULT_ALGORITHM, EnumerationRequest, get_algorithm
+from .registry import (
+    DEFAULT_ALGORITHM,
+    EnumerationRequest,
+    RegisteredAlgorithm,
+    get_algorithm,
+)
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
@@ -245,13 +251,7 @@ class BatchReport:
         return [item for item in self.items if not item.ok]
 
     def timed_out(self) -> List[BatchItem]:
-        """Items flagged over budget, in input order.
-
-        Covers both blocks abandoned at their deadline (no result) and
-        blocks that completed past the budget with their result kept (the
-        only possible outcome of a sequential run, which cannot be
-        interrupted).
-        """
+        """Items whose run passed its budget (no result), in input order."""
         return [item for item in self.items if item.timed_out]
 
     def total_cuts(self) -> int:
@@ -283,12 +283,6 @@ class BatchReport:
         for item in self.failures():
             reason = "timed out" if item.timed_out else (item.error or "failed")
             lines.append(f"  block {item.graph_name!r}: {reason}")
-        for item in self.timed_out():
-            if item.ok:
-                lines.append(
-                    f"  block {item.graph_name!r}: exceeded the budget "
-                    f"({item.elapsed_seconds:.3f}s) but completed; result kept"
-                )
         return "\n".join(lines)
 
 
@@ -327,6 +321,67 @@ def normalize_blocks(blocks: BatchInput) -> List[BatchItem]:
 
 
 # --------------------------------------------------------------------------- #
+# One block, in the process that runs it
+# --------------------------------------------------------------------------- #
+class BlockOutcome(NamedTuple):
+    """What :func:`run_block` returns: a result, an error, or neither (timed out)."""
+
+    result: Optional[EnumerationResult]
+    error: Optional[str]
+    timed_out: bool
+    #: Wall-clock seconds of the enumerate call.
+    seconds: float
+
+    def span_args(self) -> Dict[str, object]:
+        """The attributes the block's span notes."""
+        if self.result is not None:
+            return {"cuts": len(self.result)}
+        if self.error is not None:
+            return {"error": self.error}
+        return {"timed_out": True}
+
+
+def run_block(
+    algorithm: RegisteredAlgorithm,
+    graph: DataFlowGraph,
+    constraints: Optional[Constraints],
+    pruning: Optional[PruningConfig],
+    context: Optional[EnumerationContext],
+    timeout: Optional[float],
+) -> BlockOutcome:
+    """Enumerate one block in this process under the engine's one rule.
+
+    Both execution paths call this.  The deadline is ``time.perf_counter()``
+    plus *timeout*, taken here as the enumerate call starts.  A run that
+    passes it, stopped by :class:`~repro.core.stats.BlockTimeout` or
+    finished late, is timed out: no result and no error.  Any other
+    ``Exception`` becomes the error ``"TypeName: message"``.
+    """
+    start = time.perf_counter()
+    deadline = None if timeout is None else start + timeout
+    result: Optional[EnumerationResult] = None
+    error: Optional[str] = None
+    try:
+        result = algorithm.enumerate(
+            EnumerationRequest(
+                graph=graph,
+                constraints=constraints,
+                pruning=pruning,
+                context=context,
+                deadline=deadline,
+            )
+        )
+    except BlockTimeout:
+        pass
+    except Exception as exc:  # the one error policy of both paths
+        error = f"{type(exc).__name__}: {exc}"
+    seconds = time.perf_counter() - start
+    if deadline is not None and start + seconds > deadline:
+        result = None  # finished late: the same outcome as stopped
+    return BlockOutcome(result, error, result is None and error is None, seconds)
+
+
+# --------------------------------------------------------------------------- #
 # Worker side
 # --------------------------------------------------------------------------- #
 # repro-lint: worker-entry
@@ -342,57 +397,38 @@ def _enumerate_block(
         str,
         Optional[Constraints],
         Optional[PruningConfig],
+        Optional[float],
         DataFlowGraph,
         Optional[Tuple[str, int]],
     ],
-) -> Dict[str, object]:
+) -> Tuple[BlockOutcome, Optional[tuple]]:
     """Enumerate one block inside a worker process.
 
-    ``payload`` is ``(algorithm_name, constraints, pruning, graph,
+    ``payload`` is ``(algorithm_name, constraints, pruning, timeout, graph,
     obs_config)``; ``obs_config`` is the parent's observability activation
     (see :func:`repro.obs.runtime.ensure_worker`).  The block's context is
     built here and dropped on return: nothing outlives the task.
 
-    Returns one picklable record: cut bit masks, statistics and algorithm
-    label — or ``error`` when the enumeration raised — plus the wall-clock
-    time the task ran (``task_seconds``, the basis of the parent's
-    over-budget accounting).  With observability on, the worker's drained
-    metric/span deltas ride along under ``metrics``/``spans``.
+    Returns the :func:`run_block` outcome, its result stripped of the
+    context, and the worker's drained spans
+    (:func:`repro.obs.runtime.drain_worker`).
     """
-    algorithm_name, constraints, pruning, graph, obs_config = payload
+    algorithm_name, constraints, pruning, timeout, graph, obs_config = payload
     obs.ensure_worker(obs_config)
     algorithm = get_algorithm(algorithm_name)
     tracer = obs.tracer()
-    start = time.perf_counter()
-    record: Dict[str, object]
     with tracer.span("worker.chunk", cat="pool"):
-        try:
-            with tracer.span("worker.block", cat="pool", graph=graph.name) as span:
-                context = (
-                    EnumerationContext.build(graph, constraints)
-                    if algorithm.capabilities.supports_context
-                    else None
-                )
-                result = algorithm.enumerate(
-                    EnumerationRequest(
-                        graph=graph,
-                        constraints=constraints,
-                        pruning=pruning,
-                        context=context,
-                    )
-                )
-                span.note(cuts=len(result))
-            record = {
-                "graph_name": result.graph_name,
-                "algorithm": result.algorithm,
-                "masks": result.masks,
-                "stats": result.stats,
-            }
-        except Exception as exc:  # same policy as the sequential path
-            record = {"error": f"{type(exc).__name__}: {exc}"}
-    record["task_seconds"] = time.perf_counter() - start
-    record.update(obs.drain_worker())
-    return record
+        with tracer.span("worker.block", cat="pool", graph=graph.name) as span:
+            context = (
+                EnumerationContext.build(graph, constraints)
+                if algorithm.capabilities.supports_context
+                else None
+            )
+            outcome = run_block(algorithm, graph, constraints, pruning, context, timeout)
+            span.note(**outcome.span_args())
+    if outcome.result is not None:
+        outcome.result.context = None  # the parent binds the masks to its own
+    return outcome, obs.drain_worker()
 
 
 class _WorkerPool:
@@ -409,12 +445,13 @@ class _WorkerPool:
         algorithm: str,
         constraints: Optional[Constraints],
         pruning: Optional[PruningConfig],
+        timeout: Optional[float],
         item: BatchItem,
     ) -> Future:
         obs.metrics().inc("pool.blocks_dispatched_total")
         return self.executor.submit(
             _enumerate_block,
-            (algorithm, constraints, pruning, item.graph, obs.worker_config()),
+            (algorithm, constraints, pruning, timeout, item.graph, obs.worker_config()),
         )
 
     def discard(self) -> None:
@@ -423,11 +460,12 @@ class _WorkerPool:
         self.executor.shutdown(wait=False, cancel_futures=True)
 
     def kill(self) -> None:
-        """Terminate the worker processes outright (timeout path).
+        """Terminate the worker processes outright (abandoned-stream path).
 
-        A timed-out task cannot be cancelled cooperatively, and a worker
-        stuck in it would also block interpreter exit (the executor joins
-        its workers atexit) — kill the processes.
+        A consumer that stops reading a stream leaves its tasks running;
+        they cannot be cancelled, and a worker busy with one would also
+        block interpreter exit (the executor joins its workers atexit) —
+        kill the processes.
         """
         self.dead = True
         workers = list((getattr(self.executor, "_processes", None) or {}).values())
@@ -461,9 +499,10 @@ class BatchRunner:
         (clamped to 1 on a single-core machine); ``1`` (default) runs
         in-process.
     timeout:
-        Optional per-block wall-clock budget in seconds, measured from the
-        moment the block's task starts running — queue wait is never charged
-        (see the module docstring for the exact semantics).
+        Optional per-block wall-clock budget in seconds, measured by the
+        process that runs the block from the start of its enumerate call, so
+        queue wait is never charged.  A block whose run passes it is timed
+        out (no result, no error) on every path (see :func:`run_block`).
     store:
         Optional persistent :class:`~repro.memo.store.ResultStore`.  Blocks
         with a stored result (same canonical graph hash, algorithm and
@@ -474,9 +513,8 @@ class BatchRunner:
         ``multiprocessing.get_context("fork")``); the platform default is
         used when omitted.
     force_pool:
-        Route execution through the worker pool even at ``jobs=1``.  Used
-        to measure dispatch overhead honestly (the benchmark gate) and to
-        get abandonable timeouts on a single-core machine.
+        Route execution through the worker pool even at ``jobs=1``, so the
+        ``batch_runner`` benchmark can measure the pool's dispatch overhead.
 
     A runner owns a persistent worker pool: the pool survives across
     :meth:`run` calls (so sweeps pay worker spawn once) and is released by
@@ -663,9 +701,9 @@ class BatchRunner:
 
         Runs in the parent only, on the single funnel every item passes
         through (sequential, pool and store-hit paths alike), so counters
-        are absorbed exactly once per block regardless of deadline
-        resubmissions, crash retries or caching.  Cached items contribute their status
-        only: their stats describe the original (already-counted) run.
+        are absorbed exactly once per block regardless of crash retries or
+        caching.  Cached items contribute their status only: their stats
+        describe the original (already-counted) run.
         """
         metrics = obs.metrics()
         if item.cached:
@@ -852,9 +890,6 @@ class BatchRunner:
         are enumerated.  The source is pulled incrementally, so store
         lookups and canonicalization interleave with execution.
         """
-        # Parallel-capable runs go through the pool even for a single
-        # block: only the pool path can abandon a block that blows its
-        # timeout.
         if self._uses_pool():
             return self._stream_parallel(pruning, source)
         return self._stream_sequential(algorithm, pruning, source)
@@ -870,29 +905,14 @@ class BatchRunner:
                 yield item
                 continue
             item.context = self.cache.get(item.graph, self.constraints)
-            context = item.context if algorithm.capabilities.supports_context else None
-            start = time.perf_counter()
             with obs.tracer().span(
                 "enum.block", cat="enum", graph=item.graph_name
             ) as span:
-                try:
-                    item.result = algorithm.enumerate(
-                        EnumerationRequest(
-                            graph=item.graph,
-                            constraints=self.constraints,
-                            pruning=pruning,
-                            context=context,
-                        )
-                    )
-                    span.note(cuts=len(item.result))
-                except Exception as exc:  # same policy as the parallel path
-                    item.error = f"{type(exc).__name__}: {exc}"
-                    span.note(error=item.error)
-            item.elapsed_seconds = time.perf_counter() - start
-            if self.timeout is not None and item.elapsed_seconds > self.timeout:
-                # The run cannot be interrupted in-process; keep the result,
-                # flag the overrun.
-                item.timed_out = True
+                outcome = run_block(
+                    algorithm, item.graph, self.constraints, pruning, item.context, self.timeout
+                )
+                span.note(**outcome.span_args())
+            item.result, item.error, item.timed_out, item.elapsed_seconds = outcome
             yield item
 
     def _stream_parallel(
@@ -903,18 +923,16 @@ class BatchRunner:
         """The streaming scheduler (see the module docstring).
 
         Bounded submission window over a lazily pulled source, one block per
-        task, as-completed collection, per-block deadlines measured from
-        observed task start, crash retry, and pool recycling when a deadline
-        fires (a running task cannot be cancelled cooperatively, so its
-        worker must die).
+        task, as-completed collection and crash retry.  Deadlines need
+        nothing here: each worker stops its own block at its budget.
         """
         jobs = self.jobs
         window = max(WINDOW_FACTOR * jobs, 2)
-        retry: "deque[BatchItem]" = deque()  # crash/deadline casualties
+        retry: "deque[BatchItem]" = deque()  # crash casualties
         crash_charges: Dict[int, int] = {}  # strikes: observed-running crashes
         crash_encounters: Dict[int, int] = {}  # any crash witnessed in flight
         in_flight: Dict[Future, BatchItem] = {}
-        started: Dict[Future, float] = {}  # first observed running, monotonic
+        started: Set[Future] = set()  # observed running (crash attribution)
         exhausted = False
         # Remaining tasks to run one-at-a-time after an ambiguous crash
         # (nobody was on the hook): isolation makes any repeat crash
@@ -944,7 +962,7 @@ class BatchRunner:
                             continue
                     try:
                         future = pool.submit(
-                            self.algorithm, self.constraints, pruning, item
+                            self.algorithm, self.constraints, pruning, self.timeout, item
                         )
                     except BrokenExecutor:
                         # The pool broke before we noticed; the in-flight
@@ -964,19 +982,15 @@ class BatchRunner:
                     pool = self._make_pool()
                     continue
 
-                tick = (
-                    None
-                    if self.timeout is None
-                    else max(min(self.timeout / 10.0, 0.1), 0.005)
-                )
-                done, _ = wait(list(in_flight), timeout=tick, return_when=FIRST_COMPLETED)
+                done, _ = wait(list(in_flight), return_when=FIRST_COMPLETED)
 
                 finished: List[BatchItem] = []
                 # (item, was_observed_running) casualties of a broken pool.
                 crashed: List[Tuple[BatchItem, bool]] = []
                 for future in done:
                     item = in_flight.pop(future)
-                    was_running = started.pop(future, None) is not None
+                    was_running = future in started
+                    started.discard(future)
                     if self._collect(future, item):
                         finished.append(item)
                     else:
@@ -1016,53 +1030,15 @@ class BatchRunner:
 
                 # Stamp a task when it is first observed running, capped at
                 # `jobs` stamps so the executor's one-deep call-queue buffer
-                # is never treated as executing.  The stamps drive both the
-                # deadline accounting and the crash attribution above.
-                now = time.monotonic()
+                # is never treated as executing.  The stamps drive the crash
+                # attribution above.
                 for future in in_flight:
                     if (
                         future not in started
                         and len(started) < jobs
                         and future.running()
                     ):
-                        started[future] = now
-
-                if self.timeout is None:
-                    continue
-                expired = [
-                    future
-                    for future, stamp in started.items()
-                    if now - stamp >= self.timeout and not future.done()
-                ]
-                if not expired:
-                    continue
-                settled: List[BatchItem] = []
-                for future in expired:
-                    item = in_flight.pop(future)
-                    item.timed_out = True
-                    item.elapsed_seconds = now - started.pop(future)
-                    settled.append(item)
-                    obs.metrics().inc("pool.deadline_expiries_total")
-                    obs.tracer().instant(
-                        "pool.block_abandoned", cat="pool", graph=item.graph_name
-                    )
-                # A running task cannot be cancelled cooperatively: kill the
-                # workers and rebuild the pool.  Innocent in-flight blocks
-                # are resubmitted with no penalty (results that landed
-                # between the wait() and now are kept as-is).
-                survivors: List[BatchItem] = []
-                for future, item in in_flight.items():
-                    if future.done() and self._collect(future, item):
-                        settled.append(item)
-                    else:
-                        survivors.append(item)
-                quarantine = max(quarantine - len(settled), 0)
-                in_flight.clear()
-                started.clear()
-                pool.kill()
-                retry.extendleft(reversed(survivors))
-                pool = self._make_pool()
-                yield from settled
+                        started.add(future)
         finally:
             if in_flight:
                 # The consumer abandoned the stream with tasks still running.
@@ -1118,12 +1094,12 @@ class BatchRunner:
     def _collect(self, future: Future, item: BatchItem) -> bool:
         """Fill *item* from its finished task; ``False`` if the worker died.
 
-        A worker error, a completed-over-budget result and a failure outside
+        A result, a worker error, a timed-out block and a failure outside
         the worker's harness all count as finished; a worker death leaves
         the item untouched for the crash-retry pass.
         """
         try:
-            record = future.result(timeout=0)
+            outcome, spans = future.result(timeout=0)
         except (BrokenExecutor, CancelledError, FuturesTimeoutError):
             return False
         except Exception as exc:
@@ -1131,26 +1107,12 @@ class BatchRunner:
             # payload), in the same "TypeName: message" form.
             item.error = f"{type(exc).__name__}: {exc}"
             return True
-        obs.absorb_worker_payload(record)
-        error = record.get("error")
-        if error is not None:
-            item.error = str(error)
-            item.elapsed_seconds = float(record["task_seconds"])
-            return True
-        item.context = self.cache.get(item.graph, self.constraints)
-        stats = record["stats"]
-        item.result = EnumerationResult(
-            masks=record["masks"],
-            stats=stats,
-            graph_name=record["graph_name"],
-            algorithm=record["algorithm"],
-            context=item.context,
-        )
-        item.elapsed_seconds = stats.elapsed_seconds
-        if self.timeout is not None and record["task_seconds"] > self.timeout:
-            # Completed over budget between two scheduler ticks: keep the
-            # result, flag the overrun — identical to sequential semantics.
-            item.timed_out = True
+        obs.absorb_worker_payload(spans)
+        result, item.error, item.timed_out, item.elapsed_seconds = outcome
+        if result is not None:
+            item.context = result.context = self.cache.get(item.graph, self.constraints)
+            item.result = result
+            item.elapsed_seconds = result.stats.elapsed_seconds
         return True
 
 

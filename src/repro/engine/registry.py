@@ -7,7 +7,8 @@ satisfy the constraints?") behind a different function signature.  This module
 puts them behind one interface:
 
 * :class:`EnumerationRequest` — everything an enumeration run needs (graph,
-  constraints, optional pruning configuration, optional pre-built context);
+  constraints, optional pruning configuration, optional pre-built context,
+  optional deadline);
 * :class:`RegisteredAlgorithm` — a named algorithm with
   :class:`AlgorithmCapabilities` describing what it supports;
 * :func:`register_algorithm` / :func:`get_algorithm` /
@@ -26,7 +27,7 @@ in-process runs only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..baselines.brute_force import MAX_CANDIDATES, enumerate_cuts_brute_force
@@ -92,12 +93,18 @@ class AlgorithmCapabilities:
 
 @dataclass(frozen=True)
 class EnumerationRequest:
-    """One enumeration job: a basic block plus how to enumerate it."""
+    """One enumeration job: a basic block plus how to enumerate it.
+
+    ``deadline`` is a ``time.perf_counter()`` value of the process that runs
+    the job: past it, every built-in algorithm raises
+    :class:`~repro.core.stats.BlockTimeout` where it counts work.
+    """
 
     graph: DataFlowGraph
     constraints: Optional[Constraints] = None
     pruning: Optional[PruningConfig] = None
     context: Optional[EnumerationContext] = None
+    deadline: Optional[float] = None
 
 
 #: Adapter signature every registered algorithm is wrapped into.
@@ -126,11 +133,7 @@ class RegisteredAlgorithm:
                 f"algorithm {self.name!r} does not support a pruning configuration"
             )
         if not self.capabilities.supports_context and request.context is not None:
-            request = EnumerationRequest(
-                graph=request.graph,
-                constraints=request.constraints,
-                pruning=request.pruning,
-            )
+            request = replace(request, context=None)
         return self.run(request)
 
     def __call__(
@@ -244,27 +247,32 @@ def _run_incremental(request: EnumerationRequest) -> EnumerationResult:
         request.constraints,
         pruning=request.pruning or FULL_PRUNING,
         context=request.context,
+        deadline=request.deadline,
     )
 
 
 def _run_basic(request: EnumerationRequest) -> EnumerationResult:
-    return enumerate_cuts_basic(request.graph, request.constraints, context=request.context)
+    return enumerate_cuts_basic(
+        request.graph, request.constraints, context=request.context, deadline=request.deadline
+    )
 
 
 def _run_exhaustive(request: EnumerationRequest) -> EnumerationResult:
     return enumerate_cuts_exhaustive(
-        request.graph, request.constraints, context=request.context
+        request.graph, request.constraints, context=request.context, deadline=request.deadline
     )
 
 
 def _run_brute_force(request: EnumerationRequest) -> EnumerationResult:
     return enumerate_cuts_brute_force(
-        request.graph, request.constraints, context=request.context
+        request.graph, request.constraints, context=request.context, deadline=request.deadline
     )
 
 
 def _run_connected(request: EnumerationRequest) -> EnumerationResult:
-    return enumerate_connected_cuts(request.graph, request.constraints)
+    return enumerate_connected_cuts(
+        request.graph, request.constraints, deadline=request.deadline
+    )
 
 
 register_algorithm(

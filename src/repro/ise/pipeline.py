@@ -132,11 +132,9 @@ def identify_instruction_set_extension(
         ``"auto"`` for the machine's CPU count.
     timeout:
         Optional per-block enumeration budget in seconds, charged from the
-        moment the block's task starts (queue wait is excluded).  With
-        ``jobs >= 2`` a block still running at its deadline is abandoned and
-        contributes no candidate cuts; a block that *completes* over budget
-        (always the case with ``jobs == 1``, where the run cannot be
-        interrupted) is only flagged and its cuts are kept.
+        block's start (queue wait is excluded).  A block whose enumeration
+        passes it is timed out at any ``jobs``: it contributes no candidate
+        cuts and stays in software.
     store:
         Optional persistent memoization store
         (:class:`~repro.memo.store.ResultStore`); previously enumerated

@@ -44,8 +44,9 @@ from .base import ProjectPass, dotted_name, import_table
 #: per-process *by design*.
 WORKER_STATE_ALLOWLIST = frozenset(
     {
-        # Worker-local observability recorders: activated per worker by
-        # ensure_worker(), drained back to the parent inside task results.
+        # Worker-local observability recorders: ensure_worker() activates a
+        # tracer per worker, drained back to the parent inside task results,
+        # and clears both slots when the parent stops observing.
         "repro.obs.runtime:_metrics",
         "repro.obs.runtime:_tracer",
     }

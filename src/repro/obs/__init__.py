@@ -17,7 +17,6 @@ from .export import (
 from .metrics import (
     DEFAULT_TIME_BUCKETS,
     METRICS_SCHEMA,
-    METRICS_WIRE_VERSION,
     NULL_METRICS,
     Histogram,
     MetricsRegistry,
@@ -46,7 +45,6 @@ from .trace import (
 __all__ = [
     "DEFAULT_TIME_BUCKETS",
     "METRICS_SCHEMA",
-    "METRICS_WIRE_VERSION",
     "Histogram",
     "MetricsRegistry",
     "NULL_METRICS",

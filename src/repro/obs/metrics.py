@@ -1,20 +1,13 @@
-"""Process-safe metrics registry: counters, gauges and histograms with labels.
+"""Metrics registry: counters, gauges and histograms with labels.
 
 The registry is the numeric half of the observability layer (the other half
-is :mod:`repro.obs.trace`).  Design constraints, in order:
-
-* **Snapshot/merge semantics instead of shared memory.**  Every process —
-  the parent and each pool worker — owns a private registry; a worker
-  periodically takes a :meth:`MetricsRegistry.snapshot_wire` (which *resets*
-  its registry, so snapshots are deltas) and ships it back inside the
-  engine's task result, where the parent folds it in with
-  :meth:`MetricsRegistry.merge_wire`.  No locks, no shared state, and a
-  crashed worker loses at most one un-shipped delta.
-* **Plain-tuple wire form.**  Snapshots are nested tuples of primitives —
-  cheap to pickle and structurally versioned (:data:`METRICS_WIRE_VERSION`).
-* **Merge rules**: counters add, gauges keep the incoming value
-  (last-write-wins), histograms add bucket-wise (the bucket bounds must
-  match — a mismatch raises, it is a programming error, not data).
+is :mod:`repro.obs.trace`).  Only the parent process records metrics: the
+batch engine folds each finished block's statistics into the registry as it
+yields the block, whichever path ran it, so pool workers ship spans back and
+never metrics.  A document read back with :meth:`MetricsRegistry.from_dict`
+merges repeated series: counters add, gauges keep the last value and
+histograms add bucket-wise (the bucket bounds must match — a mismatch
+raises, it is a programming error, not data).
 
 Metric naming convention (documented in the README): ``subsystem.name``,
 with counters suffixed ``_total`` (``enum.lt_calls_total``,
@@ -31,9 +24,6 @@ from typing import Dict, Iterable, Optional, Tuple
 
 #: Schema tag of the JSON document form (``--metrics-json`` files).
 METRICS_SCHEMA = "repro-metrics-1"
-
-#: Structural version of the picklable wire form (worker snapshots).
-METRICS_WIRE_VERSION = 1
 
 #: Label items in canonical (sorted) order — the registry key component.
 LabelItems = Tuple[Tuple[str, str], ...]
@@ -155,56 +145,6 @@ class MetricsRegistry:
         self._counters.clear()
         self._gauges.clear()
         self._histograms.clear()
-
-    # ------------------------------------------------------------------ #
-    # Wire form (worker → parent snapshots)
-    # ------------------------------------------------------------------ #
-    def snapshot_wire(self, reset: bool = False) -> tuple:
-        """Compact picklable snapshot; with ``reset=True`` it is a delta.
-
-        The result contains only primitives and tuples, so it travels
-        cheaply inside the engine's task results.
-        """
-        wire = (
-            "metrics",
-            METRICS_WIRE_VERSION,
-            tuple((n, l, v) for (n, l), v in self._counters.items()),
-            tuple((n, l, v) for (n, l), v in self._gauges.items()),
-            tuple(
-                (n, l, h.bounds, tuple(h.counts), h.total, h.count)
-                for (n, l), h in self._histograms.items()
-            ),
-        )
-        if reset:
-            self.clear()
-        return wire
-
-    def merge_wire(self, wire: tuple) -> None:
-        """Fold one :meth:`snapshot_wire` result into this registry."""
-        if not isinstance(wire, tuple) or len(wire) != 5 or wire[0] != "metrics":
-            raise ValueError(f"not a metrics wire snapshot: {wire!r}")
-        if wire[1] != METRICS_WIRE_VERSION:
-            raise ValueError(
-                f"metrics wire version mismatch: got {wire[1]!r}, "
-                f"expected {METRICS_WIRE_VERSION}"
-            )
-        _, _, counters, gauges, histograms = wire
-        for name, labels, value in counters:
-            key = (name, tuple(tuple(item) for item in labels))
-            self._counters[key] = self._counters.get(key, 0) + value
-        for name, labels, value in gauges:
-            self._gauges[(name, tuple(tuple(item) for item in labels))] = value
-        for name, labels, bounds, counts, total, count in histograms:
-            key = (name, tuple(tuple(item) for item in labels))
-            incoming = Histogram(bounds)
-            incoming.counts = list(counts)
-            incoming.total = total
-            incoming.count = count
-            existing = self._histograms.get(key)
-            if existing is None:
-                self._histograms[key] = incoming
-            else:
-                existing.merge(incoming)
 
     # ------------------------------------------------------------------ #
     # Document form (--metrics-json files)

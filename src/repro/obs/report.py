@@ -271,9 +271,6 @@ def format_run_report(
             f"  blocks dispatched    : {int(totals.get('pool.blocks_dispatched_total', 0))}"
         )
         lines.append(
-            f"  deadline expiries    : {int(totals.get('pool.deadline_expiries_total', 0))}"
-        )
-        lines.append(
             f"  crash recoveries     : {int(totals.get('pool.crash_recoveries_total', 0))}"
         )
 

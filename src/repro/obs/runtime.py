@@ -16,14 +16,16 @@ sense that matters next to a graph enumeration.
 Activation is explicit (:func:`activate` / :func:`deactivate`), done by the
 CLI when ``--trace`` or ``--metrics-json`` is passed, by tests, and — inside
 pool workers — by :func:`ensure_worker`, driven by the small config tuple the
-engine ships inside each task payload.  Worker-side recorders are drained
-per task (:func:`drain_worker`): snapshots are *deltas*, riding back to the
-parent inside the task's result record, where the engine merges them.
+engine ships inside each task payload.  A worker records spans only: its
+tracer is drained per task (:func:`drain_worker`), riding back to the parent
+inside the task's result record, where the engine merges it
+(:func:`absorb_worker_payload`).  Metrics are recorded in the parent alone,
+so a worker's :func:`metrics` stays the no-op registry.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from .metrics import NULL_METRICS, MetricsRegistry, NullMetrics
 from .trace import NULL_TRACER, NullTracer, Tracer
@@ -94,11 +96,13 @@ def worker_config() -> Optional[Tuple[str, int]]:
 def ensure_worker(config: Optional[Tuple[str, int]]) -> None:
     """Apply the parent's activation *config* inside a pool worker.
 
-    Activates a fresh worker-local registry/tracer the first time an
-    observability-enabled task arrives, and deactivates (dropping any
-    stale, never-drained records) when the parent stopped observing —
-    workers are long-lived and must follow the parent's current session.
+    Activates a fresh worker-local tracer (and no metrics registry) the
+    first time an observability-enabled task arrives, and deactivates
+    (dropping any stale, never-drained spans) when the parent stopped
+    observing — workers are long-lived and must follow the parent's
+    current session.
     """
+    global _tracer
     if config is None:
         if enabled():
             deactivate()
@@ -111,28 +115,18 @@ def ensure_worker(config: Optional[Tuple[str, int]]) -> None:
             f"expected {_WORKER_CONFIG_VERSION}"
         )
     if not enabled():
-        activate()
+        _tracer = Tracer()
 
 
-def drain_worker() -> Dict[str, tuple]:
-    """Snapshot-and-reset this process's recorders for shipping to the parent.
-
-    Returns ``{"metrics": <wire>, "spans": <wire>}`` (either key omitted when
-    its recorder holds nothing), or ``{}`` when observability is off.
-    """
-    payload: Dict[str, tuple] = {}
-    if _metrics is not None and len(_metrics):
-        payload["metrics"] = _metrics.snapshot_wire(reset=True)
+def drain_worker() -> Optional[tuple]:
+    """Take-and-reset this worker's spans for shipping to the parent
+    (``None`` when the tracer is off or holds nothing)."""
     if _tracer is not None and len(_tracer):
-        payload["spans"] = _tracer.wire_records(reset=True)
-    return payload
+        return _tracer.wire_records(reset=True)
+    return None
 
 
-def absorb_worker_payload(payload: Dict[str, object]) -> None:
-    """Parent side: fold a worker's drained snapshot into the live recorders."""
-    metrics_wire = payload.get("metrics")
-    if metrics_wire is not None and _metrics is not None:
-        _metrics.merge_wire(metrics_wire)
-    spans_wire = payload.get("spans")
-    if spans_wire is not None and _tracer is not None:
-        _tracer.merge_wire(spans_wire)
+def absorb_worker_payload(spans: Optional[tuple]) -> None:
+    """Parent side: fold a worker's drained spans into the live tracer."""
+    if spans is not None and _tracer is not None:
+        _tracer.merge_wire(spans)

@@ -70,6 +70,26 @@ class TestComparison:
         report = compare_on_suite(tiny_suite, algorithms=entries)
         assert report.algorithms() == ["only-poly"]
 
+    def test_timeout_raises_alike_at_jobs_1_and_2(self, tiny_suite):
+        """A budget applies at every ``jobs``: at jobs=1 it routes the
+        comparison through the batch runner, as jobs=2 does, and the first
+        timed-out block raises the same error on both."""
+        messages = []
+        for jobs in (1, 2):
+            with pytest.raises(RuntimeError) as excinfo:
+                compare_on_suite(
+                    tiny_suite,
+                    Constraints(max_inputs=3, max_outputs=2),
+                    jobs=jobs,
+                    timeout=1e-9,
+                )
+            messages.append(str(excinfo.value))
+        assert messages[0] == messages[1]
+        assert messages[0] == (
+            f"algorithm 'poly-enum-incremental' failed on block "
+            f"{tiny_suite[0].name!r}: timed out"
+        )
+
     def test_agreement_check_passes(self, tiny_suite):
         assert agreement_check(tiny_suite, Constraints(max_inputs=3, max_outputs=2)) == []
 
@@ -347,6 +367,51 @@ class TestCli:
         # Not the default Figure 5 pair: only the cluster table is printed.
         assert "Figure 5 reproduction" not in out
         assert "connected-only" in out
+
+    def test_compare_timeout_fails_in_one_line(self):
+        """``repro compare`` on a timed-out block exits 1 with one stderr
+        line naming the block, not a traceback."""
+        completed = subprocess.run(
+            [
+                sys.executable, "-m", "repro.cli", "compare", "--blocks", "1",
+                "--min-ops", "5", "--max-ops", "6", "--no-kernels", "--no-trees",
+                "--max-inputs", "3", "--timeout", "1e-9",
+            ],
+            capture_output=True,
+            text=True,
+            env=_fresh_interpreter_env(),
+            timeout=120,
+        )
+        assert completed.returncode == 1
+        assert completed.stderr.endswith(": timed out\n")
+        assert completed.stderr.count("\n") == 1, completed.stderr
+
+    def test_ise_enumeration_error_fails_in_one_line(self, tmp_path):
+        """``repro ise`` on a block whose enumeration raised (brute force
+        over its 22-candidate limit) exits 1 with one stderr line, not a
+        traceback."""
+        from repro.dfg.serialization import save
+        from repro.workloads.kernels import KERNEL_FACTORIES
+        from repro.workloads.mibench_like import _unrolled_kernel
+
+        path = tmp_path / "adpcm_x3.json"
+        save(_unrolled_kernel("adpcm_decode_step", KERNEL_FACTORIES["adpcm_decode_step"], 3), path)
+        completed = subprocess.run(
+            [
+                sys.executable, "-m", "repro.cli", "ise", str(path),
+                "--algorithm", "brute-force", "--no-cache",
+            ],
+            capture_output=True,
+            text=True,
+            env=_fresh_interpreter_env(),
+            timeout=120,
+        )
+        assert completed.returncode == 1
+        assert completed.stderr.startswith(
+            "enumeration failed for block 'adpcm_decode_step_x3': ValueError: "
+            "brute force oracle limited to 22 candidate vertices"
+        )
+        assert completed.stderr.count("\n") == 1, completed.stderr
 
     def test_ise_command_with_engine_flags(self, capsys):
         assert main([

@@ -143,7 +143,9 @@ class TestEnumeration:
         ) == set()
 
     def test_search_stats_count_real_lt_calls(self, diamond_graph, monkeypatch):
-        """The counter reports one kernel run per explored seed set."""
+        """The counter reports one kernel run per explored seed set, and
+        the ``check`` hook (the basic algorithm's deadline) runs before
+        each of them."""
         from repro.dominators import DominatorSearchStats
         from repro.dominators import multi_vertex
 
@@ -161,12 +163,15 @@ class TestEnumeration:
 
         monkeypatch.setattr(multi_vertex, "dominator_completions", counting)
         stats = DominatorSearchStats()
+        checks = []
         enumerate_generalized_dominators(
             succs, order, preds, root, target, max_size=3,
             candidates=augmented.graph.ancestors(target), search_stats=stats,
+            check=lambda: checks.append(len(observed)),
         )
         assert stats.lt_calls > 0
         assert stats.lt_calls == sum(observed)
+        assert checks == list(range(len(observed)))
 
     def test_results_satisfy_definition(self, paper_figure1_graph):
         augmented, succs, order, preds = _setup(paper_figure1_graph)

@@ -114,48 +114,6 @@ class TestMetricsRegistry:
         reg.set_gauge("run.wall_seconds", 2.5)
         assert reg.gauge("run.wall_seconds") == 2.5
 
-    def test_snapshot_wire_merge_adds_counters(self):
-        worker = MetricsRegistry()
-        worker.inc("enum.cuts_found_total", 5)
-        worker.inc("enum.blocks_total", status="fresh")
-        worker.observe("enum.block_seconds", 0.25)
-        parent = MetricsRegistry()
-        parent.inc("enum.cuts_found_total", 3)
-        parent.merge_wire(worker.snapshot_wire(reset=True))
-        assert parent.counter("enum.cuts_found_total") == 8
-        assert parent.counter("enum.blocks_total", status="fresh") == 1
-        assert parent.histogram("enum.block_seconds").count == 1
-        # reset=True emptied the worker: a second drain must be a no-op delta
-        assert len(worker) == 0
-
-    def test_snapshot_reset_yields_deltas_not_totals(self):
-        worker = MetricsRegistry()
-        parent = MetricsRegistry()
-        worker.inc("pool.blocks_dispatched_total", 2)
-        parent.merge_wire(worker.snapshot_wire(reset=True))
-        worker.inc("pool.blocks_dispatched_total", 1)
-        parent.merge_wire(worker.snapshot_wire(reset=True))
-        # Totals would double-count the first drain; deltas add to 3 exactly.
-        assert parent.counter("pool.blocks_dispatched_total") == 3
-
-    def test_merge_wire_gauges_last_write_wins(self):
-        a = MetricsRegistry()
-        b = MetricsRegistry()
-        a.set_gauge("ise.application_speedup", 1.5)
-        b.set_gauge("ise.application_speedup", 2.0)
-        a.merge_wire(b.snapshot_wire())
-        assert a.gauge("ise.application_speedup") == 2.0
-
-    def test_merge_wire_rejects_histogram_bounds_mismatch(self):
-        a = MetricsRegistry()
-        b = MetricsRegistry()
-        a.declare_histogram("x.seconds", (1.0, 2.0))
-        b.declare_histogram("x.seconds", (5.0,))
-        a.observe("x.seconds", 0.5)
-        b.observe("x.seconds", 0.5)
-        with pytest.raises(ValueError):
-            a.merge_wire(b.snapshot_wire())
-
     def test_to_dict_from_dict_round_trip(self):
         reg = MetricsRegistry()
         reg.inc("enum.pruned_total", 4, rule="connectedness")
@@ -291,9 +249,10 @@ class TestEngineIntegration:
         """Per-block EnumerationStats survive the pool bit for bit, whatever
         its size (``jobs=1`` is a forced one-worker pool).
 
-        This is the guarantee that makes the parent-side metrics absorption
-        exact: deadline resubmissions and crash retries must neither drop
-        nor double-merge any counter.
+        This is the guarantee that makes the parent-side metrics recording
+        exact: the parent counts each block once, from the stats the pool
+        returns, so crash retries must neither drop nor double-count any
+        counter.
         """
         sequential = BatchRunner(jobs=1).run(obs_suite)
         with BatchRunner(jobs=jobs, force_pool=True) as runner:
@@ -376,24 +335,18 @@ class TestEngineIntegration:
         assert all(item.ok for item in report.items)
 
     def test_worker_snapshot_round_trip_through_runtime(self):
-        """drain_worker/absorb_worker_payload mirror the pool protocol."""
+        """absorb_worker_payload folds a worker's drained spans into the
+        parent's tracer; the payload carries no metrics."""
         registry, recorder = obs_runtime.activate()
         config = obs_runtime.worker_config()
         assert config == ("obs", 1)
 
-        worker_reg = MetricsRegistry()
         worker_tracer = Tracer()
-        worker_reg.inc("enum.cuts_found_total", 9)
         with worker_tracer.span("worker.block", cat="pool"):
             pass
-        obs_runtime.absorb_worker_payload(
-            {
-                "metrics": worker_reg.snapshot_wire(reset=True),
-                "spans": worker_tracer.wire_records(reset=True),
-            }
-        )
-        assert registry.counter("enum.cuts_found_total") == 9
+        obs_runtime.absorb_worker_payload(worker_tracer.wire_records(reset=True))
         assert [r["name"] for r in recorder.records] == ["worker.block"]
+        assert len(registry) == 0
 
     def test_ensure_worker_rejects_version_mismatch(self):
         with pytest.raises(ValueError, match="version mismatch"):

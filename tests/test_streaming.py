@@ -1,9 +1,10 @@
 """Tests for the streaming, fault-tolerant batch scheduler.
 
-Pins the corrected per-block timeout accounting (deadline = task start +
-timeout, queue wait excluded), the ``iter_run`` streaming API, retry-once on
-crashed workers, the unified exception policy of the sequential and parallel
-paths, and the per-item store write-back.
+Pins the per-block timeout accounting (deadline = block start + timeout,
+taken by the process that runs the block, so queue wait is excluded), the
+``iter_run`` streaming API, retry-once on crashed workers, the one deadline
+rule and exception policy of the sequential and parallel paths, and the
+per-item store write-back.
 
 The fault-injection tests register throwaway algorithms (a sleeper, a
 crasher, a raiser) and run the pool with an explicit ``fork`` context so the
@@ -16,12 +17,22 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
+from dataclasses import replace
 
 import pytest
 
-from repro.core import Constraints
+from repro.core import BlockTimeout, Constraints, EnumerationContext
 from repro.dfg.builder import diamond, linear_chain
-from repro.engine import BatchRunner, get_algorithm, register_algorithm, unregister_algorithm
+from repro.engine import (
+    BatchRunner,
+    EnumerationRequest,
+    RegisteredAlgorithm,
+    available_algorithms,
+    get_algorithm,
+    register_algorithm,
+    unregister_algorithm,
+)
+from repro.engine.batch import _WorkerPool, run_block
 from repro.memo import ResultStore
 from repro.workloads import build_kernel
 from tests.conftest import make_random_dag
@@ -131,9 +142,9 @@ class TestDeadlineAccounting:
     @staticmethod
     def _check_only_the_slow_block_times_out(registered, make_graph):
         """jobs=2, six blocks, one sleeper past the budget: exactly that
-        block is abandoned on its own deadline and marked timed out, and
-        none of the blocks queued or running beside it is falsely charged
-        for its pool-queue wait or a neighbour's runtime."""
+        block passes its own deadline and is marked timed out, and none of
+        the blocks queued or running beside it is falsely charged for its
+        pool-queue wait or a neighbour's runtime."""
         registered("test-sleeper-deadline", _sleepy_run)
         blocks = _named_blocks(make_graph, 6, special_index=2, special_prefix="slow")
         with BatchRunner(
@@ -158,6 +169,103 @@ class TestDeadlineAccounting:
         assert report.timed_out() == [slow]
         assert report.failures() == [slow]
         assert "timed out" in report.summary()
+
+
+# --------------------------------------------------------------------------- #
+# One deadline rule, in-process and in the pool
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize(
+    "constraints",
+    [Constraints(max_inputs=3, max_outputs=2), Constraints(max_inputs=3, max_outputs=1)],
+    ids=["nout2", "nout1"],
+)
+@pytest.mark.parametrize("algorithm", available_algorithms())
+def test_every_algorithm_stops_at_a_passed_deadline(algorithm, constraints):
+    """The request's deadline reaches every registered algorithm, through
+    the registry's context-less copy (connected-only) and both of
+    connected-only's searches: a deadline already passed stops the search
+    with BlockTimeout instead of letting it finish."""
+    graph = build_kernel("crc32_step")
+    request = EnumerationRequest(
+        graph=graph,
+        constraints=constraints,
+        context=EnumerationContext.build(graph, constraints),
+        deadline=time.perf_counter() - 1.0,
+    )
+    with pytest.raises(BlockTimeout):
+        get_algorithm(algorithm).enumerate(request)
+
+
+def _late_run(request):
+    """Ignores its deadline: sleeps past any small budget, then finishes."""
+    time.sleep(0.05)
+    return get_algorithm("exhaustive").enumerate(replace(request, deadline=None))
+
+
+def _timeout_run(request):
+    raise BlockTimeout
+
+
+def _type_error_run(request):
+    raise TypeError("not a deadline")
+
+
+@pytest.mark.parametrize(
+    "run, expected",
+    [
+        (_late_run, (None, None, True)),
+        (_timeout_run, (None, None, True)),
+        (_type_error_run, (None, "TypeError: not a deadline", False)),
+    ],
+    ids=["finished-late", "stopped", "raised"],
+)
+def test_run_block_applies_one_rule(run, expected):
+    """A run past its budget, finished late or stopped by BlockTimeout, is
+    timed out with no result and no error; any other exception is an
+    error, never a timeout."""
+    outcome = run_block(
+        RegisteredAlgorithm(name="test-rule", run=run),
+        build_kernel("crc32_step"),
+        Constraints(max_inputs=3, max_outputs=2),
+        None,
+        None,
+        0.01,
+    )
+    assert (outcome.result, outcome.error, outcome.timed_out) == expected
+    assert outcome.seconds > 0
+
+
+@pytest.mark.parametrize("algorithm", available_algorithms())
+def test_over_budget_block_reports_alike_at_jobs_1_and_2(algorithm, monkeypatch):
+    """Under every registered algorithm an over-budget block gets the same
+    report in-process and in the pool: timed out, no result, no error.
+    No worker is terminated on the deadline, and the pool serves the next
+    run with the same worker processes."""
+
+    def no_kill(pool):
+        pytest.fail("a worker process was terminated")
+
+    monkeypatch.setattr(_WorkerPool, "kill", no_kill)
+    constraints = Constraints(max_inputs=3, max_outputs=2)
+    blocks = [build_kernel("crc32_step"), build_kernel("bitcount")]
+    sequential = BatchRunner(
+        algorithm=algorithm, constraints=constraints, timeout=1e-9
+    ).run(blocks)
+    with BatchRunner(
+        algorithm=algorithm, constraints=constraints, jobs=2, timeout=1e-9
+    ) as runner:
+        runner.warm_pool()  # both workers up, so no run spawns one
+        pool = runner._pool
+        workers = set(pool.executor._processes)
+        first = runner.run(blocks)
+        second = runner.run(blocks)
+        assert runner._pool is pool and not pool.dead
+        assert set(pool.executor._processes) == workers
+    for report in (sequential, first, second):
+        assert [
+            (item.graph_name, item.timed_out, item.result, item.error)
+            for item in report.items
+        ] == [(graph.name, True, None, None) for graph in blocks]
 
 
 # --------------------------------------------------------------------------- #
@@ -265,11 +373,13 @@ class TestCrashRecovery:
                 assert item.ok, f"innocent {item.graph_name} failed: {item.error}"
 
     def test_slow_innocent_next_to_poison_is_not_charged(self, registered):
-        """With a timeout set, the scheduler stamps running tasks — a crash
-        then has several observed-running casualties.  The slow innocent
+        """The scheduler stamps a task as running only when a wait returns,
+        and no deadline tick wakes it, so the first crash here has no
+        observed-running casualty and charges nobody.  The slow innocent
         sharing the pool with a repeat-crashing poison block must not be
         charged crash strikes for it (ambiguous crashes quarantine instead
-        of blaming every co-running block)."""
+        of blaming every co-running block), and its budget, far above its
+        run, flags nothing."""
 
         def run(request):
             if "poison" in request.graph.name:
@@ -343,19 +453,21 @@ def test_error_recorded_identically_under_jobs_1_and_jobs_2(registered):
 
 
 # --------------------------------------------------------------------------- #
-# Timed-out-but-completed reporting (sequential runs keep their result)
+# Over-budget reporting (one rule: no result, no error)
 # --------------------------------------------------------------------------- #
 def test_timed_out_accessor_and_summary_report_completed_overruns():
+    """A run past its budget, stopped or finished late, keeps no result:
+    timed_out(), failures() and summary() all report it as timed out."""
     report = BatchRunner(
         constraints=Constraints(max_inputs=3, max_outputs=2), timeout=1e-9
     ).run([build_kernel("crc32_step"), build_kernel("bitcount")])
-    # Sequential runs cannot be interrupted: results kept, overruns flagged.
-    assert all(item.ok for item in report.items)
     assert report.timed_out() == report.items
-    assert report.failures() == []
+    assert report.failures() == report.items
+    assert report.results() == []
     summary = report.summary()
-    assert "exceeded the budget" in summary and "result kept" in summary
-    assert "crc32_step" in summary and "bitcount" in summary
+    assert "block 'crc32_step': timed out" in summary
+    assert "block 'bitcount': timed out" in summary
+    assert "result kept" not in summary
 
 
 # --------------------------------------------------------------------------- #
