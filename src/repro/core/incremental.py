@@ -15,8 +15,9 @@ The hot path is organised around precomputation and incrementality.  The
 read-only :class:`~repro.core.context.EnumerationContext` supplies the
 closure, the postdominator comparability rows and the topological order;
 everything the search memoises lives on the :class:`IncrementalEnumerator`
-of one run, so a run never depends on what ran before it on the same
-context, and its memo is freed when it returns:
+of one run (every attribute a slot), so a run never depends on what ran
+before it on the same context, and its memo is freed when it returns.
+``CHANGES.md`` records what each mechanism below measured:
 
 * the ``B({w}, o)`` contributions are closure intersections, materialised as
   one row per vertex the first time the run picks inputs for output ``o``;
@@ -27,7 +28,8 @@ context, and its memo is freed when it returns:
   vertex at a time, and the frame that holds a set's region and array
   passes them to the frames that grow it: on a cache miss the grown set's
   region and array are derived from them, so no parent is ever looked up
-  and the full kernel runs once per run, for the empty set.  Each
+  and the full kernel runs once per run, for the empty set.  The seed
+  loop probes both caches itself and calls out only on a miss.  Each
   PICK-INPUTS state reads its completions off its array by a walk up the
   idom chain, which no cache of its own would repay;
 * each visited search state is one exact integer of fixed-width fields
@@ -35,13 +37,23 @@ context, and its memo is freed when it returns:
   masks, so the dedup sets hold one object per state;
 * each test of PICK-OUTPUT and of the PICK-INPUTS seed loop is one mask per
   search state (postdominator comparability is a union of precomputed rows),
-  and only the surviving candidates are expanded, in the same order;
+  and only the surviving candidates are expanded, in the same order.  The
+  too-many-unavoidable-outputs test and the output budget also drop, with
+  one mask each, the seeds the frame's own body already condemns, since a
+  seed takes at most itself out of the body's stuck vertices
+  (:func:`_output_count_doomed`); the seeds left are tested one by one;
 * under the last output, the output budget of prune-while-building drops
   subtrees whose body already holds more vertices that must stay outputs
   (:meth:`IncrementalEnumerator._stuck_outputs`) than ``Nout`` plus the
   inputs still to choose; under the output before it, it drops them only
   when no output still pickable could take in enough of those vertices
-  (:meth:`IncrementalEnumerator._next_output_absorbs`);
+  (:meth:`IncrementalEnumerator._next_output_absorbs`; the seed loop runs
+  that test inline, off a rescuer table it fetches once per frame).  The
+  stuck mask is a per-output table of the cone's vertices with a successor
+  outside the cone, built on the output's first use, plus the body's
+  vertices outside the cone that leave the body; a PICK-OUTPUT call finds
+  the latter once for all its candidates, and re-tests only the table's
+  vertices that feed the body;
 * the input budget of prune-while-building drops the seeds with which the
   inputs left can no longer cut every source-to-output path, as packed
   disjoint paths show (:meth:`IncrementalEnumerator._input_budget_seeds`);
@@ -54,8 +66,13 @@ context, and its memo is freed when it returns:
 * every frame reads what it shares with its parent off its arguments or
   the run: the inputs' unions of comparability and ancestor rows arrive
   from the parent frame (a seed child ORs in the seed's rows), the
-  context's source, ``Nout`` and forbidden mask are read once per run, and
-  the prune counts are bumped in place in one counter per run;
+  output-input union of an output's forbidden ancestors is formed on the
+  output's first use, the context's source, ``Nout``, forbidden mask and
+  neighbour rows are read once per run, and the prune counts are bumped in
+  place in one counter per run;
+* a frame with one input left whose output only the source strictly
+  dominates has no completion and no seed to expand, so its caller, which
+  has already counted the call and derived the array, does not enter it;
 * the per-cut acceptance test derives inputs, outputs and convexity in one
   pass over the candidate's set bits
   (:meth:`~repro.dfg.reachability.ReachabilityIndex.cut_profile`), and the
@@ -87,11 +104,7 @@ from collections import Counter, OrderedDict
 from typing import Dict, List, Optional, Tuple, TypeVar
 
 from ..dfg.graph import DataFlowGraph
-from ..dominators.iterative import (
-    derive_immediate_dominators,
-    immediate_dominators_dag,
-    strict_dominators,
-)
+from ..dominators.iterative import derive_immediate_dominators, immediate_dominators_dag
 from .constraints import Constraints
 from .context import EnumerationContext
 from .pruning import FULL_PRUNING, PruningConfig
@@ -128,6 +141,39 @@ def _union_rows(rows: List[int], mask: int) -> int:
     return union
 
 
+def _share_a_row(mask: int, rows: Dict[int, int]) -> bool:
+    """Whether ``rows[v]`` over the set bits ``v`` of *mask* share a bit."""
+    common = -1
+    while mask and common:
+        low = mask & -mask
+        mask ^= low
+        common &= rows[low.bit_length() - 1]
+    return common != 0
+
+
+def _output_count_doomed(
+    body_kept: int, forbidden_succ: int, max_outputs: int, slack: int, nout_left: int
+) -> Tuple[int, int]:
+    """The seeds that the too-many-unavoidable-outputs test and the output
+    budget drop, as two masks, for a PICK-INPUTS state whose body, less its
+    inputs and forbidden vertices, keeps the stuck vertices *body_kept*.
+
+    A seed child's body holds the state's less at most the seed, so it keeps
+    ``body_kept`` less the seed: with one vertex more than a test allows,
+    the test drops every seed outside them, and with two more, every seed.
+    The output budget applies only without a later output (*nout_left* 0)
+    and allows ``Nout`` plus the child's *slack* inputs left.
+    """
+    unavoidable = body_kept & forbidden_succ
+    excess = unavoidable.bit_count() - max_outputs
+    too_many = -1 if excess > 1 else ~unavoidable if excess == 1 else 0
+    over_budget = 0
+    if not nout_left:
+        excess = body_kept.bit_count() - slack - max_outputs
+        over_budget = -1 if excess > 1 else ~body_kept if excess == 1 else 0
+    return too_many, over_budget
+
+
 def enumerate_cuts(
     graph: DataFlowGraph,
     constraints: Optional[Constraints] = None,
@@ -155,11 +201,17 @@ class IncrementalEnumerator:
     earlier runs over the same context.
     """
 
-    #: The run's deadline, a ``time.perf_counter()`` value.  The instance
-    #: sets it only when one is given: a run holds 29 attributes, and on
-    #: CPython 3.11 a 30th takes every ``self.…`` load of the search off its
-    #: specialized fast path (3% on ``synthetic_large``).
-    _deadline: Optional[float] = None
+    __slots__ = (
+        "graph", "ctx", "pruning", "stats", "_deadline", "_found", "_debug_validate",
+        "_num_nodes", "_id_width", "_key_body_shift", "_key_inputs_shift",
+        "_visited_states", "_checked_states",
+        "_reachable_cache", "_idom_cache", "_rescuer_cache",
+        "_descendant_lists", "_contribution_rows", "_cone_stuck", "_output_input_unions",
+        "_output_candidates", "_closed_ancestors", "_seed_masks", "_forbidden_ancestors",
+        "_forbidden_succ_mask", "_source", "_max_outputs", "_forbidden",
+        "_ancestor_rows", "_descendant_rows", "_predecessor_rows", "_successor_rows",
+        "_pruned",
+    )
 
     def __init__(
         self,
@@ -172,8 +224,7 @@ class IncrementalEnumerator:
         self.graph = graph
         self.ctx = context or EnumerationContext.build(graph, constraints)
         self.pruning = pruning
-        if deadline is not None:
-            self._deadline = deadline
+        self._deadline = deadline  # a time.perf_counter() value, or None
         self.stats = EnumerationStats()
         self._found: Dict[int, None] = {}  # accepted cut masks, discovery order
         # Search-state dedup: the same state is reached through many
@@ -195,18 +246,20 @@ class IncrementalEnumerator:
         self._visited_states: set = set()  # PICK-INPUTS states
         self._checked_states: set = set()  # CHECK-CUT states
         # The run's memo, filled on demand: the reachable region per input
-        # mask, one dominator array per region, each vertex's descendants in
-        # topological order, per output the B({w}, o) rows, the last two
-        # outputs' stuck masks and the rescuer rows of the output before the
-        # last.  The four keyed by search state are capped.
+        # mask, one dominator array per region and the rescuer rows of the
+        # output before the last, keyed by search state and capped; each
+        # vertex's descendants in topological order; and per output, on its
+        # first use, the B({w}, o) rows, the stuck mask with no body outside
+        # its cone and the output-input union of its forbidden ancestors.
         self._reachable_cache: "OrderedDict[int, int]" = OrderedDict()
         self._idom_cache: "OrderedDict[int, List[Optional[int]]]" = OrderedDict()
-        self._descendant_lists: Dict[int, List[int]] = {}
-        self._contribution_rows: Dict[int, List[int]] = {}
-        self._stuck_cache: "OrderedDict[Tuple[int, int], int]" = OrderedDict()
         self._rescuer_cache: "OrderedDict[Tuple[int, int, int], Tuple[int, Dict[int, int]]]" = (
             OrderedDict()
         )
+        self._descendant_lists: Dict[int, List[int]] = {}
+        self._contribution_rows: Dict[int, List[int]] = {}
+        self._cone_stuck: Dict[int, int] = {}
+        self._output_input_unions: Dict[int, int] = {}
         self._debug_validate = debug_validation_enabled()
         # Candidate outputs in topological order: picking outputs
         # ancestors-first guarantees every output set can be selected without
@@ -239,14 +292,16 @@ class IncrementalEnumerator:
             self.ctx.forbidden_mask
         )
         # What every frame reads, fetched once per run: the context's
-        # properties, the closure rows of the input-hole bound, and the
-        # per-rule prune counts, bumped in place and handed to the stats
-        # when the run returns.
+        # properties, the closure rows of the input-hole bound, the packed
+        # neighbour rows, and the per-rule prune counts, bumped in place and
+        # handed to the stats when the run returns.
         self._source = self.ctx.source
         self._max_outputs = self.ctx.max_outputs
         self._forbidden = self.ctx.forbidden_mask
         self._ancestor_rows = [reach.ancestors_mask(v) for v in range(num_nodes)]
         self._descendant_rows = [reach.descendants_mask(v) for v in range(num_nodes)]
+        self._predecessor_rows = reach.predecessor_rows()
+        self._successor_rows = reach.successor_rows()
         self._pruned: "Counter[str]" = Counter()
 
     # ------------------------------------------------------------------ #
@@ -350,8 +405,12 @@ class IncrementalEnumerator:
         )
         inputs_above = reach.union_ancestors(inputs_mask) if prune_while_building else 0
         stuck = self._forbidden_succ_mask
+        cone_stuck = self._cone_stuck
+        # The body's side of every candidate's stuck mask (see _stuck_outputs).
+        boundary = self._body_boundary(body_mask) if stuck_bound and body_mask else None
         excluded = inputs_mask | self._forbidden  # never in the cut
         max_outputs = self._max_outputs
+        source = self._source
         visited = self._visited_states
         # The PICK-INPUTS keys of this call share the inputs and the earlier
         # outputs; only the body and the new output vary.
@@ -367,7 +426,11 @@ class IncrementalEnumerator:
             new_body_mask = body_mask | (input_descendants & cone)
             dominated = inputs_mask and not (region >> output) & 1
             if stuck_bound:
-                stuck = self._stuck_outputs(output, body_mask & ~cone)
+                outside_cone = body_mask & ~cone
+                if outside_cone or output not in cone_stuck:
+                    stuck = self._stuck_outputs(output, outside_cone, boundary)
+                else:
+                    stuck = cone_stuck[output]
                 if nout_left == 1:
                     # The last output: bound the outputs every completion keeps.
                     excess = (new_body_mask & ~excluded & stuck).bit_count() - max_outputs
@@ -389,6 +452,8 @@ class IncrementalEnumerator:
                 visited.add(key)
                 if idom is None:
                     idom = self._dominator_array(inputs_mask, region, parent)
+                if nin_left == 1 and idom[output] == source:
+                    continue  # no completion, and no input left for a seed
                 self._pick_inputs(
                     inputs_mask, new_outputs_mask, new_body_mask, output, output_key,
                     nin_left, nout_left - 1, stuck, region, idom,
@@ -439,7 +504,8 @@ class IncrementalEnumerator:
         ancestor_rows = self._ancestor_rows
         slack = nin_left - 1  # the inputs left under a completion or a seed
         between_row = self._contributions(output)
-        completions = strict_dominators(idom, output, source)
+        # The completions are the output's strict dominators but the source,
+        # nearest first, read off the array by a walk up the idom chain.
         # Both candidate loops below test the same two prunings, each one
         # mask for this state.
         #
@@ -460,9 +526,15 @@ class IncrementalEnumerator:
         # one another (*input_input_blocked*).
         output_input_blocked = 0
         if pruning.output_input:
-            output_input_blocked = self.ctx.reach.union_ancestors(
-                self._forbidden_ancestors[output] & ~inputs_mask
-            )
+            forbidden_above = self._forbidden_ancestors[output]
+            if forbidden_above & inputs_mask:
+                output_input_blocked = _union_rows(ancestor_rows, forbidden_above & ~inputs_mask)
+            else:
+                union = self._output_input_unions.get(output)
+                if union is None:
+                    union = _union_rows(ancestor_rows, forbidden_above)
+                    self._output_input_unions[output] = union
+                output_input_blocked = union
         # Prune-while-building (Section 5.3): the body minus the inputs and
         # the forbidden vertices it contains is a lower bound on the final
         # cut.  More than Nout of its vertices with a forbidden successor
@@ -476,8 +548,10 @@ class IncrementalEnumerator:
         # (:meth:`_input_holes`) drops the grown state when its holes need
         # more later inputs than are left; a hole needs a body vertex above
         # an input, so the inputs' ancestor union screens it.
-        for completion in completions:
-            if completion == source or (inputs_mask >> completion) & 1:
+        dominator = idom[output]
+        while dominator is not None and dominator != source:
+            completion, dominator = dominator, idom[dominator]
+            if (inputs_mask >> completion) & 1:
                 continue
             if (output_input_blocked >> completion) & 1:
                 pruned["output_input_forbidden_path"] += 1
@@ -531,15 +605,34 @@ class IncrementalEnumerator:
                 seeds ^= doomed
             if prune_while_building and seeds:
                 # The input budget, unless a completion already cuts every path.
-                for completion in completions:
-                    if completion != source and not (input_input_blocked >> completion) & 1:
-                        break
-                else:
+                dominator = idom[output]
+                while (
+                    dominator is not None
+                    and dominator != source
+                    and (input_input_blocked >> dominator) & 1
+                ):
+                    dominator = idom[dominator]
+                if dominator == source:
                     doomed = seeds & ~self._input_budget_seeds(
                         region, output, nin_left, input_input_blocked
                     )
                     if doomed:
                         pruned["input_budget"] += doomed.bit_count()
+                        seeds ^= doomed
+                # The output counts, once for every seed: a seed takes at
+                # most itself out of the body's stuck vertices.
+                body_kept = body_mask & ~(inputs_mask | forbidden) & stuck
+                if body_kept.bit_count() > max_outputs:
+                    too_many, over_budget = _output_count_doomed(
+                        body_kept, forbidden_succ, max_outputs, slack, nout_left
+                    )
+                    doomed = seeds & too_many
+                    if doomed:
+                        pruned["too_many_unavoidable_outputs"] += doomed.bit_count()
+                        seeds ^= doomed
+                    doomed = seeds & over_budget
+                    if doomed:
+                        pruned["output_budget"] += doomed.bit_count()
                         seeds ^= doomed
             # The last-input refinement of the input-hole bound: a seed
             # child with one input left expands no seed of its own, so its
@@ -547,12 +640,19 @@ class IncrementalEnumerator:
             # that completion must close every hole alone, lie in the grown
             # region, be a seed candidate of the output and not be blocked
             # by input-input pruning; a child without one is dropped before
-            # its dominator array is derived.
-            last_input = prune_while_building and slack == 1
+            # its dominator array is derived.  A child whose output only the
+            # source strictly dominates has no completion at all, so it is
+            # not entered once its array is derived.
+            last_input = slack == 1
+            hole_closing = prune_while_building and last_input
             comparable = self.ctx.postdom_comparable if pruning.input_input else None
             visited = self._visited_states
+            reachable_cache = self._reachable_cache
+            idom_cache = self._idom_cache
             body_shift = self._key_body_shift
             inputs_shift = self._key_inputs_shift
+            next_output_need = pruning.output_output - max_outputs - slack
+            rescuers: Optional[Tuple[int, Dict[int, int]]] = None  # on first need
             pick_input_calls = 0
             while seeds:
                 low = seeds & -seeds
@@ -585,8 +685,15 @@ class IncrementalEnumerator:
                             if not nout_left:
                                 pruned["output_budget"] += 1
                                 continue
-                            if not self._next_output_absorbs(
-                                output, outputs_mask, body_mask, kept, slack
+                            # _next_output_absorbs, off the frame's table.
+                            if rescuers is None:
+                                rescuers = self._rescuer_table(output, outputs_mask, body_mask)
+                            rescuable, rescuer_rows = rescuers
+                            kept &= rescuable
+                            rescued = kept.bit_count()
+                            need = next_output_need + unavoidable
+                            if rescued < need or (
+                                rescued == need and not _share_a_row(kept, rescuer_rows)
                             ):
                                 pruned["next_output_budget"] += 1
                                 continue
@@ -597,23 +704,28 @@ class IncrementalEnumerator:
                             continue
                 pick_input_calls += 1
                 visited.add(key)
-                new_region = self.reachable_avoiding(new_inputs_mask, (seed, region))
+                new_region = reachable_cache.get(new_inputs_mask)
+                if new_region is None:
+                    new_region = self.reachable_avoiding(new_inputs_mask, (seed, region))
                 if (new_region >> output) & 1:
                     new_blocked = (
                         input_input_blocked | comparable[seed] if comparable is not None else 0
                     )
                     if (
-                        last_input
+                        hole_closing
                         and closers != -1
                         and not closers & new_region & seed_candidates & ~new_blocked
                     ):
                         pruned["input_hole"] += 1
                         continue
+                    new_idom = idom_cache.get(new_region)
+                    if new_idom is None:
+                        new_idom = self._dominator_array(new_inputs_mask, new_region, (seed, idom))
+                    if last_input and new_idom[output] == source:
+                        continue
                     self._pick_inputs(
                         new_inputs_mask, outputs_mask, new_body_mask, output, output_key,
-                        slack, nout_left, stuck, new_region,
-                        self._dominator_array(new_inputs_mask, new_region, (seed, idom)),
-                        new_blocked, new_above,
+                        slack, nout_left, stuck, new_region, new_idom, new_blocked, new_above,
                     )
                 else:
                     # The seed set alone already cuts every path to the output.
@@ -685,7 +797,9 @@ class IncrementalEnumerator:
             self._contribution_rows[output] = rows
         return rows
 
-    def _stuck_outputs(self, output: int, outside_cone: int) -> int:
+    def _stuck_outputs(
+        self, output: int, outside_cone: int, boundary: Optional[Tuple[int, int]] = None
+    ) -> int:
         """Body vertices that stay outputs of every cut recorded under
         *output* before another output is picked.
 
@@ -693,23 +807,67 @@ class IncrementalEnumerator:
         (*output* and its ancestors), so the body stays inside the cone plus
         *outside_cone*.  A vertex with a forbidden successor or a successor
         outside that room stays an output unless it is chosen as an input.
-        Memoised per ``(output, outside_cone)``, which the whole subtree under
-        the output shares.
+        The answer with nothing outside the cone is built on the output's
+        first query.  A vertex outside the cone has no successor in it, so
+        one of *outside_cone* leaves the room iff it leaves the body
+        (:meth:`_body_boundary`, of *outside_cone* or, as *boundary*, of any
+        body whose part outside the cone it is); of the cone's stuck
+        vertices, only those feeding the body are tested again.
         """
-        key = (output, outside_cone)
-        stuck = self._stuck_cache.get(key)
+        stuck = self._cone_stuck.get(output)
+        cone = self._closed_ancestors[output]
+        successor_rows = self._successor_rows
         if stuck is None:
-            room = outside_cone | self._closed_ancestors[output]
-            successor_rows = self.ctx.reach.successor_rows()
             stuck = self._forbidden_succ_mask
-            rest = room & ~(stuck | self.ctx.forbidden_mask)
+            rest = cone & ~(stuck | self._forbidden)
             while rest:
                 low = rest & -rest
                 rest ^= low
-                if successor_rows[low.bit_length() - 1] & ~room:
+                if successor_rows[low.bit_length() - 1] & ~cone:
                     stuck |= low
-            _remember(self._stuck_cache, key, stuck)
+            self._cone_stuck[output] = stuck
+        if outside_cone:
+            leaving, feeding = boundary or self._body_boundary(outside_cone)
+            room = cone | outside_cone
+            feeding &= stuck & ~self._forbidden_succ_mask
+            stuck |= leaving & outside_cone
+            while feeding:
+                low = feeding & -feeding
+                feeding ^= low
+                if not successor_rows[low.bit_length() - 1] & ~room:
+                    stuck ^= low
         return stuck
+
+    def _body_boundary(self, body_mask: int) -> Tuple[int, int]:
+        """The vertices of *body_mask* with a successor outside it (less those
+        with a forbidden successor and the forbidden ones), and the union of
+        its vertices' predecessor rows."""
+        successor_rows = self._successor_rows
+        predecessor_rows = self._predecessor_rows
+        skipped = self._forbidden_succ_mask | self._forbidden
+        leaving = feeding = 0
+        rest = body_mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            vertex = low.bit_length() - 1
+            feeding |= predecessor_rows[vertex]
+            if successor_rows[vertex] & ~body_mask and not low & skipped:
+                leaving |= low
+        return leaving, feeding
+
+    def _rescuer_table(
+        self, output: int, outputs_mask: int, body_mask: int
+    ) -> Tuple[int, Dict[int, int]]:
+        """:meth:`_rescuers` of a state under *output*, cached per
+        ``(output, outputs_mask, body outside the cone)``, which a PICK-INPUTS
+        frame and every seed child under it share."""
+        key = (output, outputs_mask, body_mask & ~self._closed_ancestors[output])
+        table = self._rescuer_cache.get(key)
+        if table is None:
+            table = self._rescuers(*key)
+            _remember(self._rescuer_cache, key, table)
+        return table
 
     def _next_output_absorbs(
         self, output: int, outputs_mask: int, body_mask: int, kept: int, slack: int
@@ -730,25 +888,14 @@ class IncrementalEnumerator:
         least ``need`` = [output-output] + |*kept*| − *slack* − ``Nout`` of
         them.  Tested loosely, which keeps every such state: at least
         ``need`` stuck vertices have a rescuer, and when exactly ``need``
-        do, their rows share one.
+        do, their rows share one.  The PICK-INPUTS seed loop runs the same
+        test off the table it fetches once per frame.
         """
         need = self.pruning.output_output + kept.bit_count() - slack - self._max_outputs
-        key = (output, outputs_mask, body_mask & ~self._closed_ancestors[output])
-        table = self._rescuer_cache.get(key)
-        if table is None:
-            table = self._rescuers(*key)
-            _remember(self._rescuer_cache, key, table)
-        rescuable, rows = table
+        rescuable, rows = self._rescuer_table(output, outputs_mask, body_mask)
         kept &= rescuable
         count = kept.bit_count()
-        if count != need:
-            return count > need
-        common = -1
-        while kept and common:
-            low = kept & -kept
-            kept ^= low
-            common &= rows[low.bit_length() - 1]
-        return common != 0
+        return count > need or (count == need and _share_a_row(kept, rows))
 
     def _rescuers(
         self, output: int, outputs_mask: int, outside_cone: int
@@ -759,28 +906,27 @@ class IncrementalEnumerator:
 
         The pickable outputs are the candidates not postdominance-comparable
         with *outputs_mask*, less its ancestors under output-output pruning;
-        without it they include the room's candidates.
+        without it they include the room's candidates.  The vertices with a
+        successor outside the room are the stuck ones without a forbidden
+        successor.
         """
         ctx = self.ctx
-        reach = ctx.reach
         room = outside_cone | self._closed_ancestors[output]
         later = ctx.candidate_mask & ~(
             outputs_mask | _union_rows(ctx.postdom_comparable, outputs_mask)
         )
         if self.pruning.output_output:
-            later &= ~reach.union_ancestors(outputs_mask)
-        successor_rows = reach.successor_rows()
+            later &= ~_union_rows(self._ancestor_rows, outputs_mask)
+        successor_rows = self._successor_rows
         descendant_rows = self._descendant_rows
         rows: Dict[int, int] = {}
         rescuable = 0
-        rest = room & ~(self._forbidden_succ_mask | self._forbidden)
+        rest = self._stuck_outputs(output, outside_cone) & ~self._forbidden_succ_mask
         while rest:
             low = rest & -rest
             rest ^= low
             vertex = low.bit_length() - 1
             leaving = successor_rows[vertex] & ~room
-            if not leaving:
-                continue
             row = later
             while leaving and row:
                 succ = leaving & -leaving

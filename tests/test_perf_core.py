@@ -18,10 +18,12 @@ dominator array from the one-vertex-smaller parent its search frame holds
 against full recomputation, the contribution rows against their reachability
 definition, the input budget's packed paths against brute-force dominating
 sets, the output budget under the output before the last against
-brute-force valid cuts, the integer state keys against runs recorded at
-other I/O budgets, the ``REPRO_DEBUG_VALIDITY`` cross-check, and that a run
-leaves its context untouched, so a second run on it counts exactly what the
-first did.
+brute-force valid cuts, the frame-level output-count masks and the stuck
+masks against the per-seed tests and their definition, the integer state
+keys against runs recorded at other I/O budgets, the
+``REPRO_DEBUG_VALIDITY`` cross-check, that a run keeps every attribute in a
+slot, and that a run leaves its context untouched, so a second run on it
+counts exactly what the first did.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -38,7 +41,7 @@ from repro.baselines.brute_force import enumerate_cuts_brute_force
 from repro.core import Constraints
 from repro.core.context import EnumerationContext
 from repro.core.enumeration import enumerate_cuts_basic
-from repro.core.incremental import IncrementalEnumerator, enumerate_cuts
+from repro.core.incremental import IncrementalEnumerator, _output_count_doomed, enumerate_cuts
 from repro.core.pruning import FULL_PRUNING, NO_PRUNING
 from repro.dfg.builder import diamond
 from repro.dfg.graph import DataFlowGraph
@@ -657,6 +660,106 @@ class TestBudgetBounds:
         # Drops at Nout = 2 and 3, with output-output pruning on and off.
         assert len(dropped) == 4 and min(dropped.values()) >= 100, dropped
 
+    def test_output_count_masks_drop_only_seeds_the_seed_tests_drop(self):
+        """The frame-level output-count masks against the per-seed tests, on
+        random DAGs.
+
+        A PICK-INPUTS state under output ``o`` has outputs picked as
+        PICK-OUTPUT may pick them (``o`` last), inputs among their ancestors
+        and a body that is a union of their ``B({w}, ·)`` rows.  Its stuck
+        mask is what the search hands down: :meth:`_stuck_outputs` under the
+        last two outputs, which must equal its definition over the room
+        with and without the body boundary a PICK-OUTPUT call passes, and
+        the forbidden-successor mask above them.  Every seed a mask of
+        :func:`_output_count_doomed` drops must be one the per-seed tests
+        drop: its child's body, less the child's inputs and the forbidden
+        vertices, keeps more than ``Nout`` vertices with a forbidden
+        successor (the too-many-unavoidable-outputs mask), or, with no
+        output left to pick, does that or keeps more than ``Nout`` plus the
+        inputs left stuck vertices (the output-budget mask).
+        """
+        rng = random.Random(53)
+        states = 0
+        dropped = Counter()
+        for seed in range(24):
+            graph = make_random_dag(seed, num_operations=12 + seed % 5)
+            for nin, nout in ((4, 1), (4, 2), (3, 2), (4, 3)):
+                constraints = Constraints(max_inputs=nin, max_outputs=nout)
+                ctx = EnumerationContext.build(graph, constraints)
+                successors = ctx.reach.successor_rows()
+                forbidden = ctx.forbidden_mask
+                for pruning in (FULL_PRUNING, FULL_PRUNING.disable("output_output")):
+                    enumerator = IncrementalEnumerator(graph, constraints, pruning, ctx)
+                    forbidden_succ = enumerator._forbidden_succ_mask
+                    for _ in range(12):
+                        outputs = []
+                        for _ in range(rng.randint(1, nout)):
+                            pickable = [
+                                v
+                                for v in ctx.candidate_nodes
+                                if _pickable(ctx, pruning, mask_from_ids(outputs), v)
+                            ]
+                            if not pickable:
+                                break
+                            outputs.append(rng.choice(pickable))
+                        if not outputs:
+                            continue
+                        output = outputs[-1]
+                        nout_left = nout - len(outputs)
+                        body = inputs = 0
+                        for chosen in outputs:
+                            ancestors = ids_from_mask(enumerator._seed_masks[chosen])
+                            if not ancestors:
+                                continue
+                            rows = enumerator._contributions(chosen)
+                            for vertex in rng.sample(ancestors, min(4, len(ancestors))):
+                                body |= rows[vertex]
+                            inputs |= mask_from_ids(
+                                rng.sample(ancestors, min(rng.randrange(3), len(ancestors)))
+                            )
+                        cone = enumerator._closed_ancestors[output]
+                        outside = body & ~cone
+                        if nout_left <= 1:
+                            room = outside | cone
+                            stuck = enumerator._stuck_outputs(output, outside)
+                            assert stuck == forbidden_succ | mask_from_ids(
+                                v
+                                for v in ids_from_mask(room & ~forbidden)
+                                if successors[v] & ~room
+                            ), (graph.name, outputs, body)
+                            boundary = enumerator._body_boundary(body)
+                            assert enumerator._stuck_outputs(output, outside, boundary) == stuck
+                        else:
+                            stuck = forbidden_succ
+                        body_kept = body & ~(inputs | forbidden) & stuck
+                        between = enumerator._contributions(output)
+                        seeds = enumerator._seed_masks[output] & ~inputs
+                        for slack in range(1, nin - inputs.bit_count()):
+                            states += 1
+                            too_many, over_budget = _output_count_doomed(
+                                body_kept, forbidden_succ, nout, slack, nout_left
+                            )
+                            for vertex in ids_from_mask(seeds & (too_many | over_budget)):
+                                effective = (body | between[vertex]) & ~(
+                                    inputs | 1 << vertex | forbidden
+                                )
+                                unavoidable = (effective & forbidden_succ).bit_count() > nout
+                                where = (graph.name, outputs, inputs, body, slack, vertex)
+                                if (too_many >> vertex) & 1:
+                                    assert unavoidable, where
+                                    rule = "too_many_unavoidable_outputs"
+                                else:
+                                    assert not nout_left, where
+                                    assert unavoidable or (
+                                        (effective & stuck).bit_count() - slack > nout
+                                    ), where
+                                    rule = "output_budget"
+                                dropped[nout, rule, pruning.output_output] += 1
+        assert states >= 3000
+        # Both masks drop seeds at Nout = 1, 2 and 3, with output-output
+        # pruning on and off.
+        assert len(dropped) == 12 and min(dropped.values()) >= 20, dropped
+
 
 #: Runs at other I/O budgets, recorded before each visited search state
 #: became one integer: per budget and block, the SHA-256 of ``result.masks``
@@ -664,7 +767,12 @@ class TestBudgetBounds:
 #: state's key holds two earlier outputs, and without pruning the outputs
 #: are picked in any order.  The stats of the runs the input-hole bound
 #: prunes were recorded again with it, and those the output budget under the
-#: output before the last prunes again with that; the masks were not.
+#: output before the last prunes again with that; the masks were not.  Last,
+#: the PICK-INPUTS calls and the too-many-unavoidable-outputs and output
+#: budget counts were recorded again when those two tests first dropped a
+#: frame's seeds with one mask each: a seed they drop is no longer probed in
+#: the visited set first, and one that both drop counts as the output
+#: budget's.
 _BUDGETS = {
     "nin4-nout3": (Constraints(max_inputs=4, max_outputs=3), FULL_PRUNING),
     "nin3-nout1": (Constraints(max_inputs=3, max_outputs=1), FULL_PRUNING),
@@ -680,12 +788,12 @@ _RECORDED_BUDGET_RUNS = {
             "60d7c8ed8f93e64f1464f5da661aba3befff5eaa923d72195fa0bc30fa430b01",
             {
                 "cuts_found": 733, "duplicates": 5547, "candidates_checked": 3112,
-                "lt_calls": 1282, "pick_output_calls": 2235, "pick_input_calls": 23904,
+                "lt_calls": 1282, "pick_output_calls": 2235, "pick_input_calls": 23903,
                 "pruned": {
                     "connectedness": 5716, "input_budget": 6335, "input_hole": 6491,
                     "input_input_postdom": 2427, "next_output_budget": 3535,
                     "output_budget": 5944, "output_input_forbidden_path": 2159,
-                    "output_output": 12834, "too_many_unavoidable_outputs": 88,
+                    "output_output": 12834, "too_many_unavoidable_outputs": 89,
                 },
                 "insearch_hits": 0, "insearch_misses": 0, "insearch_evictions": 0,
             },
@@ -705,12 +813,12 @@ _RECORDED_BUDGET_RUNS = {
             "c77067247b5a502474818a14f4efe205984871cb042af85c29cc0b9f40f87717",
             {
                 "cuts_found": 507, "duplicates": 4027, "candidates_checked": 2477,
-                "lt_calls": 1072, "pick_output_calls": 1865, "pick_input_calls": 15864,
+                "lt_calls": 1072, "pick_output_calls": 1865, "pick_input_calls": 15855,
                 "pruned": {
                     "connectedness": 3198, "input_budget": 5044, "input_hole": 3807,
                     "input_input_postdom": 463, "next_output_budget": 2344,
-                    "output_budget": 5421, "output_input_forbidden_path": 3312,
-                    "output_output": 12165, "too_many_unavoidable_outputs": 1288,
+                    "output_budget": 5423, "output_input_forbidden_path": 3312,
+                    "output_output": 12165, "too_many_unavoidable_outputs": 1295,
                 },
                 "insearch_hits": 0, "insearch_misses": 0, "insearch_evictions": 0,
             },
@@ -724,8 +832,8 @@ _RECORDED_BUDGET_RUNS = {
                 "lt_calls": 138, "pick_output_calls": 1, "pick_input_calls": 767,
                 "pruned": {
                     "input_budget": 489, "input_hole": 81, "input_input_postdom": 133,
-                    "output_budget": 627, "output_input_forbidden_path": 127,
-                    "too_many_unavoidable_outputs": 113,
+                    "output_budget": 641, "output_input_forbidden_path": 127,
+                    "too_many_unavoidable_outputs": 99,
                 },
                 "insearch_hits": 0, "insearch_misses": 0, "insearch_evictions": 0,
             },
@@ -748,8 +856,8 @@ _RECORDED_BUDGET_RUNS = {
                 "lt_calls": 111, "pick_output_calls": 1, "pick_input_calls": 483,
                 "pruned": {
                     "input_budget": 295, "input_hole": 17, "input_input_postdom": 20,
-                    "output_budget": 336, "output_input_forbidden_path": 196,
-                    "too_many_unavoidable_outputs": 196,
+                    "output_budget": 358, "output_input_forbidden_path": 196,
+                    "too_many_unavoidable_outputs": 174,
                 },
                 "insearch_hits": 0, "insearch_misses": 0, "insearch_evictions": 0,
             },
@@ -760,12 +868,12 @@ _RECORDED_BUDGET_RUNS = {
             "7ea4be25c458ce0c835e3deddb3130cff891359c75ef33c1f72910d151ce862a",
             {
                 "cuts_found": 291, "duplicates": 3888, "candidates_checked": 2414,
-                "lt_calls": 1095, "pick_output_calls": 1771, "pick_input_calls": 19238,
+                "lt_calls": 1095, "pick_output_calls": 1771, "pick_input_calls": 19237,
                 "pruned": {
                     "connectedness": 9148, "input_budget": 5175, "input_hole": 6063,
                     "input_input_postdom": 2307, "next_output_budget": 2958,
                     "output_budget": 4866, "output_input_forbidden_path": 1740,
-                    "output_output": 10085, "too_many_unavoidable_outputs": 50,
+                    "output_output": 10085, "too_many_unavoidable_outputs": 51,
                 },
                 "insearch_hits": 0, "insearch_misses": 0, "insearch_evictions": 0,
             },
@@ -786,12 +894,12 @@ _RECORDED_BUDGET_RUNS = {
             "98bafbf447c5885f7fda19b91752b0f7cb0b4204585159a1c828cef3807b34fe",
             {
                 "cuts_found": 223, "duplicates": 3132, "candidates_checked": 2080,
-                "lt_calls": 910, "pick_output_calls": 1595, "pick_input_calls": 13076,
+                "lt_calls": 910, "pick_output_calls": 1595, "pick_input_calls": 13067,
                 "pruned": {
                     "connectedness": 5191, "input_budget": 4087, "input_hole": 3382,
                     "input_input_postdom": 441, "next_output_budget": 2136,
-                    "output_budget": 4901, "output_input_forbidden_path": 3110,
-                    "output_output": 10015, "too_many_unavoidable_outputs": 1245,
+                    "output_budget": 4903, "output_input_forbidden_path": 3110,
+                    "output_output": 10015, "too_many_unavoidable_outputs": 1252,
                 },
                 "insearch_hits": 0, "insearch_misses": 0, "insearch_evictions": 0,
             },
@@ -892,6 +1000,22 @@ class TestStateKeys:
                     )
                 )
                 assert all(now < then for now, then in zip(counts, before)), graph.name
+
+
+class TestRunState:
+    def test_a_run_with_a_deadline_has_no_instance_dict(self):
+        """Every attribute of a run is a slot, the deadline too, so no
+        attribute a run sets moves the search's attribute loads off
+        CPython's specialized paths for slots."""
+        graph = diamond()
+        constraints = Constraints(max_inputs=4, max_outputs=2)
+        enumerator = IncrementalEnumerator(
+            graph, constraints, deadline=time.perf_counter() + 3600
+        )
+        assert not hasattr(enumerator, "__dict__")
+        with pytest.raises(AttributeError):
+            enumerator.unlisted = 0
+        assert enumerator.run().masks == enumerate_cuts(graph, constraints).masks
 
 
 class TestDagDominatorKernel:
