@@ -32,9 +32,20 @@ before it on the same context, and its memo is freed when it returns.
   loop probes both caches itself and calls out only on a miss.  Each
   PICK-INPUTS state reads its completions off its array by a walk up the
   idom chain, which no cache of its own would repay;
-* each visited search state is one exact integer of fixed-width fields
-  (the output ids, then the body and the inputs as masks), not a tuple of
-  masks, so the dedup sets hold one object per state;
+* a PICK-INPUTS seed tree adds its output's seeds in reverse topological
+  order: a seed child takes only the seeds before its newest one, a prefix
+  mask over the topological order built once per run.  So each seed set is
+  built once, descendants first, and the tree keeps no visited keys.  In
+  this order output-input pruning and the too-many-unavoidable-outputs
+  count, the two rules of Section 5.3 whose verdict depends on the order
+  seeds are chosen in, prune exactly what they prune in the best order of
+  an all-orders search, unless a seed candidate with a forbidden successor
+  is in the body when PICK-OUTPUT enters the tree; such a tree adds seeds
+  in every order, as the search did before.  The states still deduplicated
+  (the roots of seed trees, the states of unordered trees and the CHECK-CUT
+  states) are each one exact integer of fixed-width fields (the output ids,
+  then the body and the inputs as masks), so the dedup sets hold one object
+  per state;
 * each test of PICK-OUTPUT and of the PICK-INPUTS seed loop is one mask per
   search state (postdominator comparability is a union of precomputed rows),
   and only the surviving candidates are expanded, in the same order.  The
@@ -208,7 +219,7 @@ class IncrementalEnumerator:
         "_reachable_cache", "_idom_cache", "_rescuer_cache",
         "_descendant_lists", "_contribution_rows", "_cone_stuck", "_output_input_unions",
         "_output_candidates", "_closed_ancestors", "_seed_masks", "_forbidden_ancestors",
-        "_forbidden_succ_mask", "_source", "_max_outputs", "_forbidden",
+        "_forbidden_succ_mask", "_earlier", "_source", "_max_outputs", "_forbidden",
         "_ancestor_rows", "_descendant_rows", "_predecessor_rows", "_successor_rows",
         "_pruned",
     )
@@ -227,9 +238,12 @@ class IncrementalEnumerator:
         self._deadline = deadline  # a time.perf_counter() value, or None
         self.stats = EnumerationStats()
         self._found: Dict[int, None] = {}  # accepted cut masks, discovery order
-        # Search-state dedup: the same state is reached through many
-        # different orderings of the same choices; the sets collapse those
-        # orderings without changing the reachable states.  Each state is
+        # Search-state dedup: the same state is reached through different
+        # orderings of the same choices (seed sets in an unordered seed tree,
+        # inputs and outputs across PICK-OUTPUT calls); the sets collapse
+        # those orderings without changing the reachable states.  An ordered
+        # seed tree builds each seed set once, so only the PICK-INPUTS states
+        # of tree roots and of unordered trees enter the set.  Each state is
         # one exact integer of fixed-width fields: the outputs lowest, then
         # the body and the inputs as n-bit masks.  Ids that follow a
         # topological order put the inputs' highest bit lowest, so the key
@@ -291,6 +305,13 @@ class IncrementalEnumerator:
         self._forbidden_succ_mask = self.ctx.candidate_mask & reach.union_predecessors(
             self.ctx.forbidden_mask
         )
+        # Per vertex, the vertices before it in topological order: the seeds
+        # an ordered seed tree may still add after it (see _pick_inputs).
+        earlier = self._earlier = [0] * num_nodes
+        prefix = 0
+        for vertex in self.ctx.topo_order:
+            earlier[vertex] = prefix
+            prefix |= 1 << vertex
         # What every frame reads, fetched once per run: the context's
         # properties, the closure rows of the input-hole bound, the packed
         # neighbour rows, and the per-rule prune counts, bumped in place and
@@ -404,7 +425,8 @@ class IncrementalEnumerator:
             _union_rows(ctx.postdom_comparable, inputs_mask) if pruning.input_input else 0
         )
         inputs_above = reach.union_ancestors(inputs_mask) if prune_while_building else 0
-        stuck = self._forbidden_succ_mask
+        stuck = forbidden_succ = self._forbidden_succ_mask
+        seed_masks = self._seed_masks
         cone_stuck = self._cone_stuck
         # The body's side of every candidate's stuck mask (see _stuck_outputs).
         boundary = self._body_boundary(body_mask) if stuck_bound and body_mask else None
@@ -454,10 +476,18 @@ class IncrementalEnumerator:
                     idom = self._dominator_array(inputs_mask, region, parent)
                 if nin_left == 1 and idom[output] == source:
                     continue  # no completion, and no input left for a seed
+                # The seed tree is ordered unless a seed candidate already in
+                # the body has a forbidden successor, which the too-many count
+                # of prune-while-building may need chosen first (see the
+                # seed loop of _pick_inputs).
+                unordered = (
+                    prune_while_building
+                    and new_body_mask & ~excluded & forbidden_succ & seed_masks[output]
+                )
                 self._pick_inputs(
                     inputs_mask, new_outputs_mask, new_body_mask, output, output_key,
                     nin_left, nout_left - 1, stuck, region, idom,
-                    input_input_blocked, inputs_above,
+                    input_input_blocked, inputs_above, None if unordered else -1,
                 )
         self.stats.pick_input_calls += pick_input_calls
 
@@ -478,19 +508,28 @@ class IncrementalEnumerator:
         idom: List[Optional[int]],
         input_input_blocked: int,
         inputs_above: int,
+        seed_window: Optional[int],
     ) -> None:
         """Expand an unvisited state in which *output* picks inputs.
 
-        The caller counts the call and adds the state's key to the visited
-        set; *output_key* is the key's output fields, which every seed
-        child shares.  *region* and *idom* are the input set's region and
-        dominator array, held by this frame: a grown input set's region and
-        array are derived from them on a cache miss.  *stuck* is the
-        vertices with a forbidden successor, or, under the last output and
-        the one before it, the output's :meth:`_stuck_outputs`.
-        *input_input_blocked* is the union of the inputs' comparability rows
-        (0 without input-input pruning) and *inputs_above* the union of
-        their ancestor rows, which only prune-while-building reads.
+        The caller counts the call.  PICK-OUTPUT enters the root of a seed
+        tree once its key is in the visited set.  In an *ordered* tree the
+        state may add only the seeds in *seed_window*: every seed (-1) at
+        the root, and below it the vertices topologically before the newest
+        seed.  So each seed set is built once, descendants first, and no
+        seed child forms a key.  In an unordered tree (*seed_window*
+        ``None``) seeds are added in every order, and a seed child is
+        entered only once its key is in the visited set; *output_key* is
+        the key's output fields, which every seed child shares.
+
+        *region* and *idom* are the input set's region and dominator array,
+        held by this frame: a grown input set's region and array are derived
+        from them on a cache miss.  *stuck* is the vertices with a forbidden
+        successor, or, under the last output and the one before it, the
+        output's :meth:`_stuck_outputs`.  *input_input_blocked* is the union
+        of the inputs' comparability rows (0 without input-input pruning)
+        and *inputs_above* the union of their ancestor rows, which only
+        prune-while-building reads.
         """
         if self._deadline is not None:
             check_deadline(self._deadline)
@@ -592,9 +631,21 @@ class IncrementalEnumerator:
 
         if nin_left > 1:
             # Extend the seed set with another ancestor of the output, in
-            # ascending id order.
+            # ascending id order.  An ordered tree takes only seeds before
+            # its newest one in topological order, which prunes exactly what
+            # the best order of an all-orders search prunes: a forbidden
+            # vertex between a seed and the output, which output-input
+            # pruning wants chosen first, is a descendant of the seed; and a
+            # seed's B({s}, o) holds only its descendants, so no vertex a
+            # seed brought into the body is chosen later and taken back out
+            # of the too-many-unavoidable-outputs count.  A vertex that was
+            # in the body before the first seed could be; a tree whose root
+            # holds such a seed candidate with a forbidden successor is not
+            # ordered (see _pick_output).
             seed_candidates = self._seed_masks[output]
             seeds = seed_candidates & ~inputs_mask
+            if seed_window is not None:
+                seeds &= seed_window
             doomed = seeds & output_input_blocked
             if doomed:
                 pruned["output_input_forbidden_path"] += doomed.bit_count()
@@ -647,30 +698,33 @@ class IncrementalEnumerator:
             hole_closing = prune_while_building and last_input
             comparable = self.ctx.postdom_comparable if pruning.input_input else None
             visited = self._visited_states
+            earlier = self._earlier
             reachable_cache = self._reachable_cache
             idom_cache = self._idom_cache
             body_shift = self._key_body_shift
             inputs_shift = self._key_inputs_shift
             next_output_need = pruning.output_output - max_outputs - slack
             rescuers: Optional[Tuple[int, Dict[int, int]]] = None  # on first need
-            pick_input_calls = 0
+            pick_input_calls = key = 0
             while seeds:
                 low = seeds & -seeds
                 seeds ^= low
                 seed = low.bit_length() - 1
                 new_inputs_mask = inputs_mask | low
                 new_body_mask = body_mask | between_row[seed]
-                # Every test below is a function of the child's key (the
-                # stuck mask depends only on the output and the body outside
-                # its cone), so an expanded key is skipped before them.
-                key = (
-                    output_key
-                    | (new_body_mask << body_shift)
-                    | (new_inputs_mask << inputs_shift)
-                )
-                if key in visited:
-                    pick_input_calls += 1
-                    continue
+                if seed_window is None:
+                    # Every test below is a function of the child's key (the
+                    # stuck mask depends only on the output and the body
+                    # outside its cone), so an expanded key is skipped
+                    # before them.
+                    key = (
+                        output_key
+                        | (new_body_mask << body_shift)
+                        | (new_inputs_mask << inputs_shift)
+                    )
+                    if key in visited:
+                        pick_input_calls += 1
+                        continue
                 new_above = inputs_above | ancestor_rows[seed]
                 closers = -1
                 if prune_while_building:
@@ -703,7 +757,8 @@ class IncrementalEnumerator:
                             pruned["input_hole"] += 1
                             continue
                 pick_input_calls += 1
-                visited.add(key)
+                if seed_window is None:
+                    visited.add(key)
                 new_region = reachable_cache.get(new_inputs_mask)
                 if new_region is None:
                     new_region = self.reachable_avoiding(new_inputs_mask, (seed, region))
@@ -726,6 +781,7 @@ class IncrementalEnumerator:
                     self._pick_inputs(
                         new_inputs_mask, outputs_mask, new_body_mask, output, output_key,
                         slack, nout_left, stuck, new_region, new_idom, new_blocked, new_above,
+                        None if seed_window is None else earlier[seed],
                     )
                 else:
                     # The seed set alone already cuts every path to the output.
