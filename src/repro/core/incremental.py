@@ -705,7 +705,7 @@ class IncrementalEnumerator:
             inputs_shift = self._key_inputs_shift
             next_output_need = pruning.output_output - max_outputs - slack
             rescuers: Optional[Tuple[int, Dict[int, int]]] = None  # on first need
-            pick_input_calls = key = 0
+            pick_input_calls = 0
             while seeds:
                 low = seeds & -seeds
                 seeds ^= low
