@@ -341,13 +341,16 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             f"enumeration of {graph.name!r} exceeded the {args.timeout}s budget"
         )
     result = item.result
-    print(result_summary(result))
-    print()
-    print(population_stats(result.cuts).summary())
-    if args.show_cuts:
+    with obs_runtime.tracer().span("cli.report", cat="cli"):
+        print(result_summary(result))
         print()
-        for cut in sorted(result.cuts, key=lambda c: (-c.num_nodes, sorted(c.nodes))):
-            print("  " + cut.describe())
+        print(population_stats(result.cuts).summary())
+        if args.show_cuts:
+            print()
+            for cut in sorted(
+                result.cuts, key=lambda c: (-c.num_nodes, sorted(c.nodes))
+            ):
+                print("  " + cut.describe())
     if store is not None:
         store.persist_stats()
     return 0
@@ -484,24 +487,25 @@ def _cmd_ise(args: argparse.Namespace) -> int:
         for target in args.targets:
             blocks.extend(_ise_blocks_from_target(target, args))
     result = _identify(blocks, args)
-    print(result.summary())
-    if args.dot_dir:
-        graphs = {}
-        duplicates = set()
-        for block in blocks:
-            existing = graphs.get(block.graph.name)
-            if existing is not None and existing is not block.graph:
-                duplicates.add(block.graph.name)
-            graphs[block.graph.name] = block.graph
-        if duplicates:
-            print(
-                "warning: multiple distinct blocks share the name(s) "
-                f"{', '.join(sorted(duplicates))}; their DOT renderings may "
-                "highlight the wrong graph",
-                file=sys.stderr,
-            )
-        written = _write_instruction_dots(result, graphs, args.dot_dir)
-        print(f"wrote {written} DOT file(s) to {args.dot_dir}", file=sys.stderr)
+    with obs_runtime.tracer().span("cli.report", cat="cli"):
+        print(result.summary())
+        if args.dot_dir:
+            graphs = {}
+            duplicates = set()
+            for block in blocks:
+                existing = graphs.get(block.graph.name)
+                if existing is not None and existing is not block.graph:
+                    duplicates.add(block.graph.name)
+                graphs[block.graph.name] = block.graph
+            if duplicates:
+                print(
+                    "warning: multiple distinct blocks share the name(s) "
+                    f"{', '.join(sorted(duplicates))}; their DOT renderings "
+                    "may highlight the wrong graph",
+                    file=sys.stderr,
+                )
+            written = _write_instruction_dots(result, graphs, args.dot_dir)
+            print(f"wrote {written} DOT file(s) to {args.dot_dir}", file=sys.stderr)
     return 0
 
 
