@@ -15,6 +15,9 @@ Top-level convenience API::
     for cut in result:
         print(cut.describe())
 
+Every exported name loads with its defining module on first use, so
+``import repro`` loads no submodule (see :func:`_lazy_exports`).
+
 Sub-packages
 ------------
 ``repro.dfg``
@@ -42,73 +45,70 @@ Sub-packages
     line-event profiling and a bundled pure-Python kernel corpus.
 """
 
-from .baselines import (
-    enumerate_connected_cuts,
-    enumerate_cuts_brute_force,
-    enumerate_cuts_exhaustive,
-)
-from .core import (
-    FULL_PRUNING,
-    NO_PRUNING,
-    PAPER_DEFAULT_CONSTRAINTS,
-    Constraints,
-    Cut,
-    EnumerationContext,
-    EnumerationResult,
-    EnumerationStats,
-    PruningConfig,
-    enumerate_cuts,
-    enumerate_cuts_basic,
-    enumerate_with_recovery,
-)
-from .dfg import DataFlowGraph, DFGBuilder, Opcode
-from .engine import (
-    BatchReport,
-    BatchRunner,
-    EnumerationRequest,
-    available_algorithms,
-    enumerate_batch,
-    get_algorithm,
-    register_algorithm,
-)
-from .memo import (
-    CanonicalForm,
-    ResultStore,
-    canonical_form,
-    canonical_hash,
-)
+from __future__ import annotations
+
+import importlib
+from typing import Any, Callable, Dict, List, Mapping, Tuple
+
+
+def _lazy_exports(
+    namespace: Dict[str, Any], modules: Mapping[str, Tuple[str, ...]]
+) -> Tuple[List[str], Callable[[str], Any], Callable[[], List[str]]]:
+    """``__all__``, ``__getattr__`` and ``__dir__`` for a package whose
+    public names load with their defining module on first use (PEP 562).
+
+    *namespace* is the package's ``globals()``; *modules* maps each
+    defining module, relative to the package, to the names it exports.
+    The first lookup of a name imports its module and binds the name in
+    *namespace*, so later lookups are plain attribute reads.  A name that
+    is also a submodule's name must be bound eagerly instead: importing the
+    submodule anywhere binds the package attribute to the module.
+    """
+    package = namespace["__name__"]
+    origin = {name: module for module, names in modules.items() for name in names}
+
+    def __getattr__(name: str) -> Any:
+        module = origin.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(module, package), name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> List[str]:
+        return sorted({*namespace, *origin})
+
+    return list(origin), __getattr__, __dir__
+
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Constraints",
-    "Cut",
-    "EnumerationContext",
-    "EnumerationResult",
-    "EnumerationStats",
-    "FULL_PRUNING",
-    "NO_PRUNING",
-    "PAPER_DEFAULT_CONSTRAINTS",
-    "PruningConfig",
-    "enumerate_cuts",
-    "enumerate_cuts_basic",
-    "enumerate_with_recovery",
-    "enumerate_connected_cuts",
-    "enumerate_cuts_brute_force",
-    "enumerate_cuts_exhaustive",
-    "BatchReport",
-    "BatchRunner",
-    "EnumerationRequest",
-    "available_algorithms",
-    "enumerate_batch",
-    "get_algorithm",
-    "register_algorithm",
-    "CanonicalForm",
-    "ResultStore",
-    "canonical_form",
-    "canonical_hash",
-    "DataFlowGraph",
-    "DFGBuilder",
-    "Opcode",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        ".core.constraints": ("Constraints", "PAPER_DEFAULT_CONSTRAINTS"),
+        ".core.cut": ("Cut",),
+        ".core.context": ("EnumerationContext",),
+        ".core.stats": ("EnumerationResult", "EnumerationStats"),
+        ".core.pruning": ("FULL_PRUNING", "NO_PRUNING", "PruningConfig"),
+        ".core.incremental": ("enumerate_cuts",),
+        ".core.enumeration": ("enumerate_cuts_basic",),
+        ".core.recovery": ("enumerate_with_recovery",),
+        ".baselines.connected_only": ("enumerate_connected_cuts",),
+        ".baselines.brute_force": ("enumerate_cuts_brute_force",),
+        ".baselines.exhaustive": ("enumerate_cuts_exhaustive",),
+        ".engine.batch": ("BatchReport", "BatchRunner", "enumerate_batch"),
+        ".engine.registry": (
+            "EnumerationRequest",
+            "available_algorithms",
+            "get_algorithm",
+            "register_algorithm",
+        ),
+        ".memo.canon": ("CanonicalForm", "canonical_form", "canonical_hash"),
+        ".memo.store": ("ResultStore",),
+        ".dfg.graph": ("DataFlowGraph",),
+        ".dfg.builder": ("DFGBuilder",),
+        ".dfg.opcodes": ("Opcode",),
+    },
+)
+__all__.append("__version__")

@@ -7,16 +7,16 @@
   [17] style restriction).
 """
 
-from .brute_force import (
-    count_excluded_by_technical_condition,
-    enumerate_cuts_brute_force,
-)
-from .connected_only import enumerate_connected_cuts
-from .exhaustive import enumerate_cuts_exhaustive
+from .. import _lazy_exports
 
-__all__ = [
-    "count_excluded_by_technical_condition",
-    "enumerate_cuts_brute_force",
-    "enumerate_connected_cuts",
-    "enumerate_cuts_exhaustive",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        ".brute_force": (
+            "count_excluded_by_technical_condition",
+            "enumerate_cuts_brute_force",
+        ),
+        ".connected_only": ("enumerate_connected_cuts",),
+        ".exhaustive": ("enumerate_cuts_exhaustive",),
+    },
+)

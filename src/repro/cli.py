@@ -61,11 +61,11 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
-from .analysis.comparison import algorithms_from_registry, compare_on_suite
+# Module-level imports are what ``enumerate`` and ``ise`` run on kernel and
+# DFG JSON targets; the other commands import their helpers when they run.
 from .analysis.metrics import population_stats, result_summary
-from .analysis.reporting import cluster_summary, figure5_report, format_table
 from .core.constraints import Constraints
 from .dfg.serialization import load as load_graph
 from .engine.batch import BatchRunner
@@ -78,11 +78,7 @@ from .ise.pipeline import BlockProfile, identify_instruction_set_extension
 from .ise.selection import SelectionConfig
 from .memo.store import ResultStore
 from .obs import runtime as obs_runtime
-from .obs.export import read_trace_file, write_trace_file
-from .obs.metrics import METRICS_SCHEMA
-from .obs.report import format_run_report, load_metrics
 from .workloads.kernels import KERNEL_FACTORIES, build_kernel, kernel_names
-from .workloads.mibench_like import SuiteConfig, build_suite, size_cluster
 from .workloads.suite import WorkloadSuite
 
 
@@ -265,7 +261,8 @@ def _constraints_from(args: argparse.Namespace) -> Constraints:
 
 def _load_python_target(path: Path, func: Optional[str]):
     """Resolve ``file.py`` / ``file.py::func`` to the function's largest-block DFG."""
-    from .frontend import SourceResolutionError, graph_for_function, resolve_functions
+    from .frontend.dfg_from_bytecode import graph_for_function
+    from .frontend.loader import SourceResolutionError, resolve_functions
 
     try:
         selected = resolve_functions(path, func)
@@ -281,6 +278,14 @@ def _load_python_target(path: Path, func: Optional[str]):
     return graph_for_function(fn, name=name)
 
 
+def _split_target(target: str) -> Tuple[Path, Optional[str]]:
+    """``file.py::function`` as its path and function name (``None`` when
+    the target names no function), as ``repro.frontend.split_target``
+    splits it, without loading the frontend for kernel and JSON targets."""
+    base, sep, func = target.partition("::")
+    return Path(base), (func if sep else None)
+
+
 def _load_target(target: str, from_source: bool = False):
     """Interpret *target* as a kernel name, a DFG JSON file, or Python source.
 
@@ -288,15 +293,12 @@ def _load_target(target: str, from_source: bool = False):
     ``frontend`` subcommand: Python sources are addressed as
     ``file.py::function`` and contribute the function's largest basic block.
     """
-    from .frontend import split_target
-
-    base, func = split_target(target)
     # Built-in kernel names always resolve, even under --from-source (the
     # flag governs how *paths* are interpreted, and kernels/sources can be
     # mixed freely in one invocation).
-    if func is None and target in KERNEL_FACTORIES:
+    if target in KERNEL_FACTORIES:
         return build_kernel(target)
-    path = Path(base)
+    path, func = _split_target(target)
     if path.exists():
         if path.suffix == ".py" or from_source or func is not None:
             return _load_python_target(path, func)
@@ -322,16 +324,17 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         graph = _load_target(
             args.target, from_source=getattr(args, "from_source", False)
         )
-    constraints = _constraints_from(args)
-    store = _store_from(args)
-    runner = BatchRunner(
-        algorithm=args.algorithm,
-        constraints=constraints,
-        jobs=args.jobs,
-        timeout=args.timeout,
-        store=store,
-    )
-    item = runner.run([graph], progress=_progress_from(args)).items[0]
+    with obs_runtime.tracer().span("cli.setup", cat="cli"):
+        store = _store_from(args)
+        runner = BatchRunner(
+            algorithm=args.algorithm,
+            constraints=_constraints_from(args),
+            jobs=args.jobs,
+            timeout=args.timeout,
+            store=store,
+        )
+        progress = _progress_from(args)
+    item = runner.run([graph], progress=progress).items[0]
     if item.cached:
         print(f"(result served from cache {store.root})", file=sys.stderr)
     if item.error is not None:
@@ -357,17 +360,25 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    config = SuiteConfig(
-        num_blocks=args.blocks,
-        min_operations=args.min_ops,
-        max_operations=args.max_ops,
-        include_kernels=not args.no_kernels,
-        include_trees=not args.no_trees,
-    )
-    suite = build_suite(config)
-    constraints = _constraints_from(args)
-    entries = algorithms_from_registry(args.algorithm) if args.algorithm else None
-    store = _store_from(args)
+    # The set-up imports the comparison harness and the suite generator,
+    # which only this command runs, so a trace charges them to a span.
+    with obs_runtime.tracer().span("cli.setup", cat="cli"):
+        from .analysis.comparison import algorithms_from_registry, compare_on_suite
+        from .analysis.reporting import cluster_summary, figure5_report, format_table
+        from .workloads.mibench_like import SuiteConfig, build_suite, size_cluster
+
+        suite = build_suite(
+            SuiteConfig(
+                num_blocks=args.blocks,
+                min_operations=args.min_ops,
+                max_operations=args.max_ops,
+                include_kernels=not args.no_kernels,
+                include_trees=not args.no_trees,
+            )
+        )
+        constraints = _constraints_from(args)
+        entries = algorithms_from_registry(args.algorithm) if args.algorithm else None
+        store = _store_from(args)
     if store is not None:
         print(
             f"note: result cache {store.root} is active; cached blocks report "
@@ -405,12 +416,11 @@ def _ise_blocks_from_target(target: str, args: argparse.Namespace) -> List[Block
     basic block of the function (execution counts weighted by the CFG's
     static profile); otherwise a target is one graph, as before.
     """
-    from .frontend import SourceResolutionError, split_target, static_profile
-
-    base, func = split_target(target)
-    path = Path(base)
-    if getattr(args, "from_source", False) and path.suffix == ".py":
-        from .frontend import resolve_functions
+    from_source = getattr(args, "from_source", False)
+    path, func = _split_target(target)
+    if from_source and path.suffix == ".py":
+        from .frontend.loader import SourceResolutionError, resolve_functions
+        from .frontend.profile import static_profile
 
         try:
             selected = resolve_functions(path, func)
@@ -425,7 +435,7 @@ def _ise_blocks_from_target(target: str, args: argparse.Namespace) -> List[Block
         return blocks
     return [
         BlockProfile(
-            graph=_load_target(target, from_source=getattr(args, "from_source", False)),
+            graph=_load_target(target, from_source=from_source),
             execution_count=args.execution_count,
         )
     ]
@@ -459,18 +469,22 @@ def _identify(blocks: List[BlockProfile], args: argparse.Namespace):
 
     A block whose enumeration raised ends the command with one line.
     """
-    store = _store_from(args)
+    with obs_runtime.tracer().span("cli.setup", cat="cli"):
+        store = _store_from(args)
+        constraints = _constraints_from(args)
+        selection = SelectionConfig(max_instructions=args.max_instructions)
+        progress = _progress_from(args)
     try:
         result = identify_instruction_set_extension(
             blocks,
-            _constraints_from(args),
-            selection=SelectionConfig(max_instructions=args.max_instructions),
+            constraints,
+            selection=selection,
             application_name=args.name,
             algorithm=args.algorithm,
             jobs=args.jobs,
             timeout=args.timeout,
             store=store,
-            progress=_progress_from(args),
+            progress=progress,
         )
     except RuntimeError as exc:
         raise SystemExit(str(exc))
@@ -510,6 +524,8 @@ def _cmd_ise(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from .workloads.mibench_like import SuiteConfig, build_suite
+
     config = SuiteConfig(
         num_blocks=args.blocks,
         min_operations=args.min_ops,
@@ -525,16 +541,9 @@ def _cmd_frontend(args: argparse.Namespace) -> int:
     """Compile Python source through the frontend; optionally profile + ISE."""
     import json as _json
 
-    from .frontend import (
-        CORPUS,
-        SourceResolutionError,
-        corpus_names,
-        profile_function,
-        profile_kernel,
-        split_target,
-        static_profile,
-    )
-    from .workloads.suite import WorkloadSuite as _Suite
+    from .frontend.corpus import CORPUS, corpus_names, profile_kernel
+    from .frontend.loader import SourceResolutionError
+    from .frontend.profile import profile_function, static_profile
 
     explicit_calls = []
     for text in args.call or []:
@@ -565,10 +574,9 @@ def _cmd_frontend(args: argparse.Namespace) -> int:
                 )
             profiled.append((name, profile_kernel(name, profile=args.profile)))
     else:
-        from .frontend import functions_in_module, load_module
+        from .frontend.loader import functions_in_module, load_module
 
-        base, func_in_target = split_target(args.source)
-        path = Path(base)
+        path, func_in_target = _split_target(args.source)
         if not path.exists():
             raise SystemExit(
                 f"source {args.source!r} does not exist (pass a .py file or "
@@ -628,7 +636,7 @@ def _cmd_frontend(args: argparse.Namespace) -> int:
     )
 
     if args.save_suite:
-        suite = _Suite(name=args.name, metadata={"source": args.source})
+        suite = WorkloadSuite(name=args.name, metadata={"source": args.source})
         for block in blocks:
             suite.add(block.graph, execution_count=block.execution_count)
         suite.save(args.save_suite)
@@ -685,6 +693,10 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
+    from .obs.export import read_trace_file
+    from .obs.metrics import METRICS_SCHEMA
+    from .obs.report import format_run_report, load_metrics
+
     if args.metrics_file == "-":
         try:
             document = json.load(sys.stdin)
@@ -1417,9 +1429,12 @@ def _run_observed(args: argparse.Namespace, argv: Optional[List[str]]) -> int:
                     return _dispatch(args)
             return _dispatch(args)
     finally:
+        registry.set_gauge("run.wall_seconds", time.perf_counter() - start)
+        # Imported after the root span and the wall time: the trace writer
+        # is not what the command ran.
+        from .obs.export import write_trace_file
         from .perf.env import environment_fingerprint
 
-        registry.set_gauge("run.wall_seconds", time.perf_counter() - start)
         meta = {
             "command": args.command,
             "argv": list(argv) if argv is not None else sys.argv[1:],

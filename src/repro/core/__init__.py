@@ -14,45 +14,26 @@ rules), :class:`EnumerationResult`/:class:`EnumerationStats` and
 :class:`BlockTimeout` (raised by a search that passes its deadline).
 """
 
-from .constraints import PAPER_DEFAULT_CONSTRAINTS, Constraints
-from .context import EnumerationContext
-from .cut import Cut, build_body_mask
-from .enumeration import enumerate_cuts_basic
-from .incremental import IncrementalEnumerator, enumerate_cuts
-from .pruning import FULL_PRUNING, NO_PRUNING, PruningConfig
-from .recovery import enumerate_with_recovery, head_vertices, recover_excluded_cuts
-from .stats import BlockTimeout, EnumerationResult, EnumerationStats
-from .validity import (
-    ValidityReport,
-    check_cut_mask,
-    enumerable_by_paper_algorithm,
-    is_io_identified,
-    is_valid_cut_mask,
-    satisfies_technical_condition,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "PAPER_DEFAULT_CONSTRAINTS",
-    "Constraints",
-    "EnumerationContext",
-    "Cut",
-    "build_body_mask",
-    "enumerate_cuts_basic",
-    "IncrementalEnumerator",
-    "enumerate_cuts",
-    "FULL_PRUNING",
-    "NO_PRUNING",
-    "PruningConfig",
-    "enumerate_with_recovery",
-    "head_vertices",
-    "recover_excluded_cuts",
-    "BlockTimeout",
-    "EnumerationResult",
-    "EnumerationStats",
-    "ValidityReport",
-    "check_cut_mask",
-    "enumerable_by_paper_algorithm",
-    "is_io_identified",
-    "is_valid_cut_mask",
-    "satisfies_technical_condition",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        ".constraints": ("PAPER_DEFAULT_CONSTRAINTS", "Constraints"),
+        ".context": ("EnumerationContext",),
+        ".cut": ("Cut", "build_body_mask"),
+        ".enumeration": ("enumerate_cuts_basic",),
+        ".incremental": ("IncrementalEnumerator", "enumerate_cuts"),
+        ".pruning": ("FULL_PRUNING", "NO_PRUNING", "PruningConfig"),
+        ".recovery": ("enumerate_with_recovery", "head_vertices", "recover_excluded_cuts"),
+        ".stats": ("BlockTimeout", "EnumerationResult", "EnumerationStats"),
+        ".validity": (
+            "ValidityReport",
+            "check_cut_mask",
+            "enumerable_by_paper_algorithm",
+            "is_io_identified",
+            "is_valid_cut_mask",
+            "satisfies_technical_condition",
+        ),
+    },
+)

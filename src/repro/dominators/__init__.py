@@ -14,36 +14,28 @@ rows every search reads, every dominator array of
 the other general-graph oracles under ``tests/reference/``.
 """
 
-from .generalized import (
-    blocks_all_paths,
-    has_private_path,
-    is_generalized_dominator,
-    reachable_mask_avoiding,
-)
-from .iterative import (
-    comparability_rows,
-    derive_immediate_dominators,
-    immediate_dominators_dag,
-    strict_dominators,
-)
-from .multi_vertex import (
-    CompletionResult,
-    DominatorSearchStats,
-    dominator_completions,
-    enumerate_generalized_dominators,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "blocks_all_paths",
-    "has_private_path",
-    "is_generalized_dominator",
-    "reachable_mask_avoiding",
-    "comparability_rows",
-    "derive_immediate_dominators",
-    "immediate_dominators_dag",
-    "strict_dominators",
-    "CompletionResult",
-    "DominatorSearchStats",
-    "dominator_completions",
-    "enumerate_generalized_dominators",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        ".generalized": (
+            "blocks_all_paths",
+            "has_private_path",
+            "is_generalized_dominator",
+            "reachable_mask_avoiding",
+        ),
+        ".iterative": (
+            "comparability_rows",
+            "derive_immediate_dominators",
+            "immediate_dominators_dag",
+            "strict_dominators",
+        ),
+        ".multi_vertex": (
+            "CompletionResult",
+            "DominatorSearchStats",
+            "dominator_completions",
+            "enumerate_generalized_dominators",
+        ),
+    },
+)

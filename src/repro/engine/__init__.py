@@ -11,48 +11,33 @@ comparison harness, benchmarks) uses to run cut enumeration:
   worker processes, with deterministic input-ordered results.
 """
 
-from .batch import (
-    BatchItem,
-    BatchReport,
-    BatchRunner,
-    ContextCache,
-    enumerate_batch,
-    resolve_jobs,
-)
-from .registry import (
-    DEFAULT_ALGORITHM,
-    SEMANTICS_ALL_VALID,
-    SEMANTICS_CONNECTED,
-    SEMANTICS_PAPER,
-    AlgorithmCapabilities,
-    EnumerationRequest,
-    RegisteredAlgorithm,
-    algorithm_aliases,
-    available_algorithms,
-    get_algorithm,
-    register_algorithm,
-    resolve_algorithm_name,
-    unregister_algorithm,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "BatchItem",
-    "BatchReport",
-    "BatchRunner",
-    "ContextCache",
-    "enumerate_batch",
-    "resolve_jobs",
-    "DEFAULT_ALGORITHM",
-    "SEMANTICS_ALL_VALID",
-    "SEMANTICS_CONNECTED",
-    "SEMANTICS_PAPER",
-    "AlgorithmCapabilities",
-    "EnumerationRequest",
-    "RegisteredAlgorithm",
-    "algorithm_aliases",
-    "available_algorithms",
-    "get_algorithm",
-    "register_algorithm",
-    "resolve_algorithm_name",
-    "unregister_algorithm",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        ".batch": (
+            "BatchItem",
+            "BatchReport",
+            "BatchRunner",
+            "ContextCache",
+            "enumerate_batch",
+            "resolve_jobs",
+        ),
+        ".registry": (
+            "DEFAULT_ALGORITHM",
+            "SEMANTICS_ALL_VALID",
+            "SEMANTICS_CONNECTED",
+            "SEMANTICS_PAPER",
+            "AlgorithmCapabilities",
+            "EnumerationRequest",
+            "RegisteredAlgorithm",
+            "algorithm_aliases",
+            "available_algorithms",
+            "get_algorithm",
+            "register_algorithm",
+            "resolve_algorithm_name",
+            "unregister_algorithm",
+        ),
+    },
+)

@@ -14,7 +14,9 @@ puts them behind one interface:
 * :func:`register_algorithm` / :func:`get_algorithm` /
   :func:`available_algorithms` — the registry proper.
 
-The five built-in algorithms are registered at import time; downstream code
+The five built-in algorithms are registered at import time; each adapter
+but the default's imports its algorithm's module on its first run, so
+importing the registry loads only the default algorithm.  Downstream code
 (CLI ``--algorithm`` flags, the batch runner, the comparison harness) resolves
 algorithms exclusively through this registry, so a new enumerator becomes
 visible everywhere by registering it once.
@@ -30,12 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..baselines.brute_force import MAX_CANDIDATES, enumerate_cuts_brute_force
-from ..baselines.connected_only import enumerate_connected_cuts
-from ..baselines.exhaustive import enumerate_cuts_exhaustive
 from ..core.constraints import Constraints
 from ..core.context import EnumerationContext
-from ..core.enumeration import enumerate_cuts_basic
 from ..core.incremental import enumerate_cuts
 from ..core.pruning import FULL_PRUNING, PruningConfig
 from ..core.stats import EnumerationResult
@@ -252,24 +250,32 @@ def _run_incremental(request: EnumerationRequest) -> EnumerationResult:
 
 
 def _run_basic(request: EnumerationRequest) -> EnumerationResult:
+    from ..core.enumeration import enumerate_cuts_basic
+
     return enumerate_cuts_basic(
         request.graph, request.constraints, context=request.context, deadline=request.deadline
     )
 
 
 def _run_exhaustive(request: EnumerationRequest) -> EnumerationResult:
+    from ..baselines.exhaustive import enumerate_cuts_exhaustive
+
     return enumerate_cuts_exhaustive(
         request.graph, request.constraints, context=request.context, deadline=request.deadline
     )
 
 
 def _run_brute_force(request: EnumerationRequest) -> EnumerationResult:
+    from ..baselines.brute_force import enumerate_cuts_brute_force
+
     return enumerate_cuts_brute_force(
         request.graph, request.constraints, context=request.context, deadline=request.deadline
     )
 
 
 def _run_connected(request: EnumerationRequest) -> EnumerationResult:
+    from ..baselines.connected_only import enumerate_connected_cuts
+
     return enumerate_connected_cuts(
         request.graph, request.constraints, deadline=request.deadline
     )
@@ -301,7 +307,9 @@ register_algorithm(
     _run_brute_force,
     AlgorithmCapabilities(
         oracle_only=True,
-        max_candidate_nodes=MAX_CANDIDATES,
+        # ``repro.baselines.brute_force.MAX_CANDIDATES``, which a test checks:
+        # importing it here would load the oracle with the registry.
+        max_candidate_nodes=22,
         semantics=SEMANTICS_ALL_VALID,
     ),
     description="Exponential subset oracle (ground truth for small graphs)",

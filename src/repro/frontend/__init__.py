@@ -19,66 +19,43 @@ write:
     :class:`~repro.workloads.suite.WorkloadSuite`.
 """
 
-from .cfg import BasicBlock, ControlFlowGraph, build_cfg
-from .corpus import (
-    CORPUS,
-    STRAIGHT_LINE_KERNELS,
-    CorpusKernel,
-    build_corpus_suite,
-    corpus_block_profiles,
-    corpus_names,
-    profile_kernel,
-)
-from .dfg_from_bytecode import (
-    BlockTranslator,
-    FunctionDFGs,
-    TranslatedBlock,
-    function_to_dfgs,
-    graph_for_function,
-    translate_block,
-)
-from .loader import (
-    SourceResolutionError,
-    functions_in_module,
-    load_module,
-    resolve_functions,
-    split_target,
-)
-from .profile import (
-    LineCounts,
-    ProfiledFunction,
-    attribute_to_blocks,
-    collect_line_counts,
-    profile_function,
-    static_profile,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "BasicBlock",
-    "ControlFlowGraph",
-    "build_cfg",
-    "CORPUS",
-    "STRAIGHT_LINE_KERNELS",
-    "CorpusKernel",
-    "build_corpus_suite",
-    "corpus_block_profiles",
-    "corpus_names",
-    "profile_kernel",
-    "BlockTranslator",
-    "FunctionDFGs",
-    "TranslatedBlock",
-    "function_to_dfgs",
-    "graph_for_function",
-    "translate_block",
-    "SourceResolutionError",
-    "functions_in_module",
-    "load_module",
-    "resolve_functions",
-    "split_target",
-    "LineCounts",
-    "ProfiledFunction",
-    "attribute_to_blocks",
-    "collect_line_counts",
-    "profile_function",
-    "static_profile",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        ".cfg": ("BasicBlock", "ControlFlowGraph", "build_cfg"),
+        ".corpus": (
+            "CORPUS",
+            "STRAIGHT_LINE_KERNELS",
+            "CorpusKernel",
+            "build_corpus_suite",
+            "corpus_block_profiles",
+            "corpus_names",
+            "profile_kernel",
+        ),
+        ".dfg_from_bytecode": (
+            "BlockTranslator",
+            "FunctionDFGs",
+            "TranslatedBlock",
+            "function_to_dfgs",
+            "graph_for_function",
+            "translate_block",
+        ),
+        ".loader": (
+            "SourceResolutionError",
+            "functions_in_module",
+            "load_module",
+            "resolve_functions",
+            "split_target",
+        ),
+        ".profile": (
+            "LineCounts",
+            "ProfiledFunction",
+            "attribute_to_blocks",
+            "collect_line_counts",
+            "profile_function",
+            "static_profile",
+        ),
+    },
+)

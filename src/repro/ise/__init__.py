@@ -5,35 +5,30 @@ of non-overlapping custom instructions, and the end-to-end identification
 pipeline that the paper's compiler toolchain uses the enumeration for.
 """
 
-from .isa import CustomInstruction, InstructionSetExtension, make_instruction
-from .latency import DEFAULT_LATENCY_MODEL, LatencyModel, cut_area, total_software_cycles
-from .pipeline import (
-    BlockProfile,
-    BlockResult,
-    PipelineResult,
-    identify_instruction_set_extension,
-)
-from .selection import SelectionConfig, is_disjoint_selection, select_cuts, selection_covers
-from .speedup import ScoredCut, estimate_block_speedup, score_cut, score_cuts
+from .. import _lazy_exports
 
-__all__ = [
-    "CustomInstruction",
-    "InstructionSetExtension",
-    "make_instruction",
-    "DEFAULT_LATENCY_MODEL",
-    "LatencyModel",
-    "cut_area",
-    "total_software_cycles",
-    "BlockProfile",
-    "BlockResult",
-    "PipelineResult",
-    "identify_instruction_set_extension",
-    "SelectionConfig",
-    "is_disjoint_selection",
-    "select_cuts",
-    "selection_covers",
-    "ScoredCut",
-    "estimate_block_speedup",
-    "score_cut",
-    "score_cuts",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        ".isa": ("CustomInstruction", "InstructionSetExtension", "make_instruction"),
+        ".latency": (
+            "DEFAULT_LATENCY_MODEL",
+            "LatencyModel",
+            "cut_area",
+            "total_software_cycles",
+        ),
+        ".pipeline": (
+            "BlockProfile",
+            "BlockResult",
+            "PipelineResult",
+            "identify_instruction_set_extension",
+        ),
+        ".selection": (
+            "SelectionConfig",
+            "is_disjoint_selection",
+            "select_cuts",
+            "selection_covers",
+        ),
+        ".speedup": ("ScoredCut", "estimate_block_speedup", "score_cut", "score_cuts"),
+    },
+)

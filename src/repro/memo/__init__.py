@@ -18,34 +18,26 @@ that entry through the canonical permutations.  The CLI exposes the store via
 ``--cache-dir`` and the ``cache`` sub-command.
 """
 
-from .canon import (
-    DEFAULT_BACKTRACK_BUDGET,
-    CanonicalForm,
-    canonical_form,
-    canonical_hash,
-    permute_graph,
-)
-from .store import (
-    STORE_FORMAT_VERSION,
-    ResultStore,
-    StoredResult,
-    StoreStats,
-    request_fingerprint,
-    stats_from_dict,
-    stats_to_dict,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "DEFAULT_BACKTRACK_BUDGET",
-    "CanonicalForm",
-    "canonical_form",
-    "canonical_hash",
-    "permute_graph",
-    "STORE_FORMAT_VERSION",
-    "ResultStore",
-    "StoredResult",
-    "StoreStats",
-    "request_fingerprint",
-    "stats_from_dict",
-    "stats_to_dict",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        ".canon": (
+            "DEFAULT_BACKTRACK_BUDGET",
+            "CanonicalForm",
+            "canonical_form",
+            "canonical_hash",
+            "permute_graph",
+        ),
+        ".store": (
+            "STORE_FORMAT_VERSION",
+            "ResultStore",
+            "StoredResult",
+            "StoreStats",
+            "request_fingerprint",
+            "stats_from_dict",
+            "stats_to_dict",
+        ),
+    },
+)

@@ -26,19 +26,23 @@ import tempfile
 import time
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ...core import Constraints
+from ...core.constraints import Constraints
 from ...core.context import EnumerationContext
 from ...core.enumeration import enumerate_cuts_basic
 from ...core.incremental import enumerate_cuts
-from ...engine import BatchRunner, ContextCache
-from ...frontend import build_corpus_suite
-from ...ise import BlockProfile, SelectionConfig, identify_instruction_set_extension
-from ...memo import ResultStore, permute_graph
+from ...engine.batch import BatchRunner, ContextCache
+from ...frontend.corpus import build_corpus_suite
+from ...ise.pipeline import BlockProfile, identify_instruction_set_extension
+from ...ise.selection import SelectionConfig
+from ...memo.canon import permute_graph
+from ...memo.store import ResultStore
 from ...obs import runtime as obs
-from ...obs import span_coverage, validate_trace_records
-from ...workloads import SuiteConfig, build_suite, tree_dfg
+from ...obs.export import validate_trace_records
+from ...obs.report import span_coverage
 from ...workloads.kernels import build_kernel
+from ...workloads.mibench_like import SuiteConfig, build_suite
 from ...workloads.synthetic import SyntheticBlockSpec, generate_basic_block
+from ...workloads.trees import tree_dfg
 from ..measure import TimingResult, interleaved_timings, paired_overhead
 from ..registry import Benchmark, MeasureOutput, register
 from ..schema import MetricSpec

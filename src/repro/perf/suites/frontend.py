@@ -1,4 +1,5 @@
-"""Frontend benchmark: corpus shape, DFG build throughput, end-to-end ISE.
+"""Frontend benchmark: corpus shape, DFG build throughput, end-to-end ISE,
+and the cold start every ``repro`` command pays first.
 
 Port of the former standalone ``benchmarks/bench_frontend.py`` measurement
 body.  The corpus-shape counters double as rot detection: a shrinking corpus
@@ -8,22 +9,65 @@ gate fires.
 
 from __future__ import annotations
 
+import os
+import statistics
+import subprocess
+import sys
 import time
-from typing import Dict
+from pathlib import Path
+from typing import Dict, List, Set, Tuple
 
-from ...core import Constraints
-from ...frontend import (
-    CORPUS,
-    build_corpus_suite,
-    corpus_block_profiles,
-    corpus_names,
-    function_to_dfgs,
-)
+from ...core.constraints import Constraints
+from ...frontend.corpus import CORPUS, build_corpus_suite, corpus_block_profiles, corpus_names
+from ...frontend.dfg_from_bytecode import function_to_dfgs
 from ...ise.pipeline import identify_instruction_set_extension
 from ..registry import Benchmark, MeasureOutput, register
 from ..schema import MetricSpec
 
 CONSTRAINTS = Constraints(max_inputs=4, max_outputs=2)
+
+#: Fresh interpreters whose ``import repro.cli`` the cold-start metrics time.
+IMPORT_RUNS = 5
+
+#: Run in each fresh interpreter: the import's own time, then the number of
+#: ``repro`` modules it loaded.
+_IMPORT_PROBE = (
+    "import sys, time\n"
+    "start = time.perf_counter()\n"
+    "import repro.cli\n"
+    "elapsed = time.perf_counter() - start\n"
+    "print(elapsed, sum(1 for m in sys.modules if m == 'repro' or m.startswith('repro.')))"
+)
+
+
+def _cli_import() -> Tuple[float, int]:
+    """Median ``import repro.cli`` time over :data:`IMPORT_RUNS` fresh
+    interpreters, each timing itself (interpreter start-up is not counted),
+    and the number of ``repro`` modules the import loads.
+
+    The children import this ``repro`` and inherit the environment, so
+    whether they read cached bytecode is the environment's choice
+    (``PYTHONDONTWRITEBYTECODE``).
+    """
+    src = str(Path(__file__).resolve().parents[3])  # the directory holding repro/
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    times: List[float] = []
+    counts: Set[int] = set()
+    for _ in range(IMPORT_RUNS):
+        done = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE],
+            env=env,
+            check=True,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        seconds, modules = done.stdout.split()
+        times.append(float(seconds))
+        counts.add(int(modules))
+    assert len(counts) == 1, f"import repro.cli loaded {sorted(counts)} modules"
+    return statistics.median(times), counts.pop()
 
 
 def _frontend_setup(scale: str) -> object:
@@ -62,6 +106,9 @@ def _frontend_measure(state: object) -> MeasureOutput:
     selected = sum(len(block.selected) for block in result.blocks)
     assert selected >= 1, "the corpus must yield at least one custom instruction"
 
+    # --- cold start ------------------------------------------------------ #
+    import_seconds, import_modules = _cli_import()
+
     values: Dict[str, object] = {
         "ise_application_speedup": round(result.application_speedup, 3),
         "ise_selected_instructions": float(selected),
@@ -69,6 +116,8 @@ def _frontend_measure(state: object) -> MeasureOutput:
         "dfg_ops_per_second": round(ops_emitted / max(translate_seconds, 1e-9), 1),
         "profiled_build_seconds": round(profiled_build_seconds, 4),
         "ise_seconds": round(ise_seconds, 4),
+        "cli_import_seconds": round(import_seconds, 4),
+        "cli_import_modules": float(import_modules),
     }
     extra = {
         "corpus_kernels": len(names),
@@ -76,6 +125,7 @@ def _frontend_measure(state: object) -> MeasureOutput:
         "corpus_operations": total_ops,
         "translate_rounds": build_rounds,
         "ise_blocks": len(blocks),
+        "cli_import_runs": IMPORT_RUNS,
     }
     return values, extra
 
@@ -102,10 +152,26 @@ register(
             MetricSpec("dfg_ops_per_second", "ops/s", better="higher"),
             MetricSpec("profiled_build_seconds", "s", better="lower"),
             MetricSpec("ise_seconds", "s", better="lower"),
+            MetricSpec(
+                "cli_import_seconds",
+                "s",
+                better="lower",
+                description="median `import repro.cli` time over 5 fresh "
+                "interpreters, timed inside each: the import layer every "
+                "`repro` invocation pays first",
+            ),
+            MetricSpec(
+                "cli_import_modules",
+                "count",
+                better="lower",
+                description="`repro` modules `import repro.cli` loads (the "
+                "package and the CLI included); machine-independent",
+            ),
         ),
         setup=_frontend_setup,
         measure=_frontend_measure,
         description="Bytecode->DFG translation throughput on the bundled "
-        "reference corpus plus the end-to-end ISE pipeline wall time.",
+        "reference corpus, the end-to-end ISE pipeline wall time and the "
+        "fresh-interpreter `import repro.cli` time.",
     )
 )

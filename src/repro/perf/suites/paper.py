@@ -19,28 +19,19 @@ import statistics
 from collections import Counter
 from typing import Dict, List, Tuple
 
-from ...analysis import compare_on_suite
-from ...baselines import enumerate_cuts_exhaustive
-from ...core import (
-    FULL_PRUNING,
-    NO_PRUNING,
-    Constraints,
-    EnumerationContext,
-    PruningConfig,
-    enumerate_cuts,
-)
-from ...dominators import derive_immediate_dominators, immediate_dominators_dag
-from ...ise import BlockProfile, SelectionConfig, identify_instruction_set_extension
-from ...workloads import (
-    SuiteConfig,
-    SyntheticBlockSpec,
-    build_kernel,
-    build_suite,
-    generate_basic_block,
-    kernel_names,
-    size_cluster,
-    tree_dfg,
-)
+from ...analysis.comparison import compare_on_suite
+from ...baselines.exhaustive import enumerate_cuts_exhaustive
+from ...core.constraints import Constraints
+from ...core.context import EnumerationContext
+from ...core.incremental import enumerate_cuts
+from ...core.pruning import FULL_PRUNING, NO_PRUNING, PruningConfig
+from ...dominators.iterative import derive_immediate_dominators, immediate_dominators_dag
+from ...ise.pipeline import BlockProfile, identify_instruction_set_extension
+from ...ise.selection import SelectionConfig
+from ...workloads.kernels import build_kernel, kernel_names
+from ...workloads.mibench_like import SuiteConfig, build_suite, size_cluster
+from ...workloads.synthetic import SyntheticBlockSpec, generate_basic_block
+from ...workloads.trees import tree_dfg
 from ..measure import interleaved_timings
 from ..registry import Benchmark, MeasureOutput, register
 from ..schema import MetricSpec

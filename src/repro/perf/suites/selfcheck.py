@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ...core import Constraints, enumerate_cuts
-from ...workloads import tree_dfg
+from ...core.constraints import Constraints
+from ...core.incremental import enumerate_cuts
+from ...workloads.trees import tree_dfg
 from ..measure import time_callable
 from ..registry import Benchmark, MeasureOutput, register
 from ..schema import MetricSpec

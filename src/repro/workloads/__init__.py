@@ -7,39 +7,21 @@ tree-shaped worst-case graphs of Figure 4.  See :mod:`repro.workloads.mibench_li
 for the substitution rationale.
 """
 
-from .kernels import KERNEL_FACTORIES, all_kernels, build_kernel, kernel_names
-from .mibench_like import (
-    SIZE_CLUSTERS,
-    SuiteConfig,
-    build_suite,
-    size_cluster,
-)
-from .suite import WorkloadSuite
-from .synthetic import (
-    DEFAULT_OPCODE_MIX,
-    SyntheticBlockSpec,
-    generate_basic_block,
-    generate_suite,
-    random_small_dag,
-)
-from .trees import inverted_tree_dfg, paper_tree_suite, tree_dfg
+from .. import _lazy_exports
 
-__all__ = [
-    "KERNEL_FACTORIES",
-    "all_kernels",
-    "build_kernel",
-    "kernel_names",
-    "SIZE_CLUSTERS",
-    "SuiteConfig",
-    "build_suite",
-    "size_cluster",
-    "WorkloadSuite",
-    "DEFAULT_OPCODE_MIX",
-    "SyntheticBlockSpec",
-    "generate_basic_block",
-    "generate_suite",
-    "random_small_dag",
-    "inverted_tree_dfg",
-    "paper_tree_suite",
-    "tree_dfg",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        ".kernels": ("KERNEL_FACTORIES", "all_kernels", "build_kernel", "kernel_names"),
+        ".mibench_like": ("SIZE_CLUSTERS", "SuiteConfig", "build_suite", "size_cluster"),
+        ".suite": ("WorkloadSuite",),
+        ".synthetic": (
+            "DEFAULT_OPCODE_MIX",
+            "SyntheticBlockSpec",
+            "generate_basic_block",
+            "generate_suite",
+            "random_small_dag",
+        ),
+        ".trees": ("inverted_tree_dfg", "paper_tree_suite", "tree_dfg"),
+    },
+)

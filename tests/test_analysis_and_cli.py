@@ -1,9 +1,14 @@
 """Tests for the analysis/reporting layer and the command-line interface."""
 
+import ast
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+import types
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -170,6 +175,74 @@ def _run_fresh_interpreter(code):
     )
 
 
+#: The packages whose names load with their defining module on first use.
+LAZY_PACKAGES = [
+    "repro",
+    "repro.analysis",
+    "repro.baselines",
+    "repro.core",
+    "repro.dfg",
+    "repro.dominators",
+    "repro.engine",
+    "repro.frontend",
+    "repro.ise",
+    "repro.memo",
+    "repro.obs",
+    "repro.workloads",
+]
+
+#: Modules no ``repro ise`` or ``repro enumerate`` run executes, which
+#: ``import repro.cli`` therefore does not load.
+NOT_LOADED_BY_THE_CLI = [
+    "repro.analysis.comparison",
+    "repro.analysis.reporting",
+    "repro.baselines.exhaustive",
+    "repro.baselines.connected_only",
+    "repro.core.enumeration",
+    "repro.core.recovery",
+    "repro.dominators.multi_vertex",
+    "repro.dfg.dot",
+    "repro.dfg.validate",
+    "repro.workloads.mibench_like",
+    "repro.workloads.synthetic",
+    "repro.workloads.trees",
+    "repro.obs.export",
+    "repro.obs.report",
+    "repro.frontend",
+    "repro.perf",
+    "repro.lint",
+]
+
+
+def _src_modules():
+    """``(dotted name, path)`` of every non-package module under ``repro``."""
+    root = Path(repro.__file__).parent
+    for path in sorted(root.rglob("*.py")):
+        if path.name != "__init__.py":
+            parts = path.relative_to(root).with_suffix("").parts
+            yield ".".join(("repro",) + parts), path
+
+
+@pytest.fixture(scope="module")
+def top_level_definitions():
+    """Each name a module under ``repro`` defines at top level, with the
+    modules that define it (an import does not count)."""
+    defined = defaultdict(set)
+    for module, path in _src_modules():
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, ast.Assign):
+                targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                targets = [node.target.id]
+            else:
+                continue
+            for name in targets:
+                defined[name].add(module)
+    return defined
+
+
 class TestCli:
     def test_parser_subcommands(self):
         parser = build_parser()
@@ -213,6 +286,58 @@ class TestCli:
         completed = _run_fresh_interpreter(code)
         assert completed.returncode == 0, completed.stderr
         assert completed.stdout == "[]\n"
+
+    def test_import_repro_loads_no_submodule(self):
+        completed = _run_fresh_interpreter(
+            "import sys, repro\n"
+            "print(sorted(name for name in sys.modules if name.startswith('repro.')))"
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout == "[]\n"
+
+    def test_import_cli_loads_only_what_ise_and_enumerate_run(self):
+        completed = _run_fresh_interpreter(
+            f"import sys, repro.cli\nnames = {NOT_LOADED_BY_THE_CLI!r}\n"
+            "print([name for name in names if name in sys.modules])"
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout == "[]\n"
+
+    def test_ise_and_enumerate_load_no_module_after_the_cli_import(self, tmp_path):
+        """``import repro.cli`` already loads every ``repro`` module that
+        ``repro ise`` and ``repro enumerate`` run on kernel and DFG JSON
+        targets, with and without a store, in-process and with a pool, so a
+        fresh interpreter's import time is what these commands pay for it."""
+        from repro.dfg.serialization import save
+
+        graph_path = tmp_path / "sha1_round.json"
+        save(build_kernel("sha1_round"), graph_path)
+        cache = str(tmp_path / "cache")
+        runs = [
+            ["enumerate", "crc32_step"],
+            ["ise", "crc32_step", "bitcount", "--no-cache"],
+            ["ise", "crc32_step", "bitcount", "--no-cache", "--jobs", "2"],
+            ["ise", "crc32_step", "bitcount", "--cache-dir", cache],
+            ["ise", "crc32_step", "bitcount", "--cache-dir", cache],
+            ["enumerate", str(graph_path), "--no-cache"],
+        ]
+        code = (
+            "import contextlib, io, json, sys\n"
+            "import repro.cli\n"
+            "loaded = {name for name in sys.modules if name.startswith('repro')}\n"
+            "new = []\n"
+            f"for argv in {runs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "        status = repro.cli.main(argv)\n"
+            "    now = {name for name in sys.modules if name.startswith('repro')}\n"
+            "    new.append([status, sorted(now - loaded)])\n"
+            "    loaded = now\n"
+            "print(json.dumps(new))"
+        )
+        completed = _run_fresh_interpreter(code)
+        assert completed.returncode == 0, completed.stderr
+        assert json.loads(completed.stdout) == [[0, []]] * len(runs)
 
     def test_ise_runs_without_networkx(self):
         """With networkx made unimportable, ``repro ise`` exits 0 and prints
@@ -419,3 +544,75 @@ class TestCli:
             "--algorithm", "exhaustive", "--jobs", "2",
         ]) == 0
         assert "application speedup" in capsys.readouterr().out
+
+
+class TestLazyExports:
+    @pytest.mark.parametrize("package", LAZY_PACKAGES)
+    def test_exports_resolve_to_their_defining_modules(
+        self, package, top_level_definitions
+    ):
+        # dir() lists every export before any has loaded.
+        completed = _run_fresh_interpreter(
+            f"import {package} as pkg\n"
+            "print([name for name in pkg.__all__ if name not in dir(pkg)])"
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout == "[]\n"
+
+        pkg = importlib.import_module(package)
+        eager = {"__version__", "runtime"}
+        for name in pkg.__all__:
+            if name in eager:
+                continue
+            value = getattr(pkg, name)
+            owners = [
+                module
+                for module in top_level_definitions[name]
+                if module.startswith(package + ".")
+            ]
+            assert any(
+                getattr(importlib.import_module(module), name) is value
+                for module in owners
+            ), (name, owners)
+
+        with pytest.raises(AttributeError, match="no_such_export"):
+            getattr(pkg, "no_such_export")
+
+        namespace = {}
+        exec(f"from {package} import *", namespace)
+        assert [
+            name for name in pkg.__all__ if namespace.get(name) is not getattr(pkg, name)
+        ] == []
+
+    def test_names_that_are_also_submodules(self):
+        import repro.core.context  # imports the repro.dfg.augment submodule
+        import repro.dfg
+        import repro.obs
+
+        assert isinstance(repro.dfg.augment, types.FunctionType)
+        assert repro.dfg.augment is sys.modules["repro.dfg.augment"].augment
+        assert repro.obs.runtime is sys.modules["repro.obs.runtime"]
+
+    def test_src_imports_names_from_their_defining_modules(self):
+        """Modules under ``src/`` never import a name through a lazily
+        exporting package: they import it from the module that defines it
+        (a submodule, such as ``repro.obs.runtime``, may be imported from its
+        package)."""
+        through_packages = []
+        for module, path in _src_modules():
+            parts = module.split(".")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.ImportFrom):
+                    continue
+                source = node.module or ""
+                if node.level:
+                    base = parts[: len(parts) - node.level]
+                    source = ".".join(base + ([source] if source else []))
+                if source not in LAZY_PACKAGES:
+                    continue
+                for alias in node.names:
+                    if importlib.util.find_spec(f"{source}.{alias.name}") is None:
+                        through_packages.append(
+                            f"{module}:{node.lineno} from {source} import {alias.name}"
+                        )
+        assert through_packages == []

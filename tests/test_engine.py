@@ -65,6 +65,14 @@ class TestRegistry:
         assert not get_algorithm("connected-only").capabilities.supports_context
         assert get_algorithm("exhaustive").capabilities.semantics == SEMANTICS_ALL_VALID
 
+    def test_brute_force_limit_is_the_oracles_own(self):
+        """The registry states the oracle's candidate limit without importing
+        the oracle, which loads on its first run."""
+        from repro.baselines.brute_force import MAX_CANDIDATES
+
+        limit = get_algorithm("brute-force").capabilities.max_candidate_nodes
+        assert limit == MAX_CANDIDATES
+
     def test_oracles_can_be_filtered_out(self):
         names = available_algorithms(include_oracles=False)
         assert "brute-force" not in names
